@@ -12,6 +12,7 @@ import argparse
 import time
 
 from recdiff.asymptotics import ratio_table
+from recdiff.cli import _parse_x_int
 from recdiff.recurrences import load_sequence
 
 
@@ -26,7 +27,7 @@ def main():
 
     seq_u = load_sequence(args.seq_u)
     seq_v = load_sequence(args.seq_v)
-    grid = [int(float(tok)) for tok in args.x_grid.split(",")]
+    grid = [_parse_x_int(tok) for tok in args.x_grid.split(",")]
 
     t0 = time.time()
     report = ratio_table(seq_u, seq_v, grid, oracle=args.oracle)

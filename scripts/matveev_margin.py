@@ -10,20 +10,11 @@ Usage: python scripts/matveev_margin.py [--seq-u fib] [--seq-v pow2]
 """
 
 import argparse
-import math
 
-from recdiff.heights import AlgebraicNumber, log_height
-from recdiff.intervals import upper_float
-from recdiff.matveev import MatveevInput, lambda_value, matveev_lower_bound
+from recdiff.intervals import IntervalField
+from recdiff.matveev import MatveevInput, _matveev_a_value, lambda_value, matveev_lower_bound
 from recdiff.recurrences import load_sequence
 from recdiff.spectral import analyze_sequence
-
-
-def _a_value(cert, d_field):
-    gamma = AlgebraicNumber(cert.min_poly, cert.root.box,
-                            len(cert.min_poly) - 1, cert.root.exact)
-    h = upper_float(log_height(gamma))
-    return max(d_field * h, abs(math.log(float(cert.margin_lower) + 1.0)), 0.16, h)
 
 
 def main():
@@ -38,7 +29,9 @@ def main():
     u = analyze_sequence(load_sequence(args.seq_u))
     v = analyze_sequence(load_sequence(args.seq_v))
     d_field = 2
-    a2, a3 = _a_value(u.certificate, d_field), _a_value(v.certificate, d_field)
+    field = IntervalField(192)
+    a2 = _matveev_a_value(u.certificate, field, d_field)
+    a3 = _matveev_a_value(v.certificate, field, d_field)
     a1 = max(a2 + a3, 0.16)     # generous stand-in for the coefficient ratio term
 
     worst = None

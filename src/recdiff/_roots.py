@@ -23,6 +23,7 @@ from .intervals import (
     is_interior,
     poly_eval_real,
     poly_eval_box,
+    width_float,
 )
 from .quadratic import QuadraticElement, quadratic_roots
 
@@ -72,15 +73,9 @@ def _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target, rounds=64):
         if is_interior(N, X):
             certified = True
         X = intersect(field, N, X)
-        if certified and _width_of(X) <= target:
+        if certified and width_float(X) <= target:
             return X
     return X if certified else None
-
-
-def _width_of(ivl) -> float:
-    import mpmath
-
-    return float(mpmath.mpf(ivl.delta._mpi_[1]))
 
 
 def _newton_refine_box(field, coeffs, dcoeffs, box, target, rounds=64):

@@ -75,10 +75,14 @@ def _json_report(data) -> str:
 
 
 def _parse_x_int(text: str) -> int:
-    value = float(text)
-    if value < 0 or value != int(value):
-        raise ValueError("--x must be a non-negative integer")
-    return int(value)
+    """Exact non-negative integer from a literal such as 10, 1e12 or 2.5e3."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value < 0 or value.denominator != 1:
+        raise ValueError("x must be a non-negative integer, got %r" % text)
+    return value.numerator
 
 
 def _parse_algebraic(spec: str) -> AlgebraicNumber:
@@ -145,23 +149,22 @@ def _cmd_count(args):
     seq_u = load_sequence(args.seq_u)
     seq_v = load_sequence(args.seq_v)
     x = _parse_x_int(args.x)
+    scan = counting.find_collisions(seq_u, seq_v, x) if args.collisions else None
+    fast = scan.count if scan else None
     if args.oracle:
         if args.n_cap is None or args.m_cap is None:
-            fast = counting.count_T_S(seq_u, seq_v, x)
-            n_cap = args.n_cap if args.n_cap is not None else 3 * fast.n_cut
-            m_cap = args.m_cap if args.m_cap is not None else 3 * fast.m_cut
-        else:
-            n_cap, m_cap = args.n_cap, args.m_cap
+            fast = fast or counting.count_T_S(seq_u, seq_v, x)
+        n_cap = args.n_cap if args.n_cap is not None else 3 * fast.n_cut
+        m_cap = args.m_cap if args.m_cap is not None else 3 * fast.m_cut
         result = counting.brute_force_oracle(seq_u, seq_v, x, n_cap, m_cap)
     else:
-        result = counting.count_T_S(seq_u, seq_v, x)
+        result = fast or counting.count_T_S(seq_u, seq_v, x)
     report = {
         "x": result.x, "T": result.T, "S": result.S,
         "n_cut": result.n_cut, "m_cut": result.m_cut,
         "gap_margin": result.gap_margin, "method": result.method,
     }
-    if args.collisions:
-        scan = counting.find_collisions(seq_u, seq_v, x)
+    if scan:
         report["collisions"] = [
             {"c": rec.c, "representations": [list(p) for p in rec.representations],
              "max_n": rec.max_n, "max_m": rec.max_m}
@@ -192,7 +195,7 @@ def _cmd_collisions(args):
 def _cmd_scan(args):
     seq_u = load_sequence(args.seq_u)
     seq_v = load_sequence(args.seq_v)
-    grid = [int(float(tok)) for tok in args.x_grid.split(",") if tok.strip()]
+    grid = [_parse_x_int(tok) for tok in args.x_grid.split(",") if tok.strip()]
     report = asymptotics.ratio_table(seq_u, seq_v, grid, oracle=args.oracle)
     if args.output == "csv":
         lines = ["x,T,S,main,T_ratio,S_ratio,grid,excess"]

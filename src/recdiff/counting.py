@@ -19,12 +19,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutoffUnsafe, PrecisionExhausted
+from .errors import CutoffUnsafe
 from .intervals import (
     IntervalField,
     certainly_greater,
     certainly_le,
-    precision_cap,
+    ladder,
 )
 from .recurrences import LinearRecurrence
 from .spectral import GrowthEnvelope, analyze_sequence
@@ -249,22 +249,19 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
         if not certainly_greater(base, field.real(1)):
             raise ValueError("%s must exceed 1" % label)
 
-    def compare(n, m, bits):
-        """-1, 0/hit, +1: |alpha^n - beta^m| vs x with certified margin."""
-        while True:
-            f = IntervalField(bits)
-            a = _base_value(f, alpha_key) ** n
-            b = _base_value(f, beta_key) ** m
-            diff = abs(a - b)
+    def compare(n, m):
+        """Whether |alpha^n - beta^m| <= x, decided with certified margin."""
+        def attempt(f):
+            diff = abs(_base_value(f, alpha_key) ** n - _base_value(f, beta_key) ** m)
             xr = f.real(x)
             if certainly_le(diff, xr):
                 return True
             if certainly_greater(diff, xr):
                 return False
-            bits *= 2
-            if bits > precision_cap():
-                raise PrecisionExhausted(
-                    "|alpha^%d - beta^%d| straddles x at the precision cap" % (n, m))
+            return None
+
+        return ladder(precision_bits, attempt,
+                      "|alpha^%d - beta^%d| straddles x at the precision cap" % (n, m))
 
     pairs = []
     last_hit = -1
@@ -277,7 +274,7 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
             # beyond reach: beta^m - alpha^n > x certified ends the m loop
             if certainly_greater(b_pow - a_pow, field.real(x)):
                 break
-            if compare(n, m, precision_bits):
+            if compare(n, m):
                 pairs.append((n, m))
                 last_hit = n
             m += 1

@@ -20,8 +20,8 @@ from .intervals import (
     IntervalField,
     certainly_greater,
     certainly_le,
+    ladder,
     midpoint_float,
-    refinement_precisions,
     width_float,
 )
 from .quadratic import QuadraticElement
@@ -110,13 +110,12 @@ def log_height(gamma: AlgebraicNumber, target_width: float = 2.0 ** -64,
     d = gamma.degree
     cyclotomic = _is_cyclotomic(coeffs)
     reciprocal = _is_reciprocal(coeffs)
-    for bits in refinement_precisions(start_bits):
-        field = IntervalField(bits)
+
+    def attempt(field):
         roots = gamma.conjugates(field)
         if roots is None:
-            continue
+            return None
         total = field.log(field.real(abs(coeffs[0])))
-        failed = False
         for idx, r in enumerate(roots):
             m = r.box.modulus()
             if certainly_greater(m, field.real(1)):
@@ -128,15 +127,12 @@ def log_height(gamma: AlgebraicNumber, target_width: float = 2.0 ** -64,
             elif reciprocal and not r.is_real and _unit_circle_exact(field, roots, idx):
                 continue
             else:
-                failed = True
-                break
-        if failed:
-            continue
+                return None
         h = total / d
-        if width_float(h) <= target_width:
-            return h
-    raise PrecisionExhausted("height of %s not resolved at the precision cap"
-                             % (gamma.label or gamma.min_poly,))
+        return h if width_float(h) <= target_width else None
+
+    return ladder(start_bits, attempt, "height of %s not resolved at the precision cap"
+                  % (gamma.label or gamma.min_poly,))
 
 
 def rational_quotient_height(p_value, q_value) -> float:

@@ -22,14 +22,14 @@ from fractions import Fraction
 
 from sympy import factorint
 
-from .errors import PrecisionExhausted, UnsupportedDegree
+from .errors import UnsupportedDegree
 from .heights import AlgebraicNumber
 from .intervals import (
     IntervalField,
     certainly_greater,
     interval_inf_fraction,
     interval_sup_fraction,
-    refinement_precisions,
+    ladder,
 )
 from .quadratic import QuadraticElement
 
@@ -55,14 +55,15 @@ def _exact_equal(x: QuadraticElement, y: QuadraticElement) -> bool:
 
 
 def _certified_modulus_gt_one(value: QuadraticElement) -> bool:
-    for bits in refinement_precisions(64, 512):
-        field = IntervalField(bits)
+    def attempt(field):
         m = value.box(field).modulus()
         if certainly_greater(m, field.real(1)):
             return True
         if bool(m.b <= 1):
             return False
-    raise PrecisionExhausted("modulus comparison against 1 undecided")
+        return None
+
+    return ladder(64, attempt, "modulus comparison against 1 undecided", cap=512)
 
 
 def _prime_vector(x: Fraction) -> dict:

@@ -16,6 +16,8 @@ from fractions import Fraction
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
+from .errors import PrecisionExhausted
+
 DEFAULT_PRECISION_CAP = 4096
 
 
@@ -68,9 +70,6 @@ class IntervalField:
     def log(self, x):
         return self.ctx.log(x)
 
-    def exp(self, x):
-        return self.ctx.exp(x)
-
     def pi(self):
         return +self.ctx.pi
 
@@ -94,15 +93,6 @@ def interval_inf_fraction(x) -> Fraction:
 
 def interval_sup_fraction(x) -> Fraction:
     return endpoint_fraction(x.b)
-
-
-def lower(x):
-    """Lower endpoint as an exact float-convertible point interval."""
-    return x.a
-
-
-def upper(x):
-    return x.b
 
 
 def midpoint_float(x) -> float:
@@ -291,3 +281,21 @@ def refinement_precisions(start: int = 128, cap: int = None):
         yield bits
         bits *= 2
     yield cap
+
+
+def ladder(start: int, attempt, message: str, cap: int = None):
+    """Climb the precision ladder until ``attempt`` makes a certified decision.
+
+    Every certified decision in the package climbs this one ladder.  It runs
+    ``attempt(IntervalField(bits))`` over ``refinement_precisions(start,
+    cap)``: bits double from ``start`` and the last rung is exactly the cap
+    (``cap``, else RECDIFF_PRECISION_BITS, default 4096).  The first result
+    that is not None is returned; any other value, False included, is a
+    decision.  When every rung fails, PrecisionExhausted(message) is raised
+    with ``bits`` set to the last rung tried.
+    """
+    for bits in refinement_precisions(start, cap):
+        result = attempt(IntervalField(bits))
+        if result is not None:
+            return result
+    raise PrecisionExhausted(message, bits=bits)

@@ -19,13 +19,18 @@ from .heights import AlgebraicNumber, compound_height, log_height
 from .intervals import (
     IntervalField,
     certainly_greater,
+    ladder,
     lower_float,
     midpoint_float,
-    refinement_precisions,
     upper_float,
 )
 from .quadratic import QuadraticElement, square_free_core
-from .spectral import BinetDecomposition, DominantRootCertificate, GrowthEnvelope
+from .spectral import (
+    BinetDecomposition,
+    DominantRootCertificate,
+    GrowthEnvelope,
+    _decomposition_at,
+)
 
 
 @dataclass(frozen=True)
@@ -90,20 +95,6 @@ def _exact_dominant_side(decomp, cert, idx):
         return None
 
 
-def _decomposition_at(seq, field, check_bound=200):
-    from .spectral import _binet_at, _spectrum_at
-
-    spectrum = _spectrum_at(seq, field)
-    if spectrum is None:
-        return None
-    return _binet_at(seq, spectrum, field, check_bound)
-
-
-def _dominant_index(decomp):
-    roots = decomp.spectrum.roots
-    return max(range(len(roots)), key=lambda i: lower_float(roots[i].modulus()))
-
-
 def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
                  n: int, m: int, certU: DominantRootCertificate = None,
                  certV: DominantRootCertificate = None,
@@ -129,31 +120,34 @@ def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
             raise ZeroDivisionError("b(m) beta^m = 0 exactly")
         status = "zero" if _exact_equal(exact_u, exact_v) else "nonzero"
 
-    undecided = None
-    for bits in refinement_precisions(start_bits):
-        field = IntervalField(bits)
-        du = decompU if bits <= decompU.precision_bits \
+    undecided = []
+
+    def attempt(field):
+        du = decompU if field.prec <= decompU.precision_bits \
             else _decomposition_at(decompU.sequence, field)
-        dv = decompV if bits <= decompV.precision_bits \
+        dv = decompV if field.prec <= decompV.precision_bits \
             else _decomposition_at(decompV.sequence, field)
         if du is None or dv is None:
-            continue
-        iu, iv = _dominant_index(du), _dominant_index(dv)
+            return None
+        iu, iv = certU.root_index, certV.root_index
         num = du.coefficient_value(iu, n) * (du.spectrum.roots[iu].box ** n)
         den = dv.coefficient_value(iv, m) * (dv.spectrum.roots[iv].box ** m)
         if den.contains_zero():
-            continue
+            return None
         lam = (num / den - 1).modulus()
         if status == "zero":
             return LinearFormSample(n, m, lam, "zero")
         if certainly_greater(lam, field.real(0)):
             return LinearFormSample(n, m, lam, "nonzero")
-        undecided = lam
-        if status == "nonzero":
-            continue        # exact says nonzero; refine until the interval shows it
-    if status is not None or undecided is None:
-        raise PrecisionExhausted("|Lambda| interval did not separate from zero")
-    return LinearFormSample(n, m, undecided, "undecided")
+        undecided.append(lam)       # not separated from zero at this rung
+        return None
+
+    try:
+        return ladder(start_bits, attempt, "|Lambda| interval did not separate from zero")
+    except PrecisionExhausted:
+        if status is not None or not undecided:
+            raise
+    return LinearFormSample(n, m, undecided[-1], "undecided")
 
 
 # ---------------------------------------------------------------------------

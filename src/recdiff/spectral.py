@@ -3,8 +3,7 @@
 All numeric statements produced here are certified: roots are isolated boxes,
 the Binet reconstruction is checked to pin down the exact integer term, and
 envelope inequalities are verified exactly on a window plus a proved
-geometric tail.  The precision ladder doubles bits until a decision is
-certified or the cap (RECDIFF_PRECISION_BITS, default 4096) is hit.
+geometric tail.  Each driver climbs ``intervals.ladder``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from ._roots import (
     factor_integer_poly,
     isolate_factor_roots,
 )
-from .errors import NoDominantRoot, PrecisionExhausted, RootNotLargerThanOne
+from .errors import NoDominantRoot, RootNotLargerThanOne
 from .intervals import (
     ComplexBox,
     IntervalField,
@@ -28,9 +27,9 @@ from .intervals import (
     contains_zero,
     interval_inf_fraction,
     interval_sup_fraction,
+    ladder,
     lower_float,
     midpoint_float,
-    refinement_precisions,
 )
 from .quadratic import QuadraticElement
 from .recurrences import LinearRecurrence
@@ -199,12 +198,8 @@ def _spectrum_at(seq: LinearRecurrence, field: IntervalField):
 
 def characteristic_roots(seq: LinearRecurrence, start_bits: int = 192) -> CharacteristicSpectrum:
     """Certified isolated roots of the characteristic polynomial."""
-    for bits in refinement_precisions(start_bits):
-        field = IntervalField(bits)
-        spectrum = _spectrum_at(seq, field)
-        if spectrum is not None:
-            return spectrum
-    raise PrecisionExhausted("root isolation failed for %r at the precision cap" % seq.name)
+    return ladder(start_bits, lambda field: _spectrum_at(seq, field),
+                  "root isolation failed for %r at the precision cap" % seq.name)
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +296,19 @@ def _binet_at(seq, spectrum, field, check_bound):
     return decomp
 
 
-def binet_decomposition(seq: LinearRecurrence, spectrum: CharacteristicSpectrum = None,
-                        check_bound: int = 200) -> BinetDecomposition:
+def _decomposition_at(seq, field, check_bound=200):
+    """Spectrum, then Binet, at one field; None when either is not certified."""
+    spectrum = _spectrum_at(seq, field)
+    if spectrum is None:
+        return None
+    return _binet_at(seq, spectrum, field, check_bound)
+
+
+def binet_decomposition(seq: LinearRecurrence, check_bound: int = 200) -> BinetDecomposition:
     """Solve the confluent Vandermonde system and certify reconstruction."""
-    start = spectrum.precision_bits if spectrum is not None else 256
-    for bits in refinement_precisions(start):
-        field = IntervalField(bits)
-        spec = _spectrum_at(seq, field)
-        if spec is None:
-            continue
-        decomp = _binet_at(seq, spec, field, check_bound)
-        if decomp is not None:
-            return decomp
-    raise PrecisionExhausted(
-        "Binet reconstruction for %r not certified at the precision cap" % seq.name)
+    return ladder(256, lambda field: _decomposition_at(seq, field, check_bound),
+                  "Binet reconstruction for %r not certified at the precision cap"
+                  % seq.name)
 
 
 # ---------------------------------------------------------------------------
@@ -605,17 +599,13 @@ def _verify_envelope(env, decomp, field, verify_to):
 # drivers
 
 
-def dominant_root_certificate(seq: LinearRecurrence,
-                              decomposition: BinetDecomposition = None
-                              ) -> DominantRootCertificate:
+def dominant_root_certificate(seq: LinearRecurrence) -> DominantRootCertificate:
     return analyze_sequence(seq).certificate
 
 
-def growth_envelope(decomposition: BinetDecomposition = None,
-                    certificate: DominantRootCertificate = None,
+def growth_envelope(certificate: DominantRootCertificate,
                     verify_to: int = 500) -> GrowthEnvelope:
-    seq = (certificate or decomposition).sequence
-    return analyze_sequence(seq, verify_to=verify_to).envelope
+    return analyze_sequence(certificate.sequence, verify_to=verify_to).envelope
 
 
 _ANALYSIS_CACHE = {}
@@ -623,7 +613,7 @@ _ANALYSIS_LOCK = threading.Lock()
 
 
 def analyze_sequence(seq: LinearRecurrence, check_bound: int = 200,
-                     verify_to: int = 500, start_bits: int = 256) -> SequenceAnalysis:
+                     verify_to: int = 500) -> SequenceAnalysis:
     """Full certified pipeline (spectrum, Binet, certificate, envelope), cached."""
     key = (seq.coefficients, seq.initial_terms, check_bound, verify_to)
     with _ANALYSIS_LOCK:
@@ -633,7 +623,7 @@ def analyze_sequence(seq: LinearRecurrence, check_bound: int = 200,
             raise hit
         return hit
     try:
-        result = _analyze_uncached(seq, check_bound, verify_to, start_bits)
+        result = _analyze_uncached(seq, check_bound, verify_to)
     except (NoDominantRoot, RootNotLargerThanOne) as exc:
         with _ANALYSIS_LOCK:
             _ANALYSIS_CACHE[key] = exc
@@ -643,21 +633,18 @@ def analyze_sequence(seq: LinearRecurrence, check_bound: int = 200,
     return result
 
 
-def _analyze_uncached(seq, check_bound, verify_to, start_bits):
-    for bits in refinement_precisions(start_bits):
-        field = IntervalField(bits)
-        spectrum = _spectrum_at(seq, field)
-        if spectrum is None:
-            continue
-        decomp = _binet_at(seq, spectrum, field, check_bound)
+def _analyze_uncached(seq, check_bound, verify_to):
+    def attempt(field):
+        decomp = _decomposition_at(seq, field, check_bound)
         if decomp is None:
-            continue
+            return None
         cert = _certificate_at(seq, decomp, field)
         if cert is None:
-            continue
+            return None
         env = _envelope_at(decomp, cert, field, verify_to)
         if env is None:
-            continue
-        return SequenceAnalysis(seq, spectrum, decomp, cert, env)
-    raise PrecisionExhausted(
-        "sequence analysis for %r not certified at the precision cap" % seq.name)
+            return None
+        return SequenceAnalysis(seq, decomp.spectrum, decomp, cert, env)
+
+    return ladder(256, attempt,
+                  "sequence analysis for %r not certified at the precision cap" % seq.name)

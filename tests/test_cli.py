@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from recdiff.cli import dispatch
+from recdiff.cli import _parse_x_int, dispatch
 from recdiff.recurrences import serialize_sequence_config, BUILTIN_SEQUENCES
 
 
@@ -73,6 +73,32 @@ def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "count", "--seq-u", "fib", "--seq-v", "pow2",
                      "--x", "-3")
     assert code == 4
+
+
+def test_parse_x_int_is_exact():
+    assert _parse_x_int("1e12") == 10 ** 12
+    assert _parse_x_int("10000000000000000001") == 10 ** 19 + 1
+    assert _parse_x_int("1e400") == 10 ** 400
+    assert _parse_x_int("2.5e3") == 2500
+    assert [_parse_x_int(t) for t in "1e3,1e6,1e9,1e12".split(",")] == \
+        [10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12]
+    for bad in ("-3", "2.5", "1e-3", "", "abc", "inf", "nan", "1/0"):
+        with pytest.raises(ValueError):
+            _parse_x_int(bad)
+
+
+def test_x_is_not_rounded_through_float(capsys):
+    code, out, _ = run(capsys, "count", "--seq-u", "fib", "--seq-v", "pow2",
+                       "--x", "10000000000000000001", "--no-header")
+    assert code == 0 and json.loads(out)["x"] == 10000000000000000001
+
+
+def test_non_integer_x_exits_invalid(capsys):
+    for argv in (("count", "--seq-u", "fib", "--seq-v", "pow2", "--x", "2.5"),
+                 ("collisions", "--seq-u", "fib", "--seq-v", "pow2", "--x", "1e-3"),
+                 ("scan", "--seq-u", "fib", "--seq-v", "pow2", "--x-grid", "1e3,2.5")):
+        code, _, err = run(capsys, *argv)
+        assert code == 4 and "non-negative integer" in err
 
 
 def test_analyze_report(capsys):
