@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import asymptotics, counting, heights, matveev
+from .counting import _parse_x_int
 from .errors import (
     CutoffUnsafe,
     InvalidBelowThreshold,
@@ -72,17 +73,6 @@ def _emit(args, text: str):
 
 def _json_report(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
-
-
-def _parse_x_int(text: str) -> int:
-    """Exact non-negative integer from a literal such as 10, 1e12 or 2.5e3."""
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or value < 0 or value.denominator != 1:
-        raise ValueError("x must be a non-negative integer, got %r" % text)
-    return value.numerator
 
 
 def _parse_algebraic(spec: str) -> AlgebraicNumber:
@@ -145,6 +135,15 @@ def _cmd_analyze(args):
     return 0
 
 
+def _collision_report(scan, key):
+    """The collision records under ``key`` plus the N_emp/M_emp witnesses."""
+    return {
+        key: [{"c": rec.c, "representations": [list(p) for p in rec.representations],
+               "max_n": rec.max_n, "max_m": rec.max_m} for rec in scan.records],
+        "N_emp": scan.n_emp, "M_emp": scan.m_emp,
+    }
+
+
 def _cmd_count(args):
     seq_u = load_sequence(args.seq_u)
     seq_v = load_sequence(args.seq_v)
@@ -165,12 +164,7 @@ def _cmd_count(args):
         "gap_margin": result.gap_margin, "method": result.method,
     }
     if scan:
-        report["collisions"] = [
-            {"c": rec.c, "representations": [list(p) for p in rec.representations],
-             "max_n": rec.max_n, "max_m": rec.max_m}
-            for rec in scan.records]
-        report["N_emp"] = scan.n_emp
-        report["M_emp"] = scan.m_emp
+        report.update(_collision_report(scan, "collisions"))
     _emit(args, _json_report(report))
     return 0
 
@@ -180,14 +174,8 @@ def _cmd_collisions(args):
     seq_v = load_sequence(args.seq_v)
     x = _parse_x_int(args.x)
     scan = counting.find_collisions(seq_u, seq_v, x)
-    report = {
-        "x": x, "T": scan.count.T, "S": scan.count.S,
-        "N_emp": scan.n_emp, "M_emp": scan.m_emp,
-        "records": [
-            {"c": rec.c, "representations": [list(p) for p in rec.representations],
-             "max_n": rec.max_n, "max_m": rec.max_m}
-            for rec in scan.records],
-    }
+    report = {"x": x, "T": scan.count.T, "S": scan.count.S}
+    report.update(_collision_report(scan, "records"))
     _emit(args, _json_report(report))
     return 0
 

@@ -15,7 +15,7 @@ every comparison there is decided with certified margin or refined.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +57,18 @@ class CollisionScan:
     count: CountResult
 
 
+def _parse_x_int(value) -> int:
+    """Exact non-negative integer from an int, an integral float or Fraction,
+    or a literal such as 10, 1e12 or 2.5e3."""
+    try:
+        exact = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        exact = None
+    if exact is None or exact < 0 or exact.denominator != 1:
+        raise ValueError("x must be a non-negative integer, got %r" % (value,))
+    return exact.numerator
+
+
 def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
                        x: int, n_cap: int, m_cap: int) -> CountResult:
     """Independent oracle: exhaustive double loop, exact integer comparisons.
@@ -80,14 +92,6 @@ def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
     return CountResult(x, T, len(values), n_cap, m_cap, None, "oracle")
 
 
-def _envelope_pair(seqU, seqV, envU, envV):
-    if envU is None:
-        envU = analyze_sequence(seqU).envelope
-    if envV is None:
-        envV = analyze_sequence(seqV).envelope
-    return envU, envV
-
-
 def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
     """Smallest n >= n0 with c_lower * |alpha|^n certified > threshold."""
     c_low = field.real(env.c_lower)
@@ -105,11 +109,11 @@ def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
 
 def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
                      hard_cap=100000):
-    """All (n, m, c) with |c| = |U_n - V_m| <= x, plus cutoff metadata.
+    """Per-n runs of the V terms within x of U_n, plus cutoff metadata.
 
-    Returns (pairs, n_cut, m_cut, gap_margin).  Parallel note: the n-scan
-    splits over disjoint ranges with a deterministic merge; this
-    implementation keeps it sequential for auditability.
+    Returns (runs, n_cut, m_cut, gap_margin).  Each run is (n, U_n, run),
+    where run is the slice of the (V_m, m) entries, sorted by value, with
+    |U_n - V_m| <= x; only n with a non-empty run appear, in increasing n.
     """
     field = IntervalField(96)
     n_cut = max(_growth_index(envU, 2 * x + 2, field), 4)
@@ -127,7 +131,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
         entries = sorted((seqV.term(m), m) for m in range(m_big + 1))
         values = [e[0] for e in entries]
 
-        pairs = []
+        runs = []
         last_hit = -1
         gap_margin = None
         for n in range(scan_limit + 1):
@@ -136,8 +140,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
             right = bisect_right(values, u + x)
             if right > left:
                 last_hit = n
-                for v, m in entries[left:right]:
-                    pairs.append((n, m, u - v))
+                runs.append((n, u, entries[left:right]))
             if n > n_cut:
                 best = None
                 for j in (left - 1, left, right):
@@ -150,10 +153,28 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
             break
         n_cut = last_hit       # extend and re-verify a fresh window
 
-    m_cut = max((m for _, m, _ in pairs), default=0)
+    m_cut = max((m for _, _, run in runs for _, m in run), default=0)
     if gap_margin is not None and gap_margin <= x:
         raise CutoffUnsafe("safety window contains an unadmitted near-collision")
-    return pairs, n_cut, m_cut, gap_margin
+    return runs, n_cut, m_cut, gap_margin
+
+
+def _count(seqU, seqV, x, envU, envV):
+    """The one enumeration pass and the one tally of c = U_n - V_m.
+
+    Returns (CountResult, runs, tally): runs as in _enumerate_pairs, tally a
+    Counter of the differences.
+    """
+    x = _parse_x_int(x)
+    if envU is None:
+        envU = analyze_sequence(seqU).envelope
+    if envV is None:
+        envV = analyze_sequence(seqV).envelope
+    runs, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, x, envU, envV)
+    tally = Counter(u - v for _, u, run in runs for v, _ in run)
+    count = CountResult(x, sum(tally.values()), len(tally), n_cut, m_cut,
+                        gap_margin, "fast")
+    return count, runs, tally
 
 
 def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
@@ -161,37 +182,27 @@ def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
               ) -> CountResult:
     """Exact T(x) and S(x) via envelope-seeded enumeration with a verified
     safety window."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    envU, envV = _envelope_pair(seqU, seqV, envU, envV)
-    pairs, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, x, envU, envV)
-    values = {c for _, _, c in pairs}
-    return CountResult(x, len(pairs), len(values), n_cut, m_cut, gap_margin, "fast")
+    return _count(seqU, seqV, x, envU, envV)[0]
 
 
 def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
                     envU: GrowthEnvelope = None, envV: GrowthEnvelope = None
                     ) -> CollisionScan:
-    """Group counted pairs by their difference; report all c with >= 2
-    representations and the empirical repeat-index witnesses."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    envU, envV = _envelope_pair(seqU, seqV, envU, envV)
-    pairs, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, x, envU, envV)
-    groups = defaultdict(list)
-    for n, m, c in pairs:
-        groups[c].append((n, m))
-    records = []
-    for c in sorted(groups):
-        reps = sorted(groups[c])
-        if len(reps) >= 2:
-            records.append(CollisionRecord(c, tuple(reps),
-                                           max(n for n, _ in reps),
-                                           max(m for _, m in reps)))
-    n_emp = max((min(n for n, _ in r.representations) for r in records), default=0)
+    """Report all c = U_n - V_m with >= 2 counted representations and the
+    empirical repeat-index witnesses."""
+    count, runs, tally = _count(seqU, seqV, x, envU, envV)
+    groups = {c: [] for c in sorted(c for c, k in tally.items() if k > 1)}
+    for n, u, run in runs:
+        for v, m in run:
+            if u - v in groups:
+                groups[u - v].append((n, m))
+    # runs ascend in n, and equal values within a run ascend in m, so each
+    # list of representations is already sorted
+    records = tuple(CollisionRecord(c, tuple(reps), reps[-1][0], max(m for _, m in reps))
+                    for c, reps in groups.items())
+    n_emp = max((r.representations[0][0] for r in records), default=0)
     m_emp = max((min(m for _, m in r.representations) for r in records), default=0)
-    count = CountResult(x, len(pairs), len(groups), n_cut, m_cut, gap_margin, "fast")
-    return CollisionScan(tuple(records), n_emp, m_emp, count)
+    return CollisionScan(records, n_emp, m_emp, count)
 
 
 # ---------------------------------------------------------------------------

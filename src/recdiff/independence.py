@@ -155,9 +155,11 @@ def multiplicative_independence(alpha: AlgebraicNumber, beta: AlgebraicNumber,
         if not _certified_modulus_gt_one(value):
             raise ValueError("|%s| > 1 is required" % label)
 
+    b_powers = [b ** m for m in range(1, search_bound + 1)]
     for n in range(1, search_bound + 1):
-        for m in range(1, search_bound + 1):
-            if _exact_equal(a ** n, b ** m):
+        a_power = a ** n
+        for m, b_power in enumerate(b_powers, 1):
+            if _exact_equal(a_power, b_power):
                 return IndependenceResult("dependent", n, m,
                                           "exact relation found by bounded search")
 

@@ -123,10 +123,6 @@ def certainly_greater(x, y) -> bool:
     return bool(x.a > y.b)
 
 
-def certainly_ge(x, y) -> bool:
-    return bool(x.a >= y.b)
-
-
 def contains(x, value) -> bool:
     """Certified containment; may return False on borderline rounding."""
     if isinstance(value, Fraction):

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,15 @@ def test_preconditions():
         brute_force_oracle(FIB, POW2, 1, -1, 5)
 
 
+def test_float_and_fraction_x_are_taken_exactly():
+    # u - x with a huge float x used to overflow; the count is that of int(x)
+    r = count_T_S(POW2, POW3, 1e160)
+    assert r.T == 178756 and r.x == int(1e160)
+    assert count_T_S(FIB, POW2, Fraction(10)) == count_T_S(FIB, POW2, 10)
+    with pytest.raises(ValueError):
+        count_T_S(FIB, POW2, 10.5)
+
+
 def test_determinism():
     a = count_T_S(FIB, POW2, 10)
     b = count_T_S(FIB, POW2, 10)
@@ -113,6 +123,34 @@ def test_fast_matches_oracle_random_x(x):
     fast = count_T_S(FIB, POW2, x)
     oracle = brute_force_oracle(FIB, POW2, x, 2 * fast.n_cut + 8, 2 * fast.m_cut + 8)
     assert (fast.T, fast.S) == (oracle.T, oracle.S)
+
+
+def _brute_collisions(seqU, seqV, x, n_cap, m_cap):
+    """Group every pair up to the caps by its difference, by double loop."""
+    v_terms = [seqV.term(m) for m in range(m_cap + 1)]
+    groups = defaultdict(list)
+    for n in range(n_cap + 1):
+        u = seqU.term(n)
+        for m, v in enumerate(v_terms):
+            if abs(u - v) <= x:
+                groups[u - v].append((n, m))
+    records = [(c, tuple(sorted(reps)), max(n for n, _ in reps), max(m for _, m in reps))
+               for c, reps in sorted(groups.items()) if len(reps) >= 2]
+    n_emp = max((min(n for n, _ in r[1]) for r in records), default=0)
+    m_emp = max((min(m for _, m in r[1]) for r in records), default=0)
+    return records, n_emp, m_emp
+
+
+@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB)])
+@settings(max_examples=25, deadline=None)
+@given(x=st.integers(0, 5000))
+def test_collisions_match_brute_grouping(seqU, seqV, x):
+    # with fib as V, the value 1 sits at m = 1 and m = 2: same-n representations
+    scan = find_collisions(seqU, seqV, x)
+    got = [(r.c, r.representations, r.max_n, r.max_m) for r in scan.records]
+    expected = _brute_collisions(seqU, seqV, x, 3 * scan.count.n_cut, 3 * scan.count.m_cut)
+    assert (got, scan.n_emp, scan.m_emp) == expected
+    assert scan.count == count_T_S(seqU, seqV, x)
 
 
 # ---------------------------------------------------------------------------
