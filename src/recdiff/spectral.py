@@ -9,6 +9,7 @@ geometric tail.  Each driver climbs ``intervals.ladder``.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -608,8 +609,17 @@ def growth_envelope(certificate: DominantRootCertificate,
     return analyze_sequence(certificate.sequence, verify_to=verify_to).envelope
 
 
-_ANALYSIS_CACHE = {}
+_ANALYSIS_CACHE_SIZE = 64        # analyses kept; the least recently used goes first
+_ANALYSIS_CACHE = OrderedDict()
 _ANALYSIS_LOCK = threading.Lock()
+
+
+def _remember(key, value):
+    with _ANALYSIS_LOCK:
+        _ANALYSIS_CACHE[key] = value
+        _ANALYSIS_CACHE.move_to_end(key)
+        if len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_SIZE:
+            _ANALYSIS_CACHE.popitem(last=False)
 
 
 def analyze_sequence(seq: LinearRecurrence, check_bound: int = 200,
@@ -618,6 +628,8 @@ def analyze_sequence(seq: LinearRecurrence, check_bound: int = 200,
     key = (seq.coefficients, seq.initial_terms, check_bound, verify_to)
     with _ANALYSIS_LOCK:
         hit = _ANALYSIS_CACHE.get(key)
+        if hit is not None:
+            _ANALYSIS_CACHE.move_to_end(key)
     if hit is not None:
         if isinstance(hit, Exception):
             raise hit
@@ -625,11 +637,9 @@ def analyze_sequence(seq: LinearRecurrence, check_bound: int = 200,
     try:
         result = _analyze_uncached(seq, check_bound, verify_to)
     except (NoDominantRoot, RootNotLargerThanOne) as exc:
-        with _ANALYSIS_LOCK:
-            _ANALYSIS_CACHE[key] = exc
+        _remember(key, exc)
         raise
-    with _ANALYSIS_LOCK:
-        _ANALYSIS_CACHE[key] = result
+    _remember(key, result)
     return result
 
 

@@ -1,0 +1,170 @@
+"""Root isolation: sympy's eps-rectangles rebuilt from certified Newton boxes,
+boxes equal to the all-sympy path, call counts of sympy and bounded caches."""
+
+import functools
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from sympy import Poly, Rational, Symbol, im, re
+
+from recdiff import _roots, spectral
+from recdiff.errors import RootNotLargerThanOne
+from recdiff.intervals import IntervalField, interval_inf_fraction, interval_sup_fraction
+from recdiff.recurrences import LinearRecurrence
+from recdiff.spectral import analyze_sequence
+
+X = Symbol("X")
+TRIB = (1, -1, -1, -1)
+TETRA = (1, -1, -1, -1, -1)
+REBUILT = [TRIB, TETRA,
+           (1, 0, 0, 0, -1, -1),     # x^5 - x - 1: two complex pairs
+           (1, 0, 0, -2),
+           (1, -3, 0, 0, -1)]
+ON_SPLIT_LINE = (1, 0, 3, 0, 1)      # x^4 + 3x^2 + 1: roots on Re = 0
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_fine(coeffs, eps_bits):
+    """Poly.intervals(all=True, eps) for one polynomial, once per test run."""
+    return Poly(list(coeffs), X).intervals(all=True, eps=Rational(1, 2 ** eps_bits))
+
+
+def sympy_rectangles(coeffs, eps_bits):
+    rects = []
+    for (c1, c2), _ in sympy_fine(coeffs, eps_bits)[1]:
+        res = sorted(Fraction(str(re(c))) for c in (c1, c2))
+        ims = sorted(Fraction(str(im(c))) for c in (c1, c2))
+        rects.append((res[0], res[1], ims[0], ims[1]))
+    return rects
+
+
+def rebuild(coeffs, eps_bits):
+    field = IntervalField(4 * eps_bits)
+    target = 2.0 ** -(2 * eps_bits)
+    return _roots._rebuilt_rectangles(field, list(coeffs), _roots._derivative(list(coeffs)),
+                                      eps_bits, target)
+
+
+@pytest.mark.parametrize("eps_bits", [32, 64])
+@pytest.mark.parametrize("coeffs", REBUILT)
+def test_rebuilt_rectangles_equal_sympy(coeffs, eps_bits):
+    assert rebuild(coeffs, eps_bits) == sympy_rectangles(coeffs, eps_bits)
+
+
+def test_root_on_a_split_line_falls_back_to_sympy(monkeypatch):
+    assert rebuild(ON_SPLIT_LINE, 32) is None
+    fallbacks, fallback = [], _roots._sympy_rectangles
+
+    def spy(coeffs, eps_bits):
+        fallbacks.append(fallback(coeffs, eps_bits))
+        return fallbacks[-1]
+
+    monkeypatch.setattr(_roots, "_sympy_rectangles", spy)
+    _roots.isolate_factor_roots(IntervalField(128), ON_SPLIT_LINE, eps_bits=32)
+    assert fallbacks == [sympy_rectangles(ON_SPLIT_LINE, 32)]
+
+
+def all_sympy_boxes(field, coeffs, eps_bits):
+    """The boxes of the all-sympy path: fine sympy intervals, then Newton;
+    None when Newton leaves a box uncertified."""
+    dcoeffs = _roots._derivative(list(coeffs))
+    target = 2.0 ** (-max(32, field.prec // 2))
+    real_parts, _ = sympy_fine(coeffs, eps_bits)
+    boxes = []
+    for (lo, hi), _ in real_parts:
+        lo, hi = sorted((Fraction(str(lo)), Fraction(str(hi))))
+        x = _roots._newton_refine_real(field, list(coeffs), dcoeffs, lo, hi, target)
+        boxes.append(None if x is None else field.box_from_intervals(x, field.real(0)))
+    for rect in sympy_rectangles(coeffs, eps_bits):
+        boxes.append(_roots._newton_refine_box(field, list(coeffs), dcoeffs,
+                                               _roots._rect_box(field, rect), target))
+    return None if None in boxes else [endpoints(b) for b in boxes]
+
+
+def endpoints(box):
+    return [f(part) for part in (box.re, box.im)
+            for f in (interval_inf_fraction, interval_sup_fraction)]
+
+
+@pytest.mark.parametrize("coeffs,prec", [(c, 256) for c in REBUILT]
+                         + [(TRIB, 512), (TETRA, 512)])
+def test_boxes_equal_the_all_sympy_path(coeffs, prec):
+    eps_bits = max(32, min(prec // 4, 256))      # spectral's eps at this rung
+    field = IntervalField(prec)
+    roots = _roots.isolate_factor_roots(field, coeffs, eps_bits=eps_bits)
+    boxes = None if roots is None else [endpoints(r.box) for r in roots]
+    assert boxes == all_sympy_boxes(field, coeffs, eps_bits)
+
+
+def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
+    with spectral._ANALYSIS_LOCK:
+        spectral._ANALYSIS_CACHE.clear()
+    _roots._factor.cache_clear()
+    _roots._coarse_rectangles.cache_clear()
+    factored, isolated = Counter(), []
+    factor_list, intervals = Poly.factor_list, Poly.intervals
+
+    def factor_spy(poly, *args, **kwargs):
+        factored[tuple(poly.all_coeffs())] += 1
+        return factor_list(poly, *args, **kwargs)
+
+    def intervals_spy(poly, *args, **kwargs):
+        isolated.append((tuple(poly.all_coeffs()), kwargs.get("all", False), kwargs.get("eps")))
+        return intervals(poly, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "factor_list", factor_spy)
+    monkeypatch.setattr(Poly, "intervals", intervals_spy)
+    analyze_sequence(LinearRecurrence("trib_a", (1, 1, 1), (0, 0, 1)))
+    analyze_sequence(LinearRecurrence("trib_b", (1, 1, 1), (1, 1, 1)))
+    analyze_sequence(LinearRecurrence("tetra", (1, 1, 1, 1), (0, 0, 0, 1)))
+
+    assert factored == Counter({TRIB: 1, TETRA: 1})
+    complex_calls = [(c, eps) for c, all_roots, eps in isolated if all_roots]
+    assert sorted(c for c, _ in complex_calls) == [TRIB, TETRA]
+    assert all(eps == Rational(1, 2 ** _roots._COARSE_EPS_BITS) for _, eps in complex_calls)
+
+
+def overfill(cached, keys):
+    """Fill an lru_cache with len(keys) > maxsize entries and check that the
+    oldest was evicted while the newest stayed."""
+    cached.cache_clear()
+    for key in keys:
+        cached(key)
+    assert cached.cache_info().currsize == cached.cache_parameters()["maxsize"]
+    hits, misses = cached.cache_info().hits, cached.cache_info().misses
+    cached(keys[-1])
+    assert cached.cache_info().hits == hits + 1
+    cached(keys[0])
+    assert cached.cache_info().misses == misses + 1
+
+
+def test_factor_cache_evicts_the_oldest():
+    overfill(_roots._factor, [(1, -k) for k in range(_roots._CACHE_SIZE + 1)])
+
+
+def test_coarse_isolation_cache_evicts_the_oldest():
+    overfill(_roots._coarse_rectangles, [(1, -k) for k in range(_roots._CACHE_SIZE + 1)])
+
+
+def test_analysis_cache_evicts_the_oldest_and_keeps_errors():
+    def key(seq):
+        return (seq.coefficients, seq.initial_terms, 4, 4)
+
+    with spectral._ANALYSIS_LOCK:
+        spectral._ANALYSIS_CACHE.clear()
+    flat = LinearRecurrence("flat", (1,), (1,))
+    with pytest.raises(RootNotLargerThanOne):
+        analyze_sequence(flat, check_bound=4, verify_to=4)
+    assert isinstance(spectral._ANALYSIS_CACHE[key(flat)], RootNotLargerThanOne)
+    seqs = [LinearRecurrence("g%d" % k, (2,), (k,))
+            for k in range(1, spectral._ANALYSIS_CACHE_SIZE + 1)]
+    for seq in seqs:
+        analyze_sequence(seq, check_bound=4, verify_to=4)
+    assert len(spectral._ANALYSIS_CACHE) == spectral._ANALYSIS_CACHE_SIZE
+    assert key(flat) not in spectral._ANALYSIS_CACHE
+    assert key(seqs[0]) in spectral._ANALYSIS_CACHE
+    analyze_sequence(seqs[0], check_bound=4, verify_to=4)       # a hit becomes the newest
+    analyze_sequence(LinearRecurrence("g0", (2,), (-1,)), check_bound=4, verify_to=4)
+    assert key(seqs[0]) in spectral._ANALYSIS_CACHE
+    assert key(seqs[1]) not in spectral._ANALYSIS_CACHE
