@@ -23,18 +23,20 @@ each box.
 
 Factorisations and coarse isolations are kept in LRU caches of
 ``_CACHE_SIZE`` polynomials each.
+
+Every root is an ``AlgebraicNumber``, the one record that the spectral,
+heights, independence and Matveev layers share.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from sympy import Poly, Rational, Symbol
-from sympy import im as sym_im
-from sympy import re as sym_re
+from sympy import QQ, Poly, Symbol
 
+from .errors import PrecisionExhausted
 from .intervals import (
     ComplexBox,
     IntervalField,
@@ -43,6 +45,7 @@ from .intervals import (
     interval_sup_fraction,
     intersect,
     is_interior,
+    midpoint_float,
     poly_eval_real,
     poly_eval_box,
     width_float,
@@ -55,11 +58,68 @@ _COARSE_EPS_BITS = 8
 
 
 @dataclass(eq=False)
-class IsolatedRoot:
+class AlgebraicNumber:
+    """An algebraic number: its minimal polynomial and a certified box that
+    holds it and no other root of that polynomial (``from_min_poly`` checks
+    irreducibility by exact factorisation)."""
+
+    min_poly: tuple            # primitive integer coeffs, highest first, leading > 0
     box: ComplexBox
     is_real: bool
-    min_poly: tuple            # primitive integer coeffs, highest first, leading > 0
-    exact: QuadraticElement | None   # present when the factor has degree <= 2
+    exact: QuadraticElement | None = None   # present when the degree is <= 2
+    label: str = ""
+    multiplicity: int = 1      # as a root of a characteristic polynomial
+
+    @property
+    def degree(self) -> int:
+        return len(self.min_poly) - 1
+
+    def modulus(self):
+        return self.box.modulus()
+
+    def exact_modulus_squared(self) -> Fraction | None:
+        """|value|^2 when it is exactly known as a rational, else None."""
+        v = self.exact
+        if v is None:
+            return None
+        if v.is_rational:
+            return v.a * v.a
+        if v.d < 0:
+            return v.norm()     # complex conjugate equals field conjugate
+        if v.a == 0:
+            return v.d * v.b * v.b
+        return None
+
+    @staticmethod
+    def from_rational(value, label="") -> "AlgebraicNumber":
+        value = Fraction(value)
+        q = QuadraticElement.from_rational(value)
+        return AlgebraicNumber(q.minimal_polynomial(), q.box(IntervalField(64)), True, q,
+                               label or str(value))
+
+    from_integer = from_rational
+
+    @staticmethod
+    def from_quadratic(value: QuadraticElement, label="") -> "AlgebraicNumber":
+        if value.is_rational:
+            return AlgebraicNumber.from_rational(value.a, label)
+        return AlgebraicNumber(value.minimal_polynomial(), value.box(IntervalField(128)),
+                               value.d > 0, value, label)
+
+    @staticmethod
+    def from_min_poly(coeffs, root_index: int = 0, label="") -> "AlgebraicNumber":
+        coeffs = tuple(int(c) for c in coeffs)
+        factors = factor_integer_poly(coeffs)
+        if len(factors) != 1 or factors[0][1] != 1 or len(factors[0][0]) != len(coeffs):
+            raise ValueError("minimal polynomial must be irreducible over Q")
+        roots = isolate_factor_roots(IntervalField(192), factors[0][0])
+        if roots is None:
+            raise PrecisionExhausted("cannot isolate the selected root")
+        roots.sort(key=lambda r: (-midpoint_float(r.box.re), -midpoint_float(r.box.im)))
+        return replace(roots[root_index], label=label)
+
+    def conjugates(self, field: IntervalField):
+        return isolate_factor_roots(field, self.min_poly)
 
 
 def factor_integer_poly(coeffs) -> list:
@@ -80,19 +140,21 @@ def _factor(coeffs: tuple) -> tuple:
 
 
 def _fraction(q) -> Fraction:
-    return Fraction(int(q.p), int(q.q))
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _sympy_intervals(coeffs, eps_bits, all_roots):
+    """``Poly.intervals`` with its corners left as QQ numbers, not expressions."""
+    return Poly(list(coeffs), _X, domain="ZZ").rep.intervals(
+        all=all_roots, eps=QQ(1, 2 ** eps_bits))
 
 
 def _sympy_rectangles(coeffs, eps_bits) -> list:
-    """Sympy's eps-rectangles of the non-real roots as (re_lo, re_hi, im_lo, im_hi)."""
-    poly = Poly(list(coeffs), _X, domain="ZZ")
-    _, complex_parts = poly.intervals(all=True, eps=Rational(1, 2 ** eps_bits))
-    rects = []
-    for (c1, c2), _mult in complex_parts:
-        res = [_fraction(sym_re(c)) for c in (c1, c2)]
-        ims = [_fraction(sym_im(c)) for c in (c1, c2)]
-        rects.append((min(res), max(res), min(ims), max(ims)))
-    return rects
+    """Sympy's eps-rectangles of the non-real roots as (re_lo, re_hi, im_lo, im_hi),
+    read from their south-west and north-east corners."""
+    _, complex_parts = _sympy_intervals(coeffs, eps_bits, True)
+    return [(_fraction(u), _fraction(s), _fraction(v), _fraction(t))
+            for ((u, v), (s, t)), _mult in complex_parts]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -223,8 +285,8 @@ def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
 
     Each box is refined from its eps-rectangle (eps = 2^-eps_bits) to a
     width of at most 2^-max(32, field.prec // 2).  Returns a list of
-    IsolatedRoot or None when certification fails at this precision (caller
-    refines).  Complex roots appear as conjugate pairs.
+    AlgebraicNumber or None when certification fails at this precision
+    (caller refines).  Complex roots appear as conjugate pairs.
     """
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
@@ -235,37 +297,37 @@ def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
 
     if deg == 1:
         value = QuadraticElement.from_rational(Fraction(-coeffs[1], coeffs[0]))
-        return [IsolatedRoot(value.box(field), True, min_poly, value)]
+        return [AlgebraicNumber(min_poly, value.box(field), True, value)]
     if deg == 2:
-        plus, minus = quadratic_roots(*coeffs)
-        roots = []
-        for val in (plus, minus):
-            roots.append(IsolatedRoot(val.box(field), val.d > 0 or val.is_rational,
-                                      min_poly, val))
-        return roots
+        return [AlgebraicNumber(min_poly, val.box(field), val.d > 0 or val.is_rational, val)
+                for val in quadratic_roots(*coeffs)]
 
     dcoeffs = _derivative(coeffs)
-    poly = Poly(coeffs, _X, domain="ZZ")
     roots = []
-    for (lo, hi), _mult in poly.intervals(eps=Rational(1, 2 ** eps_bits)):
+    for (lo, hi), _mult in _sympy_intervals(coeffs, eps_bits, False):
         lo, hi = _fraction(lo), _fraction(hi)
         if lo > hi:
             lo, hi = hi, lo
         refined = _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target)
         if refined is None:
             return None
-        roots.append(IsolatedRoot(field.box_from_intervals(refined, field.real(0)),
-                                  True, min_poly, None))
+        roots.append(AlgebraicNumber(min_poly, field.box_from_intervals(refined, field.real(0)),
+                                     True))
     if len(roots) < deg:
         rects = _rebuilt_rectangles(field, coeffs, dcoeffs, eps_bits, target)
         if rects is None:
             rects = _sympy_rectangles(coeffs, eps_bits)
         for rect in rects:
-            refined = _newton_refine_box(field, coeffs, dcoeffs, _rect_box(field, rect),
-                                         target)
+            refined = _newton_refine_box(field, coeffs, dcoeffs, _rect_box(field, rect), target)
+            re_lo, re_hi, im_lo, im_hi = rect
+            if refined is None and 0 in (re_lo, re_hi):
+                # a purely imaginary root on the edge Re = 0 keeps the Newton image
+                # from being interior: retry once, widened by the width on both sides
+                wide = (2 * re_lo - re_hi, 2 * re_hi - re_lo, im_lo, im_hi)
+                refined = _newton_refine_box(field, coeffs, dcoeffs, _rect_box(field, wide), target)
             if refined is None:
                 return None
-            roots.append(IsolatedRoot(refined, False, min_poly, None))
+            roots.append(AlgebraicNumber(min_poly, refined, False))
     if len(roots) != deg:
         return None
     return roots

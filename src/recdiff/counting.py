@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutoffUnsafe
+from .errors import CutoffUnsafe, PrecisionExhausted
+from .independence import multiplicative_independence
 from .intervals import (
     IntervalField,
     certainly_greater,
@@ -107,6 +108,35 @@ def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
     return n
 
 
+def _refuse_recurring_hits(seqU, seqV, envU, envV, hits, limit):
+    """Raise ValueError when a hit (n, m) provably recurs forever.
+
+    With dependent dominant roots, alpha^p = beta^q, W_k = U_{n+pk} - V_{m+qk}
+    satisfies a recurrence of order d = ord U + ord V (Cayley-Hamilton for
+    the p-th and q-th powers of the companion matrices), so W_{k+P} = W_k
+    for k < d proves period P and T(x) infinite.  Dependence alone is not
+    enough (pow2 against 16^m + 2^m counts).  Periods up to 12 are tried, on
+    U indices up to ``limit``, the next round's scan limit.
+    """
+    try:
+        verdict = multiplicative_independence(envU.certificate.root, envV.certificate.root)
+    except PrecisionExhausted:
+        return
+    if verdict.status != "dependent":
+        return
+    p, q, d = verdict.n, verdict.m, seqU.order + seqV.order
+    for n, m in hits:
+        if n + p * (12 + d) > limit:
+            continue
+        w = [seqU.term(n + p * k) - seqV.term(m + q * k) for k in range(12 + d)]
+        for period in range(1, len(w) - d + 1):
+            if w[period:period + d] == w[:d]:
+                raise ValueError(
+                    "dominant roots are multiplicatively dependent: alpha^%d = beta^%d, "
+                    "and U_n - V_m = %d at every (n, m) = (%d + %dj, %d + %dj), j >= 0"
+                    % (p, q, w[0], n, p * period, m, q * period))
+
+
 def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
                      hard_cap=100000):
     """Per-n runs of the V terms within x of U_n, plus cutoff metadata.
@@ -114,6 +144,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
     Returns (runs, n_cut, m_cut, gap_margin).  Each run is (n, U_n, run),
     where run is the slice of the (V_m, m) entries, sorted by value, with
     |U_n - V_m| <= x; only n with a non-empty run appear, in increasing n.
+    From the third window round on, a provably recurring hit raises ValueError.
     """
     field = IntervalField(96)
     n_cut = max(_growth_index(envU, 2 * x + 2, field), 4)
@@ -151,6 +182,10 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
                     gap_margin = best if gap_margin is None else min(gap_margin, best)
         if last_hit <= n_cut:
             break
+        if rounds >= 2:
+            _refuse_recurring_hits(seqU, seqV, envU, envV, [
+                (n, m) for n, _, run in runs if n > n_cut for _, m in run],
+                2 * last_hit + window_extra)
         n_cut = last_hit       # extend and re-verify a fresh window
 
     m_cut = max((m for _, _, run in runs for _, m in run), default=0)

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from sympy import Poly, Symbol, integer_nthroot
 
-from ._roots import factor_integer_poly, isolate_factor_roots
-from .errors import PrecisionExhausted, UnsupportedDegree
+from ._roots import AlgebraicNumber
+from .errors import UnsupportedDegree
+from .independence import multiplicative_independence
 from .intervals import (
-    IntervalField,
     certainly_greater,
     certainly_le,
     ladder,
@@ -27,58 +27,6 @@ from .intervals import (
 from .quadratic import QuadraticElement
 
 _X = Symbol("X")
-
-
-@dataclass(eq=False)
-class AlgebraicNumber:
-    """An algebraic number given by its primitive minimal polynomial and a
-    selected root enclosure.  Irreducibility is verified by exact
-    factorisation at construction time.
-    """
-
-    min_poly: tuple
-    root_box: object          # ComplexBox enclosing the selected root
-    degree: int
-    exact: QuadraticElement | None = None
-    label: str = ""
-
-    @staticmethod
-    def from_rational(value, label="") -> "AlgebraicNumber":
-        value = Fraction(value)
-        q = QuadraticElement.from_rational(value)
-        field = IntervalField(64)
-        return AlgebraicNumber(q.minimal_polynomial(), q.box(field), 1, q,
-                               label or str(value))
-
-    @staticmethod
-    def from_integer(value, label="") -> "AlgebraicNumber":
-        return AlgebraicNumber.from_rational(Fraction(value), label)
-
-    @staticmethod
-    def from_quadratic(value: QuadraticElement, label="") -> "AlgebraicNumber":
-        if value.is_rational:
-            return AlgebraicNumber.from_rational(value.a, label)
-        field = IntervalField(128)
-        return AlgebraicNumber(value.minimal_polynomial(), value.box(field), 2,
-                               value, label)
-
-    @staticmethod
-    def from_min_poly(coeffs, root_index: int = 0, label="") -> "AlgebraicNumber":
-        coeffs = tuple(int(c) for c in coeffs)
-        factors = factor_integer_poly(coeffs)
-        if len(factors) != 1 or factors[0][1] != 1 or len(factors[0][0]) != len(coeffs):
-            raise ValueError("minimal polynomial must be irreducible over Q")
-        coeffs = factors[0][0]
-        field = IntervalField(192)
-        roots = isolate_factor_roots(field, coeffs)
-        if roots is None:
-            raise PrecisionExhausted("cannot isolate the selected root")
-        roots.sort(key=lambda r: (-midpoint_float(r.box.re), -midpoint_float(r.box.im)))
-        picked = roots[root_index]
-        return AlgebraicNumber(coeffs, picked.box, len(coeffs) - 1, picked.exact, label)
-
-    def conjugates(self, field: IntervalField):
-        return isolate_factor_roots(field, self.min_poly)
 
 
 def _is_reciprocal(coeffs) -> bool:
@@ -203,7 +151,6 @@ def height_constant_probe(alpha: AlgebraicNumber, beta: AlgebraicNumber,
     if range_bound < 1:
         raise ValueError("range_bound must be >= 1")
     if not assume_independent:
-        from .independence import multiplicative_independence
         verdict = multiplicative_independence(alpha, beta)
         if verdict.status == "dependent":
             raise ValueError(

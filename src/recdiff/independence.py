@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from sympy import factorint
 
+from ._roots import AlgebraicNumber
 from .errors import UnsupportedDegree
-from .heights import AlgebraicNumber
 from .intervals import (
     IntervalField,
     certainly_greater,
@@ -44,14 +44,6 @@ class IndependenceResult:
     @property
     def is_independent(self):
         return self.status == "independent"
-
-
-def _exact_equal(x: QuadraticElement, y: QuadraticElement) -> bool:
-    if x.is_rational or y.is_rational:
-        return x.is_rational and y.is_rational and x.a == y.a
-    if x.d != y.d:
-        return False
-    return x.a == y.a and x.b == y.b
 
 
 def _certified_modulus_gt_one(value: QuadraticElement) -> bool:
@@ -99,9 +91,9 @@ def _dependent_from_abs_lattice(alpha: QuadraticElement, beta: QuadraticElement,
                                 n0: int, m0: int, why: str):
     """|alpha|^n0 = |beta|^m0 known; upgrade to an exact relation or rule it out."""
     lhs, rhs = alpha ** n0, beta ** m0
-    if _exact_equal(lhs, rhs):
+    if lhs == rhs:
         return IndependenceResult("dependent", n0, m0, why)
-    if _exact_equal(lhs, -rhs):
+    if lhs == -rhs:
         return IndependenceResult("dependent", 2 * n0, 2 * m0, why + " (sign squared)")
     # remaining possibility: alpha^n0 / beta^m0 is a non-real root of unity
     try:
@@ -110,7 +102,7 @@ def _dependent_from_abs_lattice(alpha: QuadraticElement, beta: QuadraticElement,
         gamma = None
     if gamma is not None and not gamma.is_rational:
         for w in (3, 4, 6, 12):
-            if _exact_equal(gamma ** w, QuadraticElement.from_rational(1)):
+            if gamma ** w == QuadraticElement.from_rational(1):
                 return IndependenceResult("dependent", w * n0, w * m0,
                                           why + " (root-of-unity order %d)" % w)
     return None
@@ -122,7 +114,7 @@ def _rational_power(gamma: QuadraticElement):
     if gamma.is_rational:
         return 1, gamma.a
     ratio = gamma / gamma.conjugate()
-    if not _exact_equal(ratio ** 12, QuadraticElement.from_rational(1)):
+    if ratio ** 12 != QuadraticElement.from_rational(1):
         return None
     for j in range(1, 13):
         p = gamma ** j
@@ -159,7 +151,7 @@ def multiplicative_independence(alpha: AlgebraicNumber, beta: AlgebraicNumber,
     for n in range(1, search_bound + 1):
         a_power = a ** n
         for m, b_power in enumerate(b_powers, 1):
-            if _exact_equal(a_power, b_power):
+            if a_power == b_power:
                 return IndependenceResult("dependent", n, m,
                                           "exact relation found by bounded search")
 
@@ -270,3 +262,4 @@ def multiplicative_independence(alpha: AlgebraicNumber, beta: AlgebraicNumber,
     return IndependenceResult(
         "independent", certificate="cross-field lattice generator is not a "
         "root of unity")
+

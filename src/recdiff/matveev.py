@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import PrecisionExhausted, UnsupportedDegree
-from .heights import AlgebraicNumber, compound_height, log_height
+from .heights import compound_height, height_constant_probe, log_height
+from .independence import multiplicative_independence
 from .intervals import (
     IntervalField,
     certainly_greater,
@@ -30,6 +31,7 @@ from .spectral import (
     DominantRootCertificate,
     GrowthEnvelope,
     _decomposition_at,
+    analyze_sequence,
 )
 
 
@@ -104,8 +106,6 @@ def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
     Zero detection is exact in degree <= 2 (quadratic-field arithmetic);
     otherwise an interval containing zero is returned flagged "undecided".
     """
-    from .spectral import analyze_sequence
-
     if certU is None:
         certU = analyze_sequence(decompU.sequence).certificate
     if certV is None:
@@ -115,10 +115,9 @@ def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
     exact_u = _exact_dominant_side(decompU, certU, n)
     exact_v = _exact_dominant_side(decompV, certV, m)
     if exact_u is not None and exact_v is not None:
-        from .independence import _exact_equal
         if exact_v.is_zero():
             raise ZeroDivisionError("b(m) beta^m = 0 exactly")
-        status = "zero" if _exact_equal(exact_u, exact_v) else "nonzero"
+        status = "zero" if exact_u == exact_v else "nonzero"
 
     undecided = []
 
@@ -248,9 +247,7 @@ def _root_log_term_upper(cert, field) -> float:
 
 
 def _matveev_a_value(cert, field, D) -> float:
-    gamma = AlgebraicNumber(cert.min_poly, cert.root.box,
-                            len(cert.min_poly) - 1, cert.root.exact)
-    h = upper_float(log_height(gamma))
+    h = upper_float(log_height(cert.root))
     return max(D * h, _root_log_term_upper(cert, field), 0.16)
 
 
@@ -433,28 +430,18 @@ def _directional_chain(certU, certV, envU, envV, C10, A2, A3, D, ledger, primed=
 
 def effective_upper_bounds(certU: DominantRootCertificate,
                            certV: DominantRootCertificate,
-                           envU: GrowthEnvelope, envV: GrowthEnvelope,
-                           independence=None) -> EffectiveBounds:
+                           envU: GrowthEnvelope, envV: GrowthEnvelope) -> EffectiveBounds:
     """Compose the effective chain into n_max/m_max coefficient records."""
-    from .independence import multiplicative_independence
-
     field = IntervalField(192)
-    alpha = AlgebraicNumber(certU.min_poly, certU.root.box,
-                            len(certU.min_poly) - 1, certU.root.exact, "alpha")
-    beta = AlgebraicNumber(certV.min_poly, certV.root.box,
-                           len(certV.min_poly) - 1, certV.root.exact, "beta")
-    rigorous = True
-    if independence is None:
-        try:
-            independence = multiplicative_independence(alpha, beta)
-        except PrecisionExhausted:
-            independence = None
-    if independence is not None:
-        if independence.status == "dependent":
-            raise ValueError("dominant roots are multiplicatively dependent: "
-                             "alpha^%d = beta^%d" % (independence.n, independence.m))
-        if independence.status == "unknown":
-            rigorous = False
+    alpha, beta = certU.root, certV.root
+    try:
+        independence = multiplicative_independence(alpha, beta)
+    except PrecisionExhausted:
+        independence = None
+    if independence is not None and independence.status == "dependent":
+        raise ValueError("dominant roots are multiplicatively dependent: "
+                         "alpha^%d = beta^%d" % (independence.n, independence.m))
+    rigorous = independence is None or independence.status != "unknown"
 
     D = _compositum_degree(certU.min_poly, certV.min_poly)
     A2 = _matveev_a_value(certU, field, D)
@@ -496,7 +483,6 @@ def effective_upper_bounds(certU: DominantRootCertificate,
     r_n = max(r_n, chain_a["c17b"] * scale_m ** 2, chain_b["c17a"] * scale_m ** 2)
 
     # Lambda = 0 branch: C0 max{n,m} <= C10 log 2 * log max{n,m}
-    from .heights import height_constant_probe
     try:
         probe = height_constant_probe(alpha, beta, 8, assume_independent=True)
         c0_height = probe.c0_emp

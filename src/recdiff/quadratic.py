@@ -33,6 +33,9 @@ def square_free_core(n: int):
 
 @dataclass(frozen=True)
 class QuadraticElement:
+    """make() keeps one normal form (a rational has b == 0 and d == 1), so
+    == is exact equality."""
+
     a: Fraction
     b: Fraction
     d: int

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._roots import (
+    AlgebraicNumber,
     all_pairwise_disjoint,
     factor_integer_poly,
     isolate_factor_roots,
@@ -34,33 +35,6 @@ from .intervals import (
 )
 from .quadratic import QuadraticElement
 from .recurrences import LinearRecurrence
-
-
-@dataclass(eq=False)
-class RootData:
-    """One isolated characteristic root with its multiplicity."""
-
-    box: ComplexBox
-    multiplicity: int
-    is_real: bool
-    min_poly: tuple
-    exact: QuadraticElement | None
-
-    def modulus(self):
-        return self.box.modulus()
-
-    def exact_modulus_squared(self) -> Fraction | None:
-        """|root|^2 when it is exactly known as a rational, else None."""
-        v = self.exact
-        if v is None:
-            return None
-        if v.is_rational:
-            return v.a * v.a
-        if v.d < 0:
-            return v.norm()     # complex conjugate equals field conjugate
-        if v.a == 0:
-            return v.d * v.b * v.b
-        return None
 
 
 @dataclass(eq=False)
@@ -115,7 +89,7 @@ class DominantRootCertificate:
     precision_bits: int
 
     @property
-    def root(self) -> RootData:
+    def root(self) -> AlgebraicNumber:
         return self.decomposition.spectrum.roots[self.root_index]
 
     @property
@@ -184,8 +158,7 @@ def _spectrum_at(seq: LinearRecurrence, field: IntervalField):
         isolated = isolate_factor_roots(field, coeffs, eps_bits=eps_bits)
         if isolated is None:
             return None
-        for iso in isolated:
-            roots.append(RootData(iso.box, mult, iso.is_real, iso.min_poly, iso.exact))
+        roots += [replace(root, multiplicity=mult) for root in isolated]
     if not all_pairwise_disjoint(roots):
         return None
     for r in roots:
@@ -334,7 +307,7 @@ def _is_binomial(coeffs) -> bool:
     return len(coeffs) > 2 and all(c == 0 for c in coeffs[1:-1])
 
 
-def _is_negation_pair(cand: RootData, other: RootData, roots) -> bool:
+def _is_negation_pair(cand: AlgebraicNumber, other: AlgebraicNumber, roots) -> bool:
     """Exact test for other == -cand (both real)."""
     if not (cand.is_real and other.is_real):
         return False

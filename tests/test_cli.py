@@ -121,6 +121,14 @@ def test_no_dominant_root_exit(tmp_path, capsys):
     assert code == 4
 
 
+def test_dependent_dominant_roots_exit_invalid(tmp_path, capsys):
+    cfg = tmp_path / "pow4.cfg"
+    cfg.write_text('{"name": "pow4", "coefficients": [4], "initial_terms": [1]}')
+    code, _, err = run(capsys, "count", "--seq-u", "pow2", "--seq-v", str(cfg),
+                       "--x", "1e6")
+    assert code == 4 and "multiplicatively dependent" in err
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "scan", "--seq-u", "fib", "--seq-v", "pow2",
                        "--x-grid", "1e3,1e6", "--output", "csv", "--no-header")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recdiff import counting
 from recdiff.counting import (
     _enumerate_pairs,
     brute_force_oracle,
@@ -13,7 +14,7 @@ from recdiff.counting import (
     find_collisions,
 )
 from recdiff.errors import CutoffUnsafe
-from recdiff.recurrences import BUILTIN_SEQUENCES
+from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
 from recdiff.spectral import analyze_sequence
 
 FIB = BUILTIN_SEQUENCES["fib"]
@@ -62,6 +63,41 @@ def test_preconditions():
         brute_force_oracle(FIB, POW2, -1, 5, 5)
     with pytest.raises(ValueError):
         brute_force_oracle(FIB, POW2, 1, -1, 5)
+
+
+POW4 = LinearRecurrence("pow4", (4,), (1,))
+POW4_PLUS_1 = LinearRecurrence("pow4p1", (5, -4), (2, 5))       # 4^m + 1
+POW16_PLUS_POW2 = LinearRecurrence("pow16p2", (18, -32), (2, 18))  # 16^m + 2^m
+
+
+def _growth_index_calls(monkeypatch):
+    """Spy on the count: one call for U's cut, then one per window round."""
+    calls = []
+    growth_index = counting._growth_index
+    monkeypatch.setattr(counting, "_growth_index",
+                        lambda *args: calls.append(args) or growth_index(*args))
+    return calls
+
+
+@pytest.mark.parametrize("seq", [POW4, POW4_PLUS_1], ids=("4^m", "4^m+1"))
+def test_dependent_dominant_roots_fail_fast(seq, monkeypatch):
+    # 2^2 = 4 and U_{2m} - V_m is constant, so T(x) is infinite: the count
+    # refuses after two window rounds instead of extending its window until
+    # CutoffUnsafe (which took about 11 s)
+    calls = _growth_index_calls(monkeypatch)
+    with pytest.raises(ValueError, match="multiplicatively dependent: alpha\\^2 = beta\\^1"):
+        count_T_S(POW2, seq, 10 ** 6)
+    assert len(calls) == 1 + 2
+
+
+def test_dependent_dominant_roots_with_a_finite_count_still_count(monkeypatch):
+    # 2^4 = 16, but U_{4m} - V_m = -2^m grows: the hits stop at n = 76, and
+    # the count needs (and gets) a third window round
+    calls = _growth_index_calls(monkeypatch)
+    r = count_T_S(POW2, POW16_PLUS_POW2, 10 ** 6)
+    oracle = brute_force_oracle(POW2, POW16_PLUS_POW2, 10 ** 6, 200, 60)
+    assert (r.T, r.S, r.n_cut) == (oracle.T, oracle.S, 76)
+    assert len(calls) == 1 + 3
 
 
 def test_float_and_fraction_x_are_taken_exactly():

@@ -113,3 +113,24 @@ def test_probe_degree_three_unsupported():
     cubic = AlgebraicNumber.from_min_poly((1, -1, -1, -1))   # tribonacci root
     with pytest.raises(UnsupportedDegree):
         height_constant_probe(cubic, TWO, 3, assume_independent=True)
+
+
+def test_height_of_purely_imaginary_conjugates():
+    # x^4 + 3x^2 + 1: conjugates +-i*phi, +-i/phi, so h = 2 log(phi) / 4
+    gamma = AlgebraicNumber.from_min_poly((1, 0, 3, 0, 1))
+    assert gamma.degree == 4
+    assert abs(midpoint_float(log_height(gamma)) - 0.5 * math.log((1 + 5 ** 0.5) / 2)) < 1e-12
+
+
+def test_one_algebraic_number_record():
+    import recdiff
+    from recdiff import _roots
+    from recdiff.recurrences import BUILTIN_SEQUENCES
+    from recdiff.spectral import analyze_sequence
+
+    assert recdiff.AlgebraicNumber is AlgebraicNumber is _roots.AlgebraicNumber
+    root = analyze_sequence(BUILTIN_SEQUENCES["fib"]).certificate.root
+    assert isinstance(root, AlgebraicNumber)
+    assert (root.min_poly, root.degree, root.multiplicity, root.exact) == \
+        ((1, -1, -1), 2, 1, PHI_EXACT)
+    assert log_height(root).a == log_height(PHI).a

@@ -73,9 +73,8 @@ def test_lambda_against_matveev_window():
     h_ratio = upper_float(log_height(AlgebraicNumber.from_quadratic(
         FIB.decomposition.exact[FIB.certificate.root_index][0])))
     a1 = max(2 * h_ratio, h_ratio, 0.16)
-    a2 = max(2 * upper_float(log_height(AlgebraicNumber(
-        FIB.certificate.min_poly, FIB.certificate.root.box, 2,
-        FIB.certificate.root.exact))), math.log((1 + 5 ** 0.5) / 2), 0.16)
+    a2 = max(2 * upper_float(log_height(FIB.certificate.root)),
+             math.log((1 + 5 ** 0.5) / 2), 0.16)
     a3 = max(2 * math.log(2), math.log(2), 0.16)
     for n, m in samples:
         sample = lambda_value(FIB.decomposition, POW2.decomposition, n, m,

@@ -9,7 +9,7 @@ import pytest
 from sympy import Poly, Rational, Symbol, im, re
 
 from recdiff import _roots, spectral
-from recdiff.errors import RootNotLargerThanOne
+from recdiff.errors import NoDominantRoot, RootNotLargerThanOne
 from recdiff.intervals import IntervalField, interval_inf_fraction, interval_sup_fraction
 from recdiff.recurrences import LinearRecurrence
 from recdiff.spectral import analyze_sequence
@@ -103,18 +103,19 @@ def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
     _roots._factor.cache_clear()
     _roots._coarse_rectangles.cache_clear()
     factored, isolated = Counter(), []
-    factor_list, intervals = Poly.factor_list, Poly.intervals
+    rep = type(Poly(X, X).rep)       # Poly.intervals hands the isolation to rep.intervals
+    factor_list, intervals = Poly.factor_list, rep.intervals
 
     def factor_spy(poly, *args, **kwargs):
         factored[tuple(poly.all_coeffs())] += 1
         return factor_list(poly, *args, **kwargs)
 
     def intervals_spy(poly, *args, **kwargs):
-        isolated.append((tuple(poly.all_coeffs()), kwargs.get("all", False), kwargs.get("eps")))
+        isolated.append((tuple(poly.to_list()), kwargs.get("all", False), kwargs.get("eps")))
         return intervals(poly, *args, **kwargs)
 
     monkeypatch.setattr(Poly, "factor_list", factor_spy)
-    monkeypatch.setattr(Poly, "intervals", intervals_spy)
+    monkeypatch.setattr(rep, "intervals", intervals_spy)
     analyze_sequence(LinearRecurrence("trib_a", (1, 1, 1), (0, 0, 1)))
     analyze_sequence(LinearRecurrence("trib_b", (1, 1, 1), (1, 1, 1)))
     analyze_sequence(LinearRecurrence("tetra", (1, 1, 1, 1), (0, 0, 0, 1)))
@@ -168,3 +169,25 @@ def test_analysis_cache_evicts_the_oldest_and_keeps_errors():
     analyze_sequence(LinearRecurrence("g0", (2,), (-1,)), check_bound=4, verify_to=4)
     assert key(seqs[0]) in spectral._ANALYSIS_CACHE
     assert key(seqs[1]) not in spectral._ANALYSIS_CACHE
+
+
+IMAG = LinearRecurrence("imag", (0, -3, 0, -1), (0, 0, 0, 1))         # x^4 + 3x^2 + 1
+
+
+def test_purely_imaginary_roots_certify_and_tie():
+    # the roots +-i*phi, +-i/phi sit on the edge Re = 0 of sympy's rectangles;
+    # the widened retry certifies them, so the tie is found, not a precision cap
+    roots = _roots.isolate_factor_roots(IntervalField(192), ON_SPLIT_LINE, eps_bits=48)
+    assert roots is not None and len(roots) == 4
+    assert all(r.box.re.a <= 0 <= r.box.re.b for r in roots)
+    with pytest.raises(NoDominantRoot):
+        analyze_sequence(IMAG)
+
+
+def test_imaginary_factor_beside_a_dominant_root():
+    # (x - 3)(x^4 + 3x^2 + 1)
+    seq = LinearRecurrence("imag3", (3, -3, 9, -1, 3), (0, 0, 0, 0, 1))
+    cert = analyze_sequence(seq).certificate
+    assert cert.root.min_poly == (1, -3)
+    assert interval_inf_fraction(cert.modulus()) <= 3 <= interval_sup_fraction(cert.modulus())
+    assert cert.precision_bits == 512
