@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import brute_force_oracle, count_T_S
+from .counting import _parse_x_int, brute_force_oracle, count_T_S
 from .errors import InvalidBelowThreshold, InvalidParameters
 from .intervals import IntervalField, midpoint_float
 from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
@@ -125,7 +125,7 @@ def ratio_table(seqU, seqV, x_grid, oracle: bool = False) -> AsymptoticReport:
     rows = []
     fit1, fit2 = [], []
     for x in x_grid:
-        x = int(x)
+        x = _parse_x_int(x)
         result = count_T_S(seqU, seqV, x, analysis_u.envelope, analysis_v.envelope)
         if oracle:
             check = brute_force_oracle(seqU, seqV, x,

@@ -8,16 +8,25 @@ demands every difference exceed x), not the impractically large effective
 bounds; the window is re-verified after every extension and the computation
 fails loudly (CutoffUnsafe) instead of reporting a possibly wrong count.
 
+The enumeration keeps, for each U_n, only an index run [left, right) into
+the value-sorted V terms, so T is the sum of the run widths.  S is counted
+band by band: each band of |c| (one sign at a time) gathers its differences
+from every run by bisection, sorts them and counts adjacent equal values.
+Only one band of big-integer differences is alive at a time, so the memory
+of a count grows with n_cut + m_cut and the band size, not with T(x).
+
 The real-base explorer (pi^n vs e^m) is the one interval-arithmetic consumer;
 every comparison there is decided with certified margin or refined.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+from mpmath.libmp import mpf_gt, mpi_mul
 
 from .errors import CutoffUnsafe, PrecisionExhausted
 from .independence import multiplicative_independence
@@ -76,8 +85,7 @@ def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
 
     Single-threaded by contract so a reviewer can audit it at a glance.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    x = _parse_x_int(x)
     if n_cap < 0 or m_cap < 0:
         raise ValueError("caps must be >= 0")
     u_terms = [seqU.term(n) for n in range(n_cap + 1)]
@@ -94,14 +102,19 @@ def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
 
 
 def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
-    """Smallest n >= n0 with c_lower * |alpha|^n certified > threshold."""
-    c_low = field.real(env.c_lower)
+    """Smallest n >= n0 with c_lower * |alpha|^n certified > threshold.
+
+    The loop steps on mpmath's raw interval tuples: the same outward-rounded
+    products at the field's precision as interval objects would give, but
+    without building one per step, which made this search most of the cost
+    of a count at small x.
+    """
     mod = env.certificate.modulus()
-    thr = field.real(threshold)
+    value = (field.real(env.c_lower) * mod ** env.n0)._mpi_
+    step, thr_upper = mod._mpi_, field.real(threshold)._mpi_[1]
     n = env.n0
-    value = c_low * mod ** n
-    while not certainly_greater(value, thr):
-        value = value * mod
+    while not mpf_gt(value[0], thr_upper):
+        value = mpi_mul(value, step, field.prec)
         n += 1
         if n > 10 ** 7:
             raise CutoffUnsafe("growth index search runaway")
@@ -139,12 +152,13 @@ def _refuse_recurring_hits(seqU, seqV, envU, envV, hits, limit):
 
 def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
                      hard_cap=100000):
-    """Per-n runs of the V terms within x of U_n, plus cutoff metadata.
+    """Per-n index runs of the V terms within x of U_n, plus cutoff metadata.
 
-    Returns (runs, n_cut, m_cut, gap_margin).  Each run is (n, U_n, run),
-    where run is the slice of the (V_m, m) entries, sorted by value, with
-    |U_n - V_m| <= x; only n with a non-empty run appear, in increasing n.
-    From the third window round on, a provably recurring hit raises ValueError.
+    Returns (runs, entries, n_cut, m_cut, gap_margin).  entries are the
+    (V_m, m) pairs sorted by value; each run is (n, U_n, left, right) with
+    |U_n - V_m| <= x exactly for the entries[left:right]; only n with a
+    non-empty run appear, in increasing n.  From the third window round on,
+    a provably recurring hit raises ValueError.
     """
     field = IntervalField(96)
     n_cut = max(_growth_index(envU, 2 * x + 2, field), 4)
@@ -171,7 +185,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
             right = bisect_right(values, u + x)
             if right > left:
                 last_hit = n
-                runs.append((n, u, entries[left:right]))
+                runs.append((n, u, left, right))
             if n > n_cut:
                 best = None
                 for j in (left - 1, left, right):
@@ -184,32 +198,72 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
             break
         if rounds >= 2:
             _refuse_recurring_hits(seqU, seqV, envU, envV, [
-                (n, m) for n, _, run in runs if n > n_cut for _, m in run],
+                (n, m) for n, _, left, right in runs if n > n_cut
+                for _, m in entries[left:right]],
                 2 * last_hit + window_extra)
         n_cut = last_hit       # extend and re-verify a fresh window
 
-    m_cut = max((m for _, _, run in runs for _, m in run), default=0)
+    # each entry index is read once, however many runs cover it
+    m_cut = reach = 0
+    for left, right in sorted((left, right) for _, _, left, right in runs):
+        for _, m in entries[max(left, reach):right]:
+            m_cut = max(m_cut, m)
+        reach = max(reach, right)
     if gap_margin is not None and gap_margin <= x:
         raise CutoffUnsafe("safety window contains an unadmitted near-collision")
-    return runs, n_cut, m_cut, gap_margin
+    return runs, entries, n_cut, m_cut, gap_margin
+
+
+def _distinct(runs, values, x, bands):
+    """S, the number of distinct c = U_n - V_m over the runs, and the set of
+    values c taken more than once.
+
+    |c| is split at 2^int(bits(x) sqrt(j / bands)), j = 1 .. bands - 1: the
+    pairs with |c| < 2^b grow like b^2, so each band holds about T / bands
+    of them.  Each band is gathered one sign at a time by bisecting every
+    run, sorted, and scanned for adjacent equal values; c = 0 belongs to
+    the non-negative side only.
+    """
+    bits = x.bit_length()
+    edges = sorted({0, x + 1, *(min(x + 1, 1 << int(bits * math.sqrt(j / bands)))
+                                for j in range(1, bands))})
+    S = 0
+    repeated = set()
+    for lo, hi in zip(edges, edges[1:]):
+        for negative in (False, True):
+            diffs = []
+            for _, u, left, right in runs:
+                if negative:        # max(lo, 1) <= v - u < hi
+                    a = bisect_left(values, u + max(lo, 1), left, right)
+                    b = bisect_left(values, u + hi, a, right)
+                else:               # lo <= u - v < hi
+                    a = bisect_right(values, u - hi, left, right)
+                    b = bisect_right(values, u - lo, a, right)
+                diffs += [u - v for v in values[a:b]]
+            diffs.sort()
+            equal = [c for c, d in zip(diffs, diffs[1:]) if c == d]
+            S += len(diffs) - len(equal)
+            repeated.update(equal)
+    return S, repeated
 
 
 def _count(seqU, seqV, x, envU, envV):
-    """The one enumeration pass and the one tally of c = U_n - V_m.
+    """The one enumeration pass and the banded tally of c = U_n - V_m.
 
-    Returns (CountResult, runs, tally): runs as in _enumerate_pairs, tally a
-    Counter of the differences.
+    Returns (CountResult, runs, entries, repeated): runs and entries as in
+    _enumerate_pairs, repeated the values c taken by two or more pairs.
+    About 2^17 differences are alive at a time, whatever T is.
     """
     x = _parse_x_int(x)
     if envU is None:
         envU = analyze_sequence(seqU).envelope
     if envV is None:
         envV = analyze_sequence(seqV).envelope
-    runs, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, x, envU, envV)
-    tally = Counter(u - v for _, u, run in runs for v, _ in run)
-    count = CountResult(x, sum(tally.values()), len(tally), n_cut, m_cut,
-                        gap_margin, "fast")
-    return count, runs, tally
+    runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, x, envU, envV)
+    T = sum(right - left for _, _, left, right in runs)
+    S, repeated = _distinct(runs, [v for v, _ in entries], x, max(1, T >> 17))
+    count = CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast")
+    return count, runs, entries, repeated
 
 
 def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
@@ -225,10 +279,10 @@ def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
                     ) -> CollisionScan:
     """Report all c = U_n - V_m with >= 2 counted representations and the
     empirical repeat-index witnesses."""
-    count, runs, tally = _count(seqU, seqV, x, envU, envV)
-    groups = {c: [] for c in sorted(c for c, k in tally.items() if k > 1)}
-    for n, u, run in runs:
-        for v, m in run:
+    count, runs, entries, repeated = _count(seqU, seqV, x, envU, envV)
+    groups = {c: [] for c in sorted(repeated)}
+    for n, u, left, right in runs:
+        for v, m in entries[left:right]:
             if u - v in groups:
                 groups[u - v].append((n, m))
     # runs ascend in n, and equal values within a run ascend in m, so each

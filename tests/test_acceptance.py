@@ -167,8 +167,8 @@ def test_criterion_7_effective_bounds_soundness():
     fib, pow2 = analyze_sequence(FIB), analyze_sequence(POW2)
     eb = effective_upper_bounds(fib.certificate, pow2.certificate,
                                 fib.envelope, pow2.envelope)
-    runs, _, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 4, fib.envelope, pow2.envelope)
-    pairs = [(n, m, u - v) for n, u, run in runs for v, m in run]
+    runs, entries, _, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 4, fib.envelope, pow2.envelope)
+    pairs = [(n, m, u - v) for n, u, left, right in runs for v, m in entries[left:right]]
     violations = 0
     for n, m, c in pairs:
         if n > eb.n_max(abs(c)) or m > eb.m_max(abs(c)):

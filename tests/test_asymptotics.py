@@ -86,6 +86,12 @@ def test_ratio_table_empty_and_oracle():
     assert (rep.rows[0].T, rep.rows[0].S) == (182, 156)
 
 
+def test_ratio_table_rejects_a_fractional_x():
+    # int(x) used to truncate 10.5 to 10
+    with pytest.raises(ValueError):
+        ratio_table(FIB, POW2, [10.5])
+
+
 def test_ratio_table_deterministic():
     a = ratio_table(FIB, POW2, [10 ** 3, 10 ** 6])
     b = ratio_table(FIB, POW2, [10 ** 3, 10 ** 6])

@@ -1,4 +1,5 @@
-from collections import defaultdict
+import tracemalloc
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from recdiff import counting
 from recdiff.counting import (
+    _distinct,
     _enumerate_pairs,
     brute_force_oracle,
     count_T_S,
@@ -20,6 +22,7 @@ from recdiff.spectral import analyze_sequence
 FIB = BUILTIN_SEQUENCES["fib"]
 POW2 = BUILTIN_SEQUENCES["pow2"]
 POW3 = BUILTIN_SEQUENCES["pow3"]
+LUCAS = BUILTIN_SEQUENCES["lucas"]
 
 # oracle-derived ground truths (generous double loops, see module docstring)
 FIB_POW2_TRUTH = {0: (4, 1), 1: (11, 3), 10: (35, 18), 100: (93, 70),
@@ -63,6 +66,14 @@ def test_preconditions():
         brute_force_oracle(FIB, POW2, -1, 5, 5)
     with pytest.raises(ValueError):
         brute_force_oracle(FIB, POW2, 1, -1, 5)
+
+
+def test_oracle_parses_x_like_the_count():
+    # the oracle used to report a CountResult with x=10.5
+    with pytest.raises(ValueError):
+        brute_force_oracle(FIB, POW2, 10.5, 5, 5)
+    assert brute_force_oracle(FIB, POW2, 10.0, 60, 40) == brute_force_oracle(FIB, POW2, 10, 60, 40)
+    assert brute_force_oracle(FIB, POW2, 10.0, 60, 40).x == 10
 
 
 POW4 = LinearRecurrence("pow4", (4,), (1,))
@@ -144,6 +155,59 @@ def test_collisions_pow2_pow3():
     by_c = {rec.c: rec.representations for rec in scan.records}
     assert by_c[-1] == ((1, 1), (3, 2))
     assert by_c[1] == ((1, 0), (2, 1))
+
+
+def _pair_differences(runs, entries):
+    return [u - v for _, u, left, right in runs for v, _ in entries[left:right]]
+
+
+@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB), (LUCAS, POW3)],
+                         ids=("fib-pow2", "pow2-fib", "lucas-pow3"))
+@pytest.mark.parametrize("x", [10 ** 6, 10 ** 12])
+def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x):
+    # band edges are powers of two, and c = +-2^k occurs (pow2 against
+    # F_0 = 0, say), as does c = 0 (F_1 - 2^0)
+    envU, envV = analyze_sequence(seqU).envelope, analyze_sequence(seqV).envelope
+    runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, x, envU, envV)
+    tally = Counter(_pair_differences(runs, entries))
+    expected = (len(tally), {c for c, k in tally.items() if k > 1})
+    values = [v for v, _ in entries]
+    for bands in (1, 2, 3, 7, 64):
+        assert _distinct(runs, values, x, bands) == expected
+
+
+def test_multi_band_count_and_collisions_match_a_plain_grouping():
+    # T = 637,743 here, so the count sorts 4 bands
+    envU, envV = analyze_sequence(FIB).envelope, analyze_sequence(POW2).envelope
+    x = 10 ** 200
+    scan = find_collisions(FIB, POW2, x, envU, envV)
+    runs, entries, _, _, _ = _enumerate_pairs(FIB, POW2, x, envU, envV)
+    tally = Counter(_pair_differences(runs, entries))
+    groups = {c: [] for c, k in tally.items() if k > 1}
+    for n, u, left, right in runs:
+        for v, m in entries[left:right]:
+            if u - v in groups:
+                groups[u - v].append((n, m))
+    expected = [(c, tuple(sorted(reps)), max(n for n, _ in reps), max(m for _, m in reps))
+                for c, reps in sorted(groups.items())]
+    assert scan.count.T == sum(tally.values()) == 637743
+    assert scan.count.T >> 17 == 4
+    assert scan.count.S == len(tally)
+    assert [(r.c, r.representations, r.max_n, r.max_m) for r in scan.records] == expected
+    assert (len(scan.records), scan.n_emp, scan.m_emp) == (674, 11, 664)
+
+
+def test_count_memory_does_not_grow_with_T():
+    # one Counter of all T = 637,743 differences peaked at 77 MiB under
+    # tracemalloc; the banded count peaks at about 10 MiB
+    envU, envV = analyze_sequence(FIB).envelope, analyze_sequence(POW2).envelope
+    tracemalloc.start()
+    try:
+        count_T_S(FIB, POW2, 10 ** 200, envU, envV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_cutoff_unsafe_escape_hatch():

@@ -2,8 +2,16 @@
 root, mixed-sign terms."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from recdiff.counting import brute_force_oracle, count_T_S
+from recdiff.errors import (
+    CutoffUnsafe,
+    NoDominantRoot,
+    PrecisionExhausted,
+    RootNotLargerThanOne,
+)
 from recdiff.intervals import midpoint_float
 from recdiff.matveev import effective_upper_bounds
 from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
@@ -91,3 +99,37 @@ def test_varied_sequences_fast_vs_oracle(coeffs, init, x):
 def test_binomial_tie_rejected_quickly():
     with pytest.raises(NoDominantRoot):
         analyze_sequence(LinearRecurrence("cbrt2", (0, 0, 2), (1, 1, 1)))   # X^3 = 2
+
+
+@st.composite
+def _recurrences(draw):
+    k = draw(st.sampled_from((2, 3)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+                  .filter(lambda c: c[-1] != 0))
+    init = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    return LinearRecurrence("random", tuple(coeffs), tuple(init))
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(seq_u=_recurrences(), seq_v=_recurrences(), x=st.integers(0, 200))
+def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
+    # every analysis over these coefficient ranges ends within a second.  Two
+    # copies of one cubic recurrence share a cubic dominant root, which the
+    # independence test leaves "unknown", so their count extends its window
+    # for about 14 s before CutoffUnsafe: a typed refusal, but too slow here
+    assume(seq_u.order < 3 or seq_u.coefficients != seq_v.coefficients)
+    for seq in (seq_u, seq_v):
+        try:
+            analyze_sequence(seq)
+        except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
+            assume(False)
+    try:
+        fast = count_T_S(seq_u, seq_v, x)
+    except CutoffUnsafe:
+        return
+    except ValueError as exc:
+        assert "multiplicatively dependent" in str(exc)
+        return
+    oracle = brute_force_oracle(seq_u, seq_v, x, 3 * fast.n_cut + 5, 3 * fast.m_cut + 5)
+    assert (fast.T, fast.S) == (oracle.T, oracle.S)
