@@ -1,7 +1,8 @@
 """Certified isolation of the roots of integer polynomials.
 
-Factorisation into irreducibles is exact (sympy over ZZ).  Linear and
-quadratic factors get exact roots.  A higher-degree factor starts from
+Factorisation into irreducibles is exact: content, discriminant and
+``math.isqrt`` for degree <= 2, sympy over ZZ above.  Linear and quadratic
+factors get exact roots.  A higher-degree factor starts from
 isolating rectangles with exact rational corners, and an interval Newton
 step refines each one and certifies that its final box holds exactly one
 root.  The real roots start from sympy's real-only intervals at the eps the
@@ -26,6 +27,9 @@ Factorisations and coarse isolations are kept in LRU caches of
 
 Every root is an ``AlgebraicNumber``, the one record that the spectral,
 heights, independence and Matveev layers share.
+
+sympy is imported only inside the functions that handle degree >= 3, so a
+process that meets only factors of degree <= 2 never loads it.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-from sympy import QQ, Poly, Symbol
+from math import gcd, isqrt
 
 from .errors import PrecisionExhausted
 from .intervals import (
@@ -52,7 +55,6 @@ from .intervals import (
 )
 from .quadratic import QuadraticElement, quadratic_roots
 
-_X = Symbol("X")
 _CACHE_SIZE = 256          # polynomials kept by each cache; least recently used go first
 _COARSE_EPS_BITS = 8
 
@@ -129,7 +131,13 @@ def factor_integer_poly(coeffs) -> list:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _factor(coeffs: tuple) -> tuple:
-    _, factors = Poly(list(coeffs), _X, domain="ZZ").factor_list()
+    while coeffs and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    if len(coeffs) <= 3:
+        return _factor_low_degree(coeffs)
+    from sympy import Poly, Symbol
+
+    _, factors = Poly(list(coeffs), Symbol("X"), domain="ZZ").factor_list()
     out = []
     for g, mult in factors:
         gc = [int(c) for c in g.all_coeffs()]
@@ -139,13 +147,44 @@ def _factor(coeffs: tuple) -> tuple:
     return tuple(sorted(out))
 
 
+def _primitive(coeffs) -> tuple:
+    """coeffs over their content, leading coefficient made positive."""
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+    if coeffs[0] < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
+
+
+def _factor_low_degree(coeffs: tuple) -> tuple:
+    """``_factor`` of a polynomial of degree <= 2 without sympy: a quadratic
+    splits exactly when its discriminant is a perfect square."""
+    if len(coeffs) <= 1:
+        return ()
+    coeffs = _primitive(coeffs)
+    if len(coeffs) == 2:
+        return ((coeffs, 1),)
+    a, b, c = coeffs
+    disc = b * b - 4 * a * c
+    root = isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return ((coeffs, 1),)
+    linear = [_primitive((2 * a, b - s)) for s in (root, -root)]
+    if disc == 0:
+        return ((linear[0], 2),)
+    return tuple(sorted((f, 1) for f in linear))
+
+
 def _fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
 def _sympy_intervals(coeffs, eps_bits, all_roots):
     """``Poly.intervals`` with its corners left as QQ numbers, not expressions."""
-    return Poly(list(coeffs), _X, domain="ZZ").rep.intervals(
+    from sympy import QQ, Poly, Symbol
+
+    return Poly(list(coeffs), Symbol("X"), domain="ZZ").rep.intervals(
         all=all_roots, eps=QQ(1, 2 ** eps_bits))
 
 

@@ -4,6 +4,8 @@ height-constant probe over power quotients.
 h(gamma) = (1/d) (log|a_d| + sum_i log max(1, |gamma_i|)) over the conjugates.
 Heights come back as certified intervals; compound values (alpha^n / beta^m)
 are evaluated exactly in Q or a quadratic field and rejected beyond that.
+The k-th root is exact integer code, and so is the cyclotomic test up to
+degree 2; sympy is imported only for a cyclotomic test in degree >= 3.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import Poly, Symbol, integer_nthroot
 
 from ._roots import AlgebraicNumber
 from .errors import UnsupportedDegree
@@ -26,7 +26,8 @@ from .intervals import (
 )
 from .quadratic import QuadraticElement
 
-_X = Symbol("X")
+# the cyclotomic polynomials of degree <= 2: Phi_1, Phi_2, Phi_4, Phi_3, Phi_6
+_LOW_CYCLOTOMIC = frozenset({(1, -1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1)})
 
 
 def _is_reciprocal(coeffs) -> bool:
@@ -35,7 +36,14 @@ def _is_reciprocal(coeffs) -> bool:
 
 
 def _is_cyclotomic(coeffs) -> bool:
-    return bool(Poly(list(coeffs), _X).is_cyclotomic)
+    coeffs = tuple(coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    if len(coeffs) <= 3:
+        return coeffs in _LOW_CYCLOTOMIC
+    from sympy import Poly, Symbol
+
+    return bool(Poly(list(coeffs), Symbol("X")).is_cyclotomic)
 
 
 def _unit_circle_exact(field, roots, idx) -> bool:
@@ -102,10 +110,23 @@ def _ratio_log_over(height_arg: int, k: int) -> float:
     """log(height_arg)/k, via the exact k-th root when one exists."""
     if height_arg <= 1:
         return 0.0
-    root, is_exact = integer_nthroot(height_arg, k)
-    if is_exact:
-        return math.log(int(root))
+    root = _integer_root(height_arg, k)
+    if root ** k == height_arg:
+        return math.log(root)
     return math.log(height_arg) / k
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, k >= 1, by integer Newton steps from a
+    power of two above the root (floats would overflow past 1e308)."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def exact_power_quotient(alpha: AlgebraicNumber, beta: AlgebraicNumber,

@@ -10,17 +10,17 @@ The decision procedure layers exact arguments:
    vectors onto a lattice whose generator must be a root of unity - testable
    exactly because quadratic fields contain only 12th roots of unity).
 
-Degree > 2 inputs, and the one genuinely degenerate quadratic configuration
-(two same-field units with no small relation), come back Unknown; the
-procedure never returns a false Independent or Dependent.
+In degree > 2 only one case is decided: two boxes of the same root of one
+minimal polynomial give alpha^1 = beta^1.  Other degree > 2 inputs, and the
+one genuinely degenerate quadratic configuration (two same-field units with
+no small relation), come back Unknown; the procedure never returns a false
+Independent or Dependent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import factorint
 
 from ._roots import AlgebraicNumber
 from .errors import UnsupportedDegree
@@ -31,7 +31,10 @@ from .intervals import (
     interval_sup_fraction,
     ladder,
 )
-from .quadratic import QuadraticElement
+from .quadratic import QuadraticElement, factor_integer
+
+
+_CONJUGATE_BITS = 192       # precision of the conjugate boxes in _same_root
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,29 @@ def _certified_modulus_gt_one(value: QuadraticElement) -> bool:
 
 def _prime_vector(x: Fraction) -> dict:
     vec = {}
-    for p, e in factorint(x.numerator if x.numerator > 0 else -x.numerator).items():
+    for p, e in factor_integer(abs(x.numerator)).items():
         vec[p] = vec.get(p, 0) + e
-    for p, e in factorint(x.denominator).items():
+    for p, e in factor_integer(x.denominator).items():
         vec[p] = vec.get(p, 0) - e
     return {p: e for p, e in vec.items() if e != 0}
+
+
+def _same_root(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> bool:
+    """Certified alpha == beta for two roots of one minimal polynomial.
+
+    Overlapping boxes alone prove nothing, since two isolating boxes of
+    distinct roots may overlap away from both.  Each number lies in its own
+    box and in one box of the isolated conjugates, so when both boxes meet
+    exactly one conjugate box, the same one, both numbers are its one root.
+    """
+    if alpha.min_poly != beta.min_poly or alpha.box.is_disjoint_from(beta.box):
+        return False
+    conjugates = alpha.conjugates(IntervalField(_CONJUGATE_BITS))
+    if conjugates is None:
+        return False
+    hits = [[j for j, c in enumerate(conjugates) if not c.box.is_disjoint_from(x.box)]
+            for x in (alpha, beta)]
+    return len(hits[0]) == 1 and hits[0] == hits[1]
 
 
 def _rational_relation(r: Fraction, s: Fraction):
@@ -142,6 +163,9 @@ def multiplicative_independence(alpha: AlgebraicNumber, beta: AlgebraicNumber,
     """Decide whether alpha^n = beta^m has a solution with (n, m) != (0, 0)."""
     a, b = alpha.exact, beta.exact
     if a is None or b is None:
+        if _same_root(alpha, beta):
+            return IndependenceResult("dependent", 1, 1, "alpha and beta are the same "
+                                      "root of one minimal polynomial")
         return IndependenceResult("unknown", certificate="degree > 2 not supported")
     for value, label in ((a, "alpha"), (b, "beta")):
         if not _certified_modulus_gt_one(value):

@@ -3,9 +3,14 @@
 Real intervals are mpmath ``iv`` numbers from a private context (no global
 precision state is touched).  Complex values are axis-aligned boxes (a real
 interval for each of the real and imaginary parts); every arithmetic
-operation encloses the exact result.  Comparisons are three-valued: helpers
-below return True only when the relation holds for *every* point of the
-operands, so a True answer is a certificate.
+operation encloses the exact result.  ``ComplexBox`` adds, multiplies and
+takes moduli on mpmath's raw interval tuples at the field's precision, in
+the order that mpmath's operators would apply them, so every endpoint is the
+one the interval objects would give, without an object per intermediate
+step; ``IntervalField.real`` rounds integers and fractions the way mpmath's
+conversion does, without its generic dispatch.  Comparisons are
+three-valued: helpers below return True only when the relation holds for
+*every* point of the operands, so a True answer is a certificate.
 """
 
 from __future__ import annotations
@@ -15,6 +20,19 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_le,
+    mpi_add,
+    mpi_div,
+    mpi_mul,
+    mpi_pow_int,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .errors import PrecisionExhausted
 
@@ -47,11 +65,21 @@ class IntervalField:
 
     def real(self, x):
         """Enclose x (int, Fraction, str, mpf, or interval) as a real interval."""
+        if type(x) is int:
+            return self._integer(x)
         if isinstance(x, Fraction):
             if x.denominator == 1:
-                return self.ctx.mpf(x.numerator)
-            return self.ctx.mpf(x.numerator) / self.ctx.mpf(x.denominator)
+                return self._integer(x.numerator)
+            return self.ctx.make_mpf(mpi_div(self._integer(x.numerator)._mpi_,
+                                             self._integer(x.denominator)._mpi_, self.prec))
         return self.ctx.mpf(x)
+
+    def _integer(self, n: int):
+        """``ctx.mpf(n)``: n rounded down and up at the field's precision,
+        without mpmath's generic conversion."""
+        prec = self.prec
+        return self.ctx.make_mpf((from_int(n, prec, round_floor),
+                                  from_int(n, prec, round_ceiling)))
 
     def from_endpoints(self, a, b):
         return self.ctx.mpf([a, b])
@@ -135,7 +163,9 @@ def contains(x, value) -> bool:
 
 
 def contains_zero(x) -> bool:
-    return contains(x, 0)
+    """``contains(x, 0)``, read from the raw endpoints."""
+    lo, hi = x._mpi_
+    return mpf_le(lo, fzero) and mpf_le(fzero, hi)
 
 
 def is_disjoint(x, y) -> bool:
@@ -172,7 +202,10 @@ class ComplexBox:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return ComplexBox(self.field, self.re + other.re, self.im + other.im)
+        f = self.field
+        prec, make = f.prec, f.ctx.make_mpf
+        return ComplexBox(f, make(mpi_add(self.re._mpi_, other.re._mpi_, prec)),
+                          make(mpi_add(self.im._mpi_, other.im._mpi_, prec)))
 
     __radd__ = __add__
 
@@ -187,9 +220,12 @@ class ComplexBox:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        return ComplexBox(self.field, re, im)
+        f = self.field
+        prec, make = f.prec, f.ctx.make_mpf
+        a, b, c, d = self.re._mpi_, self.im._mpi_, other.re._mpi_, other.im._mpi_
+        re = mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec)
+        im = mpi_add(mpi_mul(a, d, prec), mpi_mul(b, c, prec), prec)
+        return ComplexBox(f, make(re), make(im))
 
     __rmul__ = __mul__
 
@@ -225,10 +261,15 @@ class ComplexBox:
         return ComplexBox(self.field, self.re, -self.im)
 
     def abs_squared(self):
-        return self.re ** 2 + self.im ** 2
+        return self.field.ctx.make_mpf(self._abs_squared())
 
     def modulus(self):
-        return self.field.sqrt(self.abs_squared())
+        return self.field.ctx.make_mpf(mpi_sqrt(self._abs_squared(), self.field.prec))
+
+    def _abs_squared(self):
+        prec = self.field.prec
+        return mpi_add(mpi_pow_int(self.re._mpi_, 2, prec),
+                       mpi_pow_int(self.im._mpi_, 2, prec), prec)
 
     def contains_zero(self) -> bool:
         return contains_zero(self.re) and contains_zero(self.im)

@@ -5,6 +5,10 @@ integer d (d may be negative; d = 1 encodes a plain rational with b folded
 into a).  Everything here is exact Fraction arithmetic; these elements feed
 the heights module (exact minimal polynomials of compound values) and the
 zero-detection paths in the linear-form machinery.
+
+``factor_integer`` is exact by trial division for the small integers met
+here and hands only a cofactor with no prime factor below its bound to
+sympy, so sympy is not loaded on that path.
 """
 
 from __future__ import annotations
@@ -13,9 +17,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from sympy import factorint
-
 from .errors import UnsupportedDegree
+
+_TRIAL_BOUND = 1 << 16      # trial division is exact below _TRIAL_BOUND ** 2
+
+
+def factor_integer(n: int) -> dict:
+    """Prime factorisation {p: e} of n >= 1, as ``sympy.factorint`` gives it.
+
+    Trial division stops once d * d > n, when the cofactor left is 1 or a
+    prime; a cofactor left at the bound goes to ``sympy.factorint``.
+    """
+    factors = {}
+    d = 2
+    while d * d <= n:
+        if d >= _TRIAL_BOUND:
+            from sympy import factorint
+
+            for p, e in factorint(n).items():
+                factors[int(p)] = int(e)
+            return factors
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors[d] = e
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def square_free_core(n: int):
@@ -24,7 +55,7 @@ def square_free_core(n: int):
         return 0, 1
     sign = -1 if n < 0 else 1
     core, square = sign, 1
-    for p, e in factorint(abs(n)).items():
+    for p, e in factor_integer(abs(n)).items():
         if e % 2:
             core *= p
         square *= p ** (e // 2)

@@ -13,6 +13,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from mpmath.libmp import mpf_le, mpi_mul, mpi_pow_int
+
 from ._roots import (
     AlgebraicNumber,
     all_pairwise_disjoint,
@@ -226,8 +228,9 @@ def _exact_binet(seq, spectrum):
     return ((a1,), (a2,))
 
 
-def _unique_integer_in(re_interval, value: int) -> bool:
-    return bool(re_interval.a > value - 1 and re_interval.b < value + 1)
+def _unique_integer_in(field, re_interval, value: int) -> bool:
+    return (certainly_greater(re_interval, field.real(value - 1))
+            and certainly_less(re_interval, field.real(value + 1)))
 
 
 def _binet_at(seq, spectrum, field, check_bound):
@@ -265,7 +268,7 @@ def _binet_at(seq, spectrum, field, check_bound):
         target = seq.term(n)
         if not contains_zero(total.im):
             return None
-        if not _unique_integer_in(total.re, target):
+        if not _unique_integer_in(field, total.re, target):
             return None
     return decomp
 
@@ -542,30 +545,38 @@ def _envelope_at(decomp, cert, field, verify_to):
 
 
 def _verify_envelope(env, decomp, field, verify_to):
-    """Exact check of both envelope inequalities and the remainder bound."""
+    """Exact check of both envelope inequalities and the remainder bound.
+
+    The real bounds step on mpmath's raw interval tuples, as
+    ``counting._growth_index`` does: the same outward-rounded products at the
+    field's precision as interval objects would give, and the same endpoint
+    comparisons as ``certainly_le``, without an interval object per step.
+    """
     seq = decomp.sequence
     dom = env.certificate.root_index
-    spectrum = decomp.spectrum
-    mod_alpha = spectrum.roots[dom].modulus()
-    cl, cu = field.real(env.c_lower), field.real(env.c_upper)
-    ap, apr = field.real(env.alpha_prime), field.real(env.a_prime)
-    alpha_pow = mod_alpha ** env.n0
-    alpha_box_pow = spectrum.roots[dom].box ** env.n0
-    ap_pow = ap ** env.n0
+    root_box = decomp.spectrum.roots[dom].box
+    prec = field.prec
+    mod_alpha = root_box.modulus()._mpi_
+    cl, cu = field.real(env.c_lower)._mpi_, field.real(env.c_upper)._mpi_
+    ap, apr = field.real(env.alpha_prime)._mpi_, field.real(env.a_prime)._mpi_
+    alpha_pow = mpi_pow_int(mod_alpha, env.n0, prec)
+    alpha_box_pow = root_box ** env.n0
+    ap_pow = mpi_pow_int(ap, env.n0, prec)
     for n in range(env.n0, verify_to + 1):
-        u = abs(seq.term(n))
-        uf = field.real(u)
-        if not certainly_le(cl * alpha_pow, uf):
+        term = seq.term(n)
+        u = field.real(abs(term))._mpi_
+        if not mpf_le(mpi_mul(cl, alpha_pow, prec)[1], u[0]):
             return False
         n_sig = 1 if env.sigma == 0 else n ** env.sigma
-        if not certainly_le(uf, cu * n_sig * alpha_pow):
+        upper = mpi_mul(mpi_mul(cu, field.real(n_sig)._mpi_, prec), alpha_pow, prec)
+        if not mpf_le(u[1], upper[0]):
             return False
-        remainder = field.box(seq.term(n)) - decomp.coefficient_value(dom, n) * alpha_box_pow
-        if not certainly_le(remainder.modulus(), apr * ap_pow):
+        remainder = field.box(term) - decomp.coefficient_value(dom, n) * alpha_box_pow
+        if not mpf_le(remainder.modulus()._mpi_[1], mpi_mul(apr, ap_pow, prec)[0]):
             return False
-        alpha_pow = alpha_pow * mod_alpha
-        alpha_box_pow = alpha_box_pow * spectrum.roots[dom].box
-        ap_pow = ap_pow * ap
+        alpha_pow = mpi_mul(alpha_pow, mod_alpha, prec)
+        alpha_box_pow = alpha_box_pow * root_box
+        ap_pow = mpi_mul(ap_pow, ap, prec)
     return True
 
 

@@ -243,3 +243,27 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "log_lambda_lower_bound" in proc.stdout
+
+
+_SYMPY_PROBE = """
+import sys
+from recdiff.cli import dispatch
+code = dispatch(sys.argv[1:] + ["--no-header"])
+print(code, sorted(m for m in sys.modules if m.startswith("sympy")))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_sympy", [
+    (["count", "--seq-u", "fib", "--seq-v", "pow2", "--x", "1e6"], False),
+    (["analyze", "--seq-u", "tribonacci", "--seq-v", "pow3"], True),
+], ids=["degree-2-count", "degree-3-analyze"])
+def test_sympy_is_loaded_only_for_degree_3(argv, loads_sympy):
+    # a fresh process: this one has sympy loaded by other tests
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert (modules != "[]") == loads_sympy, modules

@@ -101,6 +101,18 @@ def test_dependent_dominant_roots_fail_fast(seq, monkeypatch):
     assert len(calls) == 1 + 2
 
 
+def test_two_copies_of_one_cubic_fail_fast(monkeypatch):
+    # both dominant roots are the same root of x^3 - 3x + 1, so alpha^1 = beta^1
+    # and U_n - V_n = 0 recurs: refused after two window rounds, where an
+    # "unknown" verdict used to extend the window for about 14 s to CutoffUnsafe
+    seq = LinearRecurrence("r", (0, 3, -1), (4, 4, 4))
+    copy = LinearRecurrence("r", (0, 3, -1), (4, 4, 4))
+    calls = _growth_index_calls(monkeypatch)
+    with pytest.raises(ValueError, match="multiplicatively dependent: alpha\\^1 = beta\\^1"):
+        count_T_S(seq, copy, 33)
+    assert len(calls) == 1 + 2
+
+
 def test_dependent_dominant_roots_with_a_finite_count_still_count(monkeypatch):
     # 2^4 = 16, but U_{4m} - V_m = -2^m grows: the hits stop at n = 76, and
     # the count needs (and gets) a third window round

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,9 @@ import pytest
 from recdiff.errors import UnsupportedDegree
 from recdiff.heights import (
     AlgebraicNumber,
+    _integer_root,
+    _is_cyclotomic,
+    _ratio_log_over,
     height_constant_probe,
     log_height,
     rational_quotient_height,
@@ -134,3 +139,36 @@ def test_one_algebraic_number_record():
     assert (root.min_poly, root.degree, root.multiplicity, root.exact) == \
         ((1, -1, -1), 2, 1, PHI_EXACT)
     assert log_height(root).a == log_height(PHI).a
+
+
+def test_low_degree_cyclotomic_test_matches_sympy():
+    from sympy import Poly, Symbol
+
+    x = Symbol("X")
+    for length in (1, 2, 3):
+        for coeffs in itertools.product(range(-12, 13), repeat=length):
+            assert _is_cyclotomic(coeffs) == bool(Poly(list(coeffs), x).is_cyclotomic), coeffs
+    assert _is_cyclotomic((1, 0, 0, 1)) is False          # x^3 + 1 = (x + 1)(x^2 - x + 1)
+    assert _is_cyclotomic((1, 1, 1, 1, 1)) is True        # Phi_5, through sympy
+
+
+def test_integer_root_matches_sympy():
+    from sympy import integer_nthroot
+
+    rng = random.Random(11)
+    cases = [(n, k) for k in range(1, 13) for n in (0, 1, 2, 3, 2 ** k - 1, 2 ** k, 3 ** k + 1)]
+    for _ in range(300):
+        k = rng.randint(1, 12)
+        base = rng.getrandbits(rng.choice((8, 64, 200)))
+        cases += [(base ** k + rng.choice((-1, 0, 1)), k),
+                  (rng.getrandbits(1100) + 2 ** 1100, k)]       # beyond float range
+    for n, k in cases:
+        n = max(n, 0)
+        root, exact = integer_nthroot(n, k)
+        assert _integer_root(n, k) == int(root), (n, k)
+        assert (_integer_root(n, k) ** k == n) == exact
+
+
+def test_ratio_log_over_huge_heights():
+    assert _ratio_log_over(7 ** 500, 500) == math.log(7)
+    assert abs(_ratio_log_over(2 ** 1200 + 1, 3) - 400 * math.log(2)) < 1e-9

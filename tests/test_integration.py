@@ -115,10 +115,9 @@ def _recurrences(draw):
 @given(seq_u=_recurrences(), seq_v=_recurrences(), x=st.integers(0, 200))
 def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
     # every analysis over these coefficient ranges ends within a second.  Two
-    # copies of one cubic recurrence share a cubic dominant root, which the
-    # independence test leaves "unknown", so their count extends its window
-    # for about 14 s before CutoffUnsafe: a typed refusal, but too slow here
-    assume(seq_u.order < 3 or seq_u.coefficients != seq_v.coefficients)
+    # copies of one cubic recurrence are drawn too: their shared dominant root
+    # gives alpha^1 = beta^1, and the count refuses with the dependent-roots
+    # ValueError in well under a second
     for seq in (seq_u, seq_v):
         try:
             analyze_sequence(seq)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,3 +118,51 @@ def test_precision_cap_env(monkeypatch):
     assert precision_cap() == 512
     monkeypatch.setenv("RECDIFF_PRECISION_BITS", "junk")
     assert precision_cap() == 4096
+
+
+def _interval(field, rng, straddle=False):
+    """A random interval with full-precision endpoints; straddling 0 on request."""
+    a = field.real(Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))) / 7
+    if straddle:
+        return field.from_endpoints(-abs(a.a) - 1, abs(a.b) + 2)
+    return a if rng.random() < 0.3 else field.from_endpoints(a.a, (a + field.real(1) / 3).b)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 512])
+def test_box_arithmetic_equals_mpmath_operators(prec):
+    # the raw-tuple ComplexBox operations give the endpoints that mpmath's
+    # interval operators give, also where x**2 and x*x differ (0 inside x)
+    field = IntervalField(prec)
+    rng = random.Random(prec)
+    straddling = field.from_endpoints(field.real(-1), field.real(2))
+    assert (straddling * straddling)._mpi_ != (straddling ** 2)._mpi_
+    for trial in range(60):
+        x = field.box_from_intervals(_interval(field, rng, trial % 3 == 0),
+                                     _interval(field, rng, trial % 4 == 0))
+        y = field.box_from_intervals(_interval(field, rng, trial % 5 == 0),
+                                     field.real(0) if trial % 7 == 0 else _interval(field, rng))
+        c = rng.randint(-10 ** 30, 10 ** 30)
+        pairs = [
+            ((x + y).re, x.re + y.re), ((x + y).im, x.im + y.im),
+            ((x + c).re, x.re + c), ((x + c).im, x.im + 0),
+            ((x * y).re, x.re * y.re - x.im * y.im),
+            ((x * y).im, x.re * y.im + x.im * y.re),
+            ((x * c).re, x.re * c - x.im * 0), ((x * c).im, x.re * 0 + x.im * c),
+            ((x - y).re, x.re + -y.re),
+            (x.abs_squared(), x.re ** 2 + x.im ** 2),
+            (x.modulus(), field.ctx.sqrt(x.re ** 2 + x.im ** 2)),
+        ]
+        for got, want in pairs:
+            assert got._mpi_ == want._mpi_
+
+
+@pytest.mark.parametrize("prec", [64, 256, 512])
+def test_real_and_contains_zero_equal_mpmath_conversion(prec):
+    field = IntervalField(prec)
+    for n in (0, 1, -7, 2 ** 70 + 1, -(3 ** 400) - 2, 10 ** 200 + 17):
+        assert field.real(n)._mpi_ == field.ctx.mpf(n)._mpi_
+        q = Fraction(n, 3 ** 50 + 2)
+        assert field.real(q)._mpi_ == (field.ctx.mpf(q.numerator) / field.ctx.mpf(q.denominator))._mpi_
+    for lo, hi in ((-1, 1), (0, 0), (0, 3), (-3, 0), (1, 2), (-2, -1)):
+        x = field.from_endpoints(field.real(lo), field.real(hi))
+        assert contains_zero(x) == bool(x.a <= 0 and 0 <= x.b)

@@ -1,5 +1,6 @@
 """Module layering of the package: every relative import sits at module
-level, and the relative imports between modules form no cycle."""
+level, the relative imports between modules form no cycle, and sympy is
+imported only inside functions, so that it loads only when needed."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,14 @@ def relative_imports(tree):
                 yield node, [alias.name for alias in node.names]
             else:
                 yield node, [node.module.split(".")[0]]
+
+
+def module_level_nodes(node):
+    """Every node that runs at import time: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from module_level_nodes(child)
 
 
 def parsed_modules():
@@ -50,3 +59,18 @@ def test_relative_imports_form_no_cycle():
     for name in sorted(graph):
         if name not in state:
             visit(name, [name])
+
+
+def test_sympy_is_not_imported_at_module_level():
+    eager = []
+    for name, tree in parsed_modules().items():
+        for node in module_level_nodes(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                targets = [node.module]
+            else:
+                continue
+            if any(t.split(".")[0] == "sympy" for t in targets):
+                eager.append("%s.py:%d" % (name, node.lineno))
+    assert eager == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import strategies as st
 
 from recdiff.errors import UnsupportedDegree
 from recdiff.intervals import IntervalField, contains, midpoint_float
-from recdiff.quadratic import QuadraticElement, quadratic_roots, square_free_core
+from recdiff.quadratic import (
+    _TRIAL_BOUND,
+    QuadraticElement,
+    factor_integer,
+    quadratic_roots,
+    square_free_core,
+)
 
 
 def test_square_free_core():
@@ -87,3 +94,18 @@ def test_field_axioms_random(a, b, d):
     if not x.is_zero():
         assert x * x.inverse() == QuadraticElement.from_rational(1)
         assert x.norm() == (x * x.conjugate()).rational_value()
+
+
+def test_factor_integer_matches_sympy():
+    from sympy import factorint, nextprime
+
+    rng = random.Random(24)
+    numbers = [1, 2, 4, 97, 2 ** 40, 3 ** 25 * 5 ** 9]
+    numbers += [rng.randint(2, 10 ** rng.randint(2, 24)) for _ in range(80)]
+    big = [nextprime(_TRIAL_BOUND + 1000 * i) for i in range(3)]
+    numbers += [p * p for p in big]                            # prime squares past the bound
+    numbers += [big[0] * big[1], 12 * big[1] * big[2]]         # semiprimes past the bound
+    numbers += [nextprime(2 ** 40) * nextprime(2 ** 41)]
+    for n in numbers:
+        assert factor_integer(n) == factorint(n), n
+    assert square_free_core(-12 * big[0] ** 2) == (-3, 2 * big[0])

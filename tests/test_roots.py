@@ -2,6 +2,7 @@
 boxes equal to the all-sympy path, call counts of sympy and bounded caches."""
 
 import functools
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -191,3 +192,24 @@ def test_imaginary_factor_beside_a_dominant_root():
     assert cert.root.min_poly == (1, -3)
     assert interval_inf_fraction(cert.modulus()) <= 3 <= interval_sup_fraction(cert.modulus())
     assert cert.precision_bits == 512
+
+
+def _sympy_factor_list(coeffs):
+    """sympy's factor_list, normalised as ``factor_integer_poly`` returns it."""
+    _, factors = Poly(list(coeffs), X, domain="ZZ").factor_list()
+    out = []
+    for g, mult in factors:
+        gc = [int(c) for c in g.all_coeffs()]
+        out.append((tuple(gc if gc[0] > 0 else [-c for c in gc]), int(mult)))
+    return sorted(out)
+
+
+def test_low_degree_factoring_matches_sympy():
+    # every coefficient tuple of length <= 3 in -12..12: leading zeros, zero
+    # and constant polynomials, contents, square discriminants and repeated
+    # linear factors (x^2 - 2x + 1 = (x - 1)^2) all take the exact path
+    for length in (1, 2, 3):
+        for coeffs in itertools.product(range(-12, 13), repeat=length):
+            assert _roots._factor.__wrapped__(coeffs) == tuple(_sympy_factor_list(coeffs)), coeffs
+    assert _roots._factor.__wrapped__((3, -6, 3)) == (((1, -1), 2),)
+    assert _roots._factor.__wrapped__((4, 0, -9)) == (((2, -3), 1), ((2, 3), 1))

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from recdiff import spectral
 from recdiff.errors import NoDominantRoot, RootNotLargerThanOne
 from recdiff.heights import AlgebraicNumber
 from recdiff.independence import multiplicative_independence
@@ -234,3 +236,65 @@ def test_independence_precondition():
         multiplicative_independence(_alg(1), _alg(2))
     with pytest.raises(ValueError):
         multiplicative_independence(_alg(Fraction(1, 2)), _alg(3))
+
+
+def _verify_envelope_by_operators(env, decomp, field, verify_to):
+    """The envelope check written with mpmath's interval operators."""
+    seq = decomp.sequence
+    root = decomp.spectrum.roots[env.certificate.root_index]
+    dom = env.certificate.root_index
+    cl, cu = field.real(env.c_lower), field.real(env.c_upper)
+    ap, apr = field.real(env.alpha_prime), field.real(env.a_prime)
+    alpha_pow, alpha_box_pow = root.modulus() ** env.n0, root.box ** env.n0
+    ap_pow = ap ** env.n0
+    for n in range(env.n0, verify_to + 1):
+        uf = field.ctx.mpf(abs(seq.term(n)))
+        n_sig = 1 if env.sigma == 0 else n ** env.sigma
+        remainder = field.box(seq.term(n)) - decomp.coefficient_value(dom, n) * alpha_box_pow
+        if not (bool((cl * alpha_pow).b <= uf.a) and bool(uf.b <= (cu * n_sig * alpha_pow).a)
+                and bool(remainder.modulus().b <= (apr * ap_pow).a)):
+            return False
+        alpha_pow, alpha_box_pow, ap_pow = alpha_pow * root.modulus(), alpha_box_pow * root.box, \
+            ap_pow * ap
+    return True
+
+
+@pytest.mark.parametrize("seq", [FIB, TRIB, N2N, LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1))],
+                         ids=lambda s: s.name)
+def test_envelope_check_decides_as_the_interval_operators(seq):
+    # the raw-tuple loop accepts the certified envelope and rejects each
+    # tightened one exactly where the operator loop does; the last remainder
+    # bound decays too fast, so it holds at first and fails further on
+    analysis = analyze_sequence(seq)
+    env, decomp = analysis.envelope, analysis.certificate.decomposition
+    field = IntervalField(env.precision_bits)
+    tightened = [env, replace(env, c_lower=env.c_lower * 2), replace(env, c_upper=env.c_upper / 2),
+                 replace(env, a_prime=env.a_prime / 64),
+                 replace(env, alpha_prime=Fraction(1, 2), a_prime=env.a_prime * 2 ** 20)]
+    verdicts = []
+    for e in tightened:
+        for top in (e.n0 + 3, 120):
+            got = spectral._verify_envelope(e, decomp, field, top)
+            assert got == _verify_envelope_by_operators(e, decomp, field, top)
+            verdicts.append(got)
+    assert verdicts[:2] == [True, True] and False in verdicts
+
+
+def test_independence_of_one_cubic_root_and_itself():
+    cubic = (1, 0, -3, 1)                           # roots -1.879, 0.347, 1.532
+    root = AlgebraicNumber.from_min_poly(cubic, 2)              # 192-bit box
+    assert -1.9 < midpoint_float(root.box.re) < -1.8
+    again = analyze_sequence(LinearRecurrence("r", (0, 3, -1), (4, 4, 4))).certificate.root
+    assert again.box.re._mpi_ != root.box.re._mpi_               # another precision
+    same = multiplicative_independence(root, again)
+    assert (same.status, same.n, same.m) == ("dependent", 1, 1)
+    # overlapping boxes of two distinct roots prove nothing: unknown, not dependent
+    F = IntervalField(64)
+    low = AlgebraicNumber(cubic, F.box_from_intervals(
+        F.from_endpoints(F.real(Fraction(3, 10)), F.real(1)), F.real(0)), True)
+    high = AlgebraicNumber(cubic, F.box_from_intervals(
+        F.from_endpoints(F.real(Fraction(9, 10)), F.real(Fraction(8, 5))), F.real(0)), True)
+    assert not low.box.is_disjoint_from(high.box)
+    assert multiplicative_independence(low, high).status == "unknown"
+    top = AlgebraicNumber.from_min_poly(cubic, 0)
+    assert multiplicative_independence(top, high).status == "dependent"
