@@ -38,7 +38,7 @@ def main_term(cert_alpha: DominantRootCertificate,
 
 @dataclass(frozen=True)
 class LowerBoundGrid:
-    x: float
+    x: int | Fraction | float       # as given, never rounded to float
     n_max: float
     m_max: float
     count: int
@@ -72,7 +72,7 @@ def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x,
             "log x = %.6g below the construction threshold max(%.6g, %.6g)"
             % (z, thr_u, thr_v))
     if n_max < 0 or m_max < 0:
-        raise InvalidBelowThreshold("grid is empty at x = %g" % x)
+        raise InvalidBelowThreshold("grid is empty at x = %s" % x)
     count = (int(n_max) + 1) * (int(m_max) + 1)
     verified = False
     if count <= verify_limit:
@@ -87,7 +87,7 @@ def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x,
                         "grid verification failed at (n=%d, m=%d); envelope "
                         "constants are inconsistent" % (n, v_terms.index(v)))
         verified = True
-    return LowerBoundGrid(float(x), n_max, m_max, count, verified)
+    return LowerBoundGrid(x, n_max, m_max, count, verified)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """Multiplicative independence certificates for algebraic numbers of degree <= 2.
 
-The decision procedure layers exact arguments:
+A relation alpha^n = beta^m with (n, m) != (0, 0) is decided in two steps:
 
-1. bounded exact search for a relation alpha^n = beta^m;
-2. a continued-fraction candidate from the modulus ratio (catches relations
-   with one large exponent), verified exactly;
-3. obstructions: the prime-factorisation argument over Q, and the field-norm
-   argument in quadratic fields (any relation forces the norm exponent
-   vectors onto a lattice whose generator must be a root of unity - testable
-   exactly because quadratic fields contain only 12th roots of unity).
+1. one relation candidate: a bounded exact search over small exponents, then
+   the simplest rational n/m inside the certified enclosure of
+   log|beta| / log|alpha| (it catches relations with one large exponent),
+   each verified exactly;
+2. one lattice step.  Two inputs of one quadratic field are compared through
+   their field norms, every other pair through the inputs' smallest rational
+   powers (a rational is its own first power; a quadratic number with no
+   rational power has no relation with a rational or another field).  A
+   relation puts the exponents on the lattice where the prime exponent
+   vectors of the two rationals agree, and the lattice generator is checked
+   exactly: a relation up to sign, up to a root of unity (each one in a
+   quadratic field has order dividing 12), or none.
 
 In degree > 2 only one case is decided: two boxes of the same root of one
 minimal polynomial give alpha^1 = beta^1.  Other degree > 2 inputs, and the
@@ -35,6 +40,34 @@ from .quadratic import QuadraticElement, factor_integer
 
 
 _CONJUGATE_BITS = 192       # precision of the conjugate boxes in _same_root
+_SEARCH_BOUND = 24          # exponents 1..24 on each side in the exact search
+_RATIO_BOUND = 10 ** 4      # largest n and m of a modulus-ratio candidate n/m
+
+# Certificate texts of the lattice step per case, keyed by the number of
+# rational inputs ("norm": two inputs of one quadratic field): no rational
+# power, exponent vectors not proportional, lattice relation, lattice
+# generator not a root of unity.
+_LATTICE_TEXTS = {
+    2: (None, "prime exponent vectors of alpha and beta are not proportional",
+        "prime factorization lattice",
+        "factorization lattice generator is not a root of unity"),
+    1: ("no power of the quadratic input is rational (its conjugate ratio is not a "
+        "root of unity), so a relation would force both exponents to zero",
+        "norms: exponent vectors of the rational power and the rational input are "
+        "not proportional",
+        "rational-power lattice",
+        "rational-power lattice generator is not a root of unity"),
+    0: ("distinct quadratic fields and at least one input has no rational power, so "
+        "a relation would force both exponents to zero",
+        "distinct quadratic fields: rational powers have non-proportional exponent "
+        "vectors",
+        "cross-field rational-power lattice",
+        "cross-field lattice generator is not a root of unity"),
+    "norm": (None, "norm obstruction: N(alpha) and N(beta) have non-proportional "
+             "prime exponent vectors",
+             "norm lattice",
+             "norm lattice generator is not a root of unity"),
+}
 
 
 @dataclass(frozen=True)
@@ -89,28 +122,20 @@ def _same_root(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> bool:
 
 
 def _rational_relation(r: Fraction, s: Fraction):
-    """Minimal (n0, m0) with |r|^n0 = |s|^m0, or None (vectors not proportional).
-
-    Requires |r|, |s| > 1 so the proportionality constant is positive.
-    """
+    """Minimal (n0, m0) with |r|^n0 = |s|^m0 and n0, m0 > 0, or None (the
+    prime exponent vectors are not positively proportional)."""
     vr, vs = _prime_vector(abs(r)), _prime_vector(abs(s))
-    if set(vr) != set(vs):
+    ratios = {Fraction(vs[p], vr[p]) for p in vr} if set(vr) == set(vs) else set()
+    if len(ratios) != 1 or min(ratios) <= 0:
         return None
-    ratio = None
-    for p in vr:
-        c = Fraction(vs[p], vr[p])
-        if ratio is None:
-            ratio = c
-        elif ratio != c:
-            return None
-    if ratio is None or ratio <= 0:
-        return None
-    return ratio.numerator, ratio.denominator     # n0 = num, m0 = den
+    ratio = ratios.pop()
+    return ratio.numerator, ratio.denominator
 
 
 def _dependent_from_abs_lattice(alpha: QuadraticElement, beta: QuadraticElement,
                                 n0: int, m0: int, why: str):
-    """|alpha|^n0 = |beta|^m0 known; upgrade to an exact relation or rule it out."""
+    """The relation alpha^n0 = beta^m0, up to sign or a root of unity, as a
+    verified dependent result; None when alpha^n0 / beta^m0 is none of these."""
     lhs, rhs = alpha ** n0, beta ** m0
     if lhs == rhs:
         return IndependenceResult("dependent", n0, m0, why)
@@ -156,10 +181,51 @@ def _simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     return floor_lo + 1 / frac
 
 
-def multiplicative_independence(alpha: AlgebraicNumber, beta: AlgebraicNumber,
-                                search_bound: int = 24,
-                                ratio_denominator_bound: int = 10 ** 4
-                                ) -> IndependenceResult:
+def _relation_candidate(a: QuadraticElement, b: QuadraticElement):
+    """A verified relation from the bounded search or the modulus-ratio
+    candidate, or None."""
+    b_powers = [b ** m for m in range(1, _SEARCH_BOUND + 1)]
+    for n in range(1, _SEARCH_BOUND + 1):
+        a_power = a ** n
+        for m, b_power in enumerate(b_powers, 1):
+            if a_power == b_power:
+                return IndependenceResult("dependent", n, m,
+                                          "exact relation found by bounded search")
+    # continued-fraction candidate from n log|alpha| = m log|beta|
+    for bits in (128, 256, 512):
+        field = IntervalField(bits)
+        ratio = field.log(b.box(field).modulus()) / field.log(a.box(field).modulus())
+        lo, hi = interval_inf_fraction(ratio), interval_sup_fraction(ratio)
+        if lo <= 0:
+            continue
+        cand = _simplest_rational_between(lo, hi)
+        n0, m0 = cand.numerator, cand.denominator
+        if n0 <= _RATIO_BOUND and m0 <= _RATIO_BOUND:
+            return _dependent_from_abs_lattice(a, b, n0, m0,
+                                               "modulus-ratio candidate %d/%d" % (n0, m0))
+        return None
+    return None
+
+
+def _lattice_verdict(a: QuadraticElement, b: QuadraticElement, power_a, power_b,
+                     certificates) -> IndependenceResult:
+    """The lattice step from power_a = (ja, ra) and power_b = (jb, rb).
+
+    Any relation alpha^n = beta^m gives |ra|^(n/ja) = |rb|^(m/jb) with
+    integer quotients, so (n/ja, m/jb) is a multiple of the minimal (p, q)
+    with |ra|^p = |rb|^q, and alpha^(ja p) / beta^(jb q) is a root of unity.
+    """
+    _, not_proportional, lattice, generator = certificates
+    (ja, ra), (jb, rb) = power_a, power_b
+    pair = _rational_relation(ra, rb)
+    if pair is None:
+        return IndependenceResult("independent", certificate=not_proportional)
+    hit = _dependent_from_abs_lattice(a, b, ja * pair[0], jb * pair[1], lattice)
+    return hit or IndependenceResult("independent", certificate=generator)
+
+
+def multiplicative_independence(alpha: AlgebraicNumber,
+                                beta: AlgebraicNumber) -> IndependenceResult:
     """Decide whether alpha^n = beta^m has a solution with (n, m) != (0, 0)."""
     a, b = alpha.exact, beta.exact
     if a is None or b is None:
@@ -170,120 +236,23 @@ def multiplicative_independence(alpha: AlgebraicNumber, beta: AlgebraicNumber,
     for value, label in ((a, "alpha"), (b, "beta")):
         if not _certified_modulus_gt_one(value):
             raise ValueError("|%s| > 1 is required" % label)
-
-    b_powers = [b ** m for m in range(1, search_bound + 1)]
-    for n in range(1, search_bound + 1):
-        a_power = a ** n
-        for m, b_power in enumerate(b_powers, 1):
-            if a_power == b_power:
-                return IndependenceResult("dependent", n, m,
-                                          "exact relation found by bounded search")
-
-    # continued-fraction candidate from n log|alpha| = m log|beta|
-    for bits in (128, 256, 512):
-        field = IntervalField(bits)
-        la = field.log(a.box(field).modulus())
-        lb = field.log(b.box(field).modulus())
-        ratio = lb / la
-        lo, hi = interval_inf_fraction(ratio), interval_sup_fraction(ratio)
-        if lo <= 0:
-            continue
-        cand = _simplest_rational_between(lo, hi)
-        if cand.numerator <= ratio_denominator_bound and \
-                cand.denominator <= ratio_denominator_bound:
-            n0, m0 = cand.numerator, cand.denominator
-            hit = _dependent_from_abs_lattice(a, b, n0, m0,
-                                              "modulus-ratio candidate %d/%d" % (n0, m0))
-            if hit is not None:
-                return hit
-        break
-
-    if a.is_rational and b.is_rational:
-        pair = _rational_relation(a.a, b.a)
-        if pair is None:
-            return IndependenceResult(
-                "independent", certificate="prime exponent vectors of alpha and "
-                "beta are not proportional")
-        hit = _dependent_from_abs_lattice(a, b, pair[0], pair[1],
-                                          "prime factorization lattice")
-        if hit is not None:
-            return hit
-        return IndependenceResult(
-            "independent", certificate="factorization lattice generator is not "
-            "a root of unity")
-
-    if a.is_rational or b.is_rational:
-        if a.is_rational:
-            quad, rat, swapped = b, a.a, True
-        else:
-            quad, rat, swapped = a, b.a, False
-        rp = _rational_power(quad)
-        if rp is None:
-            return IndependenceResult(
-                "independent", certificate="no power of the quadratic input is "
-                "rational (its conjugate ratio is not a root of unity), so a "
-                "relation would force both exponents to zero")
-        j0, r0 = rp
-        if abs(r0) <= 1:
-            return IndependenceResult("unknown", certificate="degenerate rational power")
-        pair = _rational_relation(r0, rat)
-        if pair is None:
-            return IndependenceResult(
-                "independent", certificate="norms: exponent vectors of the "
-                "rational power and the rational input are not proportional")
-        s0, m0 = pair
-        n_rel, m_rel = j0 * s0, m0
-        if swapped:
-            n_rel, m_rel = m_rel, n_rel
-        hit = _dependent_from_abs_lattice(a, b, n_rel, m_rel, "rational-power lattice")
-        if hit is not None:
-            return hit
-        return IndependenceResult(
-            "independent", certificate="rational-power lattice generator is not "
-            "a root of unity")
-
-    if a.d == b.d:
+    found = _relation_candidate(a, b)
+    if found is not None:
+        return found
+    if a.d == b.d and not a.is_rational:
         na, nb = a.norm(), b.norm()
-        if abs(na) != 1 or abs(nb) != 1:
-            if abs(na) == 1 or abs(nb) == 1:
-                return IndependenceResult(
-                    "independent", certificate="norm obstruction: exactly one "
-                    "input is a unit, so norms force both exponents to zero")
-            pair = _rational_relation(na, nb)
-            if pair is None:
-                return IndependenceResult(
-                    "independent", certificate="norm obstruction: N(alpha) and "
-                    "N(beta) have non-proportional prime exponent vectors")
-            hit = _dependent_from_abs_lattice(a, b, pair[0], pair[1], "norm lattice")
-            if hit is not None:
-                return hit
+        if abs(na) == 1 and abs(nb) == 1:
             return IndependenceResult(
-                "independent", certificate="norm lattice generator is not a "
-                "root of unity")
-        return IndependenceResult(
-            "unknown", certificate="two units of the same quadratic field with "
-            "no small relation; supply an external argument")
-
-    # distinct quadratic fields: any common power is rational
-    rpa, rpb = _rational_power(a), _rational_power(b)
-    if rpa is None or rpb is None:
-        return IndependenceResult(
-            "independent", certificate="distinct quadratic fields and at least "
-            "one input has no rational power, so a relation would force both "
-            "exponents to zero")
-    (ja, ra), (jb, rb) = rpa, rpb
-    if abs(ra) <= 1 or abs(rb) <= 1:
-        return IndependenceResult("unknown", certificate="degenerate rational powers")
-    pair = _rational_relation(ra, rb)
-    if pair is None:
-        return IndependenceResult(
-            "independent", certificate="distinct quadratic fields: rational "
-            "powers have non-proportional exponent vectors")
-    hit = _dependent_from_abs_lattice(a, b, ja * pair[0], jb * pair[1],
-                                      "cross-field rational-power lattice")
-    if hit is not None:
-        return hit
-    return IndependenceResult(
-        "independent", certificate="cross-field lattice generator is not a "
-        "root of unity")
-
+                "unknown", certificate="two units of the same quadratic field with "
+                "no small relation; supply an external argument")
+        if abs(na) == 1 or abs(nb) == 1:
+            return IndependenceResult(
+                "independent", certificate="norm obstruction: exactly one "
+                "input is a unit, so norms force both exponents to zero")
+        return _lattice_verdict(a, b, (1, na), (1, nb), _LATTICE_TEXTS["norm"])
+    # |alpha|, |beta| > 1, so each rational power has modulus > 1
+    texts = _LATTICE_TEXTS[a.is_rational + b.is_rational]
+    power_a, power_b = _rational_power(a), _rational_power(b)
+    if power_a is None or power_b is None:
+        return IndependenceResult("independent", certificate=texts[0])
+    return _lattice_verdict(a, b, power_a, power_b, texts)

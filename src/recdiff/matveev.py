@@ -25,7 +25,7 @@ from .intervals import (
     midpoint_float,
     upper_float,
 )
-from .quadratic import QuadraticElement, square_free_core
+from .quadratic import QuadraticElement
 from .spectral import (
     BinetDecomposition,
     DominantRootCertificate,
@@ -220,19 +220,12 @@ def _coeff_poly_abs_inf(decomp, idx, sigma, from_n):
     return None
 
 
-def _compositum_degree(poly_a, poly_b) -> int:
-    da, db = len(poly_a) - 1, len(poly_b) - 1
-    if da == 1 and db == 1:
-        return 1
-    if da == 1 or db == 1:
-        return max(da, db) if min(da, db) == 1 else da * db
-    if da == 2 and db == 2:
-        disc_a = poly_a[1] ** 2 - 4 * poly_a[0] * poly_a[2]
-        disc_b = poly_b[1] ** 2 - 4 * poly_b[0] * poly_b[2]
-        if square_free_core(disc_a)[0] == square_free_core(disc_b)[0]:
-            return 2
-        return 4
-    return da * db
+def _compositum_degree(alpha, beta) -> int:
+    """[Q(alpha, beta):Q] bound: 2 for two roots of one quadratic field, else
+    the product of the degrees."""
+    if alpha.degree == beta.degree == 2 and alpha.exact.d == beta.exact.d:
+        return 2
+    return alpha.degree * beta.degree
 
 
 def _root_log_term_upper(cert, field) -> float:
@@ -443,7 +436,7 @@ def effective_upper_bounds(certU: DominantRootCertificate,
                          "alpha^%d = beta^%d" % (independence.n, independence.m))
     rigorous = independence is None or independence.status != "unknown"
 
-    D = _compositum_degree(certU.min_poly, certV.min_poly)
+    D = _compositum_degree(certU.root, certV.root)
     A2 = _matveev_a_value(certU, field, D)
     A3 = _matveev_a_value(certV, field, D)
     decompU, decompV = certU.decomposition, certV.decomposition

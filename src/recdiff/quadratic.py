@@ -64,8 +64,9 @@ def square_free_core(n: int):
 
 @dataclass(frozen=True)
 class QuadraticElement:
-    """make() keeps one normal form (a rational has b == 0 and d == 1), so
-    == is exact equality."""
+    """make() brings outside input to one normal form (a rational has b == 0
+    and d == 1), so == is exact equality.  Arithmetic on normal-form elements
+    keeps it without factoring d again."""
 
     a: Fraction
     b: Fraction
@@ -86,6 +87,11 @@ class QuadraticElement:
         if core == 1:
             return QuadraticElement(a + b * square, Fraction(0), 1)
         return QuadraticElement(a, b * square, core)
+
+    @staticmethod
+    def _normal(a: Fraction, b: Fraction, d: int) -> "QuadraticElement":
+        """a + b sqrt(d) for a squarefree d, b == 0 folded to a rational."""
+        return QuadraticElement(a, b, d) if b else QuadraticElement(a, Fraction(0), 1)
 
     @staticmethod
     def from_rational(x) -> "QuadraticElement":
@@ -109,7 +115,7 @@ class QuadraticElement:
     def __add__(self, other):
         other = _coerce(other)
         d = self._check_field(other)
-        return QuadraticElement.make(self.a + other.a, self.b + other.b, d)
+        return QuadraticElement._normal(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
@@ -127,7 +133,7 @@ class QuadraticElement:
         d = self._check_field(other)
         a = self.a * other.a + d * self.b * other.b
         b = self.a * other.b + self.b * other.a
-        return QuadraticElement.make(a, b, d)
+        return QuadraticElement._normal(a, b, d)
 
     __rmul__ = __mul__
 
@@ -142,7 +148,7 @@ class QuadraticElement:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero element")
-        return QuadraticElement.make(self.a / n, -self.b / n, self.d)
+        return QuadraticElement._normal(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -214,6 +220,6 @@ def quadratic_roots(a: int, b: int, c: int):
         minus = QuadraticElement.from_rational(Fraction(-b - square, 2 * a))
         return plus, minus
     half = Fraction(1, 2 * a)
-    plus = QuadraticElement.make(Fraction(-b, 2 * a), square * half, core)
-    minus = QuadraticElement.make(Fraction(-b, 2 * a), -square * half, core)
+    plus = QuadraticElement._normal(Fraction(-b, 2 * a), square * half, core)
+    minus = QuadraticElement._normal(Fraction(-b, 2 * a), -square * half, core)
     return plus, minus

@@ -92,6 +92,18 @@ def test_ratio_table_rejects_a_fractional_x():
         ratio_table(FIB, POW2, [10.5])
 
 
+def test_ratio_table_past_the_float_range():
+    # the grid used to convert x to float, which overflows past 1.8e308
+    from recdiff.counting import count_T_S
+
+    x = 2 ** 1030
+    (row,) = ratio_table(FIB, POW2, [x]).rows
+    exact = count_T_S(FIB, POW2, x)
+    assert (row.x, row.T, row.S) == (x, exact.T, exact.S)
+    grid = lower_bound_grid(A_FIB.envelope, A_POW2.envelope, x)
+    assert (grid.x, grid.count) == (x, row.grid_count) and grid.count > 0
+
+
 def test_ratio_table_deterministic():
     a = ratio_table(FIB, POW2, [10 ** 3, 10 ** 6])
     b = ratio_table(FIB, POW2, [10 ** 3, 10 ** 6])

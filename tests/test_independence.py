@@ -1,0 +1,116 @@
+"""One input per reachable certificate of multiplicative_independence.
+
+The relations with exponents above 10^4 pass both the 24 x 24 exact search
+and the modulus-ratio candidate (whose n and m are capped at 10^4), so they
+reach the lattice step.  Unreachable texts: each "lattice generator is not a
+root of unity" text except the norm one, since |ra|^p = |rb|^q for two
+rationals gives alpha^(ja p) = +-beta^(jb q); and "degenerate rational
+power(s)", since |alpha| > 1 makes every power of modulus > 1.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from recdiff.errors import PrecisionExhausted
+from recdiff.heights import AlgebraicNumber
+from recdiff.independence import IndependenceResult, multiplicative_independence
+from recdiff.quadratic import QuadraticElement
+
+BIG = 10 ** 4 + 1
+I = QuadraticElement.make(0, 1, -1)
+PHI = QuadraticElement.make(Fraction(1, 2), Fraction(1, 2), 5)
+SQRT2 = QuadraticElement.make(0, 1, 2)
+OMEGA2 = QuadraticElement.make(-1, 1, -3)          # 2 exp(2 pi i / 3)
+
+
+def _q(x):
+    return x if isinstance(x, QuadraticElement) else QuadraticElement.from_rational(x)
+
+
+def _verdict(alpha, beta):
+    return multiplicative_independence(AlgebraicNumber.from_quadratic(_q(alpha), "alpha"),
+                                       AlgebraicNumber.from_quadratic(_q(beta), "beta"))
+
+
+def _dep(n, m, text):
+    return IndependenceResult("dependent", n, m, text)
+
+
+def _indep(text):
+    return IndependenceResult("independent", certificate=text)
+
+
+CASES = {
+    "bounded-search": (2, 8, _dep(3, 1, "exact relation found by bounded search")),
+    "ratio-candidate": (2, 2 ** 25, _dep(25, 1, "modulus-ratio candidate 25/1")),
+    "ratio-candidate-sign": (-2, 2 ** 25,
+                             _dep(50, 2, "modulus-ratio candidate 25/1 (sign squared)")),
+    "ratio-candidate-unity": (2 * I, 2 ** 25, _dep(
+        100, 4, "modulus-ratio candidate 25/1 (root-of-unity order 4)")),
+    "rational-independent": (2, 3, _indep(
+        "prime exponent vectors of alpha and beta are not proportional")),
+    "rational-lattice": (2, 2 ** BIG, _dep(10001, 1, "prime factorization lattice")),
+    "rational-lattice-sign": (-2, 2 ** BIG, _dep(
+        20002, 2, "prime factorization lattice (sign squared)")),
+    "mixed-no-rational-power": (PHI, 2, _indep(
+        "no power of the quadratic input is rational (its conjugate ratio is not a "
+        "root of unity), so a relation would force both exponents to zero")),
+    "mixed-independent": (SQRT2, 3, _indep(
+        "norms: exponent vectors of the rational power and the rational input are "
+        "not proportional")),
+    "mixed-lattice": (2, SQRT2 ** BIG, _dep(10001, 2, "rational-power lattice")),
+    "mixed-lattice-sign": (2, (2 * I) ** BIG, _dep(
+        40004, 4, "rational-power lattice (sign squared)")),
+    "norm-one-unit": (PHI, 1 + QuadraticElement.make(0, 1, 5), _indep(
+        "norm obstruction: exactly one input is a unit, so norms force both "
+        "exponents to zero")),
+    "norm-independent": (1 + 2 * I, 1 + I, _indep(
+        "norm obstruction: N(alpha) and N(beta) have non-proportional prime "
+        "exponent vectors")),
+    "norm-lattice": (1 + I, (1 + I) ** BIG, _dep(10001, 1, "norm lattice")),
+    "norm-lattice-sign": (1 + I, -(1 + I) ** BIG,
+                          _dep(20002, 2, "norm lattice (sign squared)")),
+    "norm-lattice-unity": (1 + I, I * (1 + I) ** BIG, _dep(
+        40004, 4, "norm lattice (root-of-unity order 4)")),
+    "norm-generator": (1 + 2 * I, 1 - 2 * I, _indep(
+        "norm lattice generator is not a root of unity")),
+    "two-units": (PHI, PHI ** BIG, IndependenceResult(
+        "unknown", certificate="two units of the same quadratic field with no small "
+        "relation; supply an external argument")),
+    "cross-no-rational-power": (PHI, 1 + SQRT2, _indep(
+        "distinct quadratic fields and at least one input has no rational power, so "
+        "a relation would force both exponents to zero")),
+    "cross-independent": (SQRT2, QuadraticElement.make(0, 1, 3), _indep(
+        "distinct quadratic fields: rational powers have non-proportional exponent "
+        "vectors")),
+    "cross-lattice": (OMEGA2, SQRT2 ** BIG,
+                      _dep(30003, 6, "cross-field rational-power lattice")),
+    "cross-lattice-sign": (SQRT2, QuadraticElement.make(0, 1, -2) ** BIG, _dep(
+        40004, 4, "cross-field rational-power lattice (sign squared)")),
+}
+
+
+@pytest.mark.parametrize("alpha, beta, expected", list(CASES.values()), ids=list(CASES))
+def test_certificate_per_branch(alpha, beta, expected):
+    assert _verdict(alpha, beta) == expected
+
+
+def test_degree_above_two():
+    cubic = (1, 0, -3, 1)
+    root, other = AlgebraicNumber.from_min_poly(cubic, 0), AlgebraicNumber.from_min_poly(cubic, 2)
+    assert multiplicative_independence(root, root) == _dep(
+        1, 1, "alpha and beta are the same root of one minimal polynomial")
+    assert multiplicative_independence(root, other) == IndependenceResult(
+        "unknown", certificate="degree > 2 not supported")
+
+
+@pytest.mark.parametrize("alpha, beta, error, message", [
+    (1, 2, ValueError, r"^\|alpha\| > 1 is required$"),
+    (2, Fraction(1, 2), ValueError, r"^\|beta\| > 1 is required$"),
+    (QuadraticElement.make(Fraction(1, 2), Fraction(1, 2), -3), 2, PrecisionExhausted,
+     "^modulus comparison against 1 undecided$"),
+])
+def test_refused_inputs(alpha, beta, error, message):
+    with pytest.raises(error, match=message):
+        _verdict(alpha, beta)

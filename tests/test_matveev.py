@@ -140,3 +140,19 @@ def test_effective_bounds_rigor_flags():
                                    FIB.envelope, POW2.envelope)
     assert not eb_f2.rigorous       # empirical height-growth witness in Q(sqrt 5)
     assert eb_f2.ledger_value("C10") > 0
+
+
+def test_compositum_degree_ledger_record():
+    # one quadratic field gives D = 2, two distinct ones D = 4
+    from recdiff.matveev import _compositum_degree
+
+    lucas = analyze_sequence(BUILTIN_SEQUENCES["lucas"])
+    assert _compositum_degree(FIB.certificate.root, lucas.certificate.root) == 2
+    # fib and lucas share phi, so their chain is refused; 1 + sqrt(5) is
+    # independent of phi and lies in the same field
+    same_field = analyze_sequence(LinearRecurrence("r", (2, 4), (0, 1)))
+    pell = analyze_sequence(LinearRecurrence("pell", (2, 1), (0, 1)))
+    for other, degree in ((same_field, 2), (pell, 4), (POW2, 2)):
+        eb = effective_upper_bounds(FIB.certificate, other.certificate,
+                                    FIB.envelope, other.envelope)
+        assert [rec.value for rec in eb.ledger if rec.name == "D"] == [degree]

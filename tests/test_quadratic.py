@@ -109,3 +109,26 @@ def test_factor_integer_matches_sympy():
     for n in numbers:
         assert factor_integer(n) == factorint(n), n
     assert square_free_core(-12 * big[0] ** 2) == (-3, 2 * big[0])
+
+
+def test_arithmetic_on_normal_forms_factors_nothing(monkeypatch):
+    # d is squarefree once make() has run, so sums, products, quotients and
+    # powers build their results directly; only make() factors outside input
+    from recdiff import quadratic
+
+    phi, _ = quadratic_roots(1, -1, -1)
+    values = [phi, QuadraticElement.make(Fraction(3, 2), -2, 7), QuadraticElement.make(0, 1, -3),
+              QuadraticElement.from_rational(Fraction(-5, 3))]
+    calls = []
+    monkeypatch.setattr(quadratic, "factor_integer", lambda n: calls.append(n) or factor_integer(n))
+    for x in values:
+        for y in values:
+            if x.d == y.d or x.is_rational or y.is_rational:
+                x + y, x - y, x * y, x / y, 2 * x - y
+        x ** 5, x ** -3, x.inverse(), 1 / x
+    assert (phi * (1 - phi), (phi * phi - phi) ** 7) == (QuadraticElement.from_rational(-1),
+                                                         QuadraticElement.from_rational(1))
+    assert calls == []
+    assert quadratic_roots(2, 6, 1) == (QuadraticElement.make(Fraction(-3, 2), Fraction(1, 2), 7),
+                                        QuadraticElement.make(Fraction(-3, 2), Fraction(-1, 2), 7))
+    assert calls == [28, 7, 7]      # the discriminant once, then make() in the check above
