@@ -15,10 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import _parse_x_int, brute_force_oracle, count_T_S
+from .counting import _count, brute_force_oracle
 from .errors import InvalidBelowThreshold, InvalidParameters
 from .intervals import IntervalField, midpoint_float
 from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
+
+_VERIFY_LIMIT = 10 ** 6     # largest grid that lower_bound_grid checks pair by pair
 
 
 def main_term_value(log_alpha: float, log_beta: float, x) -> float:
@@ -57,8 +59,7 @@ def _grid_axis(env: GrowthEnvelope, z: float, loglog_x: float):
     return bound, threshold
 
 
-def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x,
-                     verify_limit: int = 10 ** 6) -> LowerBoundGrid:
+def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoundGrid:
     """Grid of indices certified to satisfy |U_n - V_m| <= x, with exhaustive
     exact verification when the grid is small enough."""
     if x <= math.e:
@@ -75,7 +76,7 @@ def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x,
         raise InvalidBelowThreshold("grid is empty at x = %s" % x)
     count = (int(n_max) + 1) * (int(m_max) + 1)
     verified = False
-    if count <= verify_limit:
+    if count <= _VERIFY_LIMIT:
         seqU, seqV = envU.sequence, envV.sequence
         x_exact = Fraction(x) if not isinstance(x, int) else x
         v_terms = [seqV.term(m) for m in range(int(m_max) + 1)]
@@ -118,15 +119,18 @@ def _origin_fit(samples):
 
 
 def ratio_table(seqU, seqV, x_grid, oracle: bool = False) -> AsymptoticReport:
-    """One row per x: exact counts, main term, ratios, grid count, excess."""
+    """One row per x, in grid order: exact counts, main term, ratios, grid
+    count, excess.  The grid shares one enumeration pass, at its largest x;
+    the oracle checks each row at 3x that pass's cutoffs."""
     analysis_u = analyze_sequence(seqU)
     analysis_v = analyze_sequence(seqV)
     la_lb = (analysis_u.certificate, analysis_v.certificate)
+    xs = list(x_grid)
+    counts = _count(seqU, seqV, xs, analysis_u.envelope, analysis_v.envelope)[0] if xs else []
     rows = []
     fit1, fit2 = [], []
-    for x in x_grid:
-        x = _parse_x_int(x)
-        result = count_T_S(seqU, seqV, x, analysis_u.envelope, analysis_v.envelope)
+    for result in counts:
+        x = result.x
         if oracle:
             check = brute_force_oracle(seqU, seqV, x,
                                        3 * result.n_cut, 3 * result.m_cut)

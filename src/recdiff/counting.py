@@ -9,11 +9,12 @@ bounds; the window is re-verified after every extension and the computation
 fails loudly (CutoffUnsafe) instead of reporting a possibly wrong count.
 
 The enumeration keeps, for each U_n, only an index run [left, right) into
-the value-sorted V terms, so T is the sum of the run widths.  S is counted
-band by band: each band of |c| (one sign at a time) gathers its differences
-from every run by bisection, sorts them and counts adjacent equal values.
-Only one band of big-integer differences is alive at a time, so the memory
-of a count grows with n_cut + m_cut and the band size, not with T(x).
+the value-sorted V terms.  T and S are counted band by band: each band of
+|c| (one sign at a time) gathers its differences from every run by
+bisection, sorts them and counts adjacent equal values.  Only one band of
+big-integer differences is alive at a time, so the memory of a count grows
+with n_cut + m_cut and the band size, not with T(x).  A pass at the largest
+x of a grid covers every smaller x, so a grid is enumerated once.
 
 The real-base explorer (pi^n vs e^m) is the one interval-arithmetic consumer;
 every comparison there is decided with certified margin or refined.
@@ -38,6 +39,8 @@ from .intervals import (
 )
 from .recurrences import LinearRecurrence
 from .spectral import GrowthEnvelope, analyze_sequence
+
+_WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,7 @@ def _refuse_recurring_hits(seqU, seqV, envU, envV, hits, limit):
                     % (p, q, w[0], n, p * period, m, q * period))
 
 
-def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
-                     hard_cap=100000):
+def _enumerate_pairs(seqU, seqV, x, envU, envV, hard_cap=100000):
     """Per-n index runs of the V terms within x of U_n, plus cutoff metadata.
 
     Returns (runs, entries, n_cut, m_cut, gap_margin).  entries are the
@@ -169,7 +171,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
             raise CutoffUnsafe(
                 "cutoff extension runaway at n_cut=%d (near-collisions keep "
                 "appearing beyond the window)" % n_cut)
-        scan_limit = 2 * n_cut + window_extra
+        scan_limit = 2 * n_cut + _WINDOW_EXTRA
         u_terms = [seqU.term(n) for n in range(scan_limit + 1)]
         u_max = max(abs(u) for u in u_terms)
         m_big = _growth_index(envV, x + u_max, field)
@@ -200,7 +202,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
             _refuse_recurring_hits(seqU, seqV, envU, envV, [
                 (n, m) for n, _, left, right in runs if n > n_cut
                 for _, m in entries[left:right]],
-                2 * last_hit + window_extra)
+                2 * last_hit + _WINDOW_EXTRA)
         n_cut = last_hit       # extend and re-verify a fresh window
 
     # each entry index is read once, however many runs cover it
@@ -214,21 +216,22 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, window_extra=16,
     return runs, entries, n_cut, m_cut, gap_margin
 
 
-def _distinct(runs, values, x, bands):
-    """S, the number of distinct c = U_n - V_m over the runs, and the set of
-    values c taken more than once.
+def _distinct(runs, values, xs, bands):
+    """(T(x), S(x)) of the runs for each x of xs, in order, and the set of
+    values c = U_n - V_m taken more than once.
 
-    |c| is split at 2^int(bits(x) sqrt(j / bands)), j = 1 .. bands - 1: the
-    pairs with |c| < 2^b grow like b^2, so each band holds about T / bands
-    of them.  Each band is gathered one sign at a time by bisecting every
-    run, sorted, and scanned for adjacent equal values; c = 0 belongs to
-    the non-negative side only.
+    |c| is split at every x + 1 and at 2^int(bits(max xs) sqrt(j / bands)),
+    j = 1 .. bands - 1: the pairs with |c| < 2^b grow like b^2, so each band
+    holds about T / bands of them.  Each band is gathered one sign at a time
+    by bisecting every run, sorted, and scanned for adjacent equal values;
+    c = 0 belongs to the non-negative side only.  The bands ascend in |c|,
+    so the running totals at the edge x + 1 are T(x) and S(x).
     """
-    bits = x.bit_length()
-    edges = sorted({0, x + 1, *(min(x + 1, 1 << int(bits * math.sqrt(j / bands)))
-                                for j in range(1, bands))})
-    S = 0
-    repeated = set()
+    bits = max(xs).bit_length()
+    edges = sorted({0, *(x + 1 for x in xs),
+                    *(1 << int(bits * math.sqrt(j / bands)) for j in range(1, bands))})
+    T = S = 0
+    totals, repeated = {}, set()
     for lo, hi in zip(edges, edges[1:]):
         for negative in (False, True):
             diffs = []
@@ -242,28 +245,33 @@ def _distinct(runs, values, x, bands):
                 diffs += [u - v for v in values[a:b]]
             diffs.sort()
             equal = [c for c, d in zip(diffs, diffs[1:]) if c == d]
+            T += len(diffs)
             S += len(diffs) - len(equal)
             repeated.update(equal)
-    return S, repeated
+        totals[hi] = T, S
+    return [totals[x + 1] for x in xs], repeated
 
 
-def _count(seqU, seqV, x, envU, envV):
-    """The one enumeration pass and the banded tally of c = U_n - V_m.
+def _count(seqU, seqV, xs, envU, envV):
+    """The one enumeration pass, at max(xs), and the banded tally of
+    c = U_n - V_m for every x of xs.
 
-    Returns (CountResult, runs, entries, repeated): runs and entries as in
-    _enumerate_pairs, repeated the values c taken by two or more pairs.
+    Returns (counts, runs, entries, repeated): one CountResult per x, in
+    order, all with the pass's cutoffs and gap margin; runs and entries as
+    in _enumerate_pairs; repeated the values c taken by two or more pairs.
     About 2^17 differences are alive at a time, whatever T is.
     """
-    x = _parse_x_int(x)
+    xs = [_parse_x_int(x) for x in xs]
     if envU is None:
         envU = analyze_sequence(seqU).envelope
     if envV is None:
         envV = analyze_sequence(seqV).envelope
-    runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, x, envU, envV)
-    T = sum(right - left for _, _, left, right in runs)
-    S, repeated = _distinct(runs, [v for v, _ in entries], x, max(1, T >> 17))
-    count = CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast")
-    return count, runs, entries, repeated
+    runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
+    pairs = sum(right - left for _, _, left, right in runs)
+    totals, repeated = _distinct(runs, [v for v, _ in entries], xs, max(1, pairs >> 17))
+    counts = [CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast")
+              for x, (T, S) in zip(xs, totals)]
+    return counts, runs, entries, repeated
 
 
 def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
@@ -271,7 +279,7 @@ def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
               ) -> CountResult:
     """Exact T(x) and S(x) via envelope-seeded enumeration with a verified
     safety window."""
-    return _count(seqU, seqV, x, envU, envV)[0]
+    return _count(seqU, seqV, [x], envU, envV)[0][0]
 
 
 def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
@@ -279,7 +287,7 @@ def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
                     ) -> CollisionScan:
     """Report all c = U_n - V_m with >= 2 counted representations and the
     empirical repeat-index witnesses."""
-    count, runs, entries, repeated = _count(seqU, seqV, x, envU, envV)
+    (count,), runs, entries, repeated = _count(seqU, seqV, [x], envU, envV)
     groups = {c: [] for c in sorted(repeated)}
     for n, u, left, right in runs:
         for v, m in entries[left:right]:

@@ -29,13 +29,7 @@ from fractions import Fraction
 
 from ._roots import AlgebraicNumber
 from .errors import UnsupportedDegree
-from .intervals import (
-    IntervalField,
-    certainly_greater,
-    interval_inf_fraction,
-    interval_sup_fraction,
-    ladder,
-)
+from .intervals import IntervalField, interval_inf_fraction, interval_sup_fraction
 from .quadratic import QuadraticElement, factor_integer
 
 
@@ -82,16 +76,22 @@ class IndependenceResult:
         return self.status == "independent"
 
 
-def _certified_modulus_gt_one(value: QuadraticElement) -> bool:
-    def attempt(field):
-        m = value.box(field).modulus()
-        if certainly_greater(m, field.real(1)):
-            return True
-        if bool(m.b <= 1):
-            return False
-        return None
+def _sign(p: Fraction, q: Fraction, d: int) -> int:
+    """Exact sign of p + q sqrt(d) for a squarefree d > 1."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > q * q * d else sq
 
-    return ladder(64, attempt, "modulus comparison against 1 undecided", cap=512)
+
+def _modulus_gt_one(value: QuadraticElement) -> bool:
+    """|value| > 1, decided exactly: |value|^2 is the norm of a rational or a
+    complex quadratic, and a real quadratic a + b sqrt(d) exceeds 1 in
+    modulus when (a - 1) + b sqrt(d) > 0 or (a + 1) + b sqrt(d) < 0."""
+    if value.is_rational or value.d < 0:
+        return value.norm() > 1
+    a, b, d = value.a, value.b, value.d
+    return _sign(a - 1, b, d) > 0 or _sign(a + 1, b, d) < 0
 
 
 def _prime_vector(x: Fraction) -> dict:
@@ -234,7 +234,7 @@ def multiplicative_independence(alpha: AlgebraicNumber,
                                       "root of one minimal polynomial")
         return IndependenceResult("unknown", certificate="degree > 2 not supported")
     for value, label in ((a, "alpha"), (b, "beta")):
-        if not _certified_modulus_gt_one(value):
+        if not _modulus_gt_one(value):
             raise ValueError("|%s| > 1 is required" % label)
     found = _relation_candidate(a, b)
     if found is not None:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from recdiff import asymptotics, counting
 from recdiff.asymptotics import (
     auxiliary_inequality_check,
     lower_bound_grid,
@@ -9,6 +10,7 @@ from recdiff.asymptotics import (
     main_term_value,
     ratio_table,
 )
+from recdiff.counting import count_T_S
 from recdiff.errors import InvalidBelowThreshold, InvalidParameters
 from recdiff.recurrences import BUILTIN_SEQUENCES
 from recdiff.spectral import analyze_sequence
@@ -61,7 +63,6 @@ def test_lower_bound_grid_threshold():
 def test_grid_is_subset_of_solutions():
     for x in (10 ** 3, 10 ** 6):
         g = lower_bound_grid(A_FIB.envelope, A_POW2.envelope, x)
-        from recdiff.counting import count_T_S
         assert g.count <= count_T_S(FIB, POW2, x).T
 
 
@@ -94,14 +95,50 @@ def test_ratio_table_rejects_a_fractional_x():
 
 def test_ratio_table_past_the_float_range():
     # the grid used to convert x to float, which overflows past 1.8e308
-    from recdiff.counting import count_T_S
-
     x = 2 ** 1030
     (row,) = ratio_table(FIB, POW2, [x]).rows
     exact = count_T_S(FIB, POW2, x)
     assert (row.x, row.T, row.S) == (x, exact.T, exact.S)
     grid = lower_bound_grid(A_FIB.envelope, A_POW2.envelope, x)
     assert (grid.x, grid.count) == (x, row.grid_count) and grid.count > 0
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call to module.name."""
+    calls, original = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("grid, bands", [([10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12], 1),
+                                         ([10 ** 100, 10 ** 200, 10 ** 300], 10)],
+                         ids=("1e3-1e12", "1e100-1e300"))
+def test_ratio_table_enumerates_once_per_grid(monkeypatch, grid, bands):
+    per_x = [count_T_S(FIB, POW2, x, A_FIB.envelope, A_POW2.envelope) for x in grid]
+    assert max(1, per_x[-1].T >> 17) == bands
+    calls = _spy(monkeypatch, counting, "_enumerate_pairs")
+    rows = ratio_table(FIB, POW2, grid).rows
+    assert [args[2] for args in calls] == [max(grid)]
+    assert [(r.x, r.T, r.S) for r in rows] == [(c.x, c.T, c.S) for c in per_x]
+
+
+def test_unsorted_grid_with_a_duplicate_and_the_oracle(monkeypatch):
+    grid = [10 ** 12, 10 ** 3, 10 ** 12]
+    per_x = [count_T_S(FIB, POW2, x) for x in grid]
+    enumerations = _spy(monkeypatch, counting, "_enumerate_pairs")
+    oracles = _spy(monkeypatch, asymptotics, "brute_force_oracle")
+    rows = ratio_table(FIB, POW2, grid, oracle=True).rows
+    assert len(enumerations) == 1
+    assert [(r.x, r.T, r.S) for r in rows] == [(c.x, c.T, c.S) for c in per_x]
+    # the oracle scans at least as far as a per-x oracle check would
+    assert [args[2] for args in oracles] == grid
+    for (_, _, _, n_cap, m_cap), c in zip(oracles, per_x):
+        assert n_cap >= 3 * c.n_cut and m_cap >= 3 * c.m_cut
 
 
 def test_ratio_table_deterministic():

@@ -178,14 +178,19 @@ def _pair_differences(runs, entries):
 @pytest.mark.parametrize("x", [10 ** 6, 10 ** 12])
 def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x):
     # band edges are powers of two, and c = +-2^k occurs (pow2 against
-    # F_0 = 0, say), as does c = 0 (F_1 - 2^0)
+    # F_0 = 0, say), as does c = 0 (F_1 - 2^0); the grid below x, out of
+    # order and with x twice, puts an edge x + 1 at and next to 2^k
+    k = x.bit_length() - 2
+    xs = [x, 2 ** k, x // 1000, 2 ** k - 1, 0, 2 ** k + 1, x]
     envU, envV = analyze_sequence(seqU).envelope, analyze_sequence(seqV).envelope
     runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, x, envU, envV)
     tally = Counter(_pair_differences(runs, entries))
-    expected = (len(tally), {c for c, k in tally.items() if k > 1})
+    expected = ([(sum(t for c, t in tally.items() if abs(c) <= y),
+                  sum(1 for c in tally if abs(c) <= y)) for y in xs],
+                {c for c, t in tally.items() if t > 1})
     values = [v for v, _ in entries]
     for bands in (1, 2, 3, 7, 64):
-        assert _distinct(runs, values, x, bands) == expected
+        assert _distinct(runs, values, xs, bands) == expected
 
 
 def test_multi_band_count_and_collisions_match_a_plain_grouping():

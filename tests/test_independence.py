@@ -10,11 +10,11 @@ power(s)", since |alpha| > 1 makes every power of modulus > 1.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from recdiff.errors import PrecisionExhausted
 from recdiff.heights import AlgebraicNumber
-from recdiff.independence import IndependenceResult, multiplicative_independence
+from recdiff.independence import IndependenceResult, _modulus_gt_one, multiplicative_independence
 from recdiff.quadratic import QuadraticElement
 
 BIG = 10 ** 4 + 1
@@ -108,9 +108,32 @@ def test_degree_above_two():
 @pytest.mark.parametrize("alpha, beta, error, message", [
     (1, 2, ValueError, r"^\|alpha\| > 1 is required$"),
     (2, Fraction(1, 2), ValueError, r"^\|beta\| > 1 is required$"),
-    (QuadraticElement.make(Fraction(1, 2), Fraction(1, 2), -3), 2, PrecisionExhausted,
-     "^modulus comparison against 1 undecided$"),
+    (QuadraticElement.make(Fraction(1, 2), Fraction(1, 2), -3), 2, ValueError,
+     r"^\|alpha\| > 1 is required$"),
 ])
 def test_refused_inputs(alpha, beta, error, message):
     with pytest.raises(error, match=message):
         _verdict(alpha, beta)
+
+
+def test_modulus_against_one_is_exact():
+    # every a + b sqrt(d) with a, b in {-3, -5/2, ..., 3}, against a 256-bit
+    # evaluation; |v| = 1 exactly (norm 1 for d < 0) is left out, and
+    # 2 - sqrt(3) (= 1/(2 + sqrt(3))) and -(1 + sqrt(2)) test both signs
+    halves = [Fraction(k, 2) for k in range(-6, 7)]
+    checked = 0
+    with mpmath.workprec(256):
+        for d in (-3, -1, 2, 3, 5):
+            for a in halves:
+                for b in halves:
+                    v = QuadraticElement.make(a, b, d)
+                    if (v.is_rational or v.d < 0) and v.norm() == 1:
+                        continue
+                    root = mpmath.sqrt(mpmath.mpf(d))
+                    value = mpmath.mpf(a.numerator) / a.denominator + \
+                        mpmath.mpf(b.numerator) / b.denominator * root
+                    assert _modulus_gt_one(v) == (abs(value) > 1), v
+                    checked += 1
+    assert checked > 800
+    assert not _modulus_gt_one(2 - QuadraticElement.make(0, 1, 3))
+    assert _modulus_gt_one(-1 - SQRT2)
