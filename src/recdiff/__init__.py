@@ -66,10 +66,6 @@ from .spectral import (
     GrowthEnvelope,
     SequenceAnalysis,
     analyze_sequence,
-    binet_decomposition,
-    characteristic_roots,
-    dominant_root_certificate,
-    growth_envelope,
 )
 
 __version__ = "0.1.0"

@@ -254,7 +254,7 @@ def _rebuilt_rectangles(field, coeffs, dcoeffs, eps_bits, target):
     boxes of the coarse rectangles, in sympy's order; None when uncertain."""
     boxes = []
     for rect in _coarse_rectangles(tuple(coeffs)):
-        box = _newton_refine_box(field, coeffs, dcoeffs, _rect_box(field, rect), target)
+        box = _newton_refine_box(coeffs, dcoeffs, _rect_box(field, rect), target)
         if box is None:
             return None
         boxes.append((interval_inf_fraction(box.re), interval_sup_fraction(box.re),
@@ -300,7 +300,7 @@ def _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target, rounds=64):
     return X if certified else None
 
 
-def _newton_refine_box(field, coeffs, dcoeffs, box, target, rounds=64):
+def _newton_refine_box(coeffs, dcoeffs, box, target, rounds=64):
     certified = False
     for _ in range(rounds):
         fp = poly_eval_box(dcoeffs, box)
@@ -357,13 +357,13 @@ def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
         if rects is None:
             rects = _sympy_rectangles(coeffs, eps_bits)
         for rect in rects:
-            refined = _newton_refine_box(field, coeffs, dcoeffs, _rect_box(field, rect), target)
+            refined = _newton_refine_box(coeffs, dcoeffs, _rect_box(field, rect), target)
             re_lo, re_hi, im_lo, im_hi = rect
             if refined is None and 0 in (re_lo, re_hi):
                 # a purely imaginary root on the edge Re = 0 keeps the Newton image
                 # from being interior: retry once, widened by the width on both sides
                 wide = (2 * re_lo - re_hi, 2 * re_hi - re_lo, im_lo, im_hi)
-                refined = _newton_refine_box(field, coeffs, dcoeffs, _rect_box(field, wide), target)
+                refined = _newton_refine_box(coeffs, dcoeffs, _rect_box(field, wide), target)
             if refined is None:
                 return None
             roots.append(AlgebraicNumber(min_poly, refined, False))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import _count, brute_force_oracle
+from .counting import _count, _parse_x_int, brute_force_oracle
 from .errors import InvalidBelowThreshold, InvalidParameters
 from .intervals import IntervalField, midpoint_float
 from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
@@ -125,7 +125,9 @@ def ratio_table(seqU, seqV, x_grid, oracle: bool = False) -> AsymptoticReport:
     analysis_u = analyze_sequence(seqU)
     analysis_v = analyze_sequence(seqV)
     la_lb = (analysis_u.certificate, analysis_v.certificate)
-    xs = list(x_grid)
+    xs = [_parse_x_int(x) for x in x_grid]
+    if any(x <= 1 for x in xs):
+        raise ValueError("x must exceed 1")
     counts = _count(seqU, seqV, xs, analysis_u.envelope, analysis_v.envelope)[0] if xs else []
     rows = []
     fit1, fit2 = [], []

@@ -56,6 +56,8 @@ class IntervalField:
     """A fixed-precision interval arithmetic context."""
 
     def __init__(self, prec: int):
+        if prec < 1:
+            raise ValueError("precision must be at least 1 bit, got %r" % (prec,))
         ctx = MPIntervalContext()
         ctx.prec = prec
         self.ctx = ctx
@@ -311,6 +313,8 @@ def poly_eval_real(field: IntervalField, coeffs, x):
 
 def refinement_precisions(start: int = 128, cap: int = None):
     """Doubling precision schedule up to the cap (cap always included)."""
+    if start < 1:
+        raise ValueError("precision must be at least 1 bit, got %r" % (start,))
     if cap is None:
         cap = precision_cap()
     bits = start

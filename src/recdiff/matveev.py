@@ -31,7 +31,6 @@ from .spectral import (
     DominantRootCertificate,
     GrowthEnvelope,
     _decomposition_at,
-    analyze_sequence,
 )
 
 
@@ -98,19 +97,13 @@ def _exact_dominant_side(decomp, cert, idx):
 
 
 def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
-                 n: int, m: int, certU: DominantRootCertificate = None,
-                 certV: DominantRootCertificate = None,
-                 start_bits: int = 192) -> LinearFormSample:
+                 n: int, m: int, certU: DominantRootCertificate,
+                 certV: DominantRootCertificate) -> LinearFormSample:
     """Certified interval for |Lambda| = |a(n) alpha^n / (b(m) beta^m) - 1|.
 
     Zero detection is exact in degree <= 2 (quadratic-field arithmetic);
     otherwise an interval containing zero is returned flagged "undecided".
     """
-    if certU is None:
-        certU = analyze_sequence(decompU.sequence).certificate
-    if certV is None:
-        certV = analyze_sequence(decompV.sequence).certificate
-
     status = None
     exact_u = _exact_dominant_side(decompU, certU, n)
     exact_v = _exact_dominant_side(decompV, certV, m)
@@ -142,7 +135,7 @@ def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
         return None
 
     try:
-        return ladder(start_bits, attempt, "|Lambda| interval did not separate from zero")
+        return ladder(192, attempt, "|Lambda| interval did not separate from zero")
     except PrecisionExhausted:
         if status is not None or not undecided:
             raise

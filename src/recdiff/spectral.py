@@ -3,13 +3,13 @@
 All numeric statements produced here are certified: roots are isolated boxes,
 the Binet reconstruction is checked to pin down the exact integer term, and
 envelope inequalities are verified exactly on a window plus a proved
-geometric tail.  Each driver climbs ``intervals.ladder``.
+geometric tail.  ``analyze_sequence`` is the one entry point: it climbs
+``intervals.ladder`` once for all four stages.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -37,6 +37,9 @@ from .intervals import (
 )
 from .quadratic import QuadraticElement
 from .recurrences import LinearRecurrence
+
+_CHECK_BOUND = 200         # Binet reconstruction pinned to U_n for n <= _CHECK_BOUND
+_VERIFY_TO = 500           # envelope inequalities checked exactly for n0 <= n <= _VERIFY_TO
 
 
 @dataclass(eq=False)
@@ -172,17 +175,11 @@ def _spectrum_at(seq: LinearRecurrence, field: IntervalField):
     return CharacteristicSpectrum(seq, tuple(roots), field.prec)
 
 
-def characteristic_roots(seq: LinearRecurrence, start_bits: int = 192) -> CharacteristicSpectrum:
-    """Certified isolated roots of the characteristic polynomial."""
-    return ladder(start_bits, lambda field: _spectrum_at(seq, field),
-                  "root isolation failed for %r at the precision cap" % seq.name)
-
-
 # ---------------------------------------------------------------------------
 # stage 2: Binet decomposition
 
 
-def _solve_box_system(field, matrix, rhs):
+def _solve_box_system(matrix, rhs):
     """Gaussian elimination over complex boxes; None when a pivot is ambiguous."""
     k = len(rhs)
     rows = [list(matrix[i]) + [rhs[i]] for i in range(k)]
@@ -233,7 +230,7 @@ def _unique_integer_in(field, re_interval, value: int) -> bool:
             and certainly_less(re_interval, field.real(value + 1)))
 
 
-def _binet_at(seq, spectrum, field, check_bound):
+def _binet_at(seq, spectrum, field):
     k = seq.order
     columns = [(i, j) for i, r in enumerate(spectrum.roots) for j in range(r.multiplicity)]
     matrix = []
@@ -244,7 +241,7 @@ def _binet_at(seq, spectrum, field, check_bound):
             row.append((spectrum.roots[i].box ** n) * scale)
         matrix.append(row)
     rhs = [field.box(seq.initial_terms[n]) for n in range(k)]
-    solution = _solve_box_system(field, matrix, rhs)
+    solution = _solve_box_system(matrix, rhs)
     if solution is None:
         return None
     grouped, pos = [], 0
@@ -257,9 +254,9 @@ def _binet_at(seq, spectrum, field, check_bound):
             for j, val in enumerate(group):
                 if val.box(field).is_disjoint_from(grouped[i][j]):
                     return None
-    decomp = BinetDecomposition(spectrum, tuple(grouped), exact, check_bound, field.prec)
+    decomp = BinetDecomposition(spectrum, tuple(grouped), exact, _CHECK_BOUND, field.prec)
     powers = [field.box(1) for _ in spectrum.roots]
-    for n in range(check_bound + 1):
+    for n in range(_CHECK_BOUND + 1):
         total = None
         for i in range(len(spectrum.roots)):
             part = decomp.coefficient_value(i, n) * powers[i]
@@ -273,19 +270,12 @@ def _binet_at(seq, spectrum, field, check_bound):
     return decomp
 
 
-def _decomposition_at(seq, field, check_bound=200):
+def _decomposition_at(seq, field):
     """Spectrum, then Binet, at one field; None when either is not certified."""
     spectrum = _spectrum_at(seq, field)
     if spectrum is None:
         return None
-    return _binet_at(seq, spectrum, field, check_bound)
-
-
-def binet_decomposition(seq: LinearRecurrence, check_bound: int = 200) -> BinetDecomposition:
-    """Solve the confluent Vandermonde system and certify reconstruction."""
-    return ladder(256, lambda field: _decomposition_at(seq, field, check_bound),
-                  "Binet reconstruction for %r not certified at the precision cap"
-                  % seq.name)
+    return _binet_at(seq, spectrum, field)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +404,7 @@ def _decay_threshold(field, rho, degree) -> int | None:
     return None
 
 
-def _envelope_at(decomp, cert, field, verify_to):
+def _envelope_at(decomp, cert, field):
     spectrum = decomp.spectrum
     seq = spectrum.sequence
     dom = cert.root_index
@@ -538,8 +528,8 @@ def _envelope_at(decomp, cert, field, verify_to):
         return None
 
     env = GrowthEnvelope(cert, c_lower, c_upper, alpha_prime, a_prime,
-                         n0, sigma, verify_to, field.prec)
-    if not _verify_envelope(env, decomp, field, verify_to):
+                         n0, sigma, _VERIFY_TO, field.prec)
+    if not _verify_envelope(env, decomp, field, _VERIFY_TO):
         return None
     return env
 
@@ -581,61 +571,38 @@ def _verify_envelope(env, decomp, field, verify_to):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# entry point
 
 
-def dominant_root_certificate(seq: LinearRecurrence) -> DominantRootCertificate:
-    return analyze_sequence(seq).certificate
+def analyze_sequence(seq: LinearRecurrence) -> SequenceAnalysis:
+    """Full certified pipeline (spectrum, Binet, certificate, envelope).
 
-
-def growth_envelope(certificate: DominantRootCertificate,
-                    verify_to: int = 500) -> GrowthEnvelope:
-    return analyze_sequence(certificate.sequence, verify_to=verify_to).envelope
-
-
-_ANALYSIS_CACHE_SIZE = 64        # analyses kept; the least recently used goes first
-_ANALYSIS_CACHE = OrderedDict()
-_ANALYSIS_LOCK = threading.Lock()
-
-
-def _remember(key, value):
-    with _ANALYSIS_LOCK:
-        _ANALYSIS_CACHE[key] = value
-        _ANALYSIS_CACHE.move_to_end(key)
-        if len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_SIZE:
-            _ANALYSIS_CACHE.popitem(last=False)
-
-
-def analyze_sequence(seq: LinearRecurrence, check_bound: int = 200,
-                     verify_to: int = 500) -> SequenceAnalysis:
-    """Full certified pipeline (spectrum, Binet, certificate, envelope), cached."""
-    key = (seq.coefficients, seq.initial_terms, check_bound, verify_to)
-    with _ANALYSIS_LOCK:
-        hit = _ANALYSIS_CACHE.get(key)
-        if hit is not None:
-            _ANALYSIS_CACHE.move_to_end(key)
-    if hit is not None:
-        if isinstance(hit, Exception):
-            raise hit
-        return hit
-    try:
-        result = _analyze_uncached(seq, check_bound, verify_to)
-    except (NoDominantRoot, RootNotLargerThanOne) as exc:
-        _remember(key, exc)
-        raise
-    _remember(key, result)
+    The result, or the refusal NoDominantRoot / RootNotLargerThanOne, is
+    kept per sequence object, so ``analyze_sequence(s).sequence is s``.
+    """
+    result = _cached_analysis(seq)
+    if isinstance(result, Exception):
+        raise result.with_traceback(None)
     return result
 
 
-def _analyze_uncached(seq, check_bound, verify_to):
+@functools.lru_cache(maxsize=64)
+def _cached_analysis(seq):
+    try:
+        return _analyze_uncached(seq)
+    except (NoDominantRoot, RootNotLargerThanOne) as refusal:
+        return refusal.with_traceback(None)
+
+
+def _analyze_uncached(seq):
     def attempt(field):
-        decomp = _decomposition_at(seq, field, check_bound)
+        decomp = _decomposition_at(seq, field)
         if decomp is None:
             return None
         cert = _certificate_at(seq, decomp, field)
         if cert is None:
             return None
-        env = _envelope_at(decomp, cert, field, verify_to)
+        env = _envelope_at(decomp, cert, field)
         if env is None:
             return None
         return SequenceAnalysis(seq, decomp.spectrum, decomp, cert, env)

@@ -10,6 +10,7 @@ from recdiff.asymptotics import (
     main_term_value,
     ratio_table,
 )
+from recdiff.cli import dispatch
 from recdiff.counting import count_T_S
 from recdiff.errors import InvalidBelowThreshold, InvalidParameters
 from recdiff.recurrences import BUILTIN_SEQUENCES
@@ -113,6 +114,16 @@ def _spy(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def test_ratio_table_rejects_x_at_most_one_before_counting(monkeypatch):
+    # the check used to run after the enumeration at the grid's largest x
+    calls = _spy(monkeypatch, counting, "_enumerate_pairs")
+    with pytest.raises(ValueError, match="x must exceed 1"):
+        ratio_table(FIB, POW2, [1, 10 ** 300])
+    assert dispatch(["scan", "--seq-u", "fib", "--seq-v", "pow2",
+                     "--x-grid", "1,1e300", "--no-header"]) == 4
+    assert calls == []
 
 
 @pytest.mark.parametrize("grid, bands", [([10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12], 1),

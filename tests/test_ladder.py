@@ -11,7 +11,7 @@ from recdiff.quadratic import quadratic_roots
 from recdiff.recurrences import LinearRecurrence, serialize_sequence_config
 from recdiff.spectral import analyze_sequence
 
-# initial terms used by no other test: _ANALYSIS_CACHE is global to the process
+# its own object, so no analysis cached by another test can answer for it
 PROBE = LinearRecurrence("cap_probe", (1, 1), (4, 9))
 
 
@@ -36,6 +36,20 @@ def test_ladder_tries_the_cap_last_and_reports_it():
         ladder(200, attempt, "undecided", cap=1000)
     assert tried == [200, 400, 800, 1000]
     assert info.value.bits == 1000
+
+
+@pytest.mark.parametrize("start", [0, -8])
+def test_ladder_refuses_a_start_below_one_bit(start):
+    # doubling used to keep 0 at 0 and a negative start negative, forever
+    tried = []
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        ladder(start, tried.append, "never", cap=1024)
+    assert tried == []
+
+
+def test_cli_exits_4_on_a_precision_below_one_bit():
+    assert dispatch(["problem1", "--x", "10", "--precision", "0", "--no-header"]) == 4
+    assert dispatch(["problem1", "--x", "10", "--precision", "-8", "--no-header"]) == 4
 
 
 def test_ladder_start_above_cap_runs_only_the_cap(monkeypatch):

@@ -1,6 +1,7 @@
 """Module layering of the package: every relative import sits at module
 level, the relative imports between modules form no cycle, and sympy is
-imported only inside functions, so that it loads only when needed."""
+imported only inside functions, so that it loads only when needed.  Every
+function also reads each parameter it declares."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,19 @@ def test_sympy_is_not_imported_at_module_level():
             if any(t.split(".")[0] == "sympy" for t in targets):
                 eager.append("%s.py:%d" % (name, node.lineno))
     assert eager == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in parsed_modules().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            loaded = {node.id for node in ast.walk(func)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += ["%s.py:%d %s(%s)" % (name, func.lineno, func.name, p)
+                       for p in params if p not in ("self", "cls") and p not in loaded]
+    assert unread == []

@@ -78,7 +78,7 @@ def all_sympy_boxes(field, coeffs, eps_bits):
         x = _roots._newton_refine_real(field, list(coeffs), dcoeffs, lo, hi, target)
         boxes.append(None if x is None else field.box_from_intervals(x, field.real(0)))
     for rect in sympy_rectangles(coeffs, eps_bits):
-        boxes.append(_roots._newton_refine_box(field, list(coeffs), dcoeffs,
+        boxes.append(_roots._newton_refine_box(list(coeffs), dcoeffs,
                                                _roots._rect_box(field, rect), target))
     return None if None in boxes else [endpoints(b) for b in boxes]
 
@@ -99,8 +99,7 @@ def test_boxes_equal_the_all_sympy_path(coeffs, prec):
 
 
 def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
-    with spectral._ANALYSIS_LOCK:
-        spectral._ANALYSIS_CACHE.clear()
+    spectral._cached_analysis.cache_clear()
     _roots._factor.cache_clear()
     _roots._coarse_rectangles.cache_clear()
     factored, isolated = Counter(), []
@@ -149,27 +148,30 @@ def test_coarse_isolation_cache_evicts_the_oldest():
     overfill(_roots._coarse_rectangles, [(1, -k) for k in range(_roots._CACHE_SIZE + 1)])
 
 
-def test_analysis_cache_evicts_the_oldest_and_keeps_errors():
-    def key(seq):
-        return (seq.coefficients, seq.initial_terms, 4, 4)
+def test_analysis_cache_evicts_the_oldest_and_keeps_errors(monkeypatch):
+    cached = spectral._cached_analysis
+    assert cached.cache_info().maxsize == 64
+    overfill(cached, [LinearRecurrence("g%d" % k, (2,), (k,)) for k in range(1, 66)])
+    runs, uncached = [], spectral._analyze_uncached
 
-    with spectral._ANALYSIS_LOCK:
-        spectral._ANALYSIS_CACHE.clear()
+    def spy(seq):
+        runs.append(seq)
+        return uncached(seq)
+
+    monkeypatch.setattr(spectral, "_analyze_uncached", spy)
+    # equally defined sequences under other names: one analysis each, and
+    # each refusal names its own sequence; a second call runs no analysis
+    first, second = (LinearRecurrence(name, (0, 4), (1, 1)) for name in ("first", "second"))
     flat = LinearRecurrence("flat", (1,), (1,))
-    with pytest.raises(RootNotLargerThanOne):
-        analyze_sequence(flat, check_bound=4, verify_to=4)
-    assert isinstance(spectral._ANALYSIS_CACHE[key(flat)], RootNotLargerThanOne)
-    seqs = [LinearRecurrence("g%d" % k, (2,), (k,))
-            for k in range(1, spectral._ANALYSIS_CACHE_SIZE + 1)]
-    for seq in seqs:
-        analyze_sequence(seq, check_bound=4, verify_to=4)
-    assert len(spectral._ANALYSIS_CACHE) == spectral._ANALYSIS_CACHE_SIZE
-    assert key(flat) not in spectral._ANALYSIS_CACHE
-    assert key(seqs[0]) in spectral._ANALYSIS_CACHE
-    analyze_sequence(seqs[0], check_bound=4, verify_to=4)       # a hit becomes the newest
-    analyze_sequence(LinearRecurrence("g0", (2,), (-1,)), check_bound=4, verify_to=4)
-    assert key(seqs[0]) in spectral._ANALYSIS_CACHE
-    assert key(seqs[1]) not in spectral._ANALYSIS_CACHE
+    for seq, refusal in ((first, NoDominantRoot), (second, NoDominantRoot),
+                         (flat, RootNotLargerThanOne)):
+        for _ in range(2):
+            with pytest.raises(refusal, match=repr(seq.name)):
+                analyze_sequence(seq)
+    g, h = (LinearRecurrence(name, (2,), (1,)) for name in ("g", "h"))
+    assert analyze_sequence(g).sequence is g and analyze_sequence(h).sequence is h
+    assert analyze_sequence(g) is analyze_sequence(g)
+    assert runs == [first, second, flat, g, h]
 
 
 IMAG = LinearRecurrence("imag", (0, -3, 0, -1), (0, 0, 0, 1))         # x^4 + 3x^2 + 1

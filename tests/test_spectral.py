@@ -19,13 +19,7 @@ from recdiff.intervals import (
 )
 from recdiff.quadratic import QuadraticElement, quadratic_roots
 from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
-from recdiff.spectral import (
-    analyze_sequence,
-    binet_decomposition,
-    characteristic_roots,
-    dominant_root_certificate,
-    growth_envelope,
-)
+from recdiff.spectral import _spectrum_at, analyze_sequence
 
 FIB = BUILTIN_SEQUENCES["fib"]
 LUCAS = BUILTIN_SEQUENCES["lucas"]
@@ -37,7 +31,7 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 def test_fibonacci_roots():
-    spec = characteristic_roots(FIB)
+    spec = analyze_sequence(FIB).spectrum
     mods = sorted(midpoint_float(r.box.re) for r in spec.roots)
     assert abs(mods[0] + 0.6180339887498949) < 1e-12
     assert abs(mods[1] - PHI) < 1e-12
@@ -45,13 +39,13 @@ def test_fibonacci_roots():
 
 
 def test_pow2_root_exact():
-    spec = characteristic_roots(POW2)
+    spec = analyze_sequence(POW2).spectrum
     assert len(spec.roots) == 1
     assert spec.roots[0].exact == QuadraticElement.from_rational(2)
 
 
 def test_tribonacci_roots():
-    spec = characteristic_roots(TRIB)
+    spec = analyze_sequence(TRIB).spectrum
     real = [r for r in spec.roots if r.is_real]
     cplx = [r for r in spec.roots if not r.is_real]
     assert len(real) == 1 and len(cplx) == 2
@@ -60,22 +54,22 @@ def test_tribonacci_roots():
 
 
 def test_double_root_multiplicity():
-    spec = characteristic_roots(N2N)
+    spec = analyze_sequence(N2N).spectrum
     assert len(spec.roots) == 1
     assert spec.roots[0].multiplicity == 2
     assert spec.roots[0].exact == QuadraticElement.from_rational(2)
 
 
 def test_root_refinement_nested():
-    lo = characteristic_roots(TRIB, start_bits=192)
-    hi = characteristic_roots(TRIB, start_bits=384)
+    lo = _spectrum_at(TRIB, IntervalField(192))
+    hi = _spectrum_at(TRIB, IntervalField(384))
     for a, b in zip(lo.roots, hi.roots):
         assert is_subset(b.box.re, a.box.re)
         assert is_subset(b.box.im, a.box.im)
 
 
 def test_binet_fibonacci_coefficient():
-    decomp = binet_decomposition(FIB)
+    decomp = analyze_sequence(FIB).decomposition
     idx = max(range(2), key=lambda i: midpoint_float(decomp.spectrum.roots[i].box.re))
     a = decomp.coefficients[idx][0]
     assert abs(midpoint_float(a.re) - 1 / math.sqrt(5)) < 1e-20
@@ -87,7 +81,7 @@ def test_binet_fibonacci_coefficient():
 
 
 def test_binet_n2n_coefficients():
-    decomp = binet_decomposition(N2N)
+    decomp = analyze_sequence(N2N).decomposition
     c0, c1 = decomp.coefficients[0]
     assert contains_zero(c0.re) and contains(c1.re, 1)   # a(X) = X
     assert decomp.exact[0][0].is_zero()
@@ -97,7 +91,8 @@ def test_binet_n2n_coefficients():
 @pytest.mark.parametrize("seq", [FIB, LUCAS, POW2, TRIB, N2N],
                          ids=lambda s: s.name)
 def test_binet_reconstruction_exact(seq):
-    decomp = binet_decomposition(seq, check_bound=200)
+    decomp = analyze_sequence(seq).decomposition
+    assert decomp.check_bound == 200
     for n in (0, 1, 7, 50, 133, 200):
         box = decomp.reconstruct(n)
         target = seq.term(n)
@@ -108,7 +103,7 @@ def test_binet_reconstruction_exact(seq):
 
 
 def test_dominant_certificate_fibonacci():
-    cert = dominant_root_certificate(FIB)
+    cert = analyze_sequence(FIB).certificate
     assert abs(midpoint_float(cert.modulus()) - PHI) < 1e-12
     assert cert.sigma == 0
     assert cert.min_poly == (1, -1, -1)
@@ -116,7 +111,7 @@ def test_dominant_certificate_fibonacci():
 
 
 def test_dominant_certificate_n2n():
-    cert = dominant_root_certificate(N2N)
+    cert = analyze_sequence(N2N).certificate
     assert cert.sigma == 1
     assert midpoint_float(cert.modulus()) == 2.0
 
@@ -136,7 +131,7 @@ def test_root_not_larger_than_one():
 
 
 def test_envelope_certified_window():
-    env = growth_envelope(certificate=dominant_root_certificate(FIB))
+    env = analyze_sequence(FIB).envelope
     assert 0 < float(env.c_lower) < float(env.c_upper)
     assert 1 < float(env.alpha_prime) < PHI
     assert env.verified_to == 500
