@@ -9,21 +9,22 @@ root.  The real roots start from sympy's real-only intervals at the eps the
 caller asks for.
 
 The non-real roots start from the rectangles that sympy's
-``Poly.intervals(all=True, eps)`` would return, without paying for its
-bisection at a fine eps.  Each factor is isolated once per process at the
-coarse eps 2^-8.  Newton takes each coarse rectangle to a certified box at
-the field's precision, and the box fixes sympy's eps-rectangle, because
-sympy's bisection splits every rectangle at its midpoint, so the cell that
-holds a root depends only on where the root lies.  A second Newton step
-refines that rectangle, so each box is the one the fine sympy call would
-have led to.  Whenever the rebuild is uncertain (a coarse Newton step fails,
-a box meets a split line, another root's box touches the final cell, or
-that cell lies on the real axis), the fine sympy call runs instead.
-Correctness never rests on the rebuild: the final Newton step certifies
-each box.
+``Poly.intervals(all=True, eps)`` would return, without its complex
+isolation.  ``polyroots`` in a private 64-bit mpmath context seeds each root
+above the real axis, once per factor.  Newton certifies a small box around
+each seed; (degree - real roots) / 2 disjoint boxes above the axis hold
+every non-real root.  Each box fixes sympy's eps-rectangle, because sympy's
+bisection splits every rectangle at its midpoint, so the cell that holds a
+root depends only on where the root lies.  A second Newton step refines that
+rectangle, so each box is the one the fine sympy call would have led to.
+Whenever the rebuild is uncertain (no convergence, a wrong count, a failed
+Newton step, a box on a split line or on the real axis, as for the roots of
+x^4 + 3x^2 + 1 on Re = 0, or another root's box touching the final cell),
+the fine sympy call runs instead.  Correctness never rests on the rebuild:
+the final Newton step certifies each box.
 
-Factorisations and coarse isolations are kept in LRU caches of
-``_CACHE_SIZE`` polynomials each.
+Factorisations and seeds are kept in LRU caches of ``_CACHE_SIZE``
+polynomials each.
 
 Every root is an ``AlgebraicNumber``, the one record that the spectral,
 heights, independence and Matveev layers share.
@@ -35,9 +36,12 @@ process that meets only factors of degree <= 2 never loads it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
+
+from mpmath.ctx_mp import MPContext
 
 from .errors import PrecisionExhausted
 from .intervals import (
@@ -56,7 +60,6 @@ from .intervals import (
 from .quadratic import QuadraticElement, quadratic_roots
 
 _CACHE_SIZE = 256          # polynomials kept by each cache; least recently used go first
-_COARSE_EPS_BITS = 8
 
 
 @dataclass(eq=False)
@@ -197,9 +200,21 @@ def _sympy_rectangles(coeffs, eps_bits) -> list:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _coarse_rectangles(coeffs: tuple) -> tuple:
-    """Coarse sympy rectangles of the roots above the real axis, once per factor."""
-    return tuple(r for r in _sympy_rectangles(coeffs, _COARSE_EPS_BITS) if r[3] > 0)
+def _seed_rectangles(coeffs: tuple) -> tuple:
+    """Small rectangles around the ``polyroots`` seeds of the roots above the
+    real axis, once per factor; () when it does not converge."""
+    ctx = MPContext()
+    ctx.prec = 64
+    try:
+        roots = ctx.polyroots(coeffs)
+    except ctx.NoConvergence:
+        return ()
+    rects = []
+    for z in map(complex, roots):
+        if z.imag > 0:
+            re, im, h = Fraction(z.real), Fraction(z.imag), Fraction(max(1.0, abs(z))) / 2 ** 20
+            rects.append((re - h, re + h, im - h, im + h))
+    return tuple(rects)
 
 
 def _rect_box(field, rect) -> ComplexBox:
@@ -219,25 +234,24 @@ def _sympy_cell(root, others, bound, eps):
     re_lo, re_hi, im_lo, im_hi = root
     if im_lo <= 0:
         return None
-    u, s, v, t = -bound, bound, Fraction(0), bound
+    u, v, w, h = -bound, Fraction(0), 2 * bound, bound     # south-west corner, size
     while True:
-        if s - u > t - v:
-            mid = (u + s) / 2
-            if re_hi < mid:
-                s = mid
-            elif re_lo > mid:
+        if w > h:
+            w /= 2
+            mid = u + w
+            if re_lo > mid:
                 u = mid
-            else:
+            elif re_hi >= mid:
                 return None
         else:
-            mid = (v + t) / 2
-            if im_hi < mid:
-                t = mid
-            elif im_lo > mid:
+            h /= 2
+            mid = v + h
+            if im_lo > mid:
                 v = mid
-            else:
+            elif im_hi >= mid:
                 return None
-        if s - u < eps and t - v < eps:
+        if w < eps and h < eps:
+            s, t = u + w, v + h
             shared = False
             for o in others:
                 if o is root or o[1] < u or o[0] > s or o[3] < v or o[2] > t:
@@ -249,29 +263,33 @@ def _sympy_cell(root, others, bound, eps):
                 return None if v == 0 else (u, s, v, t)
 
 
-def _rebuilt_rectangles(field, coeffs, dcoeffs, eps_bits, target):
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _rebuilt_rectangles(coeffs: tuple, eps_bits, pairs):
     """``_sympy_rectangles(coeffs, eps_bits)`` rebuilt from certified Newton
-    boxes of the coarse rectangles, in sympy's order; None when uncertain."""
-    boxes = []
-    for rect in _coarse_rectangles(tuple(coeffs)):
-        box = _newton_refine_box(coeffs, dcoeffs, _rect_box(field, rect), target)
-        if box is None:
-            return None
-        boxes.append((interval_inf_fraction(box.re), interval_sup_fraction(box.re),
-                      interval_inf_fraction(box.im), interval_sup_fraction(box.im)))
+    boxes around the seeds of the ``pairs`` roots above the real axis, in
+    sympy's order; None when uncertain.  The boxes need only be far narrower
+    than eps, so Newton runs at 2 eps_bits + 32 bits, once per (factor, eps)."""
+    seeds = _seed_rectangles(coeffs)
+    if len(seeds) != pairs:
+        return None
+    field, target = IntervalField(2 * eps_bits + 32), 2.0 ** -(eps_bits + 16)
+    certified = [_newton_refine_box(coeffs, _derivative(coeffs), _rect_box(field, rect), target)
+                 for rect in seeds]
+    if None in certified or not all(a.is_disjoint_from(b)
+                                    for a, b in itertools.combinations(certified, 2)):
+        return None
+    boxes = [(interval_inf_fraction(b.re), interval_sup_fraction(b.re),
+              interval_inf_fraction(b.im), interval_sup_fraction(b.im)) for b in certified]
     others = boxes + [(a, b, -d, -c) for a, b, c, d in boxes]
     bound = 2 * max(Fraction(abs(c), abs(coeffs[0])) for c in coeffs)
     eps = Fraction(1, 2 ** eps_bits)
-    cells = []
-    for root in boxes:
-        cell = _sympy_cell(root, others, bound, eps)
-        if cell is None:
-            return None
-        cells.append(cell)
+    cells = [_sympy_cell(root, others, bound, eps) for root in boxes]
+    if None in cells:
+        return None
     rects = []
     for u, s, v, t in sorted(cells, key=lambda c: (c[0], c[2])):
         rects += [(u, s, -t, -v), (u, s, v, t)]
-    return rects
+    return tuple(rects)
 
 
 def _derivative(coeffs):
@@ -353,7 +371,7 @@ def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
         roots.append(AlgebraicNumber(min_poly, field.box_from_intervals(refined, field.real(0)),
                                      True))
     if len(roots) < deg:
-        rects = _rebuilt_rectangles(field, coeffs, dcoeffs, eps_bits, target)
+        rects = _rebuilt_rectangles(tuple(coeffs), eps_bits, (deg - len(roots)) // 2)
         if rects is None:
             rects = _sympy_rectangles(coeffs, eps_bits)
         for rect in rects:

@@ -37,6 +37,7 @@ from mpmath.libmp import (
 from .errors import PrecisionExhausted
 
 DEFAULT_PRECISION_CAP = 4096
+_ZERO = (fzero, fzero)      # the point interval 0 as a raw tuple
 
 
 def precision_cap() -> int:
@@ -225,6 +226,10 @@ class ComplexBox:
         f = self.field
         prec, make = f.prec, f.ctx.make_mpf
         a, b, c, d = self.re._mpi_, self.im._mpi_, other.re._mpi_, other.im._mpi_
+        if b == _ZERO:      # a product with the point 0 is 0 and moves no endpoint
+            return ComplexBox(f, make(mpi_mul(a, c, prec)), make(mpi_mul(a, d, prec)))
+        if d == _ZERO:
+            return ComplexBox(f, make(mpi_mul(a, c, prec)), make(mpi_mul(b, c, prec)))
         re = mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec)
         im = mpi_add(mpi_mul(a, d, prec), mpi_mul(b, c, prec), prec)
         return ComplexBox(f, make(re), make(im))

@@ -13,6 +13,7 @@ sympy, so sympy is not loaded on that path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -49,6 +50,7 @@ def factor_integer(n: int) -> dict:
     return factors
 
 
+@functools.lru_cache(maxsize=256)
 def square_free_core(n: int):
     """n = core * square^2 with core squarefree; returns (core, square)."""
     if n == 0:
@@ -206,6 +208,7 @@ def _coerce(x) -> QuadraticElement:
     return QuadraticElement.from_rational(x)
 
 
+@functools.lru_cache(maxsize=256)      # the elements are frozen: callers share them
 def quadratic_roots(a: int, b: int, c: int):
     """Both roots of a X^2 + b X + c as exact elements, '+sqrt' branch first."""
     if a == 0:

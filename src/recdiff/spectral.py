@@ -3,8 +3,11 @@
 All numeric statements produced here are certified: roots are isolated boxes,
 the Binet reconstruction is checked to pin down the exact integer term, and
 envelope inequalities are verified exactly on a window plus a proved
-geometric tail.  ``analyze_sequence`` is the one entry point: it climbs
-``intervals.ladder`` once for all four stages.
+geometric tail.  A Binet rung is refused before its check loop when a real
+root box makes the n = _CHECK_BOUND reconstruction provably too wide to pin
+an integer, so the loop's verdict comes without its cost.
+``analyze_sequence`` is the one entry point: it climbs ``intervals.ladder``
+once for all four stages.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from mpmath.libmp import mpf_le, mpi_mul, mpi_pow_int
+from mpmath.libmp import from_int, mpf_le, mpi_abs, mpi_mul, mpi_pow_int, mpi_sub
 
 from ._roots import (
     AlgebraicNumber,
@@ -230,6 +233,24 @@ def _unique_integer_in(field, re_interval, value: int) -> bool:
             and certainly_less(re_interval, field.real(value + 1)))
 
 
+def _check_fails_at_bound(decomp, field) -> bool:
+    """True when the n = N = _CHECK_BOUND reconstruction is surely at least 2
+    wide, so ``_unique_integer_in`` must fail there: interval arithmetic
+    encloses ranges, so a real root box that excludes 0 makes its real part
+    at least inf|Re a_i(N)| * (|r|_hi^N - |r|_lo^N) wide."""
+    prec, n = field.prec, _CHECK_BOUND
+    for i, root in enumerate(decomp.spectrum.roots):
+        coeff = decomp.coefficient_value(i, n).re
+        if contains_zero(coeff) or contains_zero(root.box.re) or not contains_zero(root.box.im):
+            continue
+        c, r_lo, r_hi = mpi_abs(coeff._mpi_)[0], *mpi_abs(root.box.re._mpi_)
+        spread = mpi_sub(mpi_pow_int((r_hi, r_hi), n, prec),
+                         mpi_pow_int((r_lo, r_lo), n, prec), prec)
+        if mpf_le(from_int(2), mpi_mul((c, c), spread, prec)[0]):
+            return True
+    return False
+
+
 def _binet_at(seq, spectrum, field):
     k = seq.order
     columns = [(i, j) for i, r in enumerate(spectrum.roots) for j in range(r.multiplicity)]
@@ -255,6 +276,8 @@ def _binet_at(seq, spectrum, field):
                 if val.box(field).is_disjoint_from(grouped[i][j]):
                     return None
     decomp = BinetDecomposition(spectrum, tuple(grouped), exact, _CHECK_BOUND, field.prec)
+    if _check_fails_at_bound(decomp, field):
+        return None
     powers = [field.box(1) for _ in spectrum.roots]
     for n in range(_CHECK_BOUND + 1):
         total = None

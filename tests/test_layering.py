@@ -1,7 +1,8 @@
 """Module layering of the package: every relative import sits at module
 level, the relative imports between modules form no cycle, and sympy is
 imported only inside functions, so that it loads only when needed.  Every
-function also reads each parameter it declares."""
+function also reads each parameter it declares, and no module touches the
+precision of mpmath's global context or finds roots in it."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,50 @@ def test_every_parameter_is_read():
             unread += ["%s.py:%d %s(%s)" % (name, func.lineno, func.name, p)
                        for p in params if p not in ("self", "cls") and p not in loaded]
     assert unread == []
+
+
+GLOBAL_MP = ("mp", "mpmath.mp")             # mpmath's global context
+ROOT_FINDERS = {"polyroots", "findroot"}
+PRECISION_MANAGERS = {"workprec", "workdps", "extraprec", "extradps"}
+
+
+def dotted(node):
+    """'a.b.c' for a chain of names and attributes, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return base and base + "." + node.attr
+    return None
+
+
+def global_mp_uses(tree):
+    """Line numbers that set the global precision, rebind ``mpmath.mp``, find
+    roots or manage precision in the global context, or import those names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [dotted(t) or "" for t in targets]
+            if any(n == "mpmath.mp" or (n.rpartition(".")[0] in GLOBAL_MP
+                                        and n.rpartition(".")[2] in ("prec", "dps"))
+                   for n in names):
+                yield node.lineno
+        elif isinstance(node, ast.Call):
+            base, _, attr = (dotted(node.func) or "").rpartition(".")
+            if base in GLOBAL_MP + ("mpmath",) and attr in ROOT_FINDERS | PRECISION_MANAGERS:
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            if any(a.name in {"mp"} | ROOT_FINDERS | PRECISION_MANAGERS for a in node.names):
+                yield node.lineno
+
+
+def test_global_mpmath_context_is_never_touched():
+    sample = ast.parse("\n".join([
+        "mp.prec = 100", "mpmath.mp.dps += 5", "mpmath.mp = None",
+        "mpmath.polyroots([1, 0, -2])", "mp.findroot(f, 1)", "from mpmath import mp",
+        "with mpmath.mp.workprec(80): pass",
+        "ctx.prec = 64", "ctx.polyroots([1, 0, -2])", "mpmath.mpf(1)"]))
+    assert sorted(global_mp_uses(sample)) == [1, 2, 3, 4, 5, 6, 7]
+    touched = ["%s.py:%d" % (name, line) for name, tree in parsed_modules().items()
+               for line in global_mp_uses(tree)]
+    assert touched == []

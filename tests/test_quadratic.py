@@ -116,6 +116,8 @@ def test_arithmetic_on_normal_forms_factors_nothing(monkeypatch):
     # powers build their results directly; only make() factors outside input
     from recdiff import quadratic
 
+    quadratic_roots.cache_clear()
+    square_free_core.cache_clear()
     phi, _ = quadratic_roots(1, -1, -1)
     values = [phi, QuadraticElement.make(Fraction(3, 2), -2, 7), QuadraticElement.make(0, 1, -3),
               QuadraticElement.from_rational(Fraction(-5, 3))]
@@ -131,4 +133,25 @@ def test_arithmetic_on_normal_forms_factors_nothing(monkeypatch):
     assert calls == []
     assert quadratic_roots(2, 6, 1) == (QuadraticElement.make(Fraction(-3, 2), Fraction(1, 2), 7),
                                         QuadraticElement.make(Fraction(-3, 2), Fraction(-1, 2), 7))
-    assert calls == [28, 7, 7]      # the discriminant once, then make() in the check above
+    assert calls == [28]     # the discriminant; make() finds 7, cached when values were built
+
+
+def test_bounds_factors_each_integer_once(monkeypatch):
+    # the quadratic conjugates of heights.log_height's ladder share their
+    # discriminants: 67 factor_integer calls on 44 integers before the caches
+    from recdiff import independence, quadratic, spectral
+    from recdiff.cli import dispatch
+
+    spectral._cached_analysis.cache_clear()
+    quadratic_roots.cache_clear()
+    square_free_core.cache_clear()
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return factor_integer(n)
+
+    monkeypatch.setattr(quadratic, "factor_integer", spy)
+    monkeypatch.setattr(independence, "factor_integer", spy)
+    assert dispatch("bounds --seq-u fib --seq-v pow2 --no-header".split()) == 0
+    assert len(calls) == len(set(calls)) <= 44

@@ -1,5 +1,6 @@
-"""Root isolation: sympy's eps-rectangles rebuilt from certified Newton boxes,
-boxes equal to the all-sympy path, call counts of sympy and bounded caches."""
+"""Root isolation: sympy's eps-rectangles rebuilt from certified Newton boxes
+around mpmath seeds, boxes equal to the all-sympy path, call counts of sympy
+and bounded caches."""
 
 import functools
 import itertools
@@ -7,6 +8,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import Poly, Rational, Symbol, im, re
 
 from recdiff import _roots, spectral
@@ -18,10 +21,18 @@ from recdiff.spectral import analyze_sequence
 X = Symbol("X")
 TRIB = (1, -1, -1, -1)
 TETRA = (1, -1, -1, -1, -1)
+
+
+def kbonacci(k):
+    """x^k - x^(k-1) - ... - 1, the characteristic polynomial of k-bonacci."""
+    return (1,) + (-1,) * k
+
+
 REBUILT = [TRIB, TETRA,
            (1, 0, 0, 0, -1, -1),     # x^5 - x - 1: two complex pairs
            (1, 0, 0, -2),
-           (1, -3, 0, 0, -1)]
+           (1, -3, 0, 0, -1),
+           kbonacci(5), kbonacci(8)]
 ON_SPLIT_LINE = (1, 0, 3, 0, 1)      # x^4 + 3x^2 + 1: roots on Re = 0
 
 
@@ -41,16 +52,27 @@ def sympy_rectangles(coeffs, eps_bits):
 
 
 def rebuild(coeffs, eps_bits):
-    field = IntervalField(4 * eps_bits)
-    target = 2.0 ** -(2 * eps_bits)
-    return _roots._rebuilt_rectangles(field, list(coeffs), _roots._derivative(list(coeffs)),
-                                      eps_bits, target)
+    pairs = (len(coeffs) - 1 - len(sympy_fine(coeffs, eps_bits)[0])) // 2
+    rects = _roots._rebuilt_rectangles.__wrapped__(tuple(coeffs), eps_bits, pairs)
+    return None if rects is None else list(rects)
 
 
 @pytest.mark.parametrize("eps_bits", [32, 64])
 @pytest.mark.parametrize("coeffs", REBUILT)
 def test_rebuilt_rectangles_equal_sympy(coeffs, eps_bits):
     assert rebuild(coeffs, eps_bits) == sympy_rectangles(coeffs, eps_bits)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=3, max_size=6),
+       st.integers(1, 3))
+def test_rebuilt_rectangles_equal_sympy_on_random_polynomials(tail, lead):
+    # an irreducible integer polynomial of degree 3-6: whenever the replay
+    # decides, it must give sympy's fine rectangles
+    coeffs = (lead,) + tuple(tail)
+    assume(_roots._factor(coeffs) == ((coeffs, 1),))
+    rects = rebuild(coeffs, 32)
+    assert rects is None or rects == sympy_rectangles(coeffs, 32)
 
 
 def test_root_on_a_split_line_falls_back_to_sympy(monkeypatch):
@@ -88,8 +110,9 @@ def endpoints(box):
             for f in (interval_inf_fraction, interval_sup_fraction)]
 
 
-@pytest.mark.parametrize("coeffs,prec", [(c, 256) for c in REBUILT]
-                         + [(TRIB, 512), (TETRA, 512)])
+@pytest.mark.parametrize("coeffs,prec", [(c, 256) for c in REBUILT[:5]]
+                         + [(TRIB, 512), (TETRA, 512)]
+                         + [(c, 256) for c in REBUILT[5:]])
 def test_boxes_equal_the_all_sympy_path(coeffs, prec):
     eps_bits = max(32, min(prec // 4, 256))      # spectral's eps at this rung
     field = IntervalField(prec)
@@ -99,9 +122,11 @@ def test_boxes_equal_the_all_sympy_path(coeffs, prec):
 
 
 def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
+    # the seeds replace sympy's complex isolation: no complex intervals call
     spectral._cached_analysis.cache_clear()
     _roots._factor.cache_clear()
-    _roots._coarse_rectangles.cache_clear()
+    _roots._seed_rectangles.cache_clear()
+    _roots._rebuilt_rectangles.cache_clear()
     factored, isolated = Counter(), []
     rep = type(Poly(X, X).rep)       # Poly.intervals hands the isolation to rep.intervals
     factor_list, intervals = Poly.factor_list, rep.intervals
@@ -111,7 +136,7 @@ def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
         return factor_list(poly, *args, **kwargs)
 
     def intervals_spy(poly, *args, **kwargs):
-        isolated.append((tuple(poly.to_list()), kwargs.get("all", False), kwargs.get("eps")))
+        isolated.append((tuple(poly.to_list()), kwargs.get("all", False)))
         return intervals(poly, *args, **kwargs)
 
     monkeypatch.setattr(Poly, "factor_list", factor_spy)
@@ -119,11 +144,12 @@ def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
     analyze_sequence(LinearRecurrence("trib_a", (1, 1, 1), (0, 0, 1)))
     analyze_sequence(LinearRecurrence("trib_b", (1, 1, 1), (1, 1, 1)))
     analyze_sequence(LinearRecurrence("tetra", (1, 1, 1, 1), (0, 0, 0, 1)))
+    for k in (5, 8, 12):
+        analyze_sequence(LinearRecurrence("k%d" % k, (1,) * k, (0,) * (k - 1) + (1,)))
 
-    assert factored == Counter({TRIB: 1, TETRA: 1})
-    complex_calls = [(c, eps) for c, all_roots, eps in isolated if all_roots]
-    assert sorted(c for c, _ in complex_calls) == [TRIB, TETRA]
-    assert all(eps == Rational(1, 2 ** _roots._COARSE_EPS_BITS) for _, eps in complex_calls)
+    assert factored == Counter({TRIB: 1, TETRA: 1, kbonacci(5): 1, kbonacci(8): 1,
+                                kbonacci(12): 1})
+    assert [c for c, all_roots in isolated if all_roots] == []
 
 
 def overfill(cached, keys):
@@ -144,8 +170,8 @@ def test_factor_cache_evicts_the_oldest():
     overfill(_roots._factor, [(1, -k) for k in range(_roots._CACHE_SIZE + 1)])
 
 
-def test_coarse_isolation_cache_evicts_the_oldest():
-    overfill(_roots._coarse_rectangles, [(1, -k) for k in range(_roots._CACHE_SIZE + 1)])
+def test_seed_cache_evicts_the_oldest():
+    overfill(_roots._seed_rectangles, [(1, -k) for k in range(_roots._CACHE_SIZE + 1)])
 
 
 def test_analysis_cache_evicts_the_oldest_and_keeps_errors(monkeypatch):
