@@ -114,11 +114,14 @@ def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
 
     undecided = []
 
+    def at(decomp, field):
+        if field.prec <= decomp.precision_bits:
+            return decomp
+        found = _decomposition_at(decomp.sequence, field)
+        return found and found[0]
+
     def attempt(field):
-        du = decompU if field.prec <= decompU.precision_bits \
-            else _decomposition_at(decompU.sequence, field)
-        dv = decompV if field.prec <= decompV.precision_bits \
-            else _decomposition_at(decompV.sequence, field)
+        du, dv = at(decompU, field), at(decompV, field)
         if du is None or dv is None:
             return None
         iu, iv = certU.root_index, certV.root_index

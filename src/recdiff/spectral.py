@@ -8,6 +8,14 @@ root box makes the n = _CHECK_BOUND reconstruction provably too wide to pin
 an integer, so the loop's verdict comes without its cost.
 ``analyze_sequence`` is the one entry point: it climbs ``intervals.ladder``
 once for all four stages.
+
+Within one rung the envelope reuses the Binet check loop's products
+``a_i(n) * root_i^n`` for n <= _WINDOW: its window and its exact check read
+them, and continue the same running powers past _WINDOW, so each product is
+computed once and has the bits the check loop gave it.  These rows are
+dropped with the rung and never kept on an analysis.  The exact check tests
+the squared remainder modulus against the exact square of its bound, which
+decides as the interval square root would without taking it.
 """
 
 from __future__ import annotations
@@ -16,7 +24,21 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from mpmath.libmp import from_int, mpf_le, mpi_abs, mpi_mul, mpi_pow_int, mpi_sub
+from mpmath.libmp import (
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    mpi_abs,
+    mpi_mul,
+    mpi_pow_int,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from ._roots import (
     AlgebraicNumber,
@@ -43,6 +65,7 @@ from .recurrences import LinearRecurrence
 
 _CHECK_BOUND = 200         # Binet reconstruction pinned to U_n for n <= _CHECK_BOUND
 _VERIFY_TO = 500           # envelope inequalities checked exactly for n0 <= n <= _VERIFY_TO
+_WINDOW = 64               # smallest envelope window, largest n0; Binet products kept up to it
 
 
 @dataclass(eq=False)
@@ -278,23 +301,50 @@ def _binet_at(seq, spectrum, field):
     decomp = BinetDecomposition(spectrum, tuple(grouped), exact, _CHECK_BOUND, field.prec)
     if _check_fails_at_bound(decomp, field):
         return None
-    powers = [field.box(1) for _ in spectrum.roots]
+    roots = spectrum.roots
+    powers = [field.box(1) for _ in roots]
+    rows = []
     for n in range(_CHECK_BOUND + 1):
-        total = None
-        for i in range(len(spectrum.roots)):
-            part = decomp.coefficient_value(i, n) * powers[i]
-            total = part if total is None else total + part
-            powers[i] = powers[i] * spectrum.roots[i].box
-        target = seq.term(n)
+        parts = [_binet_part(decomp, i, n, powers[i]) for i in range(len(roots))]
+        powers = [p * r.box for p, r in zip(powers, roots)]
+        if n <= _WINDOW:
+            rows.append(parts)
+        if n == _WINDOW:
+            products = (rows, powers)
+        total = sum(parts[1:], parts[0])
         if not contains_zero(total.im):
             return None
-        if not _unique_integer_in(field, total.re, target):
+        if not _unique_integer_in(field, total.re, seq.term(n)):
             return None
-    return decomp
+    return decomp, products
+
+
+def _binet_part(decomp, i, n, power):
+    """a_i(n) * root_i^n, given root_i^n as ``power``."""
+    return decomp.coefficient_value(i, n) * power
+
+
+def _binet_parts(decomp, products, columns, start, stop):
+    """The parts of ``columns`` for n = start..stop (start <= _WINDOW + 1):
+    the check loop's rows up to _WINDOW, then its running powers continued."""
+    rows, powers = products
+    roots = decomp.spectrum.roots
+    powers = {i: powers[i] for i in columns}
+    for n in range(start, stop + 1):
+        if n <= _WINDOW:
+            yield [rows[n][i] for i in columns]
+            continue
+        parts = []
+        for i in columns:
+            parts.append(_binet_part(decomp, i, n, powers[i]))
+            powers[i] = powers[i] * roots[i].box
+        yield parts
 
 
 def _decomposition_at(seq, field):
-    """Spectrum, then Binet, at one field; None when either is not certified."""
+    """Spectrum, then Binet, at one field: (decomposition, the check loop's
+    products as ``_binet_parts`` reads them), or None when either stage is
+    not certified."""
     spectrum = _spectrum_at(seq, field)
     if spectrum is None:
         return None
@@ -427,7 +477,7 @@ def _decay_threshold(field, rho, degree) -> int | None:
     return None
 
 
-def _envelope_at(decomp, cert, field):
+def _envelope_at(decomp, cert, field, products):
     spectrum = decomp.spectrum
     seq = spectrum.sequence
     dom = cert.root_index
@@ -455,7 +505,7 @@ def _envelope_at(decomp, cert, field):
         if not certainly_less(rho, field.real(1)):
             return None
         rhos.append(rho)
-    n_seg = 64
+    n_seg = _WINDOW
     for idx, i in enumerate(others):
         thr = _decay_threshold(field, rhos[idx], spectrum.roots[i].multiplicity - 1)
         if thr is None:
@@ -465,14 +515,9 @@ def _envelope_at(decomp, cert, field):
 
     if others:
         window_sup = Fraction(0)
-        powers = {i: field.box(1) for i in others}
         ap_pow = field.real(1)
-        for n in range(n_seg + 1):
-            tail = None
-            for i in others:
-                part = decomp.coefficient_value(i, n) * powers[i]
-                tail = part if tail is None else tail + part
-                powers[i] = powers[i] * spectrum.roots[i].box
+        for parts in _binet_parts(decomp, products, others, 0, n_seg):
+            tail = sum(parts[1:], parts[0])
             window_sup = max(window_sup, interval_sup_fraction(tail.modulus() / ap_pow))
             ap_pow = ap_pow * ap
         tail_bound = field.real(0)
@@ -497,7 +542,11 @@ def _envelope_at(decomp, cert, field):
     apf = field.real(a_prime)
     dom_coeffs = decomp.coefficients[dom]
 
+    constant_abs = dom_coeffs[0].modulus() if len(dom_coeffs) == 1 else None   # simple root
+
     def dom_poly_abs(n):
+        if constant_abs is not None:
+            return constant_abs
         return decomp.coefficient_value(dom, n).modulus()
 
     g_lower = []
@@ -528,7 +577,7 @@ def _envelope_at(decomp, cert, field):
         return None
 
     n0 = None
-    limit = min(n_seg, 64)
+    limit = min(n_seg, _WINDOW)
     for start in range(0, limit + 1):
         if all(g > 0 for g in g_lower[start:]):
             n0 = start
@@ -552,45 +601,67 @@ def _envelope_at(decomp, cert, field):
 
     env = GrowthEnvelope(cert, c_lower, c_upper, alpha_prime, a_prime,
                          n0, sigma, _VERIFY_TO, field.prec)
-    if not _verify_envelope(env, decomp, field, _VERIFY_TO):
+    if not _verify_envelope(env, decomp, field, products):
         return None
     return env
 
 
-def _verify_envelope(env, decomp, field, verify_to):
-    """Exact check of both envelope inequalities and the remainder bound.
+def _verify_envelope(env, decomp, field, products):
+    """Exact check of both envelope inequalities and the remainder bound for
+    n0 <= n <= env.verified_to.
 
-    The real bounds step on mpmath's raw interval tuples, as
-    ``counting._growth_index`` does: the same outward-rounded products at the
-    field's precision as interval objects would give, and the same endpoint
-    comparisons as ``certainly_le``, without an interval object per step.
+    Each step works on mpmath's raw endpoints and computes only the endpoint
+    a test reads: the bounds are products of positive intervals, so that
+    endpoint is the ``mpf_mul`` with the rounding ``mpi_mul`` would use, and
+    n^0 is not multiplied in.  U_n is rounded once,
+    to its (floor, ceiling) pair, which gives |U_n| and the real part of the
+    remainder U_n - a(n) alpha^n.  The remainder test compares the upper end
+    s of its squared modulus with b*b, exactly, where b is the lower end of
+    a' alpha'^n: b is a nonnegative float of the field's precision and
+    ``mpf_sqrt`` rounds correctly, so sqrt(s) rounded up is <= b exactly
+    when s <= b*b, and the verdict is the interval square root's.
+    a(n) alpha^n is the check loop's product (``_binet_parts``).
     """
     seq = decomp.sequence
-    dom = env.certificate.root_index
-    root_box = decomp.spectrum.roots[dom].box
+    dom, sigma, n0 = env.certificate.root_index, env.sigma, env.n0
     prec = field.prec
-    mod_alpha = root_box.modulus()._mpi_
-    cl, cu = field.real(env.c_lower)._mpi_, field.real(env.c_upper)._mpi_
-    ap, apr = field.real(env.alpha_prime)._mpi_, field.real(env.a_prime)._mpi_
-    alpha_pow = mpi_pow_int(mod_alpha, env.n0, prec)
-    alpha_box_pow = root_box ** env.n0
-    ap_pow = mpi_pow_int(ap, env.n0, prec)
-    for n in range(env.n0, verify_to + 1):
+    mod_alpha = decomp.spectrum.roots[dom].modulus()._mpi_
+    cl = field.real(env.c_lower)._mpi_[1]
+    cu = field.real(env.c_upper)._mpi_[0]
+    ap = field.real(env.alpha_prime)._mpi_
+    apr = field.real(env.a_prime)._mpi_[0]
+    pow_lo, pow_hi = mpi_pow_int(mod_alpha, n0, prec)
+    ap_pow = mpi_pow_int(ap, n0, prec)[0]
+    parts = _binet_parts(decomp, products, (dom,), n0, env.verified_to)
+    for n, (part,) in enumerate(parts, n0):
         term = seq.term(n)
-        u = field.real(abs(term))._mpi_
-        if not mpf_le(mpi_mul(cl, alpha_pow, prec)[1], u[0]):
+        t_lo, t_hi = from_int(term, prec, round_floor), from_int(term, prec, round_ceiling)
+        u_lo, u_hi = (t_lo, t_hi) if term >= 0 else (mpf_neg(t_hi), mpf_neg(t_lo))
+        if not mpf_le(mpf_mul(cl, pow_hi, prec, round_ceiling), u_lo):
             return False
-        n_sig = 1 if env.sigma == 0 else n ** env.sigma
-        upper = mpi_mul(mpi_mul(cu, field.real(n_sig)._mpi_, prec), alpha_pow, prec)
-        if not mpf_le(u[1], upper[0]):
+        upper = cu if sigma == 0 else mpf_mul(cu, from_int(n ** sigma, prec, round_floor),
+                                              prec, round_floor)
+        if not mpf_le(u_hi, mpf_mul(upper, pow_lo, prec, round_floor)):
             return False
-        remainder = field.box(term) - decomp.coefficient_value(dom, n) * alpha_box_pow
-        if not mpf_le(remainder.modulus()._mpi_[1], mpi_mul(apr, ap_pow, prec)[0]):
+        (p_lo, p_hi), p_im = part.re._mpi_, part.im._mpi_
+        squared = mpf_add(_square_up((mpf_sub(t_lo, p_hi, prec, round_floor),
+                                      mpf_sub(t_hi, p_lo, prec, round_ceiling)), prec),
+                          _square_up(p_im, prec), prec, round_ceiling)
+        bound = mpf_mul(apr, ap_pow, prec, round_floor)
+        if not mpf_le(squared, mpf_mul(bound, bound)):
             return False
-        alpha_pow = mpi_mul(alpha_pow, mod_alpha, prec)
-        alpha_box_pow = alpha_box_pow * root_box
-        ap_pow = mpi_mul(ap_pow, ap, prec)
+        pow_lo = mpf_mul(pow_lo, mod_alpha[0], prec, round_floor)
+        pow_hi = mpf_mul(pow_hi, mod_alpha[1], prec, round_ceiling)
+        ap_pow = mpf_mul(ap_pow, ap[0], prec, round_floor)
     return True
+
+
+def _square_up(interval, prec):
+    """Upper end of ``mpi_pow_int(interval, 2, prec)``: the larger endpoint
+    modulus, squared and rounded up."""
+    lo, hi = mpf_abs(interval[0]), mpf_abs(interval[1])
+    top = hi if mpf_le(lo, hi) else lo
+    return mpf_mul(top, top, prec, round_ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +690,14 @@ def _cached_analysis(seq):
 
 def _analyze_uncached(seq):
     def attempt(field):
-        decomp = _decomposition_at(seq, field)
-        if decomp is None:
+        found = _decomposition_at(seq, field)
+        if found is None:
             return None
+        decomp, products = found
         cert = _certificate_at(seq, decomp, field)
         if cert is None:
             return None
-        env = _envelope_at(decomp, cert, field)
+        env = _envelope_at(decomp, cert, field, products)
         if env is None:
             return None
         return SequenceAnalysis(seq, decomp.spectrum, decomp, cert, env)

@@ -1,20 +1,33 @@
-"""Every endpoint of a set of cold analyses, pinned by one SHA-256, and the
-early refusal of a Binet rung, which must never change a rung's verdict.
+"""Every endpoint of two sets of cold analyses, each pinned by one SHA-256;
+the early refusal of a Binet rung, which must never change a rung's verdict;
+and the Binet products the envelope shares with the check loop.
 
-The digest covers the raw mpmath endpoint tuples of each root box and Binet
+A digest covers the raw mpmath endpoint tuples of each root box and Binet
 coefficient box, the certificate (dominant root, sigma, ``margin_lower``),
 every envelope field and the precision of each stage, so a change to the
 spectral pipeline that moves a single bit of any of them fails here.  The
-recurrences are the seed-1 batch of the spectral-cold benchmark, k-bonacci
-of order 5, and x^5 - x - 1 as a recurrence.
+first set is the seed-1 batch of the spectral-cold benchmark, k-bonacci of
+order 5, and x^5 - x - 1 as a recurrence.  The second is the drawn members
+of the seed-5 and seed-7 batches (their anchors are in the first set) and
+k-bonacci of order 8.
+
+Run as a script, ``python tests/test_bit_identity.py`` prints both digests
+of the checkout it sits in, to compare two commits of the spectral layer.
 """
 
 import hashlib
+import sys
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
-from recdiff import spectral
-from recdiff.intervals import IntervalField
-from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
-from recdiff.spectral import analyze_sequence
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from recdiff import spectral  # noqa: E402
+from recdiff.intervals import IntervalField  # noqa: E402
+from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence  # noqa: E402
+from recdiff.spectral import analyze_sequence  # noqa: E402
 
 BATCH = [
     ("tribonacci", (1, 1, 1), (0, 0, 1)),
@@ -29,7 +42,25 @@ BATCH = [
     ("kbonacci-5", (1, 1, 1, 1, 1), (0, 0, 0, 0, 1)),
     ("x^5-x-1", (0, 0, 0, 1, 1), (0, 0, 0, 0, 1)),
 ]
+BATCH_5_7 = [
+    ("irreducible-cubic-a", (1, 0, 3), (4, 5, 8)),
+    ("irreducible-cubic-b", (1, 0, 3), (0, 7, 3)),
+    ("irreducible-quartic", (1, 1, 1, 1), (0, 2, 1, 5)),
+    ("reducible-cubic-0", (1, 3, 1), (6, 8, 1)),
+    ("reducible-cubic-1", (0, 3, 2), (9, 3, 0)),
+    ("reducible-quartic-0", (1, 0, 1, 1), (4, 2, 6, 2)),
+    ("reducible-quartic-1", (1, 2, 3, 1), (1, 2, 9, 9)),
+    ("irreducible-cubic-a", (0, 2, 3), (2, 6, 0)),
+    ("irreducible-cubic-b", (0, 2, 3), (1, 8, 1)),
+    ("irreducible-quartic", (0, 3, 1, 1), (9, 0, 8, 3)),
+    ("reducible-cubic-0", (0, 2, 1), (6, 6, 1)),
+    ("reducible-cubic-1", (2, 2, 3), (3, 1, 8)),
+    ("reducible-quartic-0", (1, 2, 3, 1), (9, 1, 3, 9)),
+    ("reducible-quartic-1", (0, 0, 3, 2), (0, 9, 9, 6)),
+    ("kbonacci-8", (1,) * 8, (0,) * 7 + (1,)),
+]
 DIGEST = "5c5ef224aa9c33211a7a403e79745e26a5eac0512c039d4310260aff3d451e64"
+DIGEST_5_7 = "b6ab4b2e5423c4df5bb3973de361e23c770a733ece639cd854af0883caea2efd"
 
 
 def raw_box(box):
@@ -53,9 +84,56 @@ def raw_analysis(analysis):
     )
 
 
+def digest(batch):
+    """SHA-256 of the raw records of fresh analyses of ``batch``."""
+    records = [raw_analysis(analyze_sequence(LinearRecurrence(*spec))) for spec in batch]
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
 def test_cold_analyses_are_bit_identical():
-    records = [raw_analysis(analyze_sequence(LinearRecurrence(*spec))) for spec in BATCH]
-    assert hashlib.sha256(repr(records).encode()).hexdigest() == DIGEST
+    assert digest(BATCH) == DIGEST
+
+
+def test_seed_5_and_7_analyses_are_bit_identical():
+    assert digest(BATCH_5_7) == DIGEST_5_7
+
+
+def test_cached_analysis_keeps_no_binet_rows():
+    for name in ("fib", "tribonacci"):
+        decomp = analyze_sequence(BUILTIN_SEQUENCES[name]).decomposition
+        assert set(vars(decomp)) == {f.name for f in fields(decomp)}
+
+
+def test_each_window_product_is_computed_once_per_rung(monkeypatch):
+    # a_i(n) * root_i^n for n <= _WINDOW comes from the Binet check loop
+    # alone; the envelope's window and exact check only continue past it
+    part, envelope = spectral._binet_part, spectral._envelope_at
+    calls, stage = [], ["binet"]
+
+    def part_spy(decomp, i, n, power):
+        calls.append((stage[0], decomp, i, n))
+        return part(decomp, i, n, power)
+
+    def envelope_spy(*args):
+        stage[0] = "envelope"
+        try:
+            return envelope(*args)
+        finally:
+            stage[0] = "binet"
+
+    monkeypatch.setattr(spectral, "_binet_part", part_spy)
+    monkeypatch.setattr(spectral, "_envelope_at", envelope_spy)
+    for spec in BATCH[:9]:
+        spectral._analyze_uncached(LinearRecurrence(*spec))
+    window = Counter(call for call in calls if call[3] <= spectral._WINDOW)
+    assert set(window.values()) == {1}
+    assert {call[0] for call in window} == {"binet"}
+    rungs = {decomp for kind, decomp, _, _ in calls if kind == "envelope"}
+    assert len(rungs) >= 9
+    for decomp in rungs:
+        assert {(i, n) for _, d, i, n in window if d is decomp} == \
+            {(i, n) for i in range(len(decomp.spectrum.roots))
+             for n in range(spectral._WINDOW + 1)}
 
 
 def test_early_refusal_keeps_every_rung_verdict(monkeypatch):
@@ -82,3 +160,8 @@ def test_early_refusal_keeps_every_rung_verdict(monkeypatch):
             late = spectral._binet_at(seq, spectrum, field)
             assert (early is None) == (late is None), (seq.name, bits)
     assert ("tribonacci", 256) in fired
+
+
+if __name__ == "__main__":
+    for name, batch in (("BATCH", BATCH), ("BATCH_5_7", BATCH_5_7)):
+        print(name, digest(batch))

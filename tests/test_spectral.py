@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import mpf_le, mpi_mul, mpi_pow_int
 
 from recdiff import spectral
 from recdiff.errors import NoDominantRoot, RootNotLargerThanOne
@@ -254,25 +255,89 @@ def _verify_envelope_by_operators(env, decomp, field, verify_to):
     return True
 
 
+def _tightened(env):
+    """The envelope and four tightened ones; the last remainder bound decays
+    too fast, so it holds at first and fails further on."""
+    return [env, replace(env, c_lower=env.c_lower * 2), replace(env, c_upper=env.c_upper / 2),
+            replace(env, a_prime=env.a_prime / 64),
+            replace(env, alpha_prime=Fraction(1, 2), a_prime=env.a_prime * 2 ** 20)]
+
+
 @pytest.mark.parametrize("seq", [FIB, TRIB, N2N, LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1))],
                          ids=lambda s: s.name)
 def test_envelope_check_decides_as_the_interval_operators(seq):
     # the raw-tuple loop accepts the certified envelope and rejects each
-    # tightened one exactly where the operator loop does; the last remainder
-    # bound decays too fast, so it holds at first and fails further on
+    # tightened one exactly where the operator loop does
     analysis = analyze_sequence(seq)
     env, decomp = analysis.envelope, analysis.certificate.decomposition
     field = IntervalField(env.precision_bits)
-    tightened = [env, replace(env, c_lower=env.c_lower * 2), replace(env, c_upper=env.c_upper / 2),
-                 replace(env, a_prime=env.a_prime / 64),
-                 replace(env, alpha_prime=Fraction(1, 2), a_prime=env.a_prime * 2 ** 20)]
+    products = spectral._binet_at(seq, analysis.spectrum, field)[1]
     verdicts = []
-    for e in tightened:
+    for e in _tightened(env):
         for top in (e.n0 + 3, 120):
-            got = spectral._verify_envelope(e, decomp, field, top)
+            got = spectral._verify_envelope(replace(e, verified_to=top), decomp, field, products)
             assert got == _verify_envelope_by_operators(e, decomp, field, top)
             verdicts.append(got)
     assert verdicts[:2] == [True, True] and False in verdicts
+
+
+def _verify_envelope_by_interval_sqrt(env, decomp, field, verify_to):
+    """The raw-tuple envelope check with an interval square root of each
+    remainder and the dominant power from ``root_box ** n0``."""
+    seq = decomp.sequence
+    dom = env.certificate.root_index
+    root_box = decomp.spectrum.roots[dom].box
+    prec = field.prec
+    mod_alpha = root_box.modulus()._mpi_
+    cl, cu = field.real(env.c_lower)._mpi_, field.real(env.c_upper)._mpi_
+    ap, apr = field.real(env.alpha_prime)._mpi_, field.real(env.a_prime)._mpi_
+    alpha_pow = mpi_pow_int(mod_alpha, env.n0, prec)
+    alpha_box_pow = root_box ** env.n0
+    ap_pow = mpi_pow_int(ap, env.n0, prec)
+    for n in range(env.n0, verify_to + 1):
+        term = seq.term(n)
+        u = field.real(abs(term))._mpi_
+        if not mpf_le(mpi_mul(cl, alpha_pow, prec)[1], u[0]):
+            return False
+        n_sig = 1 if env.sigma == 0 else n ** env.sigma
+        upper = mpi_mul(mpi_mul(cu, field.real(n_sig)._mpi_, prec), alpha_pow, prec)
+        if not mpf_le(u[1], upper[0]):
+            return False
+        remainder = field.box(term) - decomp.coefficient_value(dom, n) * alpha_box_pow
+        if not mpf_le(remainder.modulus()._mpi_[1], mpi_mul(apr, ap_pow, prec)[0]):
+            return False
+        alpha_pow = mpi_mul(alpha_pow, mod_alpha, prec)
+        alpha_box_pow = alpha_box_pow * root_box
+        ap_pow = mpi_mul(ap_pow, ap, prec)
+    return True
+
+
+def test_envelope_check_decides_as_the_square_root_loop_on_every_rung(monkeypatch):
+    # every rung that reaches the envelope check, on the seed-1 batch of the
+    # spectral-cold benchmark and five builtins: the squared test on the
+    # check loop's products returns the interval square root loop's verdict
+    from test_bit_identity import BATCH
+
+    seqs = [LinearRecurrence(*spec) for spec in BATCH[:9]]
+    seqs += [BUILTIN_SEQUENCES[name] for name in ("fib", "lucas", "pow2", "pow3", "tribonacci")]
+    verify, rungs = spectral._verify_envelope, []
+
+    def spy(env, decomp, field, products):
+        rungs.append((env, decomp, field, products))
+        return verify(env, decomp, field, products)
+
+    monkeypatch.setattr(spectral, "_verify_envelope", spy)
+    for seq in seqs:
+        spectral._analyze_uncached(seq)
+    assert {decomp.sequence for _, decomp, _, _ in rungs} == set(seqs)
+    verdicts = []
+    for env, decomp, field, products in rungs:
+        for e in _tightened(env):
+            got = verify(e, decomp, field, products)
+            assert got == _verify_envelope_by_interval_sqrt(e, decomp, field, 500), \
+                (decomp.sequence.name, field.prec)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_independence_of_one_cubic_root_and_itself():
