@@ -39,8 +39,7 @@ def main():
     undecided = 0
     for n in range(args.lo, args.hi + 1, args.step):
         for m in range(args.lo, args.hi + 1, args.step):
-            s = lambda_value(u.decomposition, v.decomposition, n, m,
-                             u.certificate, v.certificate)
+            s = lambda_value(u, v, n, m)
             if s.status != "nonzero":
                 undecided += 1
                 continue

@@ -38,7 +38,6 @@ from .heights import (
     HeightProbeResult,
     height_constant_probe,
     log_height,
-    rational_quotient_height,
 )
 from .independence import IndependenceResult, multiplicative_independence
 from .matveev import (

@@ -297,11 +297,11 @@ def _derivative(coeffs):
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target, rounds=64):
+def _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target):
     """Certified refinement of a real isolating interval; None if not certified."""
     X = field.from_endpoints(field.real(lo), field.real(hi))
     certified = False
-    for _ in range(rounds):
+    for _ in range(64):
         fp = poly_eval_real(field, dcoeffs, X)
         if contains_zero(fp):
             return None
@@ -318,9 +318,9 @@ def _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target, rounds=64):
     return X if certified else None
 
 
-def _newton_refine_box(coeffs, dcoeffs, box, target, rounds=64):
+def _newton_refine_box(coeffs, dcoeffs, box, target):
     certified = False
-    for _ in range(rounds):
+    for _ in range(64):
         fp = poly_eval_box(dcoeffs, box)
         if fp.contains_zero():
             return None

@@ -176,17 +176,12 @@ def _check_mlogm(k, c, z, n) -> bool:
     return n <= k * z + 4.0 * c * math.log(z) ** 2
 
 
-def _mlogm_preconditions_hold(k, c, n) -> bool:
-    return n >= math.exp(math.sqrt(2.0) / math.sqrt(c)) \
-        and (k * c) ** 2 * math.log(n) ** 4 <= n
-
-
 def _mlogm_n_threshold(k, c) -> float:
     """A point beyond which the hypotheses hold permanently.
 
     n / (log n)^4 is increasing past e^4, so the fixpoint search starts there;
     the validity region has a small island near n = 3 that this deliberately
-    skips (pointwise checks still accept it).
+    skips.
     """
     n = max(math.exp(math.sqrt(2.0) / math.sqrt(c)), math.e ** 4)
     for _ in range(512):
@@ -197,10 +192,9 @@ def _mlogm_n_threshold(k, c) -> float:
     return n
 
 
-def auxiliary_inequality_check(lemma: str, params: dict = None,
-                               trials: int = 10 ** 4, seed: int = 0,
-                               z=None, n=None) -> LemmaCheckResult:
-    """Fuzz (or single-point) check of the auxiliary lemmas.
+def auxiliary_inequality_check(lemma: str, trials: int = 10 ** 4,
+                               seed: int = 0) -> LemmaCheckResult:
+    """Fuzz check of the auxiliary lemmas over random constants and points.
 
     forLowerBound: k > 0, c > 1, z >= max(k^(c-1) e^d, 1) and
     n <= k z - c log z imply n + (c-1) log n + d <= k z.
@@ -214,33 +208,12 @@ def auxiliary_inequality_check(lemma: str, params: dict = None,
     if lemma not in ("forLowerBound", "mlogm"):
         raise InvalidParameters("unknown lemma %r" % lemma)
     rng = random.Random(seed)
-    fixed = dict(params) if params else None
-
-    if z is not None and n is not None:
-        p = fixed or {}
-        if lemma == "forLowerBound":
-            k, c, d = p.get("k", 1.0), p.get("c", 2.0), p.get("d", 0.0)
-            _validate_flb(k, c, d, z, n)
-            ok = _check_for_lower_bound(k, c, d, z, n)
-        else:
-            k, c = p.get("k", 1.0), p.get("c", 1.0)
-            _validate_mlogm(k, c, z, n)
-            ok = _check_mlogm(k, c, z, n)
-        ce = None if ok else {"k": k, "c": c, "z": z, "n": n}
-        return LemmaCheckResult(lemma, 1, ok, ce)
-
-    if fixed is not None:
-        _validate_constants(lemma, fixed)
-
     done = 0
     while done < trials:
         if lemma == "forLowerBound":
-            if fixed is not None:
-                k, c, d = fixed["k"], fixed["c"], fixed.get("d", 0.0)
-            else:
-                k = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-                c = 1.0 + math.exp(rng.uniform(math.log(0.05), math.log(7.0)))
-                d = rng.uniform(-5.0, 5.0)
+            k = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            c = 1.0 + math.exp(rng.uniform(math.log(0.05), math.log(7.0)))
+            d = rng.uniform(-5.0, 5.0)
             z_min = max(k ** (c - 1.0) * math.exp(d), 1.0)
             zv = z_min * math.exp(rng.uniform(0.0, 9.0))
             n_hi = (k * zv - c * math.log(zv)) * (1.0 - 1e-9) - 1e-9
@@ -250,11 +223,8 @@ def auxiliary_inequality_check(lemma: str, params: dict = None,
             ok = _check_for_lower_bound(k, c, d, zv, nv)
             sample = {"k": k, "c": c, "d": d, "z": zv, "n": nv}
         else:
-            if fixed is not None:
-                k, c = fixed["k"], fixed["c"]
-            else:
-                k = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-                c = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+            k = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+            c = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             n_min = _mlogm_n_threshold(k, c)
             nv = n_min * math.exp(rng.uniform(0.0, 10.0))
             z_need = max(2.0 / k, (nv - c * math.log(nv) ** 2) / k, 1.0)
@@ -267,30 +237,3 @@ def auxiliary_inequality_check(lemma: str, params: dict = None,
         if not ok:
             return LemmaCheckResult(lemma, done, False, sample)
     return LemmaCheckResult(lemma, trials, True, None)
-
-
-def _validate_constants(lemma, p):
-    if lemma == "forLowerBound":
-        if p.get("k", 1.0) <= 0 or p.get("c", 2.0) <= 1:
-            raise InvalidParameters("forLowerBound needs k > 0 and c > 1")
-    else:
-        if p.get("k", 1.0) <= 0 or p.get("c", 1.0) <= 0:
-            raise InvalidParameters("mlogm needs k > 0 and c > 0")
-
-
-def _validate_flb(k, c, d, z, n):
-    _validate_constants("forLowerBound", {"k": k, "c": c})
-    if z < max(k ** (c - 1.0) * math.exp(d), 1.0):
-        raise InvalidParameters("z below the validity bound k^(c-1) e^d")
-    if n < 1.0 or n > k * z - c * math.log(z):
-        raise InvalidParameters("n violates the hypothesis inequality")
-
-
-def _validate_mlogm(k, c, z, n):
-    _validate_constants("mlogm", {"k": k, "c": c})
-    if not _mlogm_preconditions_hold(k, c, n):
-        raise InvalidParameters("n below N(k, c)")
-    if z < 2.0 / k:
-        raise InvalidParameters("z below 2/k")
-    if n > k * z + c * math.log(n) ** 2:
-        raise InvalidParameters("n violates the hypothesis inequality")

@@ -251,10 +251,7 @@ def _cmd_heights(args):
 def _cmd_bounds(args):
     seq_u = load_sequence(args.seq_u)
     seq_v = load_sequence(args.seq_v)
-    a_u = analyze_sequence(seq_u)
-    a_v = analyze_sequence(seq_v)
-    eb = matveev.effective_upper_bounds(a_u.certificate, a_v.certificate,
-                                        a_u.envelope, a_v.envelope)
+    eb = matveev.effective_upper_bounds(analyze_sequence(seq_u), analyze_sequence(seq_v))
     width = max(len(rec.name) for rec in eb.ledger)
     lines = ["# effective upper-bound ledger (%s vs %s)" % (seq_u.name, seq_v.name)]
     for rec in eb.ledger:
@@ -371,6 +368,9 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "count" and not args.oracle and \
+                (args.n_cap is not None or args.m_cap is not None):
+            parser.error("--n-cap and --m-cap need --oracle")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -41,6 +41,7 @@ from .recurrences import LinearRecurrence
 from .spectral import GrowthEnvelope, analyze_sequence
 
 _WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
+_HARD_CAP = 100000          # largest n cutoff before the window counts as a runaway
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def _refuse_recurring_hits(seqU, seqV, envU, envV, hits, limit):
                     % (p, q, w[0], n, p * period, m, q * period))
 
 
-def _enumerate_pairs(seqU, seqV, x, envU, envV, hard_cap=100000):
+def _enumerate_pairs(seqU, seqV, x, envU, envV):
     """Per-n index runs of the V terms within x of U_n, plus cutoff metadata.
 
     Returns (runs, entries, n_cut, m_cut, gap_margin).  entries are the
@@ -167,7 +168,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV, hard_cap=100000):
     rounds = 0
     while True:
         rounds += 1
-        if n_cut > hard_cap or rounds > 64:
+        if n_cut > _HARD_CAP or rounds > 64:
             raise CutoffUnsafe(
                 "cutoff extension runaway at n_cut=%d (near-collisions keep "
                 "appearing beyond the window)" % n_cut)
@@ -282,12 +283,10 @@ def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
     return _count(seqU, seqV, [x], envU, envV)[0][0]
 
 
-def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
-                    envU: GrowthEnvelope = None, envV: GrowthEnvelope = None
-                    ) -> CollisionScan:
+def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int) -> CollisionScan:
     """Report all c = U_n - V_m with >= 2 counted representations and the
     empirical repeat-index witnesses."""
-    (count,), runs, entries, repeated = _count(seqU, seqV, [x], envU, envV)
+    (count,), runs, entries, repeated = _count(seqU, seqV, [x], None, None)
     groups = {c: [] for c in sorted(repeated)}
     for n, u, left, right in runs:
         for v, m in entries[left:right]:

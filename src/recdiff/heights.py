@@ -1,5 +1,5 @@
 """Logarithmic (Weil) heights from minimal polynomials, plus the empirical
-height-constant probe over power quotients.
+height-growth probe C0 over power quotients.
 
 h(gamma) = (1/d) (log|a_d| + sum_i log max(1, |gamma_i|)) over the conjugates.
 Heights come back as certified intervals; compound values (alpha^n / beta^m)
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._roots import AlgebraicNumber
 from .errors import UnsupportedDegree
@@ -28,6 +27,8 @@ from .quadratic import QuadraticElement
 
 # the cyclotomic polynomials of degree <= 2: Phi_1, Phi_2, Phi_4, Phi_3, Phi_6
 _LOW_CYCLOTOMIC = frozenset({(1, -1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1)})
+_HEIGHT_WIDTH = 2.0 ** -64      # log_height climbs the ladder until h is this narrow
+_HEIGHT_START_BITS = 192
 
 
 def _is_reciprocal(coeffs) -> bool:
@@ -59,9 +60,8 @@ def _unit_circle_exact(field, roots, idx) -> bool:
     return len(inv_hits) == 1 and len(conj_hits) == 1 and inv_hits[0] == conj_hits[0]
 
 
-def log_height(gamma: AlgebraicNumber, target_width: float = 2.0 ** -64,
-               start_bits: int = 192):
-    """Certified interval for h(gamma) in natural-log units."""
+def log_height(gamma: AlgebraicNumber):
+    """Certified interval for h(gamma) in natural-log units, at most 2^-64 wide."""
     coeffs = gamma.min_poly
     d = gamma.degree
     cyclotomic = _is_cyclotomic(coeffs)
@@ -85,19 +85,10 @@ def log_height(gamma: AlgebraicNumber, target_width: float = 2.0 ** -64,
             else:
                 return None
         h = total / d
-        return h if width_float(h) <= target_width else None
+        return h if width_float(h) <= _HEIGHT_WIDTH else None
 
-    return ladder(start_bits, attempt, "height of %s not resolved at the precision cap"
+    return ladder(_HEIGHT_START_BITS, attempt, "height of %s not resolved at the precision cap"
                   % (gamma.label or gamma.min_poly,))
-
-
-def rational_quotient_height(p_value, q_value) -> float:
-    """Exact h(p/q) = log max(|num|, den) after full reduction."""
-    q_value = Fraction(q_value)
-    if q_value == 0:
-        raise ZeroDivisionError("q(m) evaluated to zero")
-    value = Fraction(p_value) / q_value
-    return _log_int(max(abs(value.numerator), value.denominator))
 
 
 def _log_int(n: int) -> float:
@@ -149,25 +140,22 @@ def compound_height(value: QuadraticElement) -> float:
 
 @dataclass(eq=False)
 class HeightProbeResult:
-    """Empirical witnesses for the two height lemmas (labelled empirical:
-    these are observed extrema over a finite grid, not proved constants)."""
+    """Empirical witness C0 for the height-growth lemma (labelled empirical:
+    it is the observed minimum over a finite grid, not a proved constant)."""
 
     c0_emp: float
-    c_emp: float | None
     range_bound: int
     rows: tuple               # (n, m, height, ratio)
     argmin: tuple
 
 
 def height_constant_probe(alpha: AlgebraicNumber, beta: AlgebraicNumber,
-                          range_bound: int, p_poly=None, q_poly=None,
+                          range_bound: int,
                           assume_independent: bool = False) -> HeightProbeResult:
     """Scan h(alpha^n/beta^m)/max(n,m) over the grid 1 <= n,m <= range_bound.
 
     c0_emp is the sampled minimum (a positive witness when the pair is
-    multiplicatively independent).  When rational coefficient polynomials
-    p, q are supplied, c_emp is the sampled maximum of
-    h(p(n)/q(m)) / log max(n,m) over n,m >= 2.
+    multiplicatively independent).
     """
     if range_bound < 1:
         raise ValueError("range_bound must be >= 1")
@@ -194,19 +182,4 @@ def height_constant_probe(alpha: AlgebraicNumber, beta: AlgebraicNumber,
             rows.append((n, m, h, ratio))
             if c0 is None or ratio < c0:
                 c0, argmin = ratio, (n, m)
-    c_emp = None
-    if p_poly is not None and q_poly is not None and range_bound >= 2:
-        c_emp = 0.0
-        for n in range(2, range_bound + 1):
-            for m in range(2, range_bound + 1):
-                h = rational_quotient_height(_poly_at(p_poly, n), _poly_at(q_poly, m))
-                c_emp = max(c_emp, h / math.log(max(n, m)))
-    return HeightProbeResult(c0, c_emp, range_bound, tuple(rows), argmin)
-
-
-def _poly_at(coeffs, n):
-    """Evaluate a rational-coefficient polynomial (low degree first) at n."""
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * n + Fraction(c)
-    return acc
+    return HeightProbeResult(c0, range_bound, tuple(rows), argmin)

@@ -316,12 +316,11 @@ def poly_eval_real(field: IntervalField, coeffs, x):
     return acc
 
 
-def refinement_precisions(start: int = 128, cap: int = None):
+def refinement_precisions(start: int = 128):
     """Doubling precision schedule up to the cap (cap always included)."""
     if start < 1:
         raise ValueError("precision must be at least 1 bit, got %r" % (start,))
-    if cap is None:
-        cap = precision_cap()
+    cap = precision_cap()
     bits = start
     while bits < cap:
         yield bits
@@ -329,18 +328,18 @@ def refinement_precisions(start: int = 128, cap: int = None):
     yield cap
 
 
-def ladder(start: int, attempt, message: str, cap: int = None):
+def ladder(start: int, attempt, message: str):
     """Climb the precision ladder until ``attempt`` makes a certified decision.
 
     Every certified decision in the package climbs this one ladder.  It runs
-    ``attempt(IntervalField(bits))`` over ``refinement_precisions(start,
-    cap)``: bits double from ``start`` and the last rung is exactly the cap
-    (``cap``, else RECDIFF_PRECISION_BITS, default 4096).  The first result
+    ``attempt(IntervalField(bits))`` over ``refinement_precisions(start)``:
+    bits double from ``start`` and the last rung is exactly the cap
+    (RECDIFF_PRECISION_BITS, default 4096).  The first result
     that is not None is returned; any other value, False included, is a
     decision.  When every rung fails, PrecisionExhausted(message) is raised
     with ``bits`` set to the last rung tried.
     """
-    for bits in refinement_precisions(start, cap):
+    for bits in refinement_precisions(start):
         result = attempt(IntervalField(bits))
         if result is not None:
             return result

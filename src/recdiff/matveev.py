@@ -26,12 +26,7 @@ from .intervals import (
     upper_float,
 )
 from .quadratic import QuadraticElement
-from .spectral import (
-    BinetDecomposition,
-    DominantRootCertificate,
-    GrowthEnvelope,
-    _decomposition_at,
-)
+from .spectral import SequenceAnalysis, _decomposition_at
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,8 @@ class LinearFormSample:
         return math.log(lower_float(self.lambda_abs))
 
 
-def _exact_dominant_side(decomp, cert, idx):
+def _exact_dominant_side(cert, idx):
+    decomp = cert.decomposition
     if decomp.exact is None:
         return None
     i = cert.root_index
@@ -96,17 +92,16 @@ def _exact_dominant_side(decomp, cert, idx):
         return None
 
 
-def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
-                 n: int, m: int, certU: DominantRootCertificate,
-                 certV: DominantRootCertificate) -> LinearFormSample:
+def lambda_value(u: SequenceAnalysis, v: SequenceAnalysis, n: int, m: int) -> LinearFormSample:
     """Certified interval for |Lambda| = |a(n) alpha^n / (b(m) beta^m) - 1|.
 
     Zero detection is exact in degree <= 2 (quadratic-field arithmetic);
     otherwise an interval containing zero is returned flagged "undecided".
     """
+    certU, certV = u.certificate, v.certificate
     status = None
-    exact_u = _exact_dominant_side(decompU, certU, n)
-    exact_v = _exact_dominant_side(decompV, certV, m)
+    exact_u = _exact_dominant_side(certU, n)
+    exact_v = _exact_dominant_side(certV, m)
     if exact_u is not None and exact_v is not None:
         if exact_v.is_zero():
             raise ZeroDivisionError("b(m) beta^m = 0 exactly")
@@ -121,7 +116,7 @@ def lambda_value(decompU: BinetDecomposition, decompV: BinetDecomposition,
         return found and found[0]
 
     def attempt(field):
-        du, dv = at(decompU, field), at(decompV, field)
+        du, dv = at(u.decomposition, field), at(v.decomposition, field)
         if du is None or dv is None:
             return None
         iu, iv = certU.root_index, certV.root_index
@@ -196,8 +191,10 @@ def _log_plus(x: float) -> float:
     return max(0.0, math.log(x)) if x > 0 else 0.0
 
 
-def _coeff_poly_abs_inf(decomp, idx, sigma, from_n):
-    """(threshold, inf) with |poly(n)| >= inf > 0 certified for all n >= threshold."""
+def _coeff_poly_abs_inf(cert, from_n):
+    """(threshold, inf) with |a(n)| >= inf > 0 certified for all n >= threshold,
+    a being the dominant coefficient polynomial of ``cert``; None if not found."""
+    decomp, idx, sigma = cert.decomposition, cert.root_index, cert.sigma
     coeffs = decomp.coefficients[idx]
     lead_low = lower_float(coeffs[sigma].modulus())
     if lead_low <= 0:
@@ -224,20 +221,20 @@ def _compositum_degree(alpha, beta) -> int:
     return alpha.degree * beta.degree
 
 
-def _root_log_term_upper(cert, field) -> float:
-    """Upper bound for |log root| (principal branch)."""
-    mod = cert.modulus()
-    log_mod = field.log(mod)
-    root = cert.root
-    if root.is_real and lower_float(root.box.re) > 0:
-        return upper_float(log_mod)
-    pi_up = upper_float(field.pi())
-    return math.hypot(upper_float(log_mod), pi_up)
+def _log_abs_upper(box, is_real, field) -> float:
+    """Upper bound for |log z| (principal branch) over the box of z: the
+    larger endpoint magnitude of log|z|, plus pi off the positive reals."""
+    log_mod = field.log(box.modulus())
+    log_abs = max(abs(lower_float(log_mod)), abs(upper_float(log_mod)))
+    if is_real and lower_float(box.re) > 0:
+        return log_abs
+    return math.hypot(log_abs, upper_float(field.pi()))
 
 
 def _matveev_a_value(cert, field, D) -> float:
-    h = upper_float(log_height(cert.root))
-    return max(D * h, _root_log_term_upper(cert, field), 0.16)
+    root = cert.root
+    h = upper_float(log_height(root))
+    return max(D * h, _log_abs_upper(root.box, root.is_real, field), 0.16)
 
 
 def _rational_poly_k_constant(coeffs) -> float | None:
@@ -255,8 +252,9 @@ def _rational_poly_k_constant(coeffs) -> float | None:
     return deg + _log_plus(denom * (coeff_sum + 1.0)) / math.log(2)
 
 
-def _a1_constant(decompU, certU, decompV, certV, D, field):
+def _a1_constant(certU, certV, D, field):
     """(C10, rigorous, formula) with A_1 = C10 log max(n, m) valid for n, m >= 2."""
+    decompU, decompV = certU.decomposition, certV.decomposition
     pu = decompU.exact[certU.root_index] if decompU.exact is not None else None
     qv = decompV.exact[certV.root_index] if decompV.exact is not None else None
     if pu is not None and qv is not None:
@@ -264,14 +262,8 @@ def _a1_constant(decompU, certU, decompV, certV, D, field):
             try:
                 ratio = pu[0] / qv[0]
                 h = compound_height(ratio)
-                box = ratio.box(field)
-                log_abs = upper_float(field.log(box.modulus()))
-                if ratio.is_rational and ratio.a > 0 or \
-                        (not ratio.is_rational and ratio.d > 0 and
-                         lower_float(box.re) > 0):
-                    log_term = abs(log_abs)
-                else:
-                    log_term = math.hypot(log_abs, upper_float(field.pi()))
+                log_term = _log_abs_upper(ratio.box(field), ratio.is_rational or ratio.d > 0,
+                                          field)
                 c10 = max(D * h, log_term, 0.16) / math.log(2)
                 return c10, True, "max{D h(a/b), |log(a/b)|, 0.16}/log 2 (constant ratio)"
             except UnsupportedDegree:
@@ -301,32 +293,54 @@ def _a1_constant(decompU, certU, decompV, certV, D, field):
     return 1.5 * best, False, "1.5 x sampled max of the A_1 quantity (non-rigorous)"
 
 
-def _fixpoint_threshold(fn, start=3.0, rounds=256) -> float:
-    """Smallest x (by doubling) with fn(y) <= y for all y >= x, for increasing
-    gaps; fn must be eventually dominated by the identity."""
-    x = max(start, 3.0)
-    for _ in range(rounds):
+def _fixpoint_threshold(fn) -> float:
+    """Smallest x (by doubling from 3) with fn(y) <= y for all y >= x, for
+    increasing gaps; fn must be eventually dominated by the identity."""
+    x = 3.0
+    for _ in range(256):
         if fn(x) <= x:
             return x
         x *= 2.0
     return x
 
 
-def _case2_constants(prefix, suffix, C_boundfor, la, lb, lap, lbp, sigma_main,
-                     C7, C8, C9, C11, C1_main, C4_other, tau_other, ledger):
+@dataclass(frozen=True)
+class _Side:
+    """One sequence's inputs to the chain, read once from its analysis."""
+
+    la: float           # log|root|
+    lap: float          # log alpha'
+    c_lower: float
+    c_upper: float
+    a_prime: float
+    sigma: int
+    n0: int
+    coeff_inf: tuple | None     # (floor, inf) of |a(n)|, from _coeff_poly_abs_inf
+
+
+def _side(analysis: SequenceAnalysis, field) -> _Side:
+    cert, env = analysis.certificate, analysis.envelope
+    return _Side(midpoint_float(field.log(cert.modulus())), math.log(float(env.alpha_prime)),
+                 float(env.c_lower), float(env.c_upper), float(env.a_prime),
+                 env.sigma, env.n0, _coeff_poly_abs_inf(cert, env.n0))
+
+
+def _case2_constants(prefix, suffix, C_boundfor, main, other, C11, C12, ledger):
     """Case 2 block: the main index n satisfies |c| < (main inner base)^n.
 
     Returns (C17, C18, threshold) with (other index) <= C17 (log n)^2 and
     log|c| >= n log|main root| - C18 (log n)^2 for n >= threshold.
     """
-    C15 = C_boundfor / 2.0 + (la + lap) / lb + sigma_main * (1.0 / math.e) / lb
+    la, lb, lap, lbp = main.la, other.la, main.lap, other.lap
+    tau = other.sigma
+    C15 = C_boundfor / 2.0 + (la + lap) / lb + main.sigma * (1.0 / math.e) / lb
     inv_gamma = max((math.exp(lap) / math.exp(la)) ** (1.0 / C15),
                     math.exp(lbp) / math.exp(lb))
     log_gamma = -math.log(inv_gamma)
-    C16 = C7 + C8 + C9
+    C16 = C12                   # the case 2 envelope sums the same C7 + C8 + C9
     C17 = (C11 * (1.0 + _log_plus(C15)) ** 2 + _log_plus(C16)) / log_gamma
-    C18 = C17 * lb + _log_plus(C4_other) + abs(math.log(C1_main)) \
-        + tau_other * _log_plus(C17) + 2.0 * tau_other
+    C18 = C17 * lb + _log_plus(other.c_upper) + abs(math.log(main.c_lower)) \
+        + tau * _log_plus(C17) + 2.0 * tau
     ledger.append(ConstantRecord(prefix + "15" + suffix, C15,
                                  "bound-for constant/2 + (log main + log main')/log other"
                                  " + sigma/(e log other)"))
@@ -340,9 +354,9 @@ def _case2_constants(prefix, suffix, C_boundfor, la, lb, lap, lbp, sigma_main,
     # growth validity: C1 alpha^n >= C4 (C17 (log n)^2)^tau beta^(C17 (log n)^2) + 2
     def growth_gap(x):
         lx = math.log(x)
-        rhs = math.log(C4_other + 2.0) + tau_other * (_log_plus(C17) + 2.0 * math.log(max(lx, 1.0))) \
+        rhs = math.log(other.c_upper + 2.0) + tau * (_log_plus(C17) + 2.0 * math.log(max(lx, 1.0))) \
             + C17 * lx * lx * lb + 2.0
-        return (rhs - math.log(C1_main)) / la
+        return (rhs - math.log(main.c_lower)) / la
 
     thr_growth = _fixpoint_threshold(growth_gap)
     # mlogm lemma threshold: n >= e^(sqrt2/sqrt(c)) and k^2 c^2 (log n)^4 <= n
@@ -353,36 +367,24 @@ def _case2_constants(prefix, suffix, C_boundfor, la, lb, lap, lbp, sigma_main,
     return C17, C18, max(thr_growth, thr_ml1, thr_ml2, 3.0)
 
 
-def _directional_chain(certU, certV, envU, envV, C10, A2, A3, D, ledger, primed=False):
-    """One directional chain (wlog |alpha|^n <= |beta|^m); returns the branch
-    bound data for (n, m)."""
-    field = IntervalField(192)
-    la = midpoint_float(field.log(certU.modulus()))
-    lb = midpoint_float(field.log(certV.modulus()))
-    lap = math.log(float(envU.alpha_prime))
-    lbp = math.log(float(envV.alpha_prime))
-    C1 = float(envU.c_lower)
-    C2 = float(envU.c_upper)
-    C3 = float(envV.c_lower)
-    C4 = float(envV.c_upper)
-    sigma, tau = envU.sigma, envV.sigma
+def _directional_chain(U, V, C10, A2, A3, D, ledger, primed=False):
+    """One directional chain (wlog |alpha|^n <= |beta|^m) over the sides U and
+    V.  Returns (Q, R, P) for n, the same for m, and (C17, C17b)."""
+    la, lb = U.la, V.la
     p = "C" if not primed else "C'"
-
-    decompV = certV.decomposition
-    b_inf = _coeff_poly_abs_inf(decompV, certV.root_index, envV.sigma, envV.n0)
-    if b_inf is None:
+    if V.coeff_inf is None:
         raise PrecisionExhausted("cannot bound |b(m)| away from zero")
-    m_floor, b_min = b_inf
+    m_floor, b_min = V.coeff_inf
 
-    C5 = (math.log(C4) - math.log(C1) + 2.0 * math.log(2.0)) / la
-    C6 = (math.log(C2) - math.log(C3) + 2.0 * math.log(2.0)) / lb
-    C7 = float(envU.a_prime) / b_min
-    C8 = float(envV.a_prime) / b_min
+    C5 = (math.log(V.c_upper) - math.log(U.c_lower) + 2.0 * math.log(2.0)) / la
+    C6 = (math.log(U.c_upper) - math.log(V.c_lower) + 2.0 * math.log(2.0)) / lb
+    C7 = U.a_prime / b_min
+    C8 = V.a_prime / b_min
     C9 = 1.0 / b_min
     C11 = matveev_constant_c3d(D) * (1.0 + (1.0 + math.log(3.0)) / math.log(2.0)) \
         * C10 * A2 * A3
     C12 = C7 + C8 + C9
-    C13 = max(1.0 / lap, 1.0 / lbp)
+    C13 = max(1.0 / U.lap, 1.0 / V.lap)
     C14 = C11 * (1.0 + _log_plus(C13)) ** 2 + _log_plus(C12)
 
     ledger.extend([
@@ -399,29 +401,20 @@ def _directional_chain(certU, certV, envU, envV, C10, A2, A3, D, ledger, primed=
     ])
 
     # case 2a bounds n; case 2b is its mirror and bounds m
-    C17a, C18a, thr2a = _case2_constants(p, "", C6, la, lb, lap, lbp, sigma,
-                                         C7, C8, C9, C11, C1, C4, tau, ledger)
-    C17b, C18b, thr2b = _case2_constants(p, "b", C5, lb, la, lbp, lap, tau,
-                                         C7, C8, C9, C11, C3, C2, sigma, ledger)
+    C17a, C18a, thr2a = _case2_constants(p, "", C6, U, V, C11, C12, ledger)
+    C17b, C18b, thr2b = _case2_constants(p, "b", C5, V, U, C11, C12, ledger)
 
     r_n = max(C14 / la, 4.0 * C18a / la)
     r_m = max(C14 / lb, 4.0 * C18b / lb)
-    p_n = max(float(envU.n0) + 1.0, thr2a, 3.0)
-    p_m = max(float(envV.n0) + 1.0, float(m_floor) + 1.0, thr2b, 3.0)
-    return {
-        "q_n": 1.0 / la, "q_m": 1.0 / lb,
-        "r_n": r_n, "r_m": r_m, "p_n": p_n, "p_m": p_m,
-        "la": la, "lb": lb,
-        "c17a": C17a, "c17b": C17b,
-        "c0_candidates": [math.e ** math.e, math.exp(2.0 * la), math.exp(2.0 * lb)],
-    }
+    p_n = max(float(U.n0) + 1.0, thr2a, 3.0)
+    p_m = max(float(V.n0) + 1.0, float(m_floor) + 1.0, thr2b, 3.0)
+    return (1.0 / la, r_n, p_n), (1.0 / lb, r_m, p_m), (C17a, C17b)
 
 
-def effective_upper_bounds(certU: DominantRootCertificate,
-                           certV: DominantRootCertificate,
-                           envU: GrowthEnvelope, envV: GrowthEnvelope) -> EffectiveBounds:
+def effective_upper_bounds(u: SequenceAnalysis, v: SequenceAnalysis) -> EffectiveBounds:
     """Compose the effective chain into n_max/m_max coefficient records."""
     field = IntervalField(192)
+    certU, certV = u.certificate, v.certificate
     alpha, beta = certU.root, certV.root
     try:
         independence = multiplicative_independence(alpha, beta)
@@ -432,11 +425,10 @@ def effective_upper_bounds(certU: DominantRootCertificate,
                          "alpha^%d = beta^%d" % (independence.n, independence.m))
     rigorous = independence is None or independence.status != "unknown"
 
-    D = _compositum_degree(certU.root, certV.root)
+    D = _compositum_degree(alpha, beta)
     A2 = _matveev_a_value(certU, field, D)
     A3 = _matveev_a_value(certV, field, D)
-    decompU, decompV = certU.decomposition, certV.decomposition
-    C10, c10_rig, c10_formula = _a1_constant(decompU, certU, decompV, certV, D, field)
+    C10, c10_rig, c10_formula = _a1_constant(certU, certV, D, field)
     rigorous = rigorous and c10_rig
 
     ledger = [
@@ -446,30 +438,22 @@ def effective_upper_bounds(certU: DominantRootCertificate,
         ConstantRecord("C10", C10, c10_formula, c10_rig),
     ]
 
-    chain_a = _directional_chain(certU, certV, envU, envV, C10, A2, A3, D, ledger)
-    chain_b = _directional_chain(certV, certU, envV, envU, C10, A3, A2, D, ledger,
-                                 primed=True)
-    # branch B bounds (m, n) in its own orientation; swap back
-    bounds_n = [(chain_a["q_n"], chain_a["r_n"], chain_a["p_n"]),
-                (chain_b["q_m"], chain_b["r_m"], chain_b["p_m"])]
-    bounds_m = [(chain_a["q_m"], chain_a["r_m"], chain_a["p_m"]),
-                (chain_b["q_n"], chain_b["r_n"], chain_b["p_n"])]
-
-    q_n = bounds_n[0][0]
-    q_m = bounds_m[0][0]
-    r_n = max(b[1] for b in bounds_n)
-    r_m = max(b[1] for b in bounds_m)
-    p_n = max(b[2] for b in bounds_n)
-    p_m = max(b[2] for b in bounds_m)
-
-    c0 = max([16.0] + chain_a["c0_candidates"] + chain_b["c0_candidates"])
+    side_u, side_v = _side(u, field), _side(v, field)
+    a_n, a_m, (c17a, c17b) = _directional_chain(side_u, side_v, C10, A2, A3, D, ledger)
+    # branch B bounds (m, n) in its own orientation
+    b_m, b_n, (c17a_b, c17b_b) = _directional_chain(side_v, side_u, C10, A3, A2, D, ledger,
+                                                    primed=True)
+    q_n, q_m = a_n[0], a_m[0]
+    r_n, r_m = max(a_n[1], b_n[1]), max(a_m[1], b_m[1])
+    p_n, p_m = max(a_n[2], b_n[2]), max(a_m[2], b_m[2])
+    c0 = max(16.0, math.e ** math.e, math.exp(2.0 * side_u.la), math.exp(2.0 * side_v.la))
 
     # small-index contributions: in case 2a of branch A m <= C17 (log n)^2 with
     # n <= n_max; the mirrored statements contribute symmetric R terms
     scale_n = 1.0 + _log_plus(p_n + q_n + r_n) + 3.0
     scale_m = 1.0 + _log_plus(p_m + q_m + r_m) + 3.0
-    r_m = max(r_m, chain_a["c17a"] * scale_n ** 2, chain_b["c17b"] * scale_n ** 2)
-    r_n = max(r_n, chain_a["c17b"] * scale_m ** 2, chain_b["c17a"] * scale_m ** 2)
+    r_m = max(r_m, c17a * scale_n ** 2, c17b_b * scale_n ** 2)
+    r_n = max(r_n, c17b * scale_m ** 2, c17a_b * scale_m ** 2)
 
     # Lambda = 0 branch: C0 max{n,m} <= C10 log 2 * log max{n,m}
     try:

@@ -110,8 +110,7 @@ def test_criterion_4_matveev_consistency():
     violations = 0
     certified = 0
     for n, m in samples:
-        s = lambda_value(fib.decomposition, pow2.decomposition, n, m,
-                         fib.certificate, pow2.certificate)
+        s = lambda_value(fib, pow2, n, m)
         if s.status != "nonzero":
             continue
         certified += 1
@@ -165,8 +164,7 @@ def test_criterion_6_heights():
 
 def test_criterion_7_effective_bounds_soundness():
     fib, pow2 = analyze_sequence(FIB), analyze_sequence(POW2)
-    eb = effective_upper_bounds(fib.certificate, pow2.certificate,
-                                fib.envelope, pow2.envelope)
+    eb = effective_upper_bounds(fib, pow2)
     runs, entries, _, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 4, fib.envelope, pow2.envelope)
     pairs = [(n, m, u - v) for n, u, left, right in runs for v, m in entries[left:right]]
     violations = 0

@@ -158,23 +158,7 @@ def test_ratio_table_deterministic():
     assert a.rows == b.rows and a.k1 == b.k1
 
 
-def test_for_lower_bound_single_point():
-    # k=1, c=2, d=0, z=e^3: hypothesis n <= 20.09 - 6.0 admits n = 14
-    res = auxiliary_inequality_check("forLowerBound", {"k": 1, "c": 2, "d": 0},
-                                     z=math.e ** 3, n=14)
-    assert res.passed and res.trials == 1
-
-
 def test_for_lower_bound_invalid_parameters():
-    with pytest.raises(InvalidParameters):
-        auxiliary_inequality_check("forLowerBound", {"k": 1, "c": 2, "d": 2},
-                                   z=1.5, n=1)       # z below k^(c-1) e^d
-    with pytest.raises(InvalidParameters):
-        auxiliary_inequality_check("forLowerBound", {"k": 1, "c": 0.5})
-    with pytest.raises(InvalidParameters):
-        auxiliary_inequality_check("mlogm", {"k": -1, "c": 1})
-    with pytest.raises(InvalidParameters):
-        auxiliary_inequality_check("mlogm", {"k": 1, "c": 1}, z=1.0, n=10)
     with pytest.raises(InvalidParameters):
         auxiliary_inequality_check("nosuch")
 
@@ -184,11 +168,3 @@ def test_lemma_fuzz_smoke():
     assert r1.passed and r1.counterexample is None
     r2 = auxiliary_inequality_check("mlogm", trials=2000, seed=11)
     assert r2.passed and r2.counterexample is None
-
-
-def test_lemma_fuzz_fixed_params():
-    r = auxiliary_inequality_check("mlogm", {"k": 1.0, "c": 1.0}, trials=2000, seed=3)
-    assert r.passed
-    r2 = auxiliary_inequality_check("forLowerBound", {"k": 1.0, "c": 2.0, "d": 0.0},
-                                    trials=2000, seed=3)
-    assert r2.passed

@@ -75,6 +75,15 @@ def test_usage_error_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("cap", ["--n-cap", "--m-cap"])
+def test_caps_without_oracle_are_a_usage_error(capsys, cap):
+    # the fast count has no caps; it used to ignore them and exit 0
+    code, out, err = run(capsys, "count", "--seq-u", "fib", "--seq-v", "pow2",
+                         "--x", "10", cap, "2", "--no-header")
+    assert code == 1 and out == ""
+    assert "--oracle" in err
+
+
 def test_parse_x_int_is_exact():
     assert _parse_x_int("1e12") == 10 ** 12
     assert _parse_x_int("10000000000000000001") == 10 ** 19 + 1

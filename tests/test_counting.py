@@ -197,7 +197,7 @@ def test_multi_band_count_and_collisions_match_a_plain_grouping():
     # T = 637,743 here, so the count sorts 4 bands
     envU, envV = analyze_sequence(FIB).envelope, analyze_sequence(POW2).envelope
     x = 10 ** 200
-    scan = find_collisions(FIB, POW2, x, envU, envV)
+    scan = find_collisions(FIB, POW2, x)
     runs, entries, _, _, _ = _enumerate_pairs(FIB, POW2, x, envU, envV)
     tally = Counter(_pair_differences(runs, entries))
     groups = {c: [] for c, k in tally.items() if k > 1}
@@ -227,11 +227,12 @@ def test_count_memory_does_not_grow_with_T():
     assert peak < 40 * 2 ** 20
 
 
-def test_cutoff_unsafe_escape_hatch():
+def test_cutoff_unsafe_escape_hatch(monkeypatch):
     envU = analyze_sequence(FIB).envelope
     envV = analyze_sequence(POW2).envelope
+    monkeypatch.setattr(counting, "_HARD_CAP", 5)
     with pytest.raises(CutoffUnsafe):
-        _enumerate_pairs(FIB, POW2, 10 ** 6, envU, envV, hard_cap=5)
+        _enumerate_pairs(FIB, POW2, 10 ** 6, envU, envV)
 
 
 @settings(max_examples=30, deadline=None)

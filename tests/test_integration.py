@@ -59,8 +59,7 @@ def test_effective_bounds_polynomial_coefficient_side():
     # tau = 1 on the V side exercises the |b(m)| floor machinery
     a_p3 = analyze_sequence(BUILTIN_SEQUENCES["pow3"])
     a_n2n = analyze_sequence(N2N)
-    eb = effective_upper_bounds(a_p3.certificate, a_n2n.certificate,
-                                a_p3.envelope, a_n2n.envelope)
+    eb = effective_upper_bounds(a_p3, a_n2n)
     assert eb.rigorous
     assert eb.m_bound.Q == pytest.approx(1.4426950408889634, rel=1e-12)
     for n in range(0, 30):

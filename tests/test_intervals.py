@@ -92,9 +92,11 @@ def test_poly_eval_box():
     assert contains_zero(val.im)
 
 
-def test_refinement_schedule():
-    assert list(refinement_precisions(128, 1000)) == [128, 256, 512, 1000]
-    assert list(refinement_precisions(4096, 4096)) == [4096]
+def test_refinement_schedule(monkeypatch):
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "1000")
+    assert list(refinement_precisions(128)) == [128, 256, 512, 1000]
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "4096")
+    assert list(refinement_precisions(4096)) == [4096]
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,35 +15,38 @@ from recdiff.spectral import analyze_sequence
 PROBE = LinearRecurrence("cap_probe", (1, 1), (4, 9))
 
 
-def test_ladder_returns_first_decision_and_counts_false():
+def test_ladder_returns_first_decision_and_counts_false(monkeypatch):
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "1024")
     tried = []
 
     def attempt(field):
         tried.append(field.prec)
         return False if field.prec >= 256 else None
 
-    assert ladder(64, attempt, "never", cap=1024) is False
+    assert ladder(64, attempt, "never") is False
     assert tried == [64, 128, 256]
 
 
-def test_ladder_tries_the_cap_last_and_reports_it():
+def test_ladder_tries_the_cap_last_and_reports_it(monkeypatch):
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "1000")
     tried = []
 
     def attempt(field):
         tried.append(field.prec)
 
     with pytest.raises(PrecisionExhausted, match="undecided") as info:
-        ladder(200, attempt, "undecided", cap=1000)
+        ladder(200, attempt, "undecided")
     assert tried == [200, 400, 800, 1000]
     assert info.value.bits == 1000
 
 
 @pytest.mark.parametrize("start", [0, -8])
-def test_ladder_refuses_a_start_below_one_bit(start):
+def test_ladder_refuses_a_start_below_one_bit(start, monkeypatch):
     # doubling used to keep 0 at 0 and a negative start negative, forever
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "1024")
     tried = []
     with pytest.raises(ValueError, match="at least 1 bit"):
-        ladder(start, tried.append, "never", cap=1024)
+        ladder(start, tried.append, "never")
     assert tried == []
 
 
@@ -71,7 +74,7 @@ def test_narrow_height_exhausts_at_a_low_cap(monkeypatch):
     monkeypatch.setenv("RECDIFF_PRECISION_BITS", "64")
     phi = AlgebraicNumber.from_quadratic(quadratic_roots(1, -1, -1)[0], "phi")
     with pytest.raises(PrecisionExhausted) as info:
-        log_height(phi, target_width=2.0 ** -80)
+        log_height(phi)
     assert info.value.bits == 64
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -51,17 +52,14 @@ def test_matveev_input_validation():
 
 
 def test_lambda_value_examples():
-    s = lambda_value(FIB.decomposition, POW2.decomposition, 10, 6,
-                     FIB.certificate, POW2.certificate)
+    s = lambda_value(FIB, POW2, 10, 6)
     assert s.status == "nonzero"
     assert midpoint_float(s.lambda_abs) == pytest.approx(0.1405681, abs=1e-6)
 
-    zero = lambda_value(POW2.decomposition, POW3.decomposition, 0, 0,
-                        POW2.certificate, POW3.certificate)
+    zero = lambda_value(POW2, POW3, 0, 0)
     assert zero.status == "zero"
 
-    ninth = lambda_value(POW2.decomposition, POW3.decomposition, 3, 2,
-                         POW2.certificate, POW3.certificate)
+    ninth = lambda_value(POW2, POW3, 3, 2)
     assert ninth.status == "nonzero"
     assert midpoint_float(ninth.lambda_abs) == pytest.approx(1 / 9, abs=1e-12)
 
@@ -77,23 +75,20 @@ def test_lambda_against_matveev_window():
              math.log((1 + 5 ** 0.5) / 2), 0.16)
     a3 = max(2 * math.log(2), math.log(2), 0.16)
     for n, m in samples:
-        sample = lambda_value(FIB.decomposition, POW2.decomposition, n, m,
-                              FIB.certificate, POW2.certificate)
+        sample = lambda_value(FIB, POW2, n, m)
         assert sample.status == "nonzero"
         floor = matveev_lower_bound(MatveevInput(3, 2, max(n, m), (a1, a2, a3)))
         assert sample.log_lambda_lower >= floor
 
 
 def test_effective_bounds_q_exact():
-    eb = effective_upper_bounds(FIB.certificate, POW2.certificate,
-                                FIB.envelope, POW2.envelope)
+    eb = effective_upper_bounds(FIB, POW2)
     assert eb.n_bound.Q == pytest.approx(1 / math.log((1 + 5 ** 0.5) / 2), rel=1e-12)
     assert eb.m_bound.Q == pytest.approx(1 / math.log(2), rel=1e-12)
 
 
 def test_effective_bounds_ledger():
-    eb = effective_upper_bounds(FIB.certificate, POW2.certificate,
-                                FIB.envelope, POW2.envelope)
+    eb = effective_upper_bounds(FIB, POW2)
     names = [rec.name for rec in eb.ledger]
     assert len(names) == len(set(names))
     for i in range(5, 19):
@@ -103,8 +98,7 @@ def test_effective_bounds_ledger():
 
 
 def test_effective_bounds_monotone():
-    eb = effective_upper_bounds(FIB.certificate, POW2.certificate,
-                                FIB.envelope, POW2.envelope)
+    eb = effective_upper_bounds(FIB, POW2)
     values = [eb.n_max(c) for c in (1, 10, 100, 10 ** 4, 10 ** 8)]
     assert values == sorted(values)
     values_m = [eb.m_max(c) for c in (1, 10, 100, 10 ** 4, 10 ** 8)]
@@ -113,8 +107,7 @@ def test_effective_bounds_monotone():
 
 def test_effective_bounds_soundness_small():
     # every brute-force solution with |c| <= 100 obeys the records
-    eb = effective_upper_bounds(FIB.certificate, POW2.certificate,
-                                FIB.envelope, POW2.envelope)
+    eb = effective_upper_bounds(FIB, POW2)
     fib, pow2 = BUILTIN_SEQUENCES["fib"], BUILTIN_SEQUENCES["pow2"]
     assert eb.n_max(10) >= 10 and eb.m_max(10) >= 6
     for n in range(0, 60):
@@ -128,16 +121,13 @@ def test_effective_bounds_soundness_small():
 def test_effective_bounds_rejects_dependent_roots():
     pow4 = analyze_sequence(LinearRecurrence("pow4", (4,), (1,)))
     with pytest.raises(ValueError):
-        effective_upper_bounds(POW2.certificate, pow4.certificate,
-                               POW2.envelope, pow4.envelope)
+        effective_upper_bounds(POW2, pow4)
 
 
 def test_effective_bounds_rigor_flags():
-    eb23 = effective_upper_bounds(POW2.certificate, POW3.certificate,
-                                  POW2.envelope, POW3.envelope)
+    eb23 = effective_upper_bounds(POW2, POW3)
     assert eb23.rigorous
-    eb_f2 = effective_upper_bounds(FIB.certificate, POW2.certificate,
-                                   FIB.envelope, POW2.envelope)
+    eb_f2 = effective_upper_bounds(FIB, POW2)
     assert not eb_f2.rigorous       # empirical height-growth witness in Q(sqrt 5)
     assert eb_f2.ledger_value("C10") > 0
 
@@ -153,6 +143,60 @@ def test_compositum_degree_ledger_record():
     same_field = analyze_sequence(LinearRecurrence("r", (2, 4), (0, 1)))
     pell = analyze_sequence(LinearRecurrence("pell", (2, 1), (0, 1)))
     for other, degree in ((same_field, 2), (pell, 4), (POW2, 2)):
-        eb = effective_upper_bounds(FIB.certificate, other.certificate,
-                                    FIB.envelope, other.envelope)
+        eb = effective_upper_bounds(FIB, other)
         assert [rec.value for rec in eb.ledger if rec.name == "D"] == [degree]
+
+
+def _exact_height(value: Fraction) -> float:
+    return math.log(max(abs(value.numerator), value.denominator, 1))
+
+
+def test_chain_k_constant_bounds_sampled_heights():
+    # the proved K of the chain's C10: h(p(n)/q(m)) <= (K_p + K_q) log max(n, m)
+    # for n, m >= 2; n 2^n has the exact dominant coefficient p(X) = X
+    from recdiff.matveev import _rational_poly_k_constant
+    from recdiff.quadratic import QuadraticElement
+
+    n2n = analyze_sequence(LinearRecurrence("n2n", (4, -4), (0, 2)))
+    p_x = n2n.decomposition.exact[n2n.certificate.root_index]
+    assert [c.a for c in p_x] == [0, 1]
+
+    def poly(*coeffs):
+        return tuple(QuadraticElement.from_rational(Fraction(c)) for c in coeffs)
+
+    pairs = [(p_x, poly(1)),
+             (poly(Fraction(-1, 2), 0, Fraction(3, 2)), poly(Fraction(5, 3), Fraction(1, 3)))]
+    for p, q in pairs:
+        k = _rational_poly_k_constant(p) + _rational_poly_k_constant(q)
+        for n in range(2, 31):
+            for m in range(2, 31):
+                value = sum(c.a * n ** j for j, c in enumerate(p)) \
+                    / sum(c.a * m ** j for j, c in enumerate(q))
+                assert _exact_height(value) <= k * math.log(max(n, m))
+
+
+def test_log_abs_upper_takes_the_larger_endpoint():
+    # log|1/sqrt 5| < 0, so the upper end of its interval is the endpoint of
+    # smaller magnitude and falls short of |log(1/sqrt 5)| = log(5)/2; a
+    # coarse field keeps the two endpoints apart as floats
+    from recdiff.intervals import IntervalField, lower_float
+    from recdiff.matveev import _log_abs_upper
+    from recdiff.quadratic import QuadraticElement
+
+    field = IntervalField(20)
+    box = (QuadraticElement.from_rational(1) / QuadraticElement.make(0, 1, 5)).box(field)
+    log_mod = field.log(box.modulus())
+    bound = _log_abs_upper(box, True, field)
+    assert abs(upper_float(log_mod)) < math.log(5) / 2 <= bound == abs(lower_float(log_mod))
+    # off the positive reals the argument adds pi
+    assert _log_abs_upper(-box, True, field) >= math.hypot(bound, math.pi)
+
+
+def test_matveev_margin_script_smoke(monkeypatch, capsys):
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "matveev_margin.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--hi", "15"])
+    runpy.run_path(str(script), run_name="__main__")
+    assert "never negative" in capsys.readouterr().out
