@@ -55,8 +55,6 @@ from .recurrences import (
     load_sequence,
     parse_sequence_config,
     serialize_sequence_config,
-    term,
-    terms_up_to_index,
 )
 from .spectral import (
     BinetDecomposition,

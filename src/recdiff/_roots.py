@@ -102,8 +102,6 @@ class AlgebraicNumber:
         return AlgebraicNumber(q.minimal_polynomial(), q.box(IntervalField(64)), True, q,
                                label or str(value))
 
-    from_integer = from_rational
-
     @staticmethod
     def from_quadratic(value: QuadraticElement, label="") -> "AlgebraicNumber":
         if value.is_rational:

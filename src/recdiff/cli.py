@@ -35,7 +35,7 @@ from .independence import multiplicative_independence
 from .intervals import midpoint_float
 from .quadratic import QuadraticElement, quadratic_roots
 from .recurrences import load_sequence
-from .spectral import analyze_sequence
+from .spectral import _CHECK_BOUND, analyze_sequence
 
 USAGE_ERROR, CUTOFF_EXIT, PRECISION_EXIT, INVALID_EXIT = 1, 2, 3, 4
 
@@ -122,7 +122,7 @@ def _analysis_report(seq):
             "n0": env.n0,
             "verified_to": env.verified_to,
         },
-        "binet_check_bound": analysis.decomposition.check_bound,
+        "binet_check_bound": _CHECK_BOUND,
         "precision_bits": analysis.spectrum.precision_bits,
     }
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from mpmath.libmp import mpf_gt, mpi_mul
 
-from .errors import CutoffUnsafe, PrecisionExhausted
+from .errors import CutoffUnsafe
 from .independence import multiplicative_independence
 from .intervals import (
     IntervalField,
@@ -135,10 +135,7 @@ def _refuse_recurring_hits(seqU, seqV, envU, envV, hits, limit):
     enough (pow2 against 16^m + 2^m counts).  Periods up to 12 are tried, on
     U indices up to ``limit``, the next round's scan limit.
     """
-    try:
-        verdict = multiplicative_independence(envU.certificate.root, envV.certificate.root)
-    except PrecisionExhausted:
-        return
+    verdict = multiplicative_independence(envU.certificate.root, envV.certificate.root)
     if verdict.status != "dependent":
         return
     p, q, d = verdict.n, verdict.m, seqU.order + seqV.order
@@ -267,6 +264,11 @@ def _count(seqU, seqV, xs, envU, envV):
         envU = analyze_sequence(seqU).envelope
     if envV is None:
         envV = analyze_sequence(seqV).envelope
+    for seq, env in ((seqU, envU), (seqV, envV)):
+        if (env.sequence.coefficients, env.sequence.initial_terms) != \
+                (seq.coefficients, seq.initial_terms):
+            raise ValueError("the envelope given for %r is that of %r"
+                             % (seq.name, env.sequence.name))
     runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
     pairs = sum(right - left for _, _, left, right in runs)
     totals, repeated = _distinct(runs, [v for v, _ in entries], xs, max(1, pairs >> 17))
@@ -279,7 +281,8 @@ def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
               envU: GrowthEnvelope = None, envV: GrowthEnvelope = None
               ) -> CountResult:
     """Exact T(x) and S(x) via envelope-seeded enumeration with a verified
-    safety window."""
+    safety window.  An envelope given for a sequence must come from one with
+    the same coefficients and initial terms, or ValueError is raised."""
     return _count(seqU, seqV, [x], envU, envV)[0][0]
 
 

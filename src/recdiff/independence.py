@@ -71,10 +71,6 @@ class IndependenceResult:
     m: int | None = None
     certificate: str = ""
 
-    @property
-    def is_independent(self):
-        return self.status == "independent"
-
 
 def _sign(p: Fraction, q: Fraction, d: int) -> int:
     """Exact sign of p + q sqrt(d) for a squarefree d > 1."""

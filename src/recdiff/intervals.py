@@ -218,9 +218,6 @@ class ComplexBox:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         f = self.field
@@ -243,9 +240,6 @@ class ComplexBox:
             raise ZeroDivisionError("divisor box contains zero")
         num = self * other.conjugate()
         return ComplexBox(self.field, num.re / den, num.im / den)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:

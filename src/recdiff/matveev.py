@@ -68,7 +68,6 @@ class LinearFormSample:
     m: int
     lambda_abs: object          # certified interval for |Lambda|
     status: str                 # "nonzero" | "zero" | "undecided"
-    matveev_floor: float | None = None
 
     @property
     def log_lambda_lower(self) -> float:
@@ -110,7 +109,7 @@ def lambda_value(u: SequenceAnalysis, v: SequenceAnalysis, n: int, m: int) -> Li
     undecided = []
 
     def at(decomp, field):
-        if field.prec <= decomp.precision_bits:
+        if field.prec <= decomp.spectrum.precision_bits:
             return decomp
         found = _decomposition_at(decomp.sequence, field)
         return found and found[0]
@@ -179,12 +178,6 @@ class EffectiveBounds:
 
     def m_max(self, c_abs) -> float:
         return self.m_bound.evaluate(c_abs, self.c0)
-
-    def ledger_value(self, name: str) -> float:
-        for rec in self.ledger:
-            if rec.name == name:
-                return rec.value
-        raise KeyError(name)
 
 
 def _log_plus(x: float) -> float:
@@ -294,11 +287,13 @@ def _a1_constant(certU, certV, D, field):
 
 
 def _fixpoint_threshold(fn) -> float:
-    """Smallest x (by doubling from 3) with fn(y) <= y for all y >= x, for
-    increasing gaps; fn must be eventually dominated by the identity."""
+    """Smallest x = 3 * 2^k > e^4 with fn(x) <= x.  The chain's fn are a
+    nonnegative constant plus nonnegative multiples of log, loglog, log^2 and
+    log^4, so fn(y)/y does not increase for y >= e^4 and fn(y) <= y then
+    holds for every y >= x."""
     x = 3.0
     for _ in range(256):
-        if fn(x) <= x:
+        if x > math.exp(4.0) and fn(x) <= x:
             return x
         x *= 2.0
     return x
@@ -416,14 +411,11 @@ def effective_upper_bounds(u: SequenceAnalysis, v: SequenceAnalysis) -> Effectiv
     field = IntervalField(192)
     certU, certV = u.certificate, v.certificate
     alpha, beta = certU.root, certV.root
-    try:
-        independence = multiplicative_independence(alpha, beta)
-    except PrecisionExhausted:
-        independence = None
-    if independence is not None and independence.status == "dependent":
+    independence = multiplicative_independence(alpha, beta)
+    if independence.status == "dependent":
         raise ValueError("dominant roots are multiplicatively dependent: "
                          "alpha^%d = beta^%d" % (independence.n, independence.m))
-    rigorous = independence is None or independence.status != "unknown"
+    rigorous = independence.status != "unknown"
 
     D = _compositum_degree(alpha, beta)
     A2 = _matveev_a_value(certU, field, D)

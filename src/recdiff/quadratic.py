@@ -103,11 +103,6 @@ class QuadraticElement:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("element is irrational")
-        return self.a
-
     def _check_field(self, other: "QuadraticElement"):
         if self.d != other.d and not self.is_rational and not other.is_rational:
             raise UnsupportedDegree(

@@ -65,14 +65,6 @@ class LinearRecurrence:
                 cache.append(sum(c[i] * cache[j - 1 - i] for i in range(k)))
             return cache[n]
 
-    def terms_up_to_index(self, n_max: int) -> list:
-        """All pairs (n, U_n) for n = 0..n_max."""
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        self.term(n_max)
-        with self._lock:
-            return [(n, self._cache[n]) for n in range(n_max + 1)]
-
     def characteristic_polynomial(self) -> tuple:
         """Coefficients of X^k - c_1 X^{k-1} - ... - c_k, highest degree first."""
         return (1,) + tuple(-c for c in self.coefficients)
@@ -80,14 +72,6 @@ class LinearRecurrence:
     def __repr__(self):
         return "LinearRecurrence(%r, coefficients=%r, initial_terms=%r)" % (
             self.name, self.coefficients, self.initial_terms)
-
-
-def term(seq: LinearRecurrence, n: int) -> int:
-    return seq.term(n)
-
-
-def terms_up_to_index(seq: LinearRecurrence, n_max: int) -> list:
-    return seq.terms_up_to_index(n_max)
 
 
 def parse_sequence_config(document) -> LinearRecurrence:

@@ -89,8 +89,6 @@ class BinetDecomposition:
     spectrum: CharacteristicSpectrum
     coefficients: tuple      # per root: tuple of ComplexBox, length = multiplicity
     exact: tuple | None      # same shape with QuadraticElement entries, or None
-    check_bound: int
-    precision_bits: int
 
     @property
     def sequence(self):
@@ -117,7 +115,6 @@ class DominantRootCertificate:
     root_index: int
     sigma: int               # degree of the dominant coefficient polynomial
     margin_lower: Fraction   # certified lower bound on min_i(|alpha| - |alpha_i|)
-    precision_bits: int
 
     @property
     def root(self) -> AlgebraicNumber:
@@ -158,7 +155,6 @@ class GrowthEnvelope:
     n0: int
     sigma: int
     verified_to: int
-    precision_bits: int
 
     @property
     def sequence(self):
@@ -298,7 +294,7 @@ def _binet_at(seq, spectrum, field):
             for j, val in enumerate(group):
                 if val.box(field).is_disjoint_from(grouped[i][j]):
                     return None
-    decomp = BinetDecomposition(spectrum, tuple(grouped), exact, _CHECK_BOUND, field.prec)
+    decomp = BinetDecomposition(spectrum, tuple(grouped), exact)
     if _check_fails_at_bound(decomp, field):
         return None
     roots = spectrum.roots
@@ -444,7 +440,7 @@ def _certificate_at(seq, decomp, field):
     margin_lower = min(gaps) if gaps else interval_inf_fraction(mod)
     if gaps and margin_lower <= 0:
         return None
-    return DominantRootCertificate(decomp, cand, sigma, margin_lower, field.prec)
+    return DominantRootCertificate(decomp, cand, sigma, margin_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +573,7 @@ def _envelope_at(decomp, cert, field, products):
         return None
 
     n0 = None
-    limit = min(n_seg, _WINDOW)
-    for start in range(0, limit + 1):
+    for start in range(_WINDOW + 1):
         if all(g > 0 for g in g_lower[start:]):
             n0 = start
             break
@@ -600,7 +595,7 @@ def _envelope_at(decomp, cert, field, products):
         return None
 
     env = GrowthEnvelope(cert, c_lower, c_upper, alpha_prime, a_prime,
-                         n0, sigma, _VERIFY_TO, field.prec)
+                         n0, sigma, _VERIFY_TO)
     if not _verify_envelope(env, decomp, field, products):
         return None
     return env

@@ -102,7 +102,7 @@ def test_criterion_4_matveev_consistency():
     a1 = max(d_field * h_ratio, log_ratio, 0.16)
     a2 = max(d_field * upper_float(log_height(AlgebraicNumber.from_quadratic(phi_plus))),
              math.log((1 + 5 ** 0.5) / 2), 0.16)
-    a3 = max(d_field * upper_float(log_height(AlgebraicNumber.from_integer(2))),
+    a3 = max(d_field * upper_float(log_height(AlgebraicNumber.from_rational(2))),
              math.log(2), 0.16)
     rng = random.Random(2026)
     cells = [(n, m) for n in range(5, 61) for m in range(5, 61)]
@@ -150,11 +150,11 @@ def test_criterion_5_spectral_certificates():
 
 def test_criterion_6_heights():
     phi_plus, _ = quadratic_roots(1, -1, -1)
-    h2 = midpoint_float(log_height(AlgebraicNumber.from_integer(2)))
+    h2 = midpoint_float(log_height(AlgebraicNumber.from_rational(2)))
     hphi = midpoint_float(log_height(AlgebraicNumber.from_quadratic(phi_plus)))
     h32 = midpoint_float(log_height(AlgebraicNumber.from_rational(Fraction(3, 2))))
-    probe = height_constant_probe(AlgebraicNumber.from_integer(2),
-                                  AlgebraicNumber.from_integer(3), 10)
+    probe = height_constant_probe(AlgebraicNumber.from_rational(2),
+                                  AlgebraicNumber.from_rational(3), 10)
     ok = abs(h2 - math.log(2)) < 1e-12 \
         and abs(hphi - 0.5 * math.log((1 + math.sqrt(5)) / 2)) < 1e-12 \
         and abs(h32 - math.log(3)) < 1e-12 \

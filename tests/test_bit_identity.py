@@ -72,15 +72,16 @@ def raw_box(box):
 def raw_analysis(analysis):
     """Every number of one analysis, as raw endpoints and exact strings."""
     decomp, cert, env = analysis.decomposition, analysis.certificate, analysis.envelope
+    bits = analysis.spectrum.precision_bits     # every stage runs on this one rung
     return (
-        analysis.spectrum.precision_bits,
+        bits,
         [(r.min_poly, r.is_real, r.multiplicity, raw_box(r.box))
          for r in analysis.spectrum.roots],
-        decomp.precision_bits, decomp.check_bound,
+        bits, spectral._CHECK_BOUND,
         [[raw_box(c) for c in group] for group in decomp.coefficients],
-        cert.root_index, cert.sigma, str(cert.margin_lower), cert.precision_bits,
+        cert.root_index, cert.sigma, str(cert.margin_lower), bits,
         [str(v) for v in (env.c_lower, env.c_upper, env.alpha_prime, env.a_prime)],
-        env.n0, env.sigma, env.verified_to, env.precision_bits,
+        env.n0, env.sigma, env.verified_to, bits,
     )
 
 

@@ -123,6 +123,20 @@ def test_dependent_dominant_roots_with_a_finite_count_still_count(monkeypatch):
     assert len(calls) == 1 + 3
 
 
+def test_envelope_of_another_sequence_is_refused():
+    # pow1000's envelope beside fib once gave T = 140, S = 110 as a "fast"
+    # count; an envelope of an equal sequence under another name is accepted
+    env_pow2 = analyze_sequence(POW2).envelope
+    env_pow1000 = analyze_sequence(LinearRecurrence("pow1000", (1000,), (1,))).envelope
+    with pytest.raises(ValueError, match="envelope"):
+        count_T_S(POW2, FIB, 10 ** 6, env_pow2, env_pow1000)
+    with pytest.raises(ValueError, match="envelope"):
+        count_T_S(FIB, POW2, 10 ** 6, env_pow2, env_pow2)
+    env_fib = analyze_sequence(LinearRecurrence("fib-copy", (1, 1), (0, 1))).envelope
+    r = count_T_S(POW2, FIB, 10 ** 6, env_pow2, env_fib)
+    assert (r.T, r.S) == FIB_POW2_TRUTH[10 ** 6]
+
+
 def test_float_and_fraction_x_are_taken_exactly():
     # u - x with a huge float x used to overflow; the count is that of int(x)
     r = count_T_S(POW2, POW3, 1e160)

@@ -19,8 +19,8 @@ from recdiff.quadratic import QuadraticElement, quadratic_roots
 
 PHI_EXACT, _ = quadratic_roots(1, -1, -1)
 PHI = AlgebraicNumber.from_quadratic(PHI_EXACT, "phi")
-TWO = AlgebraicNumber.from_integer(2)
-THREE = AlgebraicNumber.from_integer(3)
+TWO = AlgebraicNumber.from_rational(2)
+THREE = AlgebraicNumber.from_rational(3)
 
 
 def test_log_height_examples():
@@ -31,9 +31,9 @@ def test_log_height_examples():
 
 
 def test_height_zero_cases():
-    assert midpoint_float(log_height(AlgebraicNumber.from_integer(1))) == 0.0
-    assert midpoint_float(log_height(AlgebraicNumber.from_integer(-1))) == 0.0
-    assert midpoint_float(log_height(AlgebraicNumber.from_integer(0))) == 0.0
+    assert midpoint_float(log_height(AlgebraicNumber.from_rational(1))) == 0.0
+    assert midpoint_float(log_height(AlgebraicNumber.from_rational(-1))) == 0.0
+    assert midpoint_float(log_height(AlgebraicNumber.from_rational(0))) == 0.0
     omega = AlgebraicNumber.from_min_poly((1, 1, 1))     # cyclotomic
     assert midpoint_float(log_height(omega)) == 0.0
 
@@ -86,9 +86,9 @@ def test_probe_quadratic_pair_positive():
 
 def test_probe_rejects_dependent_pair():
     with pytest.raises(ValueError):
-        height_constant_probe(TWO, AlgebraicNumber.from_integer(2), 3)
+        height_constant_probe(TWO, AlgebraicNumber.from_rational(2), 3)
     with pytest.raises(ValueError):
-        height_constant_probe(TWO, AlgebraicNumber.from_integer(8), 3)
+        height_constant_probe(TWO, AlgebraicNumber.from_rational(8), 3)
 
 
 def test_probe_mixed_fields_unsupported():

@@ -21,6 +21,11 @@ TETRA = LinearRecurrence("tetranacci", (1, 1, 1, 1), (0, 0, 0, 1))
 PADOVAN = LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1))
 NEG2 = LinearRecurrence("neg2", (-2,), (1,))
 N2N = LinearRecurrence("n2n", (4, -4), (0, 2))
+NEG_FIB = LinearRecurrence("negfib", (1, 1), (0, -1))
+NEG_PHI = LinearRecurrence("negphi", (-1, 1), (1, 1))          # dominant root -phi
+KBONACCI_5 = LinearRecurrence("kbonacci-5", (1,) * 5, (0,) * 4 + (1,))
+KBONACCI_6 = LinearRecurrence("kbonacci-6", (1,) * 6, (0,) * 5 + (1,))
+N2_2N = LinearRecurrence("n2-2n", (6, -12, 8), (0, 1, 8))      # n^2 2^(n-1)
 
 
 def test_tetranacci_analysis():
@@ -47,7 +52,14 @@ def test_negative_dominant_root():
     (TETRA, BUILTIN_SEQUENCES["pow2"], 50),
     (NEG2, BUILTIN_SEQUENCES["pow3"], 100),     # alternating-sign U
     (PADOVAN, NEG2, 30),                        # alternating-sign V
-], ids=("tetra-pow2", "neg2-pow3", "padovan-neg2"))
+    (NEG2, BUILTIN_SEQUENCES["pow3"], 10 ** 6),
+    (NEG_FIB, BUILTIN_SEQUENCES["pow2"], 10 ** 6),  # negative terms throughout
+    (NEG_PHI, BUILTIN_SEQUENCES["pow3"], 10 ** 6),  # negative irrational dominant root
+    (N2N, BUILTIN_SEQUENCES["pow3"], 10 ** 9),      # sigma = 1 on the U side
+    (N2N, KBONACCI_5, 10 ** 9),
+    (KBONACCI_6, N2_2N, 10 ** 9),                   # sigma = 2 on the V side
+], ids=("tetra-pow2", "neg2-pow3", "padovan-neg2", "neg2-pow3-1e6", "negfib-pow2-1e6",
+        "negphi-pow3-1e6", "n2n-pow3-1e9", "n2n-kbonacci5-1e9", "kbonacci6-n2-2n-1e9"))
 def test_fast_count_matches_oracle(seq_u, seq_v, x):
     fast = count_T_S(seq_u, seq_v, x)
     oracle = brute_force_oracle(seq_u, seq_v, x,

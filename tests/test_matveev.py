@@ -129,7 +129,7 @@ def test_effective_bounds_rigor_flags():
     assert eb23.rigorous
     eb_f2 = effective_upper_bounds(FIB, POW2)
     assert not eb_f2.rigorous       # empirical height-growth witness in Q(sqrt 5)
-    assert eb_f2.ledger_value("C10") > 0
+    assert next(r.value for r in eb_f2.ledger if r.name == "C10") > 0
 
 
 def test_compositum_degree_ledger_record():
@@ -200,3 +200,19 @@ def test_matveev_margin_script_smoke(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", [str(script), "--hi", "15"])
     runpy.run_path(str(script), run_name="__main__")
     assert "never negative" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: 2.0 * math.log(x) ** 4,
+    lambda x: 0.01 * math.log(x) ** 4,
+    lambda x: 40.0 * math.log(x),
+    lambda x: 3.0 * math.log(x) ** 2 + 2.0 * math.log(math.log(x)) + 5.0,
+], ids=("log4", "small-log4", "log", "growth-gap"))
+def test_fixpoint_threshold_holds_from_the_returned_point_on(fn):
+    # 2 (log x)^4 <= x at x = 3, but not at any y = 6, 12, ..., 3072, so the
+    # first grid point where the inequality holds can be far too early
+    from recdiff.matveev import _fixpoint_threshold
+
+    x = _fixpoint_threshold(fn)
+    assert all(fn(y) <= y for y in (x * 1.01 ** j for j in range(3000)))
+    assert x / 2 <= math.exp(4) or fn(x / 2) > x / 2       # the smallest such grid point

@@ -93,7 +93,8 @@ def test_field_axioms_random(a, b, d):
     assert x * y == y * x
     if not x.is_zero():
         assert x * x.inverse() == QuadraticElement.from_rational(1)
-        assert x.norm() == (x * x.conjugate()).rational_value()
+        product = x * x.conjugate()
+        assert product.is_rational and x.norm() == product.a
 
 
 def test_factor_integer_matches_sympy():

@@ -11,8 +11,6 @@ from recdiff.recurrences import (
     LinearRecurrence,
     parse_sequence_config,
     serialize_sequence_config,
-    term,
-    terms_up_to_index,
 )
 
 FIB = BUILTIN_SEQUENCES["fib"]
@@ -21,9 +19,9 @@ N2N = LinearRecurrence("n2n", (4, -4), (0, 2))
 
 
 def test_term_examples():
-    assert term(FIB, 10) == 55
-    assert term(POW2, 5) == 32
-    assert term(N2N, 4) == 64          # closed form n * 2^n
+    assert FIB.term(10) == 55
+    assert POW2.term(5) == 32
+    assert N2N.term(4) == 64          # closed form n * 2^n
 
 
 def test_initial_terms_returned_unchanged():
@@ -31,17 +29,9 @@ def test_initial_terms_returned_unchanged():
     assert LinearRecurrence("x", (1, 2, 3), (7, -8, 9)).term(1) == -8
 
 
-def test_terms_up_to_index():
-    assert terms_up_to_index(FIB, 5) == [(0, 0), (1, 1), (2, 1), (3, 2), (4, 3), (5, 5)]
-    assert terms_up_to_index(POW2, 0) == [(0, 1)]
-    assert terms_up_to_index(POW2, 3) == [(0, 1), (1, 2), (2, 4), (3, 8)]
-
-
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         FIB.term(-1)
-    with pytest.raises(ValueError):
-        FIB.terms_up_to_index(-1)
 
 
 def test_recurrence_identity_far_out():
@@ -67,7 +57,6 @@ def test_recurrence_identity_random(coeffs, init, n):
     seq = LinearRecurrence("rand", tuple(coeffs), tuple(init))
     if n >= k:
         assert seq.term(n) == sum(coeffs[i] * seq.term(n - 1 - i) for i in range(k))
-    assert [v for _, v in seq.terms_up_to_index(n)] == [seq.term(j) for j in range(n + 1)]
 
 
 def test_parse_config():

@@ -219,7 +219,7 @@ def test_imaginary_factor_beside_a_dominant_root():
     cert = analyze_sequence(seq).certificate
     assert cert.root.min_poly == (1, -3)
     assert interval_inf_fraction(cert.modulus()) <= 3 <= interval_sup_fraction(cert.modulus())
-    assert cert.precision_bits == 512
+    assert cert.decomposition.spectrum.precision_bits == 512
 
 
 def _sympy_factor_list(coeffs):
