@@ -8,23 +8,25 @@ step refines each one and certifies that its final box holds exactly one
 root.  The real roots start from sympy's real-only intervals at the eps the
 caller asks for.
 
-The non-real roots start from the rectangles that sympy's
-``Poly.intervals(all=True, eps)`` would return, without its complex
-isolation.  ``polyroots`` in a private 64-bit mpmath context seeds each root
-above the real axis, once per factor.  Newton certifies a small box around
-each seed; (degree - real roots) / 2 disjoint boxes above the axis hold
-every non-real root.  Each box fixes sympy's eps-rectangle, because sympy's
-bisection splits every rectangle at its midpoint, so the cell that holds a
-root depends only on where the root lies.  A second Newton step refines that
-rectangle, so each box is the one the fine sympy call would have led to.
-Whenever the rebuild is uncertain (no convergence, a wrong count, a failed
-Newton step, a box on a split line or on the real axis, as for the roots of
-x^4 + 3x^2 + 1 on Re = 0, or another root's box touching the final cell),
-the fine sympy call runs instead.  Correctness never rests on the rebuild:
-the final Newton step certifies each box.
+The non-real roots never meet sympy's complex isolation.  ``polyroots`` in
+a private mpmath context, with precision and steps scaled to the size of the
+roots, seeds each root above the real axis, in a rectangle at most half as
+wide as its distance to the axis, and Newton certifies a box around each
+seed.  (degree - real roots) / 2 disjoint boxes above the axis
+hold every non-real root.  From 64-bit seeds, once per factor, each box fixes
+the eps-rectangle that sympy's ``Poly.intervals(all=True, eps)`` would return,
+because sympy's bisection splits every rectangle at its midpoint, so the
+cell that holds a root depends only on where the root lies; Newton refines
+that rectangle to the box the sympy call would have led to.  Where this
+replay is uncertain (a box on a split line or on the real axis, as for the
+roots of x^4 + 3x^2 + 1 on Re = 0, or another root's box touching the final
+cell), the seeds are taken again at max(128, eps_bits) bits, so they climb
+with the rung; their own boxes, refined to near the precision floor, and
+the mirror images of those are the roots.  There is no other fallback and
+no retry: Newton certifies every box.
 
-Factorisations and seeds are kept in LRU caches of ``_CACHE_SIZE``
-polynomials each.
+Factorisations, seeds (per factor and bits) and rebuilt rectangles sit in
+LRU caches of ``_CACHE_SIZE`` entries each.
 
 Every root is an ``AlgebraicNumber``, the one record that the spectral,
 heights, independence and Matveev layers share.
@@ -42,6 +44,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import to_rational
 
 from .errors import PrecisionExhausted
 from .intervals import (
@@ -181,36 +184,33 @@ def _fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
-def _sympy_intervals(coeffs, eps_bits, all_roots):
-    """``Poly.intervals`` with its corners left as QQ numbers, not expressions."""
+def _sympy_intervals(coeffs, eps_bits):
+    """Sympy's real isolating intervals at eps, corners left as QQ numbers."""
     from sympy import QQ, Poly, Symbol
 
-    return Poly(list(coeffs), Symbol("X"), domain="ZZ").rep.intervals(
-        all=all_roots, eps=QQ(1, 2 ** eps_bits))
-
-
-def _sympy_rectangles(coeffs, eps_bits) -> list:
-    """Sympy's eps-rectangles of the non-real roots as (re_lo, re_hi, im_lo, im_hi),
-    read from their south-west and north-east corners."""
-    _, complex_parts = _sympy_intervals(coeffs, eps_bits, True)
-    return [(_fraction(u), _fraction(s), _fraction(v), _fraction(t))
-            for ((u, v), (s, t)), _mult in complex_parts]
+    return Poly(list(coeffs), Symbol("X"), domain="ZZ").rep.intervals(eps=QQ(1, 2 ** eps_bits))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _seed_rectangles(coeffs: tuple) -> tuple:
-    """Small rectangles around the ``polyroots`` seeds of the roots above the
-    real axis, once per factor; () when it does not converge."""
+def _seed_rectangles(coeffs: tuple, bits: int) -> tuple:
+    """Rectangles around the ``polyroots`` seeds at ``bits`` bits of the roots
+    above the real axis, each seed converted exactly; () when it does not
+    converge.  Its stop test is absolute, so with 2^-(L+1) < |root| < 2^(L+1)
+    it runs 2L bits finer, 2L bits further and 2L steps longer.  A half-width
+    of 2^-20 max(|Re z|, Im z), cut to half the distance to the axis, scales
+    with the root and keeps each rectangle off the axis."""
+    size = max(map(abs, coeffs)).bit_length()      # L above, by Cauchy's bound
     ctx = MPContext()
-    ctx.prec = 64
+    ctx.prec = bits + 2 * size
     try:
-        roots = ctx.polyroots(coeffs)
+        roots = ctx.polyroots(coeffs, maxsteps=50 + 2 * size, extraprec=10 + 2 * size)
     except ctx.NoConvergence:
         return ()
     rects = []
-    for z in map(complex, roots):
+    for z in roots:
         if z.imag > 0:
-            re, im, h = Fraction(z.real), Fraction(z.imag), Fraction(max(1.0, abs(z))) / 2 ** 20
+            re, im = (Fraction(*to_rational(part._mpf_)) for part in (z.real, z.imag))
+            h = min(max(abs(re), im) / 2 ** 20, im / 2)
             rects.append((re - h, re + h, im - h, im + h))
     return tuple(rects)
 
@@ -261,20 +261,30 @@ def _sympy_cell(root, others, bound, eps):
                 return None if v == 0 else (u, s, v, t)
 
 
+def _seed_boxes(coeffs, pairs, bits, field, target):
+    """Certified Newton boxes of width <= target around the seeds at ``bits``
+    bits, ordered by the (re, im) of the seed; None unless there are ``pairs`` of them, all above
+    the real axis and no two meeting."""
+    seeds = _seed_rectangles(tuple(coeffs), bits)
+    if len(seeds) != pairs:
+        return None
+    boxes = [_newton_refine_box(coeffs, _derivative(coeffs), _rect_box(field, rect), target)
+             for rect in sorted(seeds, key=lambda r: (r[0] + r[1], r[2] + r[3]))]
+    if None in boxes or not all(b.im.a > 0 for b in boxes) or not all(
+            a.is_disjoint_from(b) for a, b in itertools.combinations(boxes, 2)):
+        return None
+    return boxes
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _rebuilt_rectangles(coeffs: tuple, eps_bits, pairs):
-    """``_sympy_rectangles(coeffs, eps_bits)`` rebuilt from certified Newton
+    """Sympy's eps-rectangles of the non-real roots, rebuilt from certified Newton
     boxes around the seeds of the ``pairs`` roots above the real axis, in
     sympy's order; None when uncertain.  The boxes need only be far narrower
     than eps, so Newton runs at 2 eps_bits + 32 bits, once per (factor, eps)."""
-    seeds = _seed_rectangles(coeffs)
-    if len(seeds) != pairs:
-        return None
-    field, target = IntervalField(2 * eps_bits + 32), 2.0 ** -(eps_bits + 16)
-    certified = [_newton_refine_box(coeffs, _derivative(coeffs), _rect_box(field, rect), target)
-                 for rect in seeds]
-    if None in certified or not all(a.is_disjoint_from(b)
-                                    for a, b in itertools.combinations(certified, 2)):
+    certified = _seed_boxes(coeffs, pairs, 64, IntervalField(2 * eps_bits + 32),
+                            2.0 ** -(eps_bits + 16))
+    if certified is None:
         return None
     boxes = [(interval_inf_fraction(b.re), interval_sup_fraction(b.re),
               interval_inf_fraction(b.im), interval_sup_fraction(b.im)) for b in certified]
@@ -338,8 +348,8 @@ def _newton_refine_box(coeffs, dcoeffs, box, target):
 def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
     """All roots of one irreducible integer polynomial, certified.
 
-    Each box is refined from its eps-rectangle (eps = 2^-eps_bits) to a
-    width of at most 2^-max(32, field.prec // 2).  Returns a list of
+    Each box is refined from its eps-rectangle (eps = 2^-eps_bits) or seed
+    to a width of at most 2^-max(32, field.prec // 2).  Returns a list of
     AlgebraicNumber or None when certification fails at this precision
     (caller refines).  Complex roots appear as conjugate pairs.
     """
@@ -359,38 +369,27 @@ def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
 
     dcoeffs = _derivative(coeffs)
     roots = []
-    for (lo, hi), _mult in _sympy_intervals(coeffs, eps_bits, False):
-        lo, hi = _fraction(lo), _fraction(hi)
-        if lo > hi:
-            lo, hi = hi, lo
+    for (lo, hi), _mult in _sympy_intervals(coeffs, eps_bits):
+        lo, hi = sorted((_fraction(lo), _fraction(hi)))
         refined = _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target)
         if refined is None:
             return None
         roots.append(AlgebraicNumber(min_poly, field.box_from_intervals(refined, field.real(0)),
                                      True))
     if len(roots) < deg:
-        rects = _rebuilt_rectangles(tuple(coeffs), eps_bits, (deg - len(roots)) // 2)
-        if rects is None:
-            rects = _sympy_rectangles(coeffs, eps_bits)
-        for rect in rects:
-            refined = _newton_refine_box(coeffs, dcoeffs, _rect_box(field, rect), target)
-            re_lo, re_hi, im_lo, im_hi = rect
-            if refined is None and 0 in (re_lo, re_hi):
-                # a purely imaginary root on the edge Re = 0 keeps the Newton image
-                # from being interior: retry once, widened by the width on both sides
-                wide = (2 * re_lo - re_hi, 2 * re_hi - re_lo, im_lo, im_hi)
-                refined = _newton_refine_box(coeffs, dcoeffs, _rect_box(field, wide), target)
-            if refined is None:
-                return None
-            roots.append(AlgebraicNumber(min_poly, refined, False))
-    if len(roots) != deg:
-        return None
+        pairs = (deg - len(roots)) // 2
+        rects = _rebuilt_rectangles(tuple(coeffs), eps_bits, pairs)
+        if rects is None:       # the seeds at the rung's bits, refined near its floor
+            upper = _seed_boxes(coeffs, pairs, max(128, eps_bits), field, 2.0 ** (32 - field.prec))
+            boxes = None if upper is None else [b for u in upper for b in (u.conjugate(), u)]
+        else:
+            boxes = [_newton_refine_box(coeffs, dcoeffs, _rect_box(field, rect), target)
+                     for rect in rects]
+        if boxes is None or None in boxes:
+            return None
+        roots += [AlgebraicNumber(min_poly, box, False) for box in boxes]
     return roots
 
 
 def all_pairwise_disjoint(roots) -> bool:
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if not roots[i].box.is_disjoint_from(roots[j].box):
-                return False
-    return True
+    return all(a.box.is_disjoint_from(b.box) for a, b in itertools.combinations(roots, 2))

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from mpmath.libmp import mpf_gt, mpi_mul
 
-from .errors import CutoffUnsafe
+from .errors import CutoffUnsafe, PrecisionExhausted
 from .independence import multiplicative_independence
 from .intervals import (
     IntervalField,
@@ -353,49 +353,43 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
         raise ValueError("x must be positive")
 
     field = IntervalField(precision_bits)
-    alpha = _base_value(field, alpha_key)
-    beta = _base_value(field, beta_key)
-    for label, base in (("alpha", alpha), ("beta", beta)):
-        if not certainly_greater(base, field.real(1)):
+    for label, key in (("alpha", alpha_key), ("beta", beta_key)):
+        if not certainly_greater(_base_value(field, key), field.real(1)):
             raise ValueError("%s must exceed 1" % label)
+    undecided = []
 
-    def compare(n, m):
-        """Whether |alpha^n - beta^m| <= x, decided with certified margin."""
-        def attempt(f):
-            diff = abs(_base_value(f, alpha_key) ** n - _base_value(f, beta_key) ** m)
-            xr = f.real(x)
-            if certainly_le(diff, xr):
-                return True
-            if certainly_greater(diff, xr):
-                return False
-            return None
-
-        return ladder(precision_bits, attempt,
-                      "|alpha^%d - beta^%d| straddles x at the precision cap" % (n, m))
-
-    pairs = []
-    last_hit = -1
-    n = 0
-    while True:
-        a_pow = alpha ** n
-        m = 0
+    def scan(f):
+        """(pairs, last hit) at the precision of f, with running powers; None
+        when |alpha^n - beta^m| straddles x there."""
+        alpha, beta, xr = _base_value(f, alpha_key), _base_value(f, beta_key), f.real(x)
+        pairs, last_hit, n, a_pow = [], -1, 0, f.real(1)
         while True:
-            b_pow = beta ** m
+            m, b_pow = 0, f.real(1)
             # beyond reach: beta^m - alpha^n > x certified ends the m loop
-            if certainly_greater(b_pow - a_pow, field.real(x)):
-                break
-            if compare(n, m):
-                pairs.append((n, m))
-                last_hit = n
-            m += 1
-            if m > 10 ** 6:
-                raise CutoffUnsafe("m loop runaway")
-        if n >= 2 * max(last_hit, 0) + 8:
-            break
-        n += 1
-        if n > 10 ** 6:
-            raise CutoffUnsafe("n loop runaway")
+            while not certainly_greater(b_pow - a_pow, xr):
+                diff = abs(a_pow - b_pow)
+                if certainly_le(diff, xr):
+                    pairs.append((n, m))
+                    last_hit = n
+                elif not certainly_greater(diff, xr):
+                    undecided.append((n, m))
+                    return None
+                m += 1
+                if m > 10 ** 6:
+                    raise CutoffUnsafe("m loop runaway")
+                b_pow *= beta
+            if n >= 2 * max(last_hit, 0) + 8:
+                return pairs, last_hit
+            n += 1
+            if n > 10 ** 6:
+                raise CutoffUnsafe("n loop runaway")
+            a_pow *= alpha
 
+    try:
+        pairs, last_hit = ladder(precision_bits, scan, "")
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted("|alpha^%d - beta^%d| straddles x at the precision cap"
+                                 % undecided[-1], bits=exc.bits) from None
     m_cut = max((m for _, m in pairs), default=0)
     return RealPowerCount(alpha_key, beta_key, x, len(pairs), tuple(pairs),
                           max(last_hit, 0), m_cut, precision_bits)

@@ -39,12 +39,12 @@ class MatveevInput:
     def __post_init__(self):
         if self.t < 1 or self.D < 1:
             raise ValueError("t and D must be positive integers")
-        if self.B < 1:
-            raise ValueError("B must be >= 1")
+        if not 1 <= self.B < math.inf:          # NaN fails every comparison
+            raise ValueError("B must be finite and >= 1")
         if len(self.A) != self.t:
             raise ValueError("need exactly t values A_1..A_t")
-        if any(a < 0.16 for a in self.A):
-            raise ValueError("each A_i must be >= 0.16")
+        if not all(0.16 <= a < math.inf for a in self.A):
+            raise ValueError("each A_i must be finite and >= 0.16")
 
 
 def matveev_lower_bound(inp: MatveevInput) -> float:

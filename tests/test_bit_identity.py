@@ -9,10 +9,13 @@ spectral pipeline that moves a single bit of any of them fails here.  The
 first set is the seed-1 batch of the spectral-cold benchmark, k-bonacci of
 order 5, and x^5 - x - 1 as a recurrence.  The second is the drawn members
 of the seed-5 and seed-7 batches (their anchors are in the first set) and
-k-bonacci of order 8.
+k-bonacci of order 8.  A third digest pins the seed path of root isolation,
+which none of those takes: the boxes of x^4 + 3x^2 + 1 (roots on Re = 0) at
+192 and 512 bits and the analysis of (x - 3)(x^4 + 3x^2 + 1).
 
-Run as a script, ``python tests/test_bit_identity.py`` prints both digests
-of the checkout it sits in, to compare two commits of the spectral layer.
+Run as a script, ``python tests/test_bit_identity.py`` prints the three
+digests of the checkout it sits in, to compare two commits of the spectral
+layer.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from recdiff import spectral  # noqa: E402
+from recdiff import _roots, spectral  # noqa: E402
 from recdiff.intervals import IntervalField  # noqa: E402
 from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence  # noqa: E402
 from recdiff.spectral import analyze_sequence  # noqa: E402
@@ -61,6 +64,7 @@ BATCH_5_7 = [
 ]
 DIGEST = "5c5ef224aa9c33211a7a403e79745e26a5eac0512c039d4310260aff3d451e64"
 DIGEST_5_7 = "b6ab4b2e5423c4df5bb3973de361e23c770a733ece639cd854af0883caea2efd"
+SEED_PATH_DIGEST = "490ba8eff2533df1501db609b1e1911b40dd92bf70cb20b24c30fdd8e465f4c0"
 
 
 def raw_box(box):
@@ -91,12 +95,27 @@ def digest(batch):
     return hashlib.sha256(repr(records).encode()).hexdigest()
 
 
+def seed_path_digest():
+    """SHA-256 of the x^4 + 3x^2 + 1 boxes at 192 and 512 bits, at spectral's
+    eps for each rung, and of a fresh analysis of (x - 3)(x^4 + 3x^2 + 1)."""
+    boxes = [[raw_box(r.box) for r in _roots.isolate_factor_roots(
+        IntervalField(bits), (1, 0, 3, 0, 1), eps_bits=max(32, min(bits // 4, 256)))]
+        for bits in (192, 512)]
+    analysis = spectral._analyze_uncached(LinearRecurrence("imag3", (3, -3, 9, -1, 3),
+                                                           (0, 0, 0, 0, 1)))
+    return hashlib.sha256(repr((boxes, raw_analysis(analysis))).encode()).hexdigest()
+
+
 def test_cold_analyses_are_bit_identical():
     assert digest(BATCH) == DIGEST
 
 
 def test_seed_5_and_7_analyses_are_bit_identical():
     assert digest(BATCH_5_7) == DIGEST_5_7
+
+
+def test_seed_path_is_bit_identical():
+    assert seed_path_digest() == SEED_PATH_DIGEST
 
 
 def test_cached_analysis_keeps_no_binet_rows():
@@ -166,3 +185,4 @@ def test_early_refusal_keeps_every_rung_verdict(monkeypatch):
 if __name__ == "__main__":
     for name, batch in (("BATCH", BATCH), ("BATCH_5_7", BATCH_5_7)):
         print(name, digest(batch))
+    print("SEED_PATH", seed_path_digest())

@@ -161,6 +161,11 @@ def test_matveev_subcommand(capsys):
     assert code == 0
     value = float(json.loads(out)["log_lambda_lower_bound"])
     assert value == pytest.approx(-6.1006e15, rel=1e-4)
+    # a NaN or infinite input would print "NaN" (not JSON) or "-inf"
+    for b, a in (("nan", "1"), ("100", "inf")):
+        code, out, _ = run(capsys, "matveev", "--t", "1", "--D", "2", "--B", b, "--A", a,
+                           "--no-header")
+        assert code == 4 and out == ""
 
 
 def test_independence_subcommand(capsys):

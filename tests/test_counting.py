@@ -15,7 +15,8 @@ from recdiff.counting import (
     count_real_power_pairs,
     find_collisions,
 )
-from recdiff.errors import CutoffUnsafe
+from recdiff.errors import CutoffUnsafe, PrecisionExhausted
+from recdiff.intervals import IntervalField
 from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
 from recdiff.spectral import analyze_sequence
 
@@ -317,6 +318,25 @@ def test_explorer_preconditions():
         count_real_power_pairs("1", "2", 5)
     with pytest.raises(ValueError):
         count_real_power_pairs("0.5", "2", 5)
+
+
+def test_explorer_climbs_one_ladder_per_scan(monkeypatch):
+    fields, init = [], IntervalField.__init__
+
+    def spy(self, prec):
+        fields.append(prec)
+        init(self, prec)
+
+    monkeypatch.setattr(IntervalField, "__init__", spy)
+    assert count_real_power_pairs("pi", "e", 1000).T == 53
+    assert fields == [200, 200]         # the precondition check, then one scan
+    # pi^2 - e exceeds 7.1513 by 2.3e-5, which a 16-bit cap cannot decide:
+    # the refusal names the pair
+    assert (2, 1) not in count_real_power_pairs("pi", "e", "7.1513").pairs
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "16")
+    with pytest.raises(PrecisionExhausted, match=r"\|alpha\^2 - beta\^1\|") as refusal:
+        count_real_power_pairs("pi", "e", "7.1513")
+    assert refusal.value.bits == 16
 
 
 def test_explorer_x_as_fraction():

@@ -49,6 +49,9 @@ def test_matveev_input_validation():
         MatveevInput(1, 1, 0.5, (1.0,))
     with pytest.raises(ValueError):
         MatveevInput(1, 1, 1, (0.1,))
+    for B, A in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            MatveevInput(1, 1, B, (A,))
 
 
 def test_lambda_value_examples():
