@@ -2,31 +2,24 @@
 
 Factorisation into irreducibles is exact: content, discriminant and
 ``math.isqrt`` for degree <= 2, sympy over ZZ above.  Linear and quadratic
-factors get exact roots.  A higher-degree factor starts from
-isolating rectangles with exact rational corners, and an interval Newton
-step refines each one and certifies that its final box holds exactly one
-root.  The real roots start from sympy's real-only intervals at the eps the
-caller asks for.
+factors get exact roots.  A higher-degree factor starts from isolating
+regions with exact rational corners, and an interval Newton step refines
+each one and certifies that its final box holds exactly one root.  The
+precision rung sets eps = 2^-eps_bits, eps_bits = max(32, min(prec // 4,
+256)), and the real roots start from sympy's real-only intervals at eps.
 
 The non-real roots never meet sympy's complex isolation.  ``polyroots`` in
-a private mpmath context, with precision and steps scaled to the size of the
-roots, seeds each root above the real axis, in a rectangle at most half as
-wide as its distance to the axis, and Newton certifies a box around each
-seed.  (degree - real roots) / 2 disjoint boxes above the axis
-hold every non-real root.  From 64-bit seeds, once per factor, each box fixes
-the eps-rectangle that sympy's ``Poly.intervals(all=True, eps)`` would return,
-because sympy's bisection splits every rectangle at its midpoint, so the
-cell that holds a root depends only on where the root lies; Newton refines
-that rectangle to the box the sympy call would have led to.  Where this
-replay is uncertain (a box on a split line or on the real axis, as for the
-roots of x^4 + 3x^2 + 1 on Re = 0, or another root's box touching the final
-cell), the seeds are taken again at max(128, eps_bits) bits, so they climb
-with the rung; their own boxes, refined to near the precision floor, and
-the mirror images of those are the roots.  There is no other fallback and
+a private mpmath context at max(128, eps_bits) bits, with precision and
+steps scaled to the size of the roots, seeds each root above the real axis,
+in a rectangle at most half as wide as its distance to the axis, and Newton
+refines a box around each seed to a width of 2^-(prec - 32).  The seeds
+climb with the rung.  (degree - real roots) / 2 disjoint boxes above the
+axis hold every non-real root, also those on Re = 0, as for x^4 + 3x^2 + 1,
+and their mirror images are the roots below it.  There is no other path and
 no retry: Newton certifies every box.
 
-Factorisations, seeds (per factor and bits) and rebuilt rectangles sit in
-LRU caches of ``_CACHE_SIZE`` entries each.
+Factorisations and seeds (per factor and bits) sit in LRU caches of
+``_CACHE_SIZE`` entries each.
 
 Every root is an ``AlgebraicNumber``, the one record that the spectral,
 heights, independence and Matveev layers share.
@@ -51,8 +44,6 @@ from .intervals import (
     ComplexBox,
     IntervalField,
     contains_zero,
-    interval_inf_fraction,
-    interval_sup_fraction,
     intersect,
     is_interior,
     midpoint_float,
@@ -184,11 +175,12 @@ def _fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
-def _sympy_intervals(coeffs, eps_bits):
-    """Sympy's real isolating intervals at eps, corners left as QQ numbers."""
+def _sympy_intervals(coeffs, bits):
+    """Sympy's real isolating intervals at eps = 2^-bits, corners left as QQ
+    numbers."""
     from sympy import QQ, Poly, Symbol
 
-    return Poly(list(coeffs), Symbol("X"), domain="ZZ").rep.intervals(eps=QQ(1, 2 ** eps_bits))
+    return Poly(list(coeffs), Symbol("X"), domain="ZZ").rep.intervals(eps=QQ(1, 2 ** bits))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -222,82 +214,20 @@ def _rect_box(field, rect) -> ComplexBox:
         field.from_endpoints(field.real(im_lo), field.real(im_hi)))
 
 
-def _sympy_cell(root, others, bound, eps):
-    """The cell in which sympy's bisection stops for ``root``; None if uncertain.
-
-    Sympy halves [-B, B] x [0, B] at the midpoint, vertically when the cell
-    is wider than tall, and keeps the first cell narrower than eps both ways
-    that holds one root.  Every box is (re_lo, re_hi, im_lo, im_hi).
-    """
-    re_lo, re_hi, im_lo, im_hi = root
-    if im_lo <= 0:
-        return None
-    u, v, w, h = -bound, Fraction(0), 2 * bound, bound     # south-west corner, size
-    while True:
-        if w > h:
-            w /= 2
-            mid = u + w
-            if re_lo > mid:
-                u = mid
-            elif re_hi >= mid:
-                return None
-        else:
-            h /= 2
-            mid = v + h
-            if im_lo > mid:
-                v = mid
-            elif im_hi >= mid:
-                return None
-        if w < eps and h < eps:
-            s, t = u + w, v + h
-            shared = False
-            for o in others:
-                if o is root or o[1] < u or o[0] > s or o[3] < v or o[2] > t:
-                    continue
-                if not (u < o[0] and o[1] < s and v < o[2] and o[3] < t):
-                    return None
-                shared = True
-            if not shared:
-                return None if v == 0 else (u, s, v, t)
-
-
-def _seed_boxes(coeffs, pairs, bits, field, target):
-    """Certified Newton boxes of width <= target around the seeds at ``bits``
-    bits, ordered by the (re, im) of the seed; None unless there are ``pairs`` of them, all above
-    the real axis and no two meeting."""
+def _seed_boxes(coeffs, pairs, bits, field):
+    """Certified Newton boxes of width <= 2^-(field.prec - 32) around the seeds
+    at ``bits`` bits, in the (re, im) order of the seeds; None unless there are
+    ``pairs`` of them, all above the real axis and no two meeting."""
     seeds = _seed_rectangles(tuple(coeffs), bits)
     if len(seeds) != pairs:
         return None
-    boxes = [_newton_refine_box(coeffs, _derivative(coeffs), _rect_box(field, rect), target)
+    dcoeffs, target = _derivative(coeffs), 2.0 ** (32 - field.prec)
+    boxes = [_newton_refine_box(coeffs, dcoeffs, _rect_box(field, rect), target)
              for rect in sorted(seeds, key=lambda r: (r[0] + r[1], r[2] + r[3]))]
     if None in boxes or not all(b.im.a > 0 for b in boxes) or not all(
             a.is_disjoint_from(b) for a, b in itertools.combinations(boxes, 2)):
         return None
     return boxes
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _rebuilt_rectangles(coeffs: tuple, eps_bits, pairs):
-    """Sympy's eps-rectangles of the non-real roots, rebuilt from certified Newton
-    boxes around the seeds of the ``pairs`` roots above the real axis, in
-    sympy's order; None when uncertain.  The boxes need only be far narrower
-    than eps, so Newton runs at 2 eps_bits + 32 bits, once per (factor, eps)."""
-    certified = _seed_boxes(coeffs, pairs, 64, IntervalField(2 * eps_bits + 32),
-                            2.0 ** -(eps_bits + 16))
-    if certified is None:
-        return None
-    boxes = [(interval_inf_fraction(b.re), interval_sup_fraction(b.re),
-              interval_inf_fraction(b.im), interval_sup_fraction(b.im)) for b in certified]
-    others = boxes + [(a, b, -d, -c) for a, b, c, d in boxes]
-    bound = 2 * max(Fraction(abs(c), abs(coeffs[0])) for c in coeffs)
-    eps = Fraction(1, 2 ** eps_bits)
-    cells = [_sympy_cell(root, others, bound, eps) for root in boxes]
-    if None in cells:
-        return None
-    rects = []
-    for u, s, v, t in sorted(cells, key=lambda c: (c[0], c[2])):
-        rects += [(u, s, -t, -v), (u, s, v, t)]
-    return tuple(rects)
 
 
 def _derivative(coeffs):
@@ -345,19 +275,21 @@ def _newton_refine_box(coeffs, dcoeffs, box, target):
     return box if certified else None
 
 
-def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
+def isolate_factor_roots(field: IntervalField, coeffs):
     """All roots of one irreducible integer polynomial, certified.
 
-    Each box is refined from its eps-rectangle (eps = 2^-eps_bits) or seed
-    to a width of at most 2^-max(32, field.prec // 2).  Returns a list of
-    AlgebraicNumber or None when certification fails at this precision
-    (caller refines).  Complex roots appear as conjugate pairs.
+    The rung sets eps = 2^-eps_bits, eps_bits = max(32, min(field.prec // 4,
+    256)).  Each real root is refined from sympy's eps-interval to a width of
+    at most 2^-max(32, field.prec // 2); the non-real roots above the axis
+    come from the seed boxes at max(128, eps_bits) bits, and their mirror
+    images are the roots below it.  Returns a list of AlgebraicNumber or None
+    when certification fails at this precision (caller refines).  Complex
+    roots appear as conjugate pairs.
     """
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
     if deg < 1:
         raise ValueError("constant polynomial has no roots")
-    target = 2.0 ** (-max(32, field.prec // 2))
     min_poly = tuple(coeffs if coeffs[0] > 0 else [-c for c in coeffs])
 
     if deg == 1:
@@ -367,6 +299,8 @@ def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
         return [AlgebraicNumber(min_poly, val.box(field), val.d > 0 or val.is_rational, val)
                 for val in quadratic_roots(*coeffs)]
 
+    eps_bits = max(32, min(field.prec // 4, 256))
+    target = 2.0 ** (-max(32, field.prec // 2))
     dcoeffs = _derivative(coeffs)
     roots = []
     for (lo, hi), _mult in _sympy_intervals(coeffs, eps_bits):
@@ -377,17 +311,11 @@ def isolate_factor_roots(field: IntervalField, coeffs, eps_bits=32):
         roots.append(AlgebraicNumber(min_poly, field.box_from_intervals(refined, field.real(0)),
                                      True))
     if len(roots) < deg:
-        pairs = (deg - len(roots)) // 2
-        rects = _rebuilt_rectangles(tuple(coeffs), eps_bits, pairs)
-        if rects is None:       # the seeds at the rung's bits, refined near its floor
-            upper = _seed_boxes(coeffs, pairs, max(128, eps_bits), field, 2.0 ** (32 - field.prec))
-            boxes = None if upper is None else [b for u in upper for b in (u.conjugate(), u)]
-        else:
-            boxes = [_newton_refine_box(coeffs, dcoeffs, _rect_box(field, rect), target)
-                     for rect in rects]
-        if boxes is None or None in boxes:
+        upper = _seed_boxes(coeffs, (deg - len(roots)) // 2, max(128, eps_bits), field)
+        if upper is None:
             return None
-        roots += [AlgebraicNumber(min_poly, box, False) for box in boxes]
+        roots += [AlgebraicNumber(min_poly, box, False)
+                  for u in upper for box in (u.conjugate(), u)]
     return roots
 
 

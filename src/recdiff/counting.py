@@ -341,8 +341,10 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
                            ) -> RealPowerCount:
     """Count (n, m) with |alpha^n - beta^m| <= x for real bases > 1.
 
-    Comparisons are decided with certified margin; an undecidable comparison
-    at the precision cap raises PrecisionExhausted rather than guessing.
+    Comparisons are decided with certified margin.  With two rational bases a
+    comparison the intervals leave open is decided exactly, so a tie such as
+    |1.1^1 - 2^0| = 0.1 counts; with pi or e it is refined, and at the
+    precision cap it raises PrecisionExhausted rather than guessing.
     """
     alpha_key = _parse_base(alpha_expr)
     beta_key = _parse_base(beta_expr)
@@ -356,6 +358,8 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
     for label, key in (("alpha", alpha_key), ("beta", beta_key)):
         if not certainly_greater(_base_value(field, key), field.real(1)):
             raise ValueError("%s must exceed 1" % label)
+    exact = None if {alpha_key, beta_key} & set(NAMED_BASES) else (
+        Fraction(alpha_key), Fraction(beta_key))
     undecided = []
 
     def scan(f):
@@ -368,12 +372,15 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
             # beyond reach: beta^m - alpha^n > x certified ends the m loop
             while not certainly_greater(b_pow - a_pow, xr):
                 diff = abs(a_pow - b_pow)
-                if certainly_le(diff, xr):
+                hit = certainly_le(diff, xr)
+                if not hit and not certainly_greater(diff, xr):
+                    if exact is None:
+                        undecided.append((n, m))
+                        return None
+                    hit = abs(exact[0] ** n - exact[1] ** m) <= x
+                if hit:
                     pairs.append((n, m))
                     last_hit = n
-                elif not certainly_greater(diff, xr):
-                    undecided.append((n, m))
-                    return None
                 m += 1
                 if m > 10 ** 6:
                     raise CutoffUnsafe("m loop runaway")

@@ -179,10 +179,9 @@ class SequenceAnalysis:
 
 def _spectrum_at(seq: LinearRecurrence, field: IntervalField):
     factors = factor_integer_poly(seq.characteristic_polynomial())
-    eps_bits = max(32, min(field.prec // 4, 256))
     roots = []
     for coeffs, mult in factors:
-        isolated = isolate_factor_roots(field, coeffs, eps_bits=eps_bits)
+        isolated = isolate_factor_roots(field, coeffs)
         if isolated is None:
             return None
         roots += [replace(root, multiplicity=mult) for root in isolated]

@@ -9,13 +9,15 @@ spectral pipeline that moves a single bit of any of them fails here.  The
 first set is the seed-1 batch of the spectral-cold benchmark, k-bonacci of
 order 5, and x^5 - x - 1 as a recurrence.  The second is the drawn members
 of the seed-5 and seed-7 batches (their anchors are in the first set) and
-k-bonacci of order 8.  A third digest pins the seed path of root isolation,
-which none of those takes: the boxes of x^4 + 3x^2 + 1 (roots on Re = 0) at
-192 and 512 bits and the analysis of (x - 3)(x^4 + 3x^2 + 1).
+k-bonacci of order 8.  A third digest pins the seed boxes of roots on
+Re = 0, a line on which sympy's bisection splits: the boxes of
+x^4 + 3x^2 + 1 at 192 and 512 bits and the analysis of
+(x - 3)(x^4 + 3x^2 + 1).
 
 Run as a script, ``python tests/test_bit_identity.py`` prints the three
-digests of the checkout it sits in, to compare two commits of the spectral
-layer.
+digests of the checkout it sits in, and after each batch digest the rung of
+each of its analyses in batch order, to compare two commits of the spectral
+layer: a re-pin then shows whether a rung moved.
 """
 
 import hashlib
@@ -62,8 +64,8 @@ BATCH_5_7 = [
     ("reducible-quartic-1", (0, 0, 3, 2), (0, 9, 9, 6)),
     ("kbonacci-8", (1,) * 8, (0,) * 7 + (1,)),
 ]
-DIGEST = "5c5ef224aa9c33211a7a403e79745e26a5eac0512c039d4310260aff3d451e64"
-DIGEST_5_7 = "b6ab4b2e5423c4df5bb3973de361e23c770a733ece639cd854af0883caea2efd"
+DIGEST = "8c808a9a31f120c5ecc770e44c19ac01ea27ae9b2ae2866691064127a5ed335b"
+DIGEST_5_7 = "d328b777dede3ec3ebb2f5a31f8aa86e08b7aaa8fdc35573dbfc713ad6ba125f"
 SEED_PATH_DIGEST = "490ba8eff2533df1501db609b1e1911b40dd92bf70cb20b24c30fdd8e465f4c0"
 
 
@@ -89,29 +91,33 @@ def raw_analysis(analysis):
     )
 
 
-def digest(batch):
-    """SHA-256 of the raw records of fresh analyses of ``batch``."""
-    records = [raw_analysis(analyze_sequence(LinearRecurrence(*spec))) for spec in batch]
-    return hashlib.sha256(repr(records).encode()).hexdigest()
+def analyses(batch):
+    """Fresh analyses of ``batch``, in its order."""
+    return [analyze_sequence(LinearRecurrence(*spec)) for spec in batch]
+
+
+def digest(done):
+    """SHA-256 of the raw records of the analyses ``done``."""
+    return hashlib.sha256(repr([raw_analysis(a) for a in done]).encode()).hexdigest()
 
 
 def seed_path_digest():
-    """SHA-256 of the x^4 + 3x^2 + 1 boxes at 192 and 512 bits, at spectral's
-    eps for each rung, and of a fresh analysis of (x - 3)(x^4 + 3x^2 + 1)."""
-    boxes = [[raw_box(r.box) for r in _roots.isolate_factor_roots(
-        IntervalField(bits), (1, 0, 3, 0, 1), eps_bits=max(32, min(bits // 4, 256)))]
-        for bits in (192, 512)]
+    """SHA-256 of the x^4 + 3x^2 + 1 boxes at 192 and 512 bits and of a fresh
+    analysis of (x - 3)(x^4 + 3x^2 + 1)."""
+    boxes = [[raw_box(r.box) for r in _roots.isolate_factor_roots(IntervalField(bits),
+                                                                  (1, 0, 3, 0, 1))]
+             for bits in (192, 512)]
     analysis = spectral._analyze_uncached(LinearRecurrence("imag3", (3, -3, 9, -1, 3),
                                                            (0, 0, 0, 0, 1)))
     return hashlib.sha256(repr((boxes, raw_analysis(analysis))).encode()).hexdigest()
 
 
 def test_cold_analyses_are_bit_identical():
-    assert digest(BATCH) == DIGEST
+    assert digest(analyses(BATCH)) == DIGEST
 
 
 def test_seed_5_and_7_analyses_are_bit_identical():
-    assert digest(BATCH_5_7) == DIGEST_5_7
+    assert digest(analyses(BATCH_5_7)) == DIGEST_5_7
 
 
 def test_seed_path_is_bit_identical():
@@ -184,5 +190,7 @@ def test_early_refusal_keeps_every_rung_verdict(monkeypatch):
 
 if __name__ == "__main__":
     for name, batch in (("BATCH", BATCH), ("BATCH_5_7", BATCH_5_7)):
-        print(name, digest(batch))
+        done = analyses(batch)
+        print(name, digest(done))
+        print("  rungs", " ".join(str(a.spectrum.precision_bits) for a in done))
     print("SEED_PATH", seed_path_digest())

@@ -210,6 +210,15 @@ def test_problem1_subcommand(capsys):
     assert code == 4
 
 
+def test_problem1_counts_an_exact_rational_tie(capsys):
+    # 1.1^1 - 2^0 = 0.1 exactly: no interval decides it, the exact check does
+    code, out, _ = run(capsys, "problem1", "--alpha", "1.1", "--beta", "2", "--x", "0.1",
+                       "--no-header")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pairs"] == [[0, 0], [1, 0], [7, 1]] and data["precision_bits"] == 200
+
+
 def test_error_exit_code_wiring(capsys, monkeypatch):
     from recdiff import counting
     from recdiff.errors import CutoffUnsafe, PrecisionExhausted

@@ -307,6 +307,24 @@ def test_explorer_rational_bases():
     assert r.T == 2 and r.pairs == ((0, 0), (3, 2))
 
 
+def test_explorer_decides_rational_ties_exactly(monkeypatch):
+    # |alpha^n - beta^m| = x exactly straddles x at every precision; with
+    # rational bases one scan at the first rung counts it
+    fields, init = [], IntervalField.__init__
+
+    def spy(self, prec):
+        fields.append(prec)
+        init(self, prec)
+
+    monkeypatch.setattr(IntervalField, "__init__", spy)
+    assert count_real_power_pairs("1.1", "2", "0.1").pairs == ((0, 0), (1, 0), (7, 1))
+    assert fields == [200, 200]
+    # 1.5^2 - 2^1 = 1/4 counts at x = 1/4 and not at x = 1/4 - 10^-60
+    assert (2, 1) in count_real_power_pairs("1.5", "2", "0.25").pairs
+    below = Fraction(1, 4) - Fraction(1, 10**60)
+    assert (2, 1) not in count_real_power_pairs("1.5", "2", below).pairs
+
+
 def test_explorer_preconditions():
     with pytest.raises(ValueError):
         count_real_power_pairs("e", "e", 5)

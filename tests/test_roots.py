@@ -1,12 +1,12 @@
-"""Root isolation: sympy's eps-rectangles rebuilt from certified Newton boxes
-around mpmath seeds, boxes equal to the all-sympy path, certified seed boxes
-where the rebuild is uncertain, call counts of sympy and bounded caches."""
+"""Root isolation: certified boxes of real roots from sympy's real intervals
+and of non-real roots from mpmath seeds, checked against sympy's real count
+and coarse complex rectangles; no call of sympy's complex isolation; call
+counts of sympy and bounded caches."""
 
 import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +15,13 @@ from sympy import Poly, Rational, Symbol, im, re
 
 from recdiff import _roots, spectral
 from recdiff.errors import NoDominantRoot, RootNotLargerThanOne
-from recdiff.intervals import IntervalField, interval_inf_fraction, interval_sup_fraction
+from recdiff.intervals import (
+    IntervalField,
+    interval_inf_fraction,
+    interval_sup_fraction,
+    is_subset,
+    poly_eval_box,
+)
 from recdiff.recurrences import LinearRecurrence
 from recdiff.spectral import analyze_sequence
 
@@ -29,51 +35,66 @@ def kbonacci(k):
     return (1,) + (-1,) * k
 
 
-REBUILT = [TRIB, TETRA,
-           (1, 0, 0, 0, -1, -1),     # x^5 - x - 1: two complex pairs
-           (1, 0, 0, -2),
-           (1, -3, 0, 0, -1),
-           kbonacci(5), kbonacci(8)]
+COMPLEX_PAIRS = [TRIB, TETRA,
+                 (1, 0, 0, 0, -1, -1),     # x^5 - x - 1: two complex pairs
+                 (1, 0, 0, -2),
+                 (1, -3, 0, 0, -1),
+                 kbonacci(5), kbonacci(8)]
 ON_SPLIT_LINE = (1, 0, 3, 0, 1)      # x^4 + 3x^2 + 1: roots on Re = 0
 
 
 @functools.lru_cache(maxsize=None)
-def sympy_fine(coeffs, eps_bits):
-    """Poly.intervals(all=True, eps) for one polynomial, once per test run."""
-    return Poly(list(coeffs), X).intervals(all=True, eps=Rational(1, 2 ** eps_bits))
-
-
-def sympy_rectangles(coeffs, eps_bits):
+def sympy_coarse_rectangles(coeffs):
+    """sympy's coarse isolating rectangles of the non-real roots, as
+    (re_lo, re_hi, im_lo, im_hi); the oracle of these tests only."""
     rects = []
-    for (c1, c2), _ in sympy_fine(coeffs, eps_bits)[1]:
+    for (c1, c2), _ in Poly(list(coeffs), X).intervals(all=True)[1]:
         res = sorted(Fraction(str(re(c))) for c in (c1, c2))
         ims = sorted(Fraction(str(im(c))) for c in (c1, c2))
         rects.append((res[0], res[1], ims[0], ims[1]))
     return rects
 
 
-def rebuild(coeffs, eps_bits):
-    pairs = (len(coeffs) - 1 - len(sympy_fine(coeffs, eps_bits)[0])) // 2
-    rects = _roots._rebuilt_rectangles.__wrapped__(tuple(coeffs), eps_bits, pairs)
-    return None if rects is None else list(rects)
+def newton_step_lands_inside(coeffs, box, prec):
+    """One interval Newton step N(box) = mid - f(mid) / f'(box) lies in box.
+    The step runs at 2 prec bits: a box that Newton took down to the floor
+    of prec is a few units in the last place wide, as wide as the rounding
+    of a step at prec."""
+    box = _roots._rect_box(IntervalField(2 * prec), endpoints(box))
+    mid = box.midpoint_box()
+    step = mid - poly_eval_box(coeffs, mid) / poly_eval_box(_roots._derivative(list(coeffs)), box)
+    return is_subset(step.re, box.re) and is_subset(step.im, box.im)
 
 
-@pytest.mark.parametrize("eps_bits", [32, 64])
-@pytest.mark.parametrize("coeffs", REBUILT)
-def test_rebuilt_rectangles_equal_sympy(coeffs, eps_bits):
-    assert rebuild(coeffs, eps_bits) == sympy_rectangles(coeffs, eps_bits)
+def in_rectangle(box, rect):
+    re_lo, re_hi, im_lo, im_hi = endpoints(box)
+    return rect[0] <= re_lo and re_hi <= rect[1] and rect[2] <= im_lo and im_hi <= rect[3]
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=3, max_size=6),
-       st.integers(1, 3))
-def test_rebuilt_rectangles_equal_sympy_on_random_polynomials(tail, lead):
-    # an irreducible integer polynomial of degree 3-6: whenever the replay
-    # decides, it must give sympy's fine rectangles
-    coeffs = (lead,) + tuple(tail)
-    assume(_roots._factor(coeffs) == ((coeffs, 1),))
-    rects = rebuild(coeffs, 32)
-    assert rects is None or rects == sympy_rectangles(coeffs, 32)
+@pytest.mark.parametrize("coeffs,prec", [(c, p) for c in COMPLEX_PAIRS for p in (128, 256)]
+                         + [(TRIB, 512), (TETRA, 512)])
+def test_boxes_are_certified_and_match_sympy(coeffs, prec):
+    # deg disjoint, conjugate-symmetric boxes, sympy's real count, the
+    # non-real pairs in the (re, im) order of their upper roots, each box
+    # mapped into itself by a Newton step, and one box per coarse rectangle
+    roots = _roots.isolate_factor_roots(IntervalField(prec), coeffs)
+    assert roots is not None and len(roots) == len(coeffs) - 1
+    assert _roots.all_pairwise_disjoint(roots)
+    boxes = [endpoints(r.box) for r in roots]
+    assert sorted(conjugate_endpoints(r.box) for r in roots) == sorted(boxes)
+    real = [r for r in roots if r.is_real]
+    assert len(real) == Poly(list(coeffs), X).count_roots()
+    non_real = roots[len(real):]
+    assert not any(r.is_real for r in non_real)
+    lower, upper = non_real[0::2], non_real[1::2]
+    assert [endpoints(r.box) for r in lower] == [conjugate_endpoints(r.box) for r in upper]
+    centres = [(float(r.box.re.mid), float(r.box.im.mid)) for r in upper]
+    assert all(c[1] > 0 for c in centres) and centres == sorted(centres)
+    assert all(newton_step_lands_inside(coeffs, r.box, prec) for r in roots)
+    rects = sympy_coarse_rectangles(coeffs)
+    holders = [[i for i, rect in enumerate(rects) if in_rectangle(r.box, rect)] for r in non_real]
+    assert all(len(h) == 1 for h in holders)
+    assert sorted(h[0] for h in holders) == list(range(len(rects)))
 
 
 NEAR_REAL = [(1, 0, 131072, -1024, 2),          # x^4 + 2(256x - 1)^2: Im ~ 4.2e-8
@@ -112,17 +133,16 @@ def test_seed_path_certifies_roots_on_a_split_line_and_near_the_axis(monkeypatch
         return seed_paths[-1]
 
     monkeypatch.setattr(_roots, "_seed_boxes", spy)
-    eps_bits = max(32, min(prec // 4, 256))      # spectral's eps at this rung
-    roots = _roots.isolate_factor_roots(IntervalField(prec), coeffs, eps_bits=eps_bits)
+    roots = _roots.isolate_factor_roots(IntervalField(prec), coeffs)
     assert roots is not None and len(roots) == 4
     assert _roots.all_pairwise_disjoint(roots)
     assert not any(r.is_real for r in roots)
     boxes = [endpoints(r.box) for r in roots]
     assert sorted(conjugate_endpoints(r.box) for r in roots) == sorted(boxes)
     assert complex_calls == []
-    if coeffs == ON_SPLIT_LINE:     # the rebuild gives up on Re = 0, the seeds do not
-        assert seed_paths and None not in seed_paths
-        # in (re, im) order of the upper roots, as sympy's rectangles were:
+    assert seed_paths and None not in seed_paths
+    if coeffs == ON_SPLIT_LINE:
+        # in the (re, im) order of the upper roots, which is sympy's order:
         # -i/phi, i/phi, -i*phi, i*phi
         ims = [float(r.box.im.mid) for r in roots]
         assert ims == sorted(ims, key=lambda v: (abs(v), v))
@@ -143,8 +163,7 @@ def test_seeds_do_not_depend_on_the_size_of_the_roots(coeffs):
     # roots near 0.  Every spectral rung from 512 bits certifies, as with
     # sympy's complex isolation (10^40 misses 256 bits there too).
     for prec in (512, 1024, 2048, 4096):
-        eps_bits = max(32, min(prec // 4, 256))
-        roots = _roots.isolate_factor_roots(IntervalField(prec), coeffs, eps_bits=eps_bits)
+        roots = _roots.isolate_factor_roots(IntervalField(prec), coeffs)
         assert roots is not None and len(roots) == len(coeffs) - 1
         assert _roots.all_pairwise_disjoint(roots)
         assert sum(r.is_real for r in roots) == Poly(list(coeffs), X).count_roots()
@@ -162,34 +181,14 @@ def test_large_real_root_beside_a_non_real_pair_certifies_at_the_first_rung():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=3, max_size=8), st.integers(1, 3))
 def test_random_irreducible_polynomials_get_deg_disjoint_boxes(tail, lead):
-    # the real count is sympy's; the rebuild and the seed path each give the
-    # other roots in disjoint certified boxes
+    # the real count is sympy's; the seed path gives the other roots in
+    # disjoint certified boxes
     coeffs = (lead,) + tuple(tail)
     assume(_roots._factor(coeffs) == ((coeffs, 1),))
-    real = Poly(list(coeffs), X).count_roots()
-    for rebuilt in (_roots._rebuilt_rectangles, lambda *args: None):
-        with mock.patch.object(_roots, "_rebuilt_rectangles", rebuilt):
-            roots = _roots.isolate_factor_roots(IntervalField(512), coeffs, eps_bits=128)
-        assert roots is not None and len(roots) == len(coeffs) - 1
-        assert _roots.all_pairwise_disjoint(roots)
-        assert sum(r.is_real for r in roots) == real
-
-
-def all_sympy_boxes(field, coeffs, eps_bits):
-    """The boxes of the all-sympy path: fine sympy intervals, then Newton;
-    None when Newton leaves a box uncertified."""
-    dcoeffs = _roots._derivative(list(coeffs))
-    target = 2.0 ** (-max(32, field.prec // 2))
-    real_parts, _ = sympy_fine(coeffs, eps_bits)
-    boxes = []
-    for (lo, hi), _ in real_parts:
-        lo, hi = sorted((Fraction(str(lo)), Fraction(str(hi))))
-        x = _roots._newton_refine_real(field, list(coeffs), dcoeffs, lo, hi, target)
-        boxes.append(None if x is None else field.box_from_intervals(x, field.real(0)))
-    for rect in sympy_rectangles(coeffs, eps_bits):
-        boxes.append(_roots._newton_refine_box(list(coeffs), dcoeffs,
-                                               _roots._rect_box(field, rect), target))
-    return None if None in boxes else [endpoints(b) for b in boxes]
+    roots = _roots.isolate_factor_roots(IntervalField(512), coeffs)
+    assert roots is not None and len(roots) == len(coeffs) - 1
+    assert _roots.all_pairwise_disjoint(roots)
+    assert sum(r.is_real for r in roots) == Poly(list(coeffs), X).count_roots()
 
 
 def endpoints(box):
@@ -197,15 +196,44 @@ def endpoints(box):
             for f in (interval_inf_fraction, interval_sup_fraction)]
 
 
-@pytest.mark.parametrize("coeffs,prec", [(c, 256) for c in REBUILT[:5]]
+def all_sympy_boxes(field, coeffs, eps_bits):
+    """The boxes of the all-sympy path: sympy's fine eps-intervals and
+    eps-rectangles, each refined by Newton to 2^-max(32, prec // 2); None
+    when Newton leaves a box uncertified.  The oracle of these tests only."""
+    dcoeffs = _roots._derivative(list(coeffs))
+    target = 2.0 ** (-max(32, field.prec // 2))
+    real_parts, complex_parts = Poly(list(coeffs), X).intervals(
+        all=True, eps=Rational(1, 2 ** eps_bits))
+    boxes = []
+    for (lo, hi), _ in real_parts:
+        lo, hi = sorted((Fraction(str(lo)), Fraction(str(hi))))
+        x = _roots._newton_refine_real(field, list(coeffs), dcoeffs, lo, hi, target)
+        boxes.append(None if x is None else field.box_from_intervals(x, field.real(0)))
+    for (c1, c2), _ in complex_parts:
+        res = sorted(Fraction(str(re(c))) for c in (c1, c2))
+        ims = sorted(Fraction(str(im(c))) for c in (c1, c2))
+        boxes.append(_roots._newton_refine_box(list(coeffs), dcoeffs,
+                                               _roots._rect_box(field, res + ims), target))
+    return None if None in boxes else [endpoints(b) for b in boxes]
+
+
+@pytest.mark.parametrize("coeffs,prec", [(c, 256) for c in COMPLEX_PAIRS[:5]]
                          + [(TRIB, 512), (TETRA, 512)]
-                         + [(c, 256) for c in REBUILT[5:]])
+                         + [(c, 256) for c in COMPLEX_PAIRS[5:]])
 def test_boxes_equal_the_all_sympy_path(coeffs, prec):
-    eps_bits = max(32, min(prec // 4, 256))      # spectral's eps at this rung
+    # the real boxes equal those of the all-sympy path; each non-real box,
+    # refined from its seed to 2^-(prec - 32), lies in the all-sympy box of
+    # the same position, refined from sympy's rectangle to 2^-(prec // 2)
+    eps_bits = max(32, min(prec // 4, 256))      # the rung's eps
     field = IntervalField(prec)
-    roots = _roots.isolate_factor_roots(field, coeffs, eps_bits=eps_bits)
-    boxes = None if roots is None else [endpoints(r.box) for r in roots]
-    assert boxes == all_sympy_boxes(field, coeffs, eps_bits)
+    roots = _roots.isolate_factor_roots(field, coeffs)
+    oracle = all_sympy_boxes(field, coeffs, eps_bits)
+    assert roots is not None and oracle is not None and len(roots) == len(oracle)
+    real = sum(r.is_real for r in roots)
+    boxes = [endpoints(r.box) for r in roots]
+    assert boxes[:real] == oracle[:real]
+    assert all(rect[0] <= box[0] and box[1] <= rect[1] and rect[2] <= box[2] and box[3] <= rect[3]
+               for box, rect in zip(boxes[real:], oracle[real:]))
 
 
 IMAG3 = LinearRecurrence("imag3", (3, -3, 9, -1, 3), (0, 0, 0, 0, 1))   # (x - 3)(x^4 + 3x^2 + 1)
@@ -217,7 +245,6 @@ def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
     spectral._cached_analysis.cache_clear()
     _roots._factor.cache_clear()
     _roots._seed_rectangles.cache_clear()
-    _roots._rebuilt_rectangles.cache_clear()
     factored, factor_list = Counter(), Poly.factor_list
     complex_calls = no_complex_isolation(monkeypatch)
 
@@ -291,10 +318,10 @@ IMAG = LinearRecurrence("imag", (0, -3, 0, -1), (0, 0, 0, 1))         # x^4 + 3x
 
 
 def test_purely_imaginary_roots_certify_and_tie():
-    # the roots +-i*phi, +-i/phi sit on the edge Re = 0 of sympy's rectangles,
-    # so the rebuild gives up; the seed boxes certify them, and the tie is
-    # found, not a precision cap
-    roots = _roots.isolate_factor_roots(IntervalField(192), ON_SPLIT_LINE, eps_bits=48)
+    # the roots +-i*phi, +-i/phi lie on Re = 0, a line on which sympy's
+    # bisection splits; the seed boxes certify them, and the tie is found,
+    # not a precision cap
+    roots = _roots.isolate_factor_roots(IntervalField(192), ON_SPLIT_LINE)
     assert roots is not None and len(roots) == 4
     assert all(r.box.re.a <= 0 <= r.box.re.b for r in roots)
     with pytest.raises(NoDominantRoot):
@@ -308,6 +335,14 @@ def test_imaginary_factor_beside_a_dominant_root():
     assert cert.root.min_poly == (1, -3)
     assert interval_inf_fraction(cert.modulus()) <= 3 <= interval_sup_fraction(cert.modulus())
     assert cert.decomposition.spectrum.precision_bits == 512
+
+
+def test_kbonacci_8_certifies_at_512_bits():
+    # its three complex pairs get seed boxes of width 2^-480 at 512 bits, far
+    # narrower than Newton steps from sympy's eps-rectangles gave, so the
+    # Binet check at n = 200 passes without climbing to 1024 bits
+    seq = LinearRecurrence("kbonacci-8", (1,) * 8, (0,) * 7 + (1,))
+    assert analyze_sequence(seq).spectrum.precision_bits == 512
 
 
 def _sympy_factor_list(coeffs):
