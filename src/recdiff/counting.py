@@ -16,6 +16,13 @@ big-integer differences is alive at a time, so the memory of a count grows
 with n_cut + m_cut and the band size, not with T(x).  A pass at the largest
 x of a grid covers every smaller x, so a grid is enumerated once.
 
+The latest tally of each pair (T, S and the repeated values at its largest
+x, y) is kept for the 64 pairs used last.  A later count of the pair at
+x >= y still enumerates, so its cutoffs and window checks are its own, but
+when its runs cut to |c| <= y hold the same pairs (``_signature``), its
+bands start at |c| = y + 1.  A pair counted at a rising run of x thus
+tallies each |c| once.
+
 The real-base explorer (pi^n vs e^m) is the one interval-arithmetic consumer;
 every comparison there is decided with certified margin or refined.
 """
@@ -23,9 +30,14 @@ every comparison there is decided with certified margin or refined.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
+from operator import eq
 
 from mpmath.libmp import mpf_gt, mpi_mul
 
@@ -42,6 +54,7 @@ from .spectral import GrowthEnvelope, analyze_sequence
 
 _WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
 _HARD_CAP = 100000          # largest n cutoff before the window counts as a runaway
+_TALLY_CAP = 64             # pairs whose latest tally is kept
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,23 @@ class CollisionScan:
     n_emp: int                 # max over records of the record's smallest n
     m_emp: int
     count: CountResult
+
+
+@dataclass(frozen=True)
+class _Tally:
+    """The latest tally of one pair: T and S at y, the largest x of its
+    count, the values c with |c| <= y taken more than once, and the
+    ``_signature`` of its runs at y."""
+    y: int
+    T: int
+    S: int
+    repeated: frozenset
+    signature: array
+
+
+_COLD = _Tally(-1, 0, 0, frozenset(), array("q"))      # covers no |c|
+_TALLIES = OrderedDict()     # (seqU, seqV) -> _Tally, least recently used first
+_TALLIES_LOCK = threading.Lock()
 
 
 def _parse_x_int(value) -> int:
@@ -214,7 +244,26 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
     return runs, entries, n_cut, m_cut, gap_margin
 
 
-def _distinct(runs, values, xs, bands):
+def _signature(runs, entries, values, y):
+    """(n, count, first m, last m) of every run cut to |c| <= y that stays
+    non-empty, flat.
+
+    The entries of two counts of one pair are the value-sorted terms
+    V_0 .. V_M of one sequence, for two values of M, so in each row one cut
+    range holds the other.  Equal counts between the same end entries then
+    mean the same (n, m) pairs, and equal signatures the same pairs with
+    |c| <= y: the same T(y), S(y) and repeated values.
+    """
+    flat = array("q")
+    for n, u, left, right in runs:
+        a = bisect_left(values, u - y, left, right)
+        b = bisect_right(values, u + y, a, right)
+        if b > a:
+            flat.extend((n, b - a, entries[a][1], entries[b - 1][1]))
+    return flat
+
+
+def _distinct(runs, values, xs, bands, done=_COLD):
     """(T(x), S(x)) of the runs for each x of xs, in order, and the set of
     values c = U_n - V_m taken more than once.
 
@@ -224,12 +273,17 @@ def _distinct(runs, values, xs, bands):
     by bisecting every run, sorted, and scanned for adjacent equal values;
     c = 0 belongs to the non-negative side only.  The bands ascend in |c|,
     so the running totals at the edge x + 1 are T(x) and S(x).
+
+    ``done`` is a tally of these runs up to some y <= min(xs); the walk
+    starts at |c| = y + 1 from its totals and repeated values.
     """
+    y, T, S = done.y, done.T, done.S
     bits = max(xs).bit_length()
-    edges = sorted({0, *(x + 1 for x in xs),
-                    *(1 << int(bits * math.sqrt(j / bands)) for j in range(1, bands))})
-    T = S = 0
-    totals, repeated = {}, set()
+    edges = [y + 1] + sorted(
+        edge for edge in {*(x + 1 for x in xs),
+                          *(1 << int(bits * math.sqrt(j / bands)) for j in range(1, bands))}
+        if edge > y + 1)
+    totals, repeated = {y + 1: (T, S)}, set(done.repeated)
     for lo, hi in zip(edges, edges[1:]):
         for negative in (False, True):
             diffs = []
@@ -242,7 +296,7 @@ def _distinct(runs, values, xs, bands):
                     b = bisect_right(values, u - lo, a, right)
                 diffs += [u - v for v in values[a:b]]
             diffs.sort()
-            equal = [c for c, d in zip(diffs, diffs[1:]) if c == d]
+            equal = list(compress(diffs, map(eq, diffs, islice(diffs, 1, None))))
             T += len(diffs)
             S += len(diffs) - len(equal)
             repeated.update(equal)
@@ -258,6 +312,9 @@ def _count(seqU, seqV, xs, envU, envV):
     order, all with the pass's cutoffs and gap margin; runs and entries as
     in _enumerate_pairs; repeated the values c taken by two or more pairs.
     About 2^17 differences are alive at a time, whatever T is.
+
+    The pair's latest tally, at y <= min(xs), is reused when the runs cut to
+    |c| <= y have its signature: then only y < |c| <= max(xs) is tallied.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -270,8 +327,21 @@ def _count(seqU, seqV, xs, envU, envV):
             raise ValueError("the envelope given for %r is that of %r"
                              % (seq.name, env.sequence.name))
     runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
+    values = [v for v, _ in entries]
+    key, y = (seqU, seqV), max(xs)
+    with _TALLIES_LOCK:
+        done = _TALLIES.get(key, _COLD)
+    if done.y > min(xs) or done.signature != _signature(runs, entries, values, done.y):
+        done = _COLD
     pairs = sum(right - left for _, _, left, right in runs)
-    totals, repeated = _distinct(runs, [v for v, _ in entries], xs, max(1, pairs >> 17))
+    totals, repeated = _distinct(runs, values, xs, max(1, pairs >> 17), done)
+    tally = _Tally(y, *totals[xs.index(y)], frozenset(repeated),
+                   _signature(runs, entries, values, y))
+    with _TALLIES_LOCK:
+        _TALLIES[key] = tally
+        _TALLIES.move_to_end(key)
+        if len(_TALLIES) > _TALLY_CAP:
+            _TALLIES.popitem(last=False)
     counts = [CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast")
               for x, (T, S) in zip(xs, totals)]
     return counts, runs, entries, repeated

@@ -33,6 +33,7 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_sub,
     mpi_abs,
+    mpi_add,
     mpi_mul,
     mpi_pow_int,
     mpi_sub,
@@ -48,6 +49,7 @@ from ._roots import (
 )
 from .errors import NoDominantRoot, RootNotLargerThanOne
 from .intervals import (
+    _ZERO,
     ComplexBox,
     IntervalField,
     certainly_greater,
@@ -253,18 +255,22 @@ def _unique_integer_in(field, re_interval, value: int) -> bool:
 
 def _check_fails_at_bound(decomp, field) -> bool:
     """True when the n = N = _CHECK_BOUND reconstruction is surely at least 2
-    wide, so ``_unique_integer_in`` must fail there: interval arithmetic
-    encloses ranges, so a real root box that excludes 0 makes its real part
-    at least inf|Re a_i(N)| * (|r|_hi^N - |r|_lo^N) wide."""
+    wide, so ``_unique_integer_in`` must fail there.  Interval arithmetic
+    encloses ranges, and a_i(N) r^N over a real root box r that excludes 0
+    and the coefficient box ranges over at least
+    inf|Re a_i(N)| * (|r|_hi^N - |r|_lo^N) + width(Re a_i(N)) * |r|_lo^N,
+    with inf|Re a_i(N)| = 0 when that box holds 0."""
     prec, n = field.prec, _CHECK_BOUND
     for i, root in enumerate(decomp.spectrum.roots):
-        coeff = decomp.coefficient_value(i, n).re
-        if contains_zero(coeff) or contains_zero(root.box.re) or not contains_zero(root.box.im):
+        if contains_zero(root.box.re) or not contains_zero(root.box.im):
             continue
-        c, r_lo, r_hi = mpi_abs(coeff._mpi_)[0], *mpi_abs(root.box.re._mpi_)
-        spread = mpi_sub(mpi_pow_int((r_hi, r_hi), n, prec),
-                         mpi_pow_int((r_lo, r_lo), n, prec), prec)
-        if mpf_le(from_int(2), mpi_mul((c, c), spread, prec)[0]):
+        coeff = decomp.coefficient_value(i, n).re._mpi_
+        c, (r_lo, r_hi) = mpi_abs(coeff)[0], mpi_abs(root.box.re._mpi_)
+        low = mpi_pow_int((r_lo, r_lo), n, prec)
+        spread = mpi_sub(mpi_pow_int((r_hi, r_hi), n, prec), low, prec)
+        width = mpi_sub((coeff[1], coeff[1]), (coeff[0], coeff[0]), prec)
+        total = mpi_add(mpi_mul((c, c), spread, prec), mpi_mul(width, low, prec), prec)
+        if mpf_le(from_int(2), total[0]):
             return True
     return False
 
@@ -334,6 +340,26 @@ def _binet_parts(decomp, products, columns, start, stop):
             parts.append(_binet_part(decomp, i, n, powers[i]))
             powers[i] = powers[i] * roots[i].box
         yield parts
+
+
+def _dominant_parts(decomp, products, dom, start, stop, prec):
+    """Raw (Re, Im) tuples of a_dom(n) * root^n for n = start..stop
+    (start <= _WINDOW + 1), endpoint for endpoint those of ``_binet_parts``.
+    A dominant root is real (a non-real one ties with its conjugate), so its
+    box and running power have the point 0 as imaginary part, and past
+    _WINDOW each ``ComplexBox`` product is one ``mpi_mul`` per component."""
+    rows, powers = products
+    root, power = decomp.spectrum.roots[dom].box, powers[dom]
+    assert root.im._mpi_ == power.im._mpi_ == _ZERO
+    r, power = root.re._mpi_, power.re._mpi_
+    for n in range(start, stop + 1):
+        if n <= _WINDOW:
+            part = rows[n][dom]
+            yield part.re._mpi_, part.im._mpi_
+            continue
+        coeff = decomp.coefficient_value(dom, n)
+        yield mpi_mul(coeff.re._mpi_, power, prec), mpi_mul(coeff.im._mpi_, power, prec)
+        power = mpi_mul(power, r, prec)
 
 
 def _decomposition_at(seq, field):
@@ -614,7 +640,7 @@ def _verify_envelope(env, decomp, field, products):
     a' alpha'^n: b is a nonnegative float of the field's precision and
     ``mpf_sqrt`` rounds correctly, so sqrt(s) rounded up is <= b exactly
     when s <= b*b, and the verdict is the interval square root's.
-    a(n) alpha^n is the check loop's product (``_binet_parts``).
+    a(n) alpha^n is the check loop's product (``_dominant_parts``).
     """
     seq = decomp.sequence
     dom, sigma, n0 = env.certificate.root_index, env.sigma, env.n0
@@ -626,8 +652,8 @@ def _verify_envelope(env, decomp, field, products):
     apr = field.real(env.a_prime)._mpi_[0]
     pow_lo, pow_hi = mpi_pow_int(mod_alpha, n0, prec)
     ap_pow = mpi_pow_int(ap, n0, prec)[0]
-    parts = _binet_parts(decomp, products, (dom,), n0, env.verified_to)
-    for n, (part,) in enumerate(parts, n0):
+    parts = _dominant_parts(decomp, products, dom, n0, env.verified_to, prec)
+    for n, ((p_lo, p_hi), p_im) in enumerate(parts, n0):
         term = seq.term(n)
         t_lo, t_hi = from_int(term, prec, round_floor), from_int(term, prec, round_ceiling)
         u_lo, u_hi = (t_lo, t_hi) if term >= 0 else (mpf_neg(t_hi), mpf_neg(t_lo))
@@ -637,7 +663,6 @@ def _verify_envelope(env, decomp, field, products):
                                               prec, round_floor)
         if not mpf_le(u_hi, mpf_mul(upper, pow_lo, prec, round_floor)):
             return False
-        (p_lo, p_hi), p_im = part.re._mpi_, part.im._mpi_
         squared = mpf_add(_square_up((mpf_sub(t_lo, p_hi, prec, round_floor),
                                       mpf_sub(t_hi, p_lo, prec, round_ceiling)), prec),
                           _square_up(p_im, prec), prec, round_ceiling)

@@ -134,16 +134,17 @@ def test_each_window_product_is_computed_once_per_rung(monkeypatch):
     # a_i(n) * root_i^n for n <= _WINDOW comes from the Binet check loop
     # alone; the envelope's window and exact check only continue past it
     part, envelope = spectral._binet_part, spectral._envelope_at
-    calls, stage = [], ["binet"]
+    calls, stage, rungs = [], ["binet"], set()
 
     def part_spy(decomp, i, n, power):
         calls.append((stage[0], decomp, i, n))
         return part(decomp, i, n, power)
 
-    def envelope_spy(*args):
+    def envelope_spy(decomp, *args):
+        rungs.add(decomp)
         stage[0] = "envelope"
         try:
-            return envelope(*args)
+            return envelope(decomp, *args)
         finally:
             stage[0] = "binet"
 
@@ -154,7 +155,6 @@ def test_each_window_product_is_computed_once_per_rung(monkeypatch):
     window = Counter(call for call in calls if call[3] <= spectral._WINDOW)
     assert set(window.values()) == {1}
     assert {call[0] for call in window} == {"binet"}
-    rungs = {decomp for kind, decomp, _, _ in calls if kind == "envelope"}
     assert len(rungs) >= 9
     for decomp in rungs:
         assert {(i, n) for _, d, i, n in window if d is decomp} == \
@@ -186,6 +186,8 @@ def test_early_refusal_keeps_every_rung_verdict(monkeypatch):
             late = spectral._binet_at(seq, spectrum, field)
             assert (early is None) == (late is None), (seq.name, bits)
     assert ("tribonacci", 256) in fired
+    # refused by its coefficient box's width: roots 3, +-i and -1 are point boxes
+    assert ("reducible-quartic-0", 256) in fired
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
+import sys
+import threading
 import tracemalloc
-from collections import Counter, defaultdict
+from array import array
+from collections import Counter, OrderedDict, defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiff import counting
+from recdiff.asymptotics import ratio_table
 from recdiff.counting import (
     _distinct,
     _enumerate_pairs,
@@ -229,9 +234,11 @@ def test_multi_band_count_and_collisions_match_a_plain_grouping():
     assert (len(scan.records), scan.n_emp, scan.m_emp) == (674, 11, 664)
 
 
-def test_count_memory_does_not_grow_with_T():
+def test_count_memory_does_not_grow_with_T(monkeypatch):
     # one Counter of all T = 637,743 differences peaked at 77 MiB under
-    # tracemalloc; the banded count peaks at about 10 MiB
+    # tracemalloc; the banded count peaks at about 10 MiB.  The tally store
+    # starts empty, so the count tallies every pair
+    monkeypatch.setattr(counting, "_TALLIES", OrderedDict())
     envU, envV = analyze_sequence(FIB).envelope, analyze_sequence(POW2).envelope
     tracemalloc.start()
     try:
@@ -284,6 +291,119 @@ def test_collisions_match_brute_grouping(seqU, seqV, x):
     expected = _brute_collisions(seqU, seqV, x, 3 * scan.count.n_cut, 3 * scan.count.m_cut)
     assert (got, scan.n_emp, scan.m_emp) == expected
     assert scan.count == count_T_S(seqU, seqV, x)
+
+
+# ---------------------------------------------------------------------------
+# a pair's latest tally, reused by its next count
+
+
+@pytest.fixture
+def tally_starts(monkeypatch):
+    """An empty tally store, and the y above which each tally starts (-1 for
+    a cold one)."""
+    monkeypatch.setattr(counting, "_TALLIES", OrderedDict())
+    starts, distinct = [], counting._distinct
+    monkeypatch.setattr(counting, "_distinct", lambda runs, values, xs, bands, done:
+                        starts.append(done.y) or distinct(runs, values, xs, bands, done))
+    return starts
+
+
+def _cold(call, *args):
+    counting._TALLIES.clear()
+    return call(*args)
+
+
+@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB), (LUCAS, POW3)],
+                         ids=("fib-pow2", "pow2-fib", "lucas-pow3"))
+@pytest.mark.parametrize("xs, starts", [
+    ((0, 10, 10 ** 6, 10 ** 40), [-1, 0, 10, 10 ** 6]),
+    ((10 ** 40, 10 ** 6, 10, 0), [-1, -1, -1, -1]),
+    ((10 ** 12,) * 3, [-1, 10 ** 12, 10 ** 12]),
+], ids=("ascending", "descending", "equal"))
+def test_reused_tallies_count_as_cold_counts(seqU, seqV, xs, starts, tally_starts):
+    cold = [_cold(count_T_S, seqU, seqV, x) for x in xs]
+    counting._TALLIES.clear()
+    tally_starts.clear()
+    assert [count_T_S(seqU, seqV, x) for x in xs] == cold
+    assert tally_starts == starts
+
+
+def test_grids_and_collisions_reuse_tallies_as_cold_counts(tally_starts):
+    grid = [10 ** 9, 10 ** 3, 10 ** 30, 10 ** 3]
+    cold_rows = _cold(ratio_table, FIB, POW2, grid).rows
+    cold_scan = _cold(find_collisions, FIB, POW2, 10 ** 40)
+    counting._TALLIES.clear()
+    tally_starts.clear()
+    count_T_S(FIB, POW2, 100)
+    assert ratio_table(FIB, POW2, grid).rows == cold_rows
+    assert find_collisions(FIB, POW2, 10 ** 40) == cold_scan
+    count_T_S(FIB, POW2, 10 ** 12)             # between the grid's ends
+    assert ratio_table(FIB, POW2, grid).rows == cold_rows
+    assert tally_starts == [-1, 100, 10 ** 30, -1, -1]
+
+
+def test_a_tally_with_another_signature_is_not_reused(tally_starts):
+    cold = _cold(count_T_S, FIB, POW2, 10 ** 9)
+    counting._TALLIES.clear()
+    count_T_S(FIB, POW2, 10 ** 6)
+    tally = counting._TALLIES[FIB, POW2]
+    # with the signature intact, changed totals are read
+    counting._TALLIES[FIB, POW2] = replace(tally, T=tally.T + 1000)
+    assert count_T_S(FIB, POW2, 10 ** 9).T == cold.T + 1000
+    # one count changed by hand: the whole tally is redone
+    signature = array("q", tally.signature)
+    signature[1] += 1
+    counting._TALLIES[FIB, POW2] = replace(tally, T=tally.T + 1000, signature=signature)
+    assert count_T_S(FIB, POW2, 10 ** 9) == cold
+    assert tally_starts == [-1, -1, 10 ** 6, -1]
+
+
+def test_the_tally_store_keeps_the_64_latest_pairs(tally_starts):
+    powers = [LinearRecurrence("pow%d" % p, (p,), (1,))
+              for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    pairs = [(u, v) for u in powers for v in powers if u is not v][:66]
+    for u, v in pairs[:65]:
+        count_T_S(u, v, 10)
+    assert list(counting._TALLIES) == pairs[1:65]
+    count_T_S(*pairs[1], 10)                    # now the latest used
+    count_T_S(*pairs[65], 10)
+    assert list(counting._TALLIES) == pairs[3:65] + [pairs[1], pairs[65]]
+
+
+def test_threads_sharing_the_tally_store_count_as_cold_counts(monkeypatch):
+    # eight threads on two cores, switching every microsecond, count twelve
+    # pairs into a store of three: every count stays a cold count's, no
+    # thread raises and the store keeps its cap
+    monkeypatch.setattr(counting, "_TALLIES", OrderedDict())
+    monkeypatch.setattr(counting, "_TALLY_CAP", 3)
+    powers = [LinearRecurrence("pow%d" % p, (p,), (1,)) for p in (2, 3, 5, 7)]
+    pairs = [(u, v) for u in powers for v in powers if u is not v]
+    xs = (0, 10, 10 ** 6)
+    cold = {(pair, x): _cold(count_T_S, *pair, x) for pair in pairs for x in xs}
+    errors = []
+
+    def work(i):
+        try:
+            for _ in range(2):
+                for pair in pairs[i:] + pairs[:i]:
+                    for x in xs:
+                        assert count_T_S(*pair, x) == cold[pair, x]
+        except Exception as exc:        # reported below, with the thread
+            errors.append((i, exc))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(counting._TALLIES) == 3
 
 
 # ---------------------------------------------------------------------------

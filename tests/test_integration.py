@@ -118,6 +118,9 @@ def _recurrences(draw):
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)
                   .filter(lambda c: c[-1] != 0))
     init = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    if draw(st.booleans()):     # (-1)^n U_n: the dominant root changes sign
+        coeffs = [c * (-1) ** i for i, c in enumerate(coeffs, 1)]
+        init = [u * (-1) ** n for n, u in enumerate(init)]
     return LinearRecurrence("random", tuple(coeffs), tuple(init))
 
 
@@ -129,18 +132,21 @@ def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
     # analysis over these coefficient ranges ends within a second.  Two
     # copies of one cubic recurrence are drawn too: their shared dominant root
     # gives alpha^1 = beta^1, and the count refuses with the dependent-roots
-    # ValueError in well under a second
+    # ValueError in well under a second.  Counting at x, x // 7 and x again
+    # checks a count that finds the pair's latest tally above it (not
+    # reused) and one that finds it below (reused when its runs agree)
     for seq in (seq_u, seq_v):
         try:
             analyze_sequence(seq)
         except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
             assume(False)
     try:
-        fast = count_T_S(seq_u, seq_v, x)
+        counts = [count_T_S(seq_u, seq_v, y) for y in (x, x // 7, x)]
     except CutoffUnsafe:
         return
     except ValueError as exc:
         assert "multiplicatively dependent" in str(exc)
         return
-    oracle = brute_force_oracle(seq_u, seq_v, x, 3 * fast.n_cut + 5, 3 * fast.m_cut + 5)
-    assert (fast.T, fast.S) == (oracle.T, oracle.S)
+    for fast in counts:
+        oracle = brute_force_oracle(seq_u, seq_v, fast.x, 3 * fast.n_cut + 5, 3 * fast.m_cut + 5)
+        assert (fast.T, fast.S) == (oracle.T, oracle.S)
