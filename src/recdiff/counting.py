@@ -17,9 +17,11 @@ with n_cut + m_cut and the band size, not with T(x).  A pass at the largest
 x of a grid covers every smaller x, so a grid is enumerated once.
 
 The latest tally of each pair (T, S and the repeated values at its largest
-x, y) is kept for the 64 pairs used last.  A later count of the pair at
-x >= y still enumerates, so its cutoffs and window checks are its own, but
-when its runs cut to |c| <= y hold the same pairs (``_signature``), its
+x, y, with the n cutoff and the number of V entries of its count) is kept
+for the 64 pairs used last.  A later count of the pair at x >= y still
+enumerates, so its cutoffs and window checks are its own.  When both of its
+bounds are at least the tally's, its runs hold every pair the tally counted,
+so when they hold T(y) pairs with |c| <= y they hold exactly those, and its
 bands start at |c| = y + 1.  A pair counted at a rising run of x thus
 tallies each |c| once.
 
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 import threading
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -87,16 +88,17 @@ class CollisionScan:
 @dataclass(frozen=True)
 class _Tally:
     """The latest tally of one pair: T and S at y, the largest x of its
-    count, the values c with |c| <= y taken more than once, and the
-    ``_signature`` of its runs at y."""
+    count, the values c with |c| <= y taken more than once, and the count's
+    n cutoff and number of V entries."""
     y: int
     T: int
     S: int
     repeated: frozenset
-    signature: array
+    n_cut: int
+    n_entries: int
 
 
-_COLD = _Tally(-1, 0, 0, frozenset(), array("q"))      # covers no |c|
+_COLD = _Tally(-1, 0, 0, frozenset(), 0, 0)      # covers no |c|
 _TALLIES = OrderedDict()     # (seqU, seqV) -> _Tally, least recently used first
 _TALLIES_LOCK = threading.Lock()
 
@@ -239,28 +241,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
         for _, m in entries[max(left, reach):right]:
             m_cut = max(m_cut, m)
         reach = max(reach, right)
-    if gap_margin is not None and gap_margin <= x:
-        raise CutoffUnsafe("safety window contains an unadmitted near-collision")
     return runs, entries, n_cut, m_cut, gap_margin
-
-
-def _signature(runs, entries, values, y):
-    """(n, count, first m, last m) of every run cut to |c| <= y that stays
-    non-empty, flat.
-
-    The entries of two counts of one pair are the value-sorted terms
-    V_0 .. V_M of one sequence, for two values of M, so in each row one cut
-    range holds the other.  Equal counts between the same end entries then
-    mean the same (n, m) pairs, and equal signatures the same pairs with
-    |c| <= y: the same T(y), S(y) and repeated values.
-    """
-    flat = array("q")
-    for n, u, left, right in runs:
-        a = bisect_left(values, u - y, left, right)
-        b = bisect_right(values, u + y, a, right)
-        if b > a:
-            flat.extend((n, b - a, entries[a][1], entries[b - 1][1]))
-    return flat
 
 
 def _distinct(runs, values, xs, bands, done=_COLD):
@@ -313,8 +294,11 @@ def _count(seqU, seqV, xs, envU, envV):
     in _enumerate_pairs; repeated the values c taken by two or more pairs.
     About 2^17 differences are alive at a time, whatever T is.
 
-    The pair's latest tally, at y <= min(xs), is reused when the runs cut to
-    |c| <= y have its signature: then only y < |c| <= max(xs) is tallied.
+    The pair's latest tally, at y <= min(xs), is reused when this pass's n
+    cutoff and number of V entries are at least its count's and the runs
+    hold its T pairs with |c| <= y: then only y < |c| <= max(xs) is tallied.
+    The runs hold every pair the tally counted, so an equal number means no
+    other pair with |c| <= y.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -330,13 +314,16 @@ def _count(seqU, seqV, xs, envU, envV):
     values = [v for v, _ in entries]
     key, y = (seqU, seqV), max(xs)
     with _TALLIES_LOCK:
-        done = _TALLIES.get(key, _COLD)
-    if done.y > min(xs) or done.signature != _signature(runs, entries, values, done.y):
+        done = _TALLIES.get(key)
+    if done is None or done.y > min(xs) or n_cut < done.n_cut \
+            or len(entries) < done.n_entries \
+            or done.T != sum(bisect_right(values, u + done.y, left, right)
+                             - bisect_left(values, u - done.y, left, right)
+                             for _, u, left, right in runs):
         done = _COLD
     pairs = sum(right - left for _, _, left, right in runs)
     totals, repeated = _distinct(runs, values, xs, max(1, pairs >> 17), done)
-    tally = _Tally(y, *totals[xs.index(y)], frozenset(repeated),
-                   _signature(runs, entries, values, y))
+    tally = _Tally(y, *totals[xs.index(y)], frozenset(repeated), n_cut, len(entries))
     with _TALLIES_LOCK:
         _TALLIES[key] = tally
         _TALLIES.move_to_end(key)
@@ -390,7 +377,7 @@ class RealPowerCount:
     pairs: tuple
     n_cut: int
     m_cut: int
-    precision_bits: int
+    precision_bits: int        # the precision that decided every comparison
 
 
 def _base_value(field, spec: str):
@@ -433,8 +420,8 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
     undecided = []
 
     def scan(f):
-        """(pairs, last hit) at the precision of f, with running powers; None
-        when |alpha^n - beta^m| straddles x there."""
+        """(pairs, last hit, precision) at the precision of f, with running
+        powers; None when |alpha^n - beta^m| straddles x there."""
         alpha, beta, xr = _base_value(f, alpha_key), _base_value(f, beta_key), f.real(x)
         pairs, last_hit, n, a_pow = [], -1, 0, f.real(1)
         while True:
@@ -456,17 +443,17 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
                     raise CutoffUnsafe("m loop runaway")
                 b_pow *= beta
             if n >= 2 * max(last_hit, 0) + 8:
-                return pairs, last_hit
+                return pairs, last_hit, f.prec
             n += 1
             if n > 10 ** 6:
                 raise CutoffUnsafe("n loop runaway")
             a_pow *= alpha
 
     try:
-        pairs, last_hit = ladder(precision_bits, scan, "")
+        pairs, last_hit, bits = ladder(precision_bits, scan, "")
     except PrecisionExhausted as exc:
         raise PrecisionExhausted("|alpha^%d - beta^%d| straddles x at the precision cap"
                                  % undecided[-1], bits=exc.bits) from None
     m_cut = max((m for _, m in pairs), default=0)
     return RealPowerCount(alpha_key, beta_key, x, len(pairs), tuple(pairs),
-                          max(last_hit, 0), m_cut, precision_bits)
+                          max(last_hit, 0), m_cut, bits)

@@ -2,10 +2,10 @@
 
 A relation alpha^n = beta^m with (n, m) != (0, 0) is decided in two steps:
 
-1. one relation candidate: a bounded exact search over small exponents, then
-   the simplest rational n/m inside the certified enclosure of
-   log|beta| / log|alpha| (it catches relations with one large exponent),
-   each verified exactly;
+1. one relation candidate: the simplest rational n/m inside the certified
+   enclosure of log|beta| / log|alpha|, verified exactly (a relation with
+   small exponents puts its own n/m there, since no other rational of small
+   denominator lies near it);
 2. one lattice step.  Two inputs of one quadratic field are compared through
    their field norms, every other pair through the inputs' smallest rational
    powers (a rational is its own first power; a quadratic number with no
@@ -34,7 +34,6 @@ from .quadratic import QuadraticElement, factor_integer
 
 
 _CONJUGATE_BITS = 192       # precision of the conjugate boxes in _same_root
-_SEARCH_BOUND = 24          # exponents 1..24 on each side in the exact search
 _RATIO_BOUND = 10 ** 4      # largest n and m of a modulus-ratio candidate n/m
 
 # Certificate texts of the lattice step per case, keyed by the number of
@@ -178,15 +177,7 @@ def _simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _relation_candidate(a: QuadraticElement, b: QuadraticElement):
-    """A verified relation from the bounded search or the modulus-ratio
-    candidate, or None."""
-    b_powers = [b ** m for m in range(1, _SEARCH_BOUND + 1)]
-    for n in range(1, _SEARCH_BOUND + 1):
-        a_power = a ** n
-        for m, b_power in enumerate(b_powers, 1):
-            if a_power == b_power:
-                return IndependenceResult("dependent", n, m,
-                                          "exact relation found by bounded search")
+    """A verified relation from the modulus-ratio candidate, or None."""
     # continued-fraction candidate from n log|alpha| = m log|beta|
     for bits in (128, 256, 512):
         field = IntervalField(bits)

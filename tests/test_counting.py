@@ -1,7 +1,6 @@
 import sys
 import threading
 import tracemalloc
-from array import array
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -342,20 +341,23 @@ def test_grids_and_collisions_reuse_tallies_as_cold_counts(tally_starts):
     assert tally_starts == [-1, 100, 10 ** 30, -1, -1]
 
 
-def test_a_tally_with_another_signature_is_not_reused(tally_starts):
+def test_a_tally_is_reused_only_within_its_bounds_and_with_its_T(tally_starts):
     cold = _cold(count_T_S, FIB, POW2, 10 ** 9)
+    envs = [analyze_sequence(seq).envelope for seq in (FIB, POW2)]
+    _, entries, n_cut, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 9, *envs)
     counting._TALLIES.clear()
     count_T_S(FIB, POW2, 10 ** 6)
     tally = counting._TALLIES[FIB, POW2]
-    # with the signature intact, changed totals are read
-    counting._TALLIES[FIB, POW2] = replace(tally, T=tally.T + 1000)
-    assert count_T_S(FIB, POW2, 10 ** 9).T == cold.T + 1000
-    # one count changed by hand: the whole tally is redone
-    signature = array("q", tally.signature)
-    signature[1] += 1
-    counting._TALLIES[FIB, POW2] = replace(tally, T=tally.T + 1000, signature=signature)
-    assert count_T_S(FIB, POW2, 10 ** 9) == cold
-    assert tally_starts == [-1, -1, 10 ** 6, -1]
+    # within both bounds and with its T, a changed S is read
+    counting._TALLIES[FIB, POW2] = replace(tally, S=tally.S + 1000)
+    assert count_T_S(FIB, POW2, 10 ** 9).S == cold.S + 1000
+    # a wrong T, or a bound above the new count's: the whole tally is redone
+    for wrong in ({"T": tally.T + 1000},
+                  {"S": tally.S + 1000, "n_cut": n_cut + 1},
+                  {"S": tally.S + 1000, "n_entries": len(entries) + 1}):
+        counting._TALLIES[FIB, POW2] = replace(tally, **wrong)
+        assert count_T_S(FIB, POW2, 10 ** 9) == cold
+    assert tally_starts == [-1, -1, 10 ** 6, -1, -1, -1]
 
 
 def test_the_tally_store_keeps_the_64_latest_pairs(tally_starts):
@@ -475,6 +477,15 @@ def test_explorer_climbs_one_ladder_per_scan(monkeypatch):
     with pytest.raises(PrecisionExhausted, match=r"\|alpha\^2 - beta\^1\|") as refusal:
         count_real_power_pairs("pi", "e", "7.1513")
     assert refusal.value.bits == 16
+
+
+def test_explorer_reports_the_precision_that_decided():
+    # this x exceeds pi^2 - e by 4.3e-75, which 200 bits cannot decide
+    x = "7.15132257263031338347420352852348863755645231354083105144638174849596819207"
+    r = count_real_power_pairs("pi", "e", x)
+    assert (2, 1) in r.pairs and r.T == 8
+    assert r.precision_bits == 400
+    assert count_real_power_pairs("pi", "e", 10).precision_bits == 200
 
 
 def test_explorer_x_as_fraction():

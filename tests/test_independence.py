@@ -1,18 +1,20 @@
 """One input per reachable certificate of multiplicative_independence.
 
-The relations with exponents above 10^4 pass both the 24 x 24 exact search
-and the modulus-ratio candidate (whose n and m are capped at 10^4), so they
-reach the lattice step.  Unreachable texts: each "lattice generator is not a
-root of unity" text except the norm one, since |ra|^p = |rb|^q for two
-rationals gives alpha^(ja p) = +-beta^(jb q); and "degenerate rational
-power(s)", since |alpha| > 1 makes every power of modulus > 1.
+The relations with exponents above 10^4 pass the modulus-ratio candidate
+(whose n and m are capped at 10^4), so they reach the lattice step.
+Unreachable texts: each "lattice generator is not a root of unity" text
+except the norm one, since |ra|^p = |rb|^q for two rationals gives
+alpha^(ja p) = +-beta^(jb q); and "degenerate rational power(s)", since
+|alpha| > 1 makes every power of modulus > 1.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from recdiff.errors import UnsupportedDegree
 from recdiff.heights import AlgebraicNumber
 from recdiff.independence import IndependenceResult, _modulus_gt_one, multiplicative_independence
 from recdiff.quadratic import QuadraticElement
@@ -42,7 +44,7 @@ def _indep(text):
 
 
 CASES = {
-    "bounded-search": (2, 8, _dep(3, 1, "exact relation found by bounded search")),
+    "ratio-candidate-small": (2, 8, _dep(3, 1, "modulus-ratio candidate 3/1")),
     "ratio-candidate": (2, 2 ** 25, _dep(25, 1, "modulus-ratio candidate 25/1")),
     "ratio-candidate-sign": (-2, 2 ** 25,
                              _dep(50, 2, "modulus-ratio candidate 25/1 (sign squared)")),
@@ -94,6 +96,39 @@ CASES = {
 @pytest.mark.parametrize("alpha, beta, expected", list(CASES.values()), ids=list(CASES))
 def test_certificate_per_branch(alpha, beta, expected):
     assert _verdict(alpha, beta) == expected
+
+
+def test_dependent_grid_gives_the_smallest_relation():
+    # u1 b^k1 against u2 b^k2 for one base b, units u1, u2 (roots of unity of
+    # order dividing 12) and 1 <= k1, k2 <= 6: every relation has k1 n = k2 m
+    # and u1^n = u2^m, so the smallest has n, m <= 72; a brute-force search
+    # over those exponents finds it
+    bases = [2, -2, Fraction(3, 2), PHI, 1 + SQRT2, 1 + I, 1 + QuadraticElement.make(0, 1, -3)]
+    units = [1, -1, I] + [QuadraticElement.make(Fraction(s, 2), Fraction(t, 2), -3)
+                          for s, t in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    pairs = []
+    for b in bases:
+        values = []
+        for u in units:
+            for k in range(1, 7):
+                try:
+                    values.append(_q(u) * _q(b) ** k)
+                except UnsupportedDegree:       # u and b in two quadratic fields
+                    break
+        pairs += [(alpha, beta) for alpha in values for beta in values]
+    assert len(pairs) == 7200
+    for alpha, beta in random.Random(2026).sample(pairs, 400):
+        alpha_powers, beta_powers, power_a, power_b = [], {}, alpha, beta
+        for j in range(1, 73):
+            alpha_powers.append(power_a)
+            beta_powers[power_b] = j
+            power_a, power_b = power_a * alpha, power_b * beta
+        smallest = next((n, beta_powers[power]) for n, power in enumerate(alpha_powers, 1)
+                        if power in beta_powers)
+        verdict = _verdict(alpha, beta)
+        assert verdict.status == "dependent", (alpha, beta)
+        assert alpha ** verdict.n == beta ** verdict.m
+        assert (verdict.n, verdict.m) == smallest, (alpha, beta)
 
 
 def test_degree_above_two():
