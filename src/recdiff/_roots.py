@@ -43,6 +43,7 @@ from .errors import PrecisionExhausted
 from .intervals import (
     ComplexBox,
     IntervalField,
+    _field_at,
     contains_zero,
     intersect,
     is_interior,
@@ -93,14 +94,14 @@ class AlgebraicNumber:
     def from_rational(value, label="") -> "AlgebraicNumber":
         value = Fraction(value)
         q = QuadraticElement.from_rational(value)
-        return AlgebraicNumber(q.minimal_polynomial(), q.box(IntervalField(64)), True, q,
+        return AlgebraicNumber(q.minimal_polynomial(), q.box(_field_at(64)), True, q,
                                label or str(value))
 
     @staticmethod
     def from_quadratic(value: QuadraticElement, label="") -> "AlgebraicNumber":
         if value.is_rational:
             return AlgebraicNumber.from_rational(value.a, label)
-        return AlgebraicNumber(value.minimal_polynomial(), value.box(IntervalField(128)),
+        return AlgebraicNumber(value.minimal_polynomial(), value.box(_field_at(128)),
                                value.d > 0, value, label)
 
     @staticmethod
@@ -109,7 +110,7 @@ class AlgebraicNumber:
         factors = factor_integer_poly(coeffs)
         if len(factors) != 1 or factors[0][1] != 1 or len(factors[0][0]) != len(coeffs):
             raise ValueError("minimal polynomial must be irreducible over Q")
-        roots = isolate_factor_roots(IntervalField(192), factors[0][0])
+        roots = isolate_factor_roots(_field_at(192), factors[0][0])
         if roots is None:
             raise PrecisionExhausted("cannot isolate the selected root")
         roots.sort(key=lambda r: (-midpoint_float(r.box.re), -midpoint_float(r.box.im)))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .counting import _count, _parse_x_int, brute_force_oracle
 from .errors import InvalidBelowThreshold, InvalidParameters
-from .intervals import IntervalField, midpoint_float
+from .intervals import _field_at, midpoint_float
 from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
 
 _VERIFY_LIMIT = 10 ** 6     # largest grid that lower_bound_grid checks pair by pair
@@ -32,7 +32,7 @@ def main_term_value(log_alpha: float, log_beta: float, x) -> float:
 
 def main_term(cert_alpha: DominantRootCertificate,
               cert_beta: DominantRootCertificate, x) -> float:
-    field = IntervalField(96)
+    field = _field_at(96)
     la = midpoint_float(field.log(cert_alpha.modulus()))
     lb = midpoint_float(field.log(cert_beta.modulus()))
     return main_term_value(la, lb, x)
@@ -49,7 +49,7 @@ class LowerBoundGrid:
 
 def _grid_axis(env: GrowthEnvelope, z: float, loglog_x: float):
     """(axis bound, validity threshold) for one sequence."""
-    field = IntervalField(96)
+    field = _field_at(96)
     la = midpoint_float(env.log_alpha(field))
     k = 1.0 / la
     c = env.sigma / la + 1.0
@@ -79,9 +79,8 @@ def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoun
     if count <= _VERIFY_LIMIT:
         seqU, seqV = envU.sequence, envV.sequence
         x_exact = Fraction(x) if not isinstance(x, int) else x
-        v_terms = [seqV.term(m) for m in range(int(m_max) + 1)]
-        for n in range(int(n_max) + 1):
-            u = seqU.term(n)
+        v_terms = seqV.terms(int(m_max) + 1)
+        for n, u in enumerate(seqU.terms(int(n_max) + 1)):
             for v in v_terms:
                 if abs(u - v) > x_exact:
                     raise RuntimeError(

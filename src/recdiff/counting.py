@@ -16,14 +16,18 @@ big-integer differences is alive at a time, so the memory of a count grows
 with n_cut + m_cut and the band size, not with T(x).  A pass at the largest
 x of a grid covers every smaller x, so a grid is enumerated once.
 
-The latest tally of each pair (T, S and the repeated values at its largest
-x, y, with the n cutoff and the number of V entries of its count) is kept
-for the 64 pairs used last.  A later count of the pair at x >= y still
-enumerates, so its cutoffs and window checks are its own.  When both of its
-bounds are at least the tally's, its runs hold every pair the tally counted,
-so when they hold T(y) pairs with |c| <= y they hold exactly those, and its
-bands start at |c| = y + 1.  A pair counted at a rising run of x thus
-tallies each |c| once.
+A tally keeps T(e) and S(e), the pairs and values with |c| < e, at every
+band edge e of its walk, the repeated values, and its region: the n cutoff
+and the number of V entries of its count.  For the 64 pairs used last, the
+widest tally (largest x) and the latest one are kept.  A later count still
+enumerates, so its cutoffs and window checks are its own.  It starts its
+bands at the highest edge e <= min(xs) + 1 of a kept tally whose region and
+its own nest (one contains the other) and whose T(e) its runs hold: the
+pairs with |c| < e of the smaller region lie in the larger one's, so an
+equal number means the same pairs, values and repeats.  This holds for x
+above and below the tally's, so a wide count serves the scattered counts
+below it, and the latest tally, which keeps the edges below its start of
+the tally it reused, serves a dense run of x.
 
 The real-base explorer (pi^n vs e^m) is the one interval-arithmetic consumer;
 every comparison there is decided with certified margin or refined.
@@ -38,14 +42,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
-from operator import eq
+from operator import eq, itemgetter
 
-from mpmath.libmp import mpf_gt, mpi_mul
+from mpmath.libmp import mpf_gt, mpf_mul, round_floor
 
 from .errors import CutoffUnsafe, PrecisionExhausted
 from .independence import multiplicative_independence
 from .intervals import (
     IntervalField,
+    _field_at,
     certainly_greater,
     certainly_le,
     ladder,
@@ -55,7 +60,10 @@ from .spectral import GrowthEnvelope, analyze_sequence
 
 _WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
 _HARD_CAP = 100000          # largest n cutoff before the window counts as a runaway
-_TALLY_CAP = 64             # pairs whose latest tally is kept
+_TALLY_CAP = 64             # pairs whose tallies are kept
+_CHECKPOINT_CAP = 256       # band edges a tally keeps: its highest ones
+_LADDER_CAP = 64            # (envelope, precision) pairs whose growth ladder is kept
+_LADDER_STEPS = 4096        # lower endpoints one growth ladder keeps
 
 
 @dataclass(frozen=True)
@@ -87,20 +95,21 @@ class CollisionScan:
 
 @dataclass(frozen=True)
 class _Tally:
-    """The latest tally of one pair: T and S at y, the largest x of its
-    count, the values c with |c| <= y taken more than once, and the count's
-    n cutoff and number of V entries."""
-    y: int
-    T: int
-    S: int
+    """A tally of one pair: (e, T(e), S(e)) at band edges e, ascending, for
+    the pairs with |c| < e; the values c taken more than once below the last
+    edge (the count's largest x, plus one); and the region counted, n <=
+    n_cut and the first n_entries V terms."""
+    checkpoints: tuple
     repeated: frozenset
     n_cut: int
     n_entries: int
 
 
-_COLD = _Tally(-1, 0, 0, frozenset(), 0, 0)      # covers no |c|
-_TALLIES = OrderedDict()     # (seqU, seqV) -> _Tally, least recently used first
+_COLD = (0, 0, 0, frozenset())      # a walk's start (e, T, S, repeated) covering no |c|
+_TALLIES = OrderedDict()     # (seqU, seqV) -> (widest, latest) tallies, least recently used first
 _TALLIES_LOCK = threading.Lock()
+_LADDERS = OrderedDict()     # (envelope, precision) -> (step, lower endpoints), LRU first
+_LADDERS_LOCK = threading.Lock()
 
 
 def _parse_x_int(value) -> int:
@@ -124,8 +133,7 @@ def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
     x = _parse_x_int(x)
     if n_cap < 0 or m_cap < 0:
         raise ValueError("caps must be >= 0")
-    u_terms = [seqU.term(n) for n in range(n_cap + 1)]
-    v_terms = [seqV.term(m) for m in range(m_cap + 1)]
+    u_terms, v_terms = seqU.terms(n_cap + 1), seqV.terms(m_cap + 1)
     T = 0
     values = set()
     for u in u_terms:
@@ -140,17 +148,33 @@ def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
 def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
     """Smallest n >= n0 with c_lower * |alpha|^n certified > threshold.
 
-    The loop steps on mpmath's raw interval tuples: the same outward-rounded
-    products at the field's precision as interval objects would give, but
-    without building one per step, which made this search most of the cost
-    of a count at small x.
+    The value starts at c_lower * |alpha|^n0 and takes one outward-rounded
+    interval product with |alpha| per n at the field's precision.  Both
+    factors are non-negative, so each product's lower endpoint is the last
+    one times |alpha|'s lower endpoint, rounded down, and only these lower
+    endpoints decide the search.  The first _LADDER_STEPS of them, a
+    non-decreasing ladder, are kept per (envelope, precision) for the 64
+    pairs used last, extended on demand and bisected; a search past them
+    steps on without keeping its endpoints, up to the runaway guard.
     """
-    mod = env.certificate.modulus()
-    value = (field.real(env.c_lower) * mod ** env.n0)._mpi_
-    step, thr_upper = mod._mpi_, field.real(threshold)._mpi_[1]
-    n = env.n0
-    while not mpf_gt(value[0], thr_upper):
-        value = mpi_mul(value, step, field.prec)
+    prec, thr_upper = field.prec, field.real(threshold)._mpi_[1]
+    with _LADDERS_LOCK:
+        found = _LADDERS.pop((env, prec), None)
+        if found is None:
+            mod = env.certificate.modulus()
+            found = mod._mpi_[0], [(field.real(env.c_lower) * mod ** env.n0)._mpi_[0]]
+        _LADDERS[env, prec] = found
+        if len(_LADDERS) > _LADDER_CAP:
+            _LADDERS.popitem(last=False)
+        step, lows = found
+        while len(lows) < _LADDER_STEPS and not mpf_gt(lows[-1], thr_upper):
+            lows.append(mpf_mul(lows[-1], step, prec, round_floor))
+        i = bisect_left(lows, True, key=lambda low: mpf_gt(low, thr_upper))
+        if i < len(lows):
+            return env.n0 + i
+    n, low = env.n0 + i - 1, lows[-1]
+    while not mpf_gt(low, thr_upper):
+        low = mpf_mul(low, step, prec, round_floor)
         n += 1
         if n > 10 ** 7:
             raise CutoffUnsafe("growth index search runaway")
@@ -192,7 +216,7 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
     non-empty run appear, in increasing n.  From the third window round on,
     a provably recurring hit raises ValueError.
     """
-    field = IntervalField(96)
+    field = _field_at(96)
     n_cut = max(_growth_index(envU, 2 * x + 2, field), 4)
     rounds = 0
     while True:
@@ -202,10 +226,10 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
                 "cutoff extension runaway at n_cut=%d (near-collisions keep "
                 "appearing beyond the window)" % n_cut)
         scan_limit = 2 * n_cut + _WINDOW_EXTRA
-        u_terms = [seqU.term(n) for n in range(scan_limit + 1)]
+        u_terms = seqU.terms(scan_limit + 1)
         u_max = max(abs(u) for u in u_terms)
         m_big = _growth_index(envV, x + u_max, field)
-        entries = sorted((seqV.term(m), m) for m in range(m_big + 1))
+        entries = sorted(zip(seqV.terms(m_big + 1), range(m_big + 1)))
         values = [e[0] for e in entries]
 
         runs = []
@@ -244,9 +268,10 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
     return runs, entries, n_cut, m_cut, gap_margin
 
 
-def _distinct(runs, values, xs, bands, done=_COLD):
-    """(T(x), S(x)) of the runs for each x of xs, in order, and the set of
-    values c = U_n - V_m taken more than once.
+def _distinct(runs, values, xs, bands, start=_COLD):
+    """The (e, T(e), S(e)) of the runs at each band edge e, ascending, for
+    the pairs with |c| < e, and the set of values c = U_n - V_m taken more
+    than once.
 
     |c| is split at every x + 1 and at 2^int(bits(max xs) sqrt(j / bands)),
     j = 1 .. bands - 1: the pairs with |c| < 2^b grow like b^2, so each band
@@ -255,16 +280,16 @@ def _distinct(runs, values, xs, bands, done=_COLD):
     c = 0 belongs to the non-negative side only.  The bands ascend in |c|,
     so the running totals at the edge x + 1 are T(x) and S(x).
 
-    ``done`` is a tally of these runs up to some y <= min(xs); the walk
-    starts at |c| = y + 1 from its totals and repeated values.
+    ``start`` is (e, T(e), S(e), the values with |c| < e taken more than
+    once) of these runs for some e <= min(xs) + 1; the walk starts there.
     """
-    y, T, S = done.y, done.T, done.S
+    e, T, S, repeated = start
     bits = max(xs).bit_length()
-    edges = [y + 1] + sorted(
+    edges = [e] + sorted(
         edge for edge in {*(x + 1 for x in xs),
                           *(1 << int(bits * math.sqrt(j / bands)) for j in range(1, bands))}
-        if edge > y + 1)
-    totals, repeated = {y + 1: (T, S)}, set(done.repeated)
+        if edge > e)
+    checkpoints, repeated = [(e, T, S)], set(repeated)
     for lo, hi in zip(edges, edges[1:]):
         for negative in (False, True):
             diffs = []
@@ -281,8 +306,29 @@ def _distinct(runs, values, xs, bands, done=_COLD):
             T += len(diffs)
             S += len(diffs) - len(equal)
             repeated.update(equal)
-        totals[hi] = T, S
-    return [totals[x + 1] for x in xs], repeated
+        checkpoints.append((hi, T, S))
+    return checkpoints, repeated
+
+
+def _start(tallies, runs, values, n_cut, n_entries, limit):
+    """The start of a walk over these runs, as _distinct takes it, and the
+    checkpoints below it of the tally it comes from: the highest edge e <=
+    limit of a kept tally whose region nests with the runs' (one holds the
+    other) and whose T(e) the runs hold with |c| < e.  (_COLD, ()) when no
+    edge e >= 1 qualifies; e = 0 covers no |c|."""
+    candidates = []
+    for tally in tallies:
+        i = bisect_right(tally.checkpoints, limit, key=itemgetter(0)) - 1
+        if i >= 0 and tally.checkpoints[i][0] >= 1 \
+                and (n_cut - tally.n_cut) * (n_entries - tally.n_entries) >= 0:
+            candidates.append((tally.checkpoints[i][0], i, tally))
+    for e, i, tally in sorted(candidates, key=itemgetter(0), reverse=True):
+        if tally.checkpoints[i][1] == sum(bisect_left(values, u + e, left, right)
+                                          - bisect_right(values, u - e, left, right)
+                                          for _, u, left, right in runs):
+            repeated = frozenset(c for c in tally.repeated if abs(c) < e)
+            return (*tally.checkpoints[i], repeated), tally.checkpoints[:i]
+    return _COLD, ()
 
 
 def _count(seqU, seqV, xs, envU, envV):
@@ -294,11 +340,10 @@ def _count(seqU, seqV, xs, envU, envV):
     in _enumerate_pairs; repeated the values c taken by two or more pairs.
     About 2^17 differences are alive at a time, whatever T is.
 
-    The pair's latest tally, at y <= min(xs), is reused when this pass's n
-    cutoff and number of V entries are at least its count's and the runs
-    hold its T pairs with |c| <= y: then only y < |c| <= max(xs) is tallied.
-    The runs hold every pair the tally counted, so an equal number means no
-    other pair with |c| <= y.
+    The walk starts where _start finds a kept tally of the pair to agree
+    with these runs, so only e <= |c| <= max(xs) is tallied.  The new tally
+    keeps the reused one's checkpoints below e; it becomes the pair's latest,
+    and its widest when no kept tally reaches a larger x.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -312,25 +357,23 @@ def _count(seqU, seqV, xs, envU, envV):
                              % (seq.name, env.sequence.name))
     runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
     values = [v for v, _ in entries]
-    key, y = (seqU, seqV), max(xs)
+    key = seqU, seqV
     with _TALLIES_LOCK:
-        done = _TALLIES.get(key)
-    if done is None or done.y > min(xs) or n_cut < done.n_cut \
-            or len(entries) < done.n_entries \
-            or done.T != sum(bisect_right(values, u + done.y, left, right)
-                             - bisect_left(values, u - done.y, left, right)
-                             for _, u, left, right in runs):
-        done = _COLD
+        kept = _TALLIES.get(key, ())
+    start, below = _start(kept, runs, values, n_cut, len(entries), min(xs) + 1)
     pairs = sum(right - left for _, _, left, right in runs)
-    totals, repeated = _distinct(runs, values, xs, max(1, pairs >> 17), done)
-    tally = _Tally(y, *totals[xs.index(y)], frozenset(repeated), n_cut, len(entries))
+    checkpoints, repeated = _distinct(runs, values, xs, max(1, pairs >> 17), start)
+    tally = _Tally((*below, *checkpoints)[-_CHECKPOINT_CAP:], frozenset(repeated),
+                   n_cut, len(entries))
     with _TALLIES_LOCK:
-        _TALLIES[key] = tally
-        _TALLIES.move_to_end(key)
+        widest = _TALLIES.pop(key, (tally,))[0]
+        if widest.checkpoints[-1][0] <= tally.checkpoints[-1][0]:
+            widest = tally
+        _TALLIES[key] = widest, tally
         if len(_TALLIES) > _TALLY_CAP:
             _TALLIES.popitem(last=False)
-    counts = [CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast")
-              for x, (T, S) in zip(xs, totals)]
+    totals = {e: (T, S) for e, T, S in checkpoints}
+    counts = [CountResult(x, *totals[x + 1], n_cut, m_cut, gap_margin, "fast") for x in xs]
     return counts, runs, entries, repeated
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from ._roots import AlgebraicNumber
 from .errors import UnsupportedDegree
-from .intervals import IntervalField, interval_inf_fraction, interval_sup_fraction
+from .intervals import _field_at, interval_inf_fraction, interval_sup_fraction
 from .quadratic import QuadraticElement, factor_integer
 
 
@@ -108,7 +108,7 @@ def _same_root(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> bool:
     """
     if alpha.min_poly != beta.min_poly or alpha.box.is_disjoint_from(beta.box):
         return False
-    conjugates = alpha.conjugates(IntervalField(_CONJUGATE_BITS))
+    conjugates = alpha.conjugates(_field_at(_CONJUGATE_BITS))
     if conjugates is None:
         return False
     hits = [[j for j, c in enumerate(conjugates) if not c.box.is_disjoint_from(x.box)]
@@ -180,7 +180,7 @@ def _relation_candidate(a: QuadraticElement, b: QuadraticElement):
     """A verified relation from the modulus-ratio candidate, or None."""
     # continued-fraction candidate from n log|alpha| = m log|beta|
     for bits in (128, 256, 512):
-        field = IntervalField(bits)
+        field = _field_at(bits)
         ratio = field.log(b.box(field).modulus()) / field.log(a.box(field).modulus())
         lo, hi = interval_inf_fraction(ratio), interval_sup_fraction(ratio)
         if lo <= 0:

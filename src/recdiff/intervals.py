@@ -15,6 +15,7 @@ three-valued: helpers below return True only when the relation holds for
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
 
@@ -106,6 +107,15 @@ class IntervalField:
 
     def e(self):
         return +self.ctx.e
+
+
+@functools.lru_cache(maxsize=None)
+def _field_at(prec: int) -> IntervalField:
+    """One shared IntervalField per precision, for callers at a fixed
+    precision.  Sharing is safe: no code sets a field's precision after
+    construction, and the interval context's arithmetic, ln, sqrt and
+    constants read it without changing it."""
+    return IntervalField(prec)
 
 
 # -- certified predicates on real intervals ---------------------------

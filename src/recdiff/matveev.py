@@ -18,7 +18,7 @@ from .errors import PrecisionExhausted, UnsupportedDegree
 from .heights import compound_height, height_constant_probe, log_height
 from .independence import multiplicative_independence
 from .intervals import (
-    IntervalField,
+    _field_at,
     certainly_greater,
     ladder,
     lower_float,
@@ -408,7 +408,7 @@ def _directional_chain(U, V, C10, A2, A3, D, ledger, primed=False):
 
 def effective_upper_bounds(u: SequenceAnalysis, v: SequenceAnalysis) -> EffectiveBounds:
     """Compose the effective chain into n_max/m_max coefficient records."""
-    field = IntervalField(192)
+    field = _field_at(192)
     certU, certV = u.certificate, v.certificate
     alpha, beta = certU.root, certV.root
     independence = multiplicative_independence(alpha, beta)

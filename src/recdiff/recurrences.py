@@ -65,6 +65,16 @@ class LinearRecurrence:
                 cache.append(sum(c[i] * cache[j - 1 - i] for i in range(k)))
             return cache[n]
 
+    def terms(self, stop: int) -> list:
+        """[U_0, ..., U_{stop-1}], from one term(stop - 1) and one slice of
+        the cache under the lock."""
+        if stop < 0:
+            raise ValueError("negative indices are not defined")
+        if stop:
+            self.term(stop - 1)
+        with self._lock:
+            return self._cache[:stop]
+
     def characteristic_polynomial(self) -> tuple:
         """Coefficients of X^k - c_1 X^{k-1} - ... - c_k, highest degree first."""
         return (1,) + tuple(-c for c in self.coefficients)

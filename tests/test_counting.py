@@ -1,13 +1,16 @@
+import random
 import sys
 import threading
 import tracemalloc
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_gt, mpi_mul, to_int
 
 from recdiff import counting
 from recdiff.asymptotics import ratio_table
@@ -128,6 +131,49 @@ def test_dependent_dominant_roots_with_a_finite_count_still_count(monkeypatch):
     assert len(calls) == 1 + 3
 
 
+def _stepping_values(env, field):
+    """(n, c_lower * |alpha|^n) for n = n0, n0 + 1, ..., one interval
+    product per n: the definition that the growth ladder must reproduce
+    bit for bit."""
+    mod = env.certificate.modulus()
+    value, n = (field.real(env.c_lower) * mod ** env.n0)._mpi_, env.n0
+    while True:
+        yield n, value
+        value, n = mpi_mul(value, mod._mpi_, field.prec), n + 1
+
+
+def _stepping_growth_index(env, threshold, field):
+    thr_upper = field.real(threshold)._mpi_[1]
+    return next(n for n, value in _stepping_values(env, field) if mpf_gt(value[0], thr_upper))
+
+
+@pytest.mark.parametrize("name", ["fib", "lucas", "pow2", "pow3", "tribonacci"])
+def test_the_growth_ladder_gives_the_stepping_loops_index(name, monkeypatch):
+    # thresholds 2^k - 1, 2^k and 2^k + 1 for k up to 4,000, asked in
+    # ascending, descending and shuffled order of a fresh ladder store, so a
+    # ladder filled by a large threshold answers the small ones; the last
+    # pass keeps 64 endpoints, so most searches step on past the ladder.
+    # Thresholds at the loop's own lower endpoints and one 96-bit ulp either
+    # side make a single bit of an endpoint decide the index
+    monkeypatch.setattr(counting, "_LADDERS", OrderedDict())
+    env, field = analyze_sequence(BUILTIN_SEQUENCES[name]).envelope, IntervalField(96)
+    thresholds = [2 ** k + d for k in [*range(64), *range(64, 4000, 331), 4000]
+                  for d in (-1, 0, 1)]
+    for _, value in islice(_stepping_values(env, field), 0, 6000, 750):
+        low = to_int(value[0])
+        ulp = 1 << max(low.bit_length() - field.prec, 0)
+        thresholds += [low - ulp, low, low + ulp]
+    expected = {t: _stepping_growth_index(env, t, field) for t in thresholds}
+    shuffled = random.Random(name).sample(thresholds, len(thresholds))
+    steps = counting._LADDER_STEPS
+    for order, kept in ((thresholds, steps), (thresholds[::-1], steps),
+                        (shuffled, steps), (shuffled, 64)):
+        monkeypatch.setattr(counting, "_LADDER_STEPS", kept)
+        counting._LADDERS.clear()
+        assert [counting._growth_index(env, t, field) for t in order] == \
+            [expected[t] for t in order]
+
+
 def test_envelope_of_another_sequence_is_refused():
     # pow1000's envelope beside fib once gave T = 140, S = 110 as a "fast"
     # count; an envelope of an equal sequence under another name is accepted
@@ -204,12 +250,19 @@ def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x):
     envU, envV = analyze_sequence(seqU).envelope, analyze_sequence(seqV).envelope
     runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, x, envU, envV)
     tally = Counter(_pair_differences(runs, entries))
-    expected = ([(sum(t for c, t in tally.items() if abs(c) <= y),
-                  sum(1 for c in tally if abs(c) <= y)) for y in xs],
-                {c for c, t in tally.items() if t > 1})
+
+    def below(e):
+        return (sum(t for c, t in tally.items() if abs(c) < e),
+                sum(1 for c in tally if abs(c) < e))
+
+    expected = ([below(y + 1) for y in xs], {c for c, t in tally.items() if t > 1})
     values = [v for v, _ in entries]
     for bands in (1, 2, 3, 7, 64):
-        assert _distinct(runs, values, xs, bands) == expected
+        checkpoints, repeated = _distinct(runs, values, xs, bands)
+        totals = {e: (T, S) for e, T, S in checkpoints}
+        assert ([totals[y + 1] for y in xs], repeated) == expected
+        # every band edge is a checkpoint a later count can start from
+        assert all((T, S) == below(e) for e, T, S in checkpoints)
 
 
 def test_multi_band_count_and_collisions_match_a_plain_grouping():
@@ -293,7 +346,7 @@ def test_collisions_match_brute_grouping(seqU, seqV, x):
 
 
 # ---------------------------------------------------------------------------
-# a pair's latest tally, reused by its next count
+# a pair's widest and latest tallies, reused by its next counts
 
 
 @pytest.fixture
@@ -302,8 +355,8 @@ def tally_starts(monkeypatch):
     a cold one)."""
     monkeypatch.setattr(counting, "_TALLIES", OrderedDict())
     starts, distinct = [], counting._distinct
-    monkeypatch.setattr(counting, "_distinct", lambda runs, values, xs, bands, done:
-                        starts.append(done.y) or distinct(runs, values, xs, bands, done))
+    monkeypatch.setattr(counting, "_distinct", lambda runs, values, xs, bands, start:
+                        starts.append(start[0] - 1) or distinct(runs, values, xs, bands, start))
     return starts
 
 
@@ -338,7 +391,9 @@ def test_grids_and_collisions_reuse_tallies_as_cold_counts(tally_starts):
     assert find_collisions(FIB, POW2, 10 ** 40) == cold_scan
     count_T_S(FIB, POW2, 10 ** 12)             # between the grid's ends
     assert ratio_table(FIB, POW2, grid).rows == cold_rows
-    assert tally_starts == [-1, 100, 10 ** 30, -1, -1]
+    # the count at 10^12 starts at the grid's edge 10^9 + 1, kept by the
+    # collision scan's tally below its start, and the grid again at 10^3 + 1
+    assert tally_starts == [-1, 100, 10 ** 30, 10 ** 9, 10 ** 3]
 
 
 def test_a_tally_is_reused_only_within_its_bounds_and_with_its_T(tally_starts):
@@ -347,17 +402,69 @@ def test_a_tally_is_reused_only_within_its_bounds_and_with_its_T(tally_starts):
     _, entries, n_cut, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 9, *envs)
     counting._TALLIES.clear()
     count_T_S(FIB, POW2, 10 ** 6)
-    tally = counting._TALLIES[FIB, POW2]
+    _, tally = counting._TALLIES[FIB, POW2]
     # within both bounds and with its T, a changed S is read
-    counting._TALLIES[FIB, POW2] = replace(tally, S=tally.S + 1000)
+    counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, S=+1000)
     assert count_T_S(FIB, POW2, 10 ** 9).S == cold.S + 1000
     # a wrong T, or a bound above the new count's: the whole tally is redone
-    for wrong in ({"T": tally.T + 1000},
-                  {"S": tally.S + 1000, "n_cut": n_cut + 1},
-                  {"S": tally.S + 1000, "n_entries": len(entries) + 1}):
-        counting._TALLIES[FIB, POW2] = replace(tally, **wrong)
+    for wrong in ({"T": +1000},
+                  {"S": +1000, "n_cut": n_cut + 1},
+                  {"S": +1000, "n_entries": len(entries) + 1}):
+        counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, **wrong)
         assert count_T_S(FIB, POW2, 10 ** 9) == cold
     assert tally_starts == [-1, -1, 10 ** 6, -1, -1, -1]
+
+
+def _edited(tally, e, T=0, S=0, **region):
+    """The store's entry (widest and latest) for one hand-made tally:
+    ``tally`` with T and S at its checkpoint e shifted by the given amounts,
+    and its region replaced."""
+    checkpoints = tuple((edge, t + T, s + S) if edge == e else (edge, t, s)
+                        for edge, t, s in tally.checkpoints)
+    assert any(edge == e for edge, _, _ in tally.checkpoints)
+    edited = replace(tally, checkpoints=checkpoints, **region)
+    return edited, edited
+
+
+def test_a_wider_tally_is_reused_below_it_only_when_nested_and_with_its_T(tally_starts):
+    # the grid's tally keeps the edge 10^6 + 1, below 10^9, and its region
+    # holds the region of a count at 10^9
+    cold = _cold(count_T_S, FIB, POW2, 10 ** 9)
+    envs = [analyze_sequence(seq).envelope for seq in (FIB, POW2)]
+    _, entries, n_cut, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 9, *envs)
+    counting._TALLIES.clear()
+    counting._count(FIB, POW2, [10 ** 6, 10 ** 12], None, None)
+    _, tally = counting._TALLIES[FIB, POW2]
+    assert tally.n_cut > n_cut and tally.n_entries > len(entries)
+    counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, S=+1000)
+    assert count_T_S(FIB, POW2, 10 ** 9).S == cold.S + 1000
+    # a wrong T at the edge, or regions that do not nest
+    for wrong in ({"T": +1000},
+                  {"S": +1000, "n_cut": n_cut + 1, "n_entries": len(entries) - 1},
+                  {"S": +1000, "n_cut": n_cut - 1, "n_entries": len(entries) + 1}):
+        counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, **wrong)
+        assert count_T_S(FIB, POW2, 10 ** 9) == cold
+    assert tally_starts == [-1, -1, 10 ** 6, -1, -1, -1]
+
+
+# band edges of a count at 10^300 (997 bits, T = 1,433,695, so 10 bands) lie
+# at 2^int(997 sqrt(j / 10)): 2^315, 2^445, 2^546, 2^630, 2^705, ...
+@pytest.mark.parametrize("xs, starts", [
+    ((10 ** 300, 3 * 10 ** 104, 10 ** 60, 10 ** 12), [-1, 2 ** 315 - 1, -1, -1]),
+    ((10 ** 300, 10 ** 200, 11 * 10 ** 199, 12 * 10 ** 199),
+     [-1, 2 ** 630 - 1, 10 ** 200, 11 * 10 ** 199]),
+], ids=("scattered-below", "dense-run-below"))
+def test_tallies_serve_counts_below_a_wide_count(xs, starts, tally_starts):
+    # the wide count's tally serves the first count below it from its
+    # highest edge under x; in the dense run, each count starts at the x of
+    # the one before, from the latest tally, which the widest cannot give
+    cold = [_cold(count_T_S, FIB, POW2, x) for x in xs]
+    counting._TALLIES.clear()
+    tally_starts.clear()
+    assert [count_T_S(FIB, POW2, x) for x in xs] == cold
+    assert tally_starts == starts
+    widest, latest = counting._TALLIES[FIB, POW2]
+    assert (widest.checkpoints[-1][0], latest.checkpoints[-1][0]) == (xs[0] + 1, xs[-1] + 1)
 
 
 def test_the_tally_store_keeps_the_64_latest_pairs(tally_starts):

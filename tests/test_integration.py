@@ -121,6 +121,13 @@ def _recurrences(draw):
     if draw(st.booleans()):     # (-1)^n U_n: the dominant root changes sign
         coeffs = [c * (-1) ** i for i, c in enumerate(coeffs, 1)]
         init = [u * (-1) ** n for n, u in enumerate(init)]
+    if draw(st.booleans()):     # times (X - r)^2: a double root r, dominant when |r| wins
+        r = draw(st.sampled_from((2, -2, 3)))
+        poly = [1] + [-c for c in coeffs]
+        poly = [a - 2 * r * b + r * r * c
+                for a, b, c in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+        coeffs = [-c for c in poly[1:]]
+        init = draw(st.lists(st.integers(-4, 4), min_size=k + 2, max_size=k + 2))
     return LinearRecurrence("random", tuple(coeffs), tuple(init))
 
 
@@ -128,20 +135,23 @@ def _recurrences(draw):
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(seq_u=_recurrences(), seq_v=_recurrences(), x=st.integers(0, 200))
 def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
-    # orders 2-5, so non-real roots from seed boxes reach the oracle; every
+    # orders 2-7, so non-real roots from seed boxes and, in about half the
+    # draws, a double dominant root (sigma = 1) reach the oracle; every
     # analysis over these coefficient ranges ends within a second.  Two
     # copies of one cubic recurrence are drawn too: their shared dominant root
     # gives alpha^1 = beta^1, and the count refuses with the dependent-roots
-    # ValueError in well under a second.  Counting at x, x // 7 and x again
-    # checks a count that finds the pair's latest tally above it (not
-    # reused) and one that finds it below (reused when its runs agree)
+    # ValueError in well under a second.  Counting at x // 49, x // 7 and x
+    # chains each count from the latest tally; x // 7 and x // 49 then start
+    # below the widest tally, at edges that the latest chain kept, and x
+    # again from the widest tally's last edge
     for seq in (seq_u, seq_v):
         try:
             analyze_sequence(seq)
         except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
             assume(False)
     try:
-        counts = [count_T_S(seq_u, seq_v, y) for y in (x, x // 7, x)]
+        counts = [count_T_S(seq_u, seq_v, y)
+                  for y in (x // 49, x // 7, x, x // 7, x // 49, x)]
     except CutoffUnsafe:
         return
     except ValueError as exc:

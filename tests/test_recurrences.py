@@ -32,6 +32,17 @@ def test_initial_terms_returned_unchanged():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         FIB.term(-1)
+    with pytest.raises(ValueError):
+        FIB.terms(-1)
+
+
+def test_terms_are_a_slice_of_the_sequence():
+    seq = LinearRecurrence("x", (1, 2, 3), (7, -8, 9))
+    assert seq.terms(0) == [] and seq.terms(2) == [7, -8]
+    first = seq.terms(40)
+    assert first == [seq.term(n) for n in range(40)]
+    first.clear()                      # the caller's copy, not the cache
+    assert seq.terms(41)[:40] == [seq.term(n) for n in range(40)]
 
 
 def test_recurrence_identity_far_out():
