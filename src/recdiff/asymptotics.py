@@ -64,7 +64,8 @@ def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoun
     exact verification when the grid is small enough."""
     if x <= math.e:
         raise InvalidBelowThreshold("need x > e so that loglog x > 0")
-    z = math.log(x)
+    # a Fraction's log from its parts: float(x) overflows past 1.8e308
+    z = math.log(x.numerator) - math.log(x.denominator) if isinstance(x, Fraction) else math.log(x)
     loglog_x = math.log(z)
     n_max, thr_u = _grid_axis(envU, z, loglog_x)
     m_max, thr_v = _grid_axis(envV, z, loglog_x)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import compress, islice
 from operator import eq, itemgetter
 
-from mpmath.libmp import mpf_gt, mpf_mul, round_floor
+from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
 from .errors import CutoffUnsafe, PrecisionExhausted
 from .independence import multiplicative_independence
@@ -62,8 +62,6 @@ _WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
 _HARD_CAP = 100000          # largest n cutoff before the window counts as a runaway
 _TALLY_CAP = 64             # pairs whose tallies are kept
 _CHECKPOINT_CAP = 256       # band edges a tally keeps: its highest ones
-_LADDER_CAP = 64            # (envelope, precision) pairs whose growth ladder is kept
-_LADDER_STEPS = 4096        # lower endpoints one growth ladder keeps
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,6 @@ class _Tally:
 _COLD = (0, 0, 0, frozenset())      # a walk's start (e, T, S, repeated) covering no |c|
 _TALLIES = OrderedDict()     # (seqU, seqV) -> (widest, latest) tallies, least recently used first
 _TALLIES_LOCK = threading.Lock()
-_LADDERS = OrderedDict()     # (envelope, precision) -> (step, lower endpoints), LRU first
-_LADDERS_LOCK = threading.Lock()
 
 
 def _parse_x_int(value) -> int:
@@ -148,37 +144,26 @@ def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
 def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
     """Smallest n >= n0 with c_lower * |alpha|^n certified > threshold.
 
-    The value starts at c_lower * |alpha|^n0 and takes one outward-rounded
-    interval product with |alpha| per n at the field's precision.  Both
-    factors are non-negative, so each product's lower endpoint is the last
-    one times |alpha|'s lower endpoint, rounded down, and only these lower
-    endpoints decide the search.  The first _LADDER_STEPS of them, a
-    non-decreasing ladder, are kept per (envelope, precision) for the 64
-    pairs used last, extended on demand and bisected; a search past them
-    steps on without keeping its endpoints, up to the runaway guard.
+    Both factors are positive, so a lower bound of the value is the lower
+    endpoint of c_lower times that of |alpha|^n, each rounded down at the
+    field's precision: one directed-rounding power per probe, on mpmath's
+    raw endpoints.  Probes at n0, n0 + 2, n0 + 6, n0 + 14, ... bracket the
+    first certified n, and a bisection of the bracket finds it.  An index
+    past n = 10^7 is a runaway.
     """
-    prec, thr_upper = field.prec, field.real(threshold)._mpi_[1]
-    with _LADDERS_LOCK:
-        found = _LADDERS.pop((env, prec), None)
-        if found is None:
-            mod = env.certificate.modulus()
-            found = mod._mpi_[0], [(field.real(env.c_lower) * mod ** env.n0)._mpi_[0]]
-        _LADDERS[env, prec] = found
-        if len(_LADDERS) > _LADDER_CAP:
-            _LADDERS.popitem(last=False)
-        step, lows = found
-        while len(lows) < _LADDER_STEPS and not mpf_gt(lows[-1], thr_upper):
-            lows.append(mpf_mul(lows[-1], step, prec, round_floor))
-        i = bisect_left(lows, True, key=lambda low: mpf_gt(low, thr_upper))
-        if i < len(lows):
-            return env.n0 + i
-    n, low = env.n0 + i - 1, lows[-1]
-    while not mpf_gt(low, thr_upper):
-        low = mpf_mul(low, step, prec, round_floor)
-        n += 1
-        if n > 10 ** 7:
+    prec, mod_low = field.prec, env.certificate.modulus()._mpi_[0]
+    c_low, thr_upper = field.real(env.c_lower)._mpi_[0], field.real(threshold)._mpi_[1]
+
+    def certified(n):
+        power = mpf_pow_int(mod_low, n, prec, round_floor)
+        return mpf_gt(mpf_mul(c_low, power, prec, round_floor), thr_upper)
+
+    lo, hi = env.n0 - 1, env.n0
+    while not certified(hi):
+        if hi >= 10 ** 7:
             raise CutoffUnsafe("growth index search runaway")
-    return n
+        lo, hi = hi, min(hi + 2 * (hi - lo), 10 ** 7)
+    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=certified)
 
 
 def _refuse_recurring_hits(seqU, seqV, envU, envV, hits, limit):

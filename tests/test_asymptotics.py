@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +103,10 @@ def test_ratio_table_past_the_float_range():
     assert (row.x, row.T, row.S) == (x, exact.T, exact.S)
     grid = lower_bound_grid(A_FIB.envelope, A_POW2.envelope, x)
     assert (grid.x, grid.count) == (x, row.grid_count) and grid.count > 0
+    # a Fraction x past the float range takes its log from its parts
+    assert lower_bound_grid(A_FIB.envelope, A_POW2.envelope, 10 ** 400).count == 2522376
+    grid = lower_bound_grid(A_FIB.envelope, A_POW2.envelope, Fraction(10 ** 400, 3))
+    assert (grid.x, grid.count) == (Fraction(10 ** 400, 3), 2516505)
 
 
 def _spy(monkeypatch, module, name):

@@ -23,7 +23,7 @@ from recdiff.counting import (
     find_collisions,
 )
 from recdiff.errors import CutoffUnsafe, PrecisionExhausted
-from recdiff.intervals import IntervalField
+from recdiff.intervals import IntervalField, certainly_greater
 from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
 from recdiff.spectral import analyze_sequence
 
@@ -133,8 +133,8 @@ def test_dependent_dominant_roots_with_a_finite_count_still_count(monkeypatch):
 
 def _stepping_values(env, field):
     """(n, c_lower * |alpha|^n) for n = n0, n0 + 1, ..., one interval
-    product per n: the definition that the growth ladder must reproduce
-    bit for bit."""
+    product per n: a reference whose repeated rounding makes it looser
+    than one power per n."""
     mod = env.certificate.modulus()
     value, n = (field.real(env.c_lower) * mod ** env.n0)._mpi_, env.n0
     while True:
@@ -147,15 +147,20 @@ def _stepping_growth_index(env, threshold, field):
     return next(n for n, value in _stepping_values(env, field) if mpf_gt(value[0], thr_upper))
 
 
+def _certified(env, n, threshold, field):
+    """c_lower * |alpha|^n > threshold, with one interval power per n."""
+    value = field.real(env.c_lower) * field.real(env.certificate.modulus()) ** n
+    return certainly_greater(value, field.real(threshold))
+
+
 @pytest.mark.parametrize("name", ["fib", "lucas", "pow2", "pow3", "tribonacci"])
-def test_the_growth_ladder_gives_the_stepping_loops_index(name, monkeypatch):
-    # thresholds 2^k - 1, 2^k and 2^k + 1 for k up to 4,000, asked in
-    # ascending, descending and shuffled order of a fresh ladder store, so a
-    # ladder filled by a large threshold answers the small ones; the last
-    # pass keeps 64 endpoints, so most searches step on past the ladder.
-    # Thresholds at the loop's own lower endpoints and one 96-bit ulp either
-    # side make a single bit of an endpoint decide the index
-    monkeypatch.setattr(counting, "_LADDERS", OrderedDict())
+def test_the_growth_ladder_gives_the_stepping_loops_index(name):
+    # thresholds 2^k - 1, 2^k and 2^k + 1 for k up to 4,000, and the
+    # stepping loop's own lower endpoints and one 96-bit ulp either side,
+    # where a single bit of an endpoint decides the index.  The returned n
+    # is certified and n - 1 is not; the stepping loop's looser products
+    # certify at n or one index later.  Ascending, descending and shuffled
+    # call orders give the same answers: the search keeps no state
     env, field = analyze_sequence(BUILTIN_SEQUENCES[name]).envelope, IntervalField(96)
     thresholds = [2 ** k + d for k in [*range(64), *range(64, 4000, 331), 4000]
                   for d in (-1, 0, 1)]
@@ -163,15 +168,26 @@ def test_the_growth_ladder_gives_the_stepping_loops_index(name, monkeypatch):
         low = to_int(value[0])
         ulp = 1 << max(low.bit_length() - field.prec, 0)
         thresholds += [low - ulp, low, low + ulp]
-    expected = {t: _stepping_growth_index(env, t, field) for t in thresholds}
+    found = {t: counting._growth_index(env, t, field) for t in thresholds}
+    for t, n in found.items():
+        assert n >= env.n0 and _certified(env, n, t, field)
+        assert n == env.n0 or not _certified(env, n - 1, t, field)
+        assert _stepping_growth_index(env, t, field) - n in (0, 1)
     shuffled = random.Random(name).sample(thresholds, len(thresholds))
-    steps = counting._LADDER_STEPS
-    for order, kept in ((thresholds, steps), (thresholds[::-1], steps),
-                        (shuffled, steps), (shuffled, 64)):
-        monkeypatch.setattr(counting, "_LADDER_STEPS", kept)
-        counting._LADDERS.clear()
+    for order in (thresholds[::-1], shuffled):
         assert [counting._growth_index(env, t, field) for t in order] == \
-            [expected[t] for t in order]
+            [found[t] for t in order]
+
+
+def test_the_growth_index_search_stops_past_ten_million():
+    # pow2's bound is 0.999 * 2^n, so 2^(k - 1) needs n = k: an index up to
+    # 10^7 is returned, and one past it raises
+    env, field = analyze_sequence(POW2).envelope, IntervalField(96)
+    for k in (10 ** 7 - 10, 10 ** 7):
+        assert counting._growth_index(env, 2 ** (k - 1), field) == k
+    for k in (10 ** 7 + 1, 10 ** 7 + 10):
+        with pytest.raises(CutoffUnsafe, match="growth index search runaway"):
+            counting._growth_index(env, 2 ** (k - 1), field)
 
 
 def test_envelope_of_another_sequence_is_refused():
