@@ -10,9 +10,15 @@ fails loudly (CutoffUnsafe) instead of reporting a possibly wrong count.
 
 The enumeration keeps, for each U_n, only an index run [left, right) into
 the value-sorted V terms.  T and S are counted band by band: each band of
-|c| (one sign at a time) gathers its differences from every run by
-bisection, sorts them and counts adjacent equal values.  Only one band of
-big-integer differences is alive at a time, so the memory of a count grows
+|c| (one sign at a time) gathers its pairs from every run by bisection.  A
+band of fewer than 2^12 pairs sorts its big-integer differences and counts
+adjacent equal values.  A larger one sorts one machine word per pair, the
+difference's residue mod a 31-bit prime beside the pair's position, and
+computes exactly only the differences whose residue another pair shares:
+equal values always share it, so T, S and the repeated values are exact
+whatever the prime, which only decides how few differences are computed
+(Karp and Rabin's fingerprints, IBM J. Res. Dev. 31 (1987), with every tie
+resolved).  Only one band is alive at a time, so the memory of a count grows
 with n_cut + m_cut and the band size, not with T(x).  A pass at the largest
 x of a grid covers every smaller x, so a grid is enumerated once.
 
@@ -42,7 +48,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
-from operator import eq, itemgetter
+from operator import eq, itemgetter, sub
 
 from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
@@ -62,6 +68,8 @@ _WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
 _HARD_CAP = 100000          # largest n cutoff before the window counts as a runaway
 _TALLY_CAP = 64             # pairs whose tallies are kept
 _CHECKPOINT_CAP = 256       # band edges a tally keeps: its highest ones
+_RESIDUE_BAND = 1 << 12     # pairs of a band and sign from which it is tallied by residues
+_PRIME = 2 ** 31 - 69       # a safe prime: 2 and 3 have order p - 1 and (p - 1) / 2 mod p
 
 
 @dataclass(frozen=True)
@@ -258,41 +266,108 @@ def _distinct(runs, values, xs, bands, start=_COLD):
     the pairs with |c| < e, and the set of values c = U_n - V_m taken more
     than once.
 
-    |c| is split at every x + 1 and at 2^int(bits(max xs) sqrt(j / bands)),
-    j = 1 .. bands - 1: the pairs with |c| < 2^b grow like b^2, so each band
-    holds about T / bands of them.  Each band is gathered one sign at a time
-    by bisecting every run, sorted, and scanned for adjacent equal values;
-    c = 0 belongs to the non-negative side only.  The bands ascend in |c|,
-    so the running totals at the edge x + 1 are T(x) and S(x).
+    |c| is split at every x + 1, at 2^b_j for b_j = int(bits(max xs)
+    sqrt(j / bands)), j = 1 .. bands - 1, and below 2^b_1 at 2^(b_1 >> k)
+    while b_1 >> k >= 16: the pairs with |c| < 2^b grow like b^2, so each
+    band above 2^b_1 holds about T / bands of them, and a count far below
+    the largest x still finds an edge under it.  Each band is gathered one
+    sign at a time from every run, between the bisections of the run at
+    its two edges; c = 0 belongs to the non-negative side only.  A side of
+    _RESIDUE_BAND pairs or more computes only its tied differences
+    (_tied_differences), a smaller one all of them; either sorts what it
+    computed and counts adjacent equal values.  The bands ascend in |c|, so
+    the running totals at the edge x + 1 are T(x) and S(x).
 
     ``start`` is (e, T(e), S(e), the values with |c| < e taken more than
     once) of these runs for some e <= min(xs) + 1; the walk starts there.
     """
     e, T, S, repeated = start
     bits = max(xs).bit_length()
-    edges = [e] + sorted(
-        edge for edge in {*(x + 1 for x in xs),
-                          *(1 << int(bits * math.sqrt(j / bands)) for j in range(1, bands))}
-        if edge > e)
+    powers = {int(bits * math.sqrt(j / bands)) for j in range(1, bands)}
+    power = min(powers, default=0) >> 1
+    while power >= 16:
+        powers.add(power)
+        power >>= 1
+    edges = sorted(edge for edge in {*(x + 1 for x in xs), *(1 << b for b in powers)}
+                   if edge > e)
     checkpoints, repeated = [(e, T, S)], set(repeated)
-    for lo, hi in zip(edges, edges[1:]):
-        for negative in (False, True):
-            diffs = []
-            for _, u, left, right in runs:
-                if negative:        # max(lo, 1) <= v - u < hi
-                    a = bisect_left(values, u + max(lo, 1), left, right)
-                    b = bisect_left(values, u + hi, a, right)
-                else:               # lo <= u - v < hi
-                    a = bisect_right(values, u - hi, left, right)
-                    b = bisect_right(values, u - lo, a, right)
-                diffs += [u - v for v in values[a:b]]
+    us = [u for _, u, _, _ in runs]
+    # per run, the first entry with u - v < e (v > u - e) and with v - u >= max(e, 1)
+    above = [bisect_right(values, u - e, left, right) for _, u, left, right in runs]
+    below = [bisect_left(values, u + max(e, 1), left, right) for _, u, left, right in runs]
+    residues = None
+    for hi in edges:
+        next_above = [bisect_right(values, u - hi, left, a)
+                      for (_, u, left, _), a in zip(runs, above)]
+        next_below = [bisect_left(values, u + hi, b, right)
+                      for (_, u, _, right), b in zip(runs, below)]
+        # lo <= u - v < hi, then max(lo, 1) <= v - u < hi
+        for starts, stops in ((next_above, above), (below, next_below)):
+            pairs = sum(map(sub, stops, starts))
+            if _RESIDUE_BAND <= pairs < 1 << 32:        # a position fits 32 bits
+                if residues is None:
+                    residues = _residues(us, values)
+                diffs = _tied_differences(us, values, starts, stops, *residues)
+            else:
+                diffs = [u - v for u, a, b in zip(us, starts, stops) for v in values[a:b]]
             diffs.sort()
             equal = list(compress(diffs, map(eq, diffs, islice(diffs, 1, None))))
-            T += len(diffs)
-            S += len(diffs) - len(equal)
+            T += pairs
+            S += pairs - len(equal)
             repeated.update(equal)
+        above, below = next_above, next_below
         checkpoints.append((hi, T, S))
     return checkpoints, repeated
+
+
+def _residues(us, values):
+    """The residues mod _PRIME of the us and of the values, as int64 arrays."""
+    import numpy
+
+    return (numpy.array([u % _PRIME for u in us], dtype=numpy.int64),
+            numpy.array([v % _PRIME for v in values], dtype=numpy.int64))
+
+
+def _tied_differences(us, values, starts, stops, u_res, v_res):
+    """The differences u - v, v in values[start:stop] for each u, of the pairs
+    whose residue mod _PRIME another pair shares; every other pair takes a
+    value that no pair here shares.
+
+    Each pair is packed into one machine word, (c mod p) << 32 | its
+    position, and the words are sorted once: equal high halves are adjacent.
+    Only the tied positions are mapped back to (u, v), so equal values, which
+    always tie, are found by exact integers whatever the prime.
+    """
+    import numpy
+
+    starts, stops = (numpy.array(a, dtype=numpy.int64) for a in (starts, stops))
+    counts = stops - starts
+    ends = numpy.cumsum(counts)
+    firsts = ends - counts                  # the position of each run's first pair
+    pairs = int(ends[-1])
+    # a pair's V index steps by one within a run and jumps from the last
+    # entry of one run to the first of the next: a cumulative sum of steps,
+    # so that at most two band-sized arrays are alive at a time
+    steps = numpy.ones(pairs, dtype=numpy.int64)
+    filled = counts > 0
+    jumps = starts[filled]
+    jumps[1:] -= stops[filled][:-1] - 1
+    steps[firsts[filled]] = jumps
+    words = v_res[numpy.cumsum(steps, out=steps)]
+    del steps
+    numpy.subtract(numpy.repeat(u_res, counts), words, out=words)
+    words %= _PRIME
+    words <<= 32
+    words |= numpy.arange(pairs, dtype=numpy.int64)
+    words.sort()
+    same = (words[1:] ^ words[:-1]) < 1 << 32
+    tied = numpy.zeros(pairs, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    positions = words[tied] & 0xFFFFFFFF
+    run = numpy.searchsorted(ends, positions, side="right")
+    index = starts[run] + positions - firsts[run]
+    return [us[r] - values[j] for r, j in zip(run.tolist(), index.tolist())]
 
 
 def _start(tallies, runs, values, n_cut, n_entries, limit):
@@ -323,7 +398,7 @@ def _count(seqU, seqV, xs, envU, envV):
     Returns (counts, runs, entries, repeated): one CountResult per x, in
     order, all with the pass's cutoffs and gap margin; runs and entries as
     in _enumerate_pairs; repeated the values c taken by two or more pairs.
-    About 2^17 differences are alive at a time, whatever T is.
+    One band of about 2^17 pairs is alive at a time, whatever T is.
 
     The walk starts where _start finds a kept tally of the pair to agree
     with these runs, so only e <= |c| <= max(xs) is tallied.  The new tally

@@ -31,6 +31,7 @@ FIB = BUILTIN_SEQUENCES["fib"]
 POW2 = BUILTIN_SEQUENCES["pow2"]
 POW3 = BUILTIN_SEQUENCES["pow3"]
 LUCAS = BUILTIN_SEQUENCES["lucas"]
+TRIBONACCI = BUILTIN_SEQUENCES["tribonacci"]
 
 # oracle-derived ground truths (generous double loops, see module docstring)
 FIB_POW2_TRUTH = {0: (4, 1), 1: (11, 3), 10: (35, 18), 100: (93, 70),
@@ -254,13 +255,17 @@ def _pair_differences(runs, entries):
     return [u - v for _, u, left, right in runs for v, _ in entries[left:right]]
 
 
-@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB), (LUCAS, POW3)],
-                         ids=("fib-pow2", "pow2-fib", "lucas-pow3"))
+@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB), (LUCAS, POW3),
+                                        (TRIBONACCI, POW3)],
+                         ids=("fib-pow2", "pow2-fib", "lucas-pow3", "tribonacci-pow3"))
 @pytest.mark.parametrize("x", [10 ** 6, 10 ** 12])
-def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x):
+def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x, monkeypatch):
     # band edges are powers of two, and c = +-2^k occurs (pow2 against
     # F_0 = 0, say), as does c = 0 (F_1 - 2^0); the grid below x, out of
-    # order and with x twice, puts an edge x + 1 at and next to 2^k
+    # order and with x twice, puts an edge x + 1 at and next to 2^k.  Equal
+    # terms (F_1 = F_2, tribonacci's T_0 = T_1 = 0) repeat values.  Every
+    # band is tallied by the exact sort, then by residues with the real
+    # prime, then by residues mod 101, where nearly every pair ties another
     k = x.bit_length() - 2
     xs = [x, 2 ** k, x // 1000, 2 ** k - 1, 0, 2 ** k + 1, x]
     envU, envV = analyze_sequence(seqU).envelope, analyze_sequence(seqV).envelope
@@ -273,12 +278,16 @@ def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x):
 
     expected = ([below(y + 1) for y in xs], {c for c, t in tally.items() if t > 1})
     values = [v for v, _ in entries]
-    for bands in (1, 2, 3, 7, 64):
-        checkpoints, repeated = _distinct(runs, values, xs, bands)
-        totals = {e: (T, S) for e, T, S in checkpoints}
-        assert ([totals[y + 1] for y in xs], repeated) == expected
-        # every band edge is a checkpoint a later count can start from
-        assert all((T, S) == below(e) for e, T, S in checkpoints)
+    for threshold, prime in ((counting._RESIDUE_BAND, counting._PRIME),
+                             (1, counting._PRIME), (1, 101)):
+        monkeypatch.setattr(counting, "_RESIDUE_BAND", threshold)
+        monkeypatch.setattr(counting, "_PRIME", prime)
+        for bands in (1, 2, 3, 7, 64):
+            checkpoints, repeated = _distinct(runs, values, xs, bands)
+            totals = {e: (T, S) for e, T, S in checkpoints}
+            assert ([totals[y + 1] for y in xs], repeated) == expected
+            # every band edge is a checkpoint a later count can start from
+            assert all((T, S) == below(e) for e, T, S in checkpoints)
 
 
 def test_multi_band_count_and_collisions_match_a_plain_grouping():
@@ -464,16 +473,19 @@ def test_a_wider_tally_is_reused_below_it_only_when_nested_and_with_its_T(tally_
 
 
 # band edges of a count at 10^300 (997 bits, T = 1,433,695, so 10 bands) lie
-# at 2^int(997 sqrt(j / 10)): 2^315, 2^445, 2^546, 2^630, 2^705, ...
+# at 2^int(997 sqrt(j / 10)): 2^315, 2^445, 2^546, 2^630, 2^705, ..., and
+# below the lowest by halving its exponent: 2^157, 2^78, 2^39, 2^19
 @pytest.mark.parametrize("xs, starts", [
-    ((10 ** 300, 3 * 10 ** 104, 10 ** 60, 10 ** 12), [-1, 2 ** 315 - 1, -1, -1]),
+    ((10 ** 300, 3 * 10 ** 104, 10 ** 60, 10 ** 12),
+     [-1, 2 ** 315 - 1, 2 ** 157 - 1, 2 ** 39 - 1]),
     ((10 ** 300, 10 ** 200, 11 * 10 ** 199, 12 * 10 ** 199),
      [-1, 2 ** 630 - 1, 10 ** 200, 11 * 10 ** 199]),
 ], ids=("scattered-below", "dense-run-below"))
 def test_tallies_serve_counts_below_a_wide_count(xs, starts, tally_starts):
-    # the wide count's tally serves the first count below it from its
-    # highest edge under x; in the dense run, each count starts at the x of
-    # the one before, from the latest tally, which the widest cannot give
+    # the wide count's tally serves each scattered count below it from its
+    # highest edge under x, down to 10^12 > 2^39; in the dense run, each
+    # count starts at the x of the one before, from the latest tally, which
+    # the widest cannot give
     cold = [_cold(count_T_S, FIB, POW2, x) for x in xs]
     counting._TALLIES.clear()
     tally_starts.clear()

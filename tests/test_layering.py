@@ -1,10 +1,13 @@
 """Module layering of the package: every relative import sits at module
-level, the relative imports between modules form no cycle, and sympy is
-imported only inside functions, so that it loads only when needed.  Every
+level, the relative imports between modules form no cycle, and sympy and
+numpy are imported only inside functions, so that they load only when
+needed: a count of a degree-2 pair up to x = 10^12 loads neither.  Every
 function also reads each parameter it declares, and no module touches the
 precision of mpmath's global context or finds roots in it."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "recdiff"
@@ -63,7 +66,8 @@ def test_relative_imports_form_no_cycle():
             visit(name, [name])
 
 
-def test_sympy_is_not_imported_at_module_level():
+def module_level_imports(package):
+    """'module.py:line' of every import of ``package`` that runs at import time."""
     eager = []
     for name, tree in parsed_modules().items():
         for node in module_level_nodes(tree):
@@ -73,9 +77,41 @@ def test_sympy_is_not_imported_at_module_level():
                 targets = [node.module]
             else:
                 continue
-            if any(t.split(".")[0] == "sympy" for t in targets):
+            if any(t.split(".")[0] == package for t in targets):
                 eager.append("%s.py:%d" % (name, node.lineno))
-    assert eager == []
+    return eager
+
+
+def test_sympy_is_not_imported_at_module_level():
+    assert module_level_imports("sympy") == []
+
+
+def test_numpy_is_not_imported_at_module_level():
+    assert module_level_imports("numpy") == []
+
+
+_STARTUP_PROBE = """
+import sys
+from recdiff.cli import dispatch
+for argv in (["count", "--seq-u", "fib", "--seq-v", "pow2", "--x", "1e12"],
+             ["collisions", "--seq-u", "fib", "--seq-v", "pow2", "--x", "1e9"],
+             ["scan", "--seq-u", "fib", "--seq-v", "pow2",
+              "--x-grid", "1e3,1e6,1e9,1e12", "--output", "csv"]):
+    code = dispatch(argv + ["--no-header"])
+    loaded = {m.split(".")[0] for m in sys.modules} & {"numpy", "sympy"}
+    print("loaded after", argv[0], code, sorted(loaded))
+"""
+
+
+def test_small_counts_load_neither_numpy_nor_sympy():
+    # a fresh process, since this one has both loaded by other tests: counts
+    # of degree-2 pairs up to x = 10^12 sort their few pairs as integers
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after")]
+    assert loaded == ["loaded after %s 0 []" % command
+                      for command in ("count", "collisions", "scan")]
 
 
 def test_every_parameter_is_read():
