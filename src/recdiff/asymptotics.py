@@ -20,7 +20,7 @@ from .errors import InvalidBelowThreshold, InvalidParameters
 from .intervals import _field_at, midpoint_float
 from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
 
-_VERIFY_LIMIT = 10 ** 6     # largest grid that lower_bound_grid checks pair by pair
+_VERIFY_LIMIT = 10 ** 6     # largest grid that lower_bound_grid checks
 
 
 def main_term_value(log_alpha: float, log_beta: float, x) -> float:
@@ -60,8 +60,8 @@ def _grid_axis(env: GrowthEnvelope, z: float, loglog_x: float):
 
 
 def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoundGrid:
-    """Grid of indices certified to satisfy |U_n - V_m| <= x, with exhaustive
-    exact verification when the grid is small enough."""
+    """Grid of indices certified to satisfy |U_n - V_m| <= x, with exact
+    verification of every pair, by the extreme terms, when the grid is small."""
     if x <= math.e:
         raise InvalidBelowThreshold("need x > e so that loglog x > 0")
     # a Fraction's log from its parts: float(x) overflows past 1.8e308
@@ -78,15 +78,17 @@ def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoun
     count = (int(n_max) + 1) * (int(m_max) + 1)
     verified = False
     if count <= _VERIFY_LIMIT:
-        seqU, seqV = envU.sequence, envV.sequence
         x_exact = Fraction(x) if not isinstance(x, int) else x
-        v_terms = seqV.terms(int(m_max) + 1)
-        for n, u in enumerate(seqU.terms(int(n_max) + 1)):
-            for v in v_terms:
-                if abs(u - v) > x_exact:
-                    raise RuntimeError(
-                        "grid verification failed at (n=%d, m=%d); envelope "
-                        "constants are inconsistent" % (n, v_terms.index(v)))
+        u_terms = envU.sequence.terms(int(n_max) + 1)
+        v_terms = envV.sequence.terms(int(m_max) + 1)
+        # every |U_n - V_m| <= x exactly when max U - min V <= x and max V - min U <= x
+        for u_pick, v_pick in ((max, min), (min, max)):
+            n = u_pick(range(len(u_terms)), key=u_terms.__getitem__)
+            m = v_pick(range(len(v_terms)), key=v_terms.__getitem__)
+            if abs(u_terms[n] - v_terms[m]) > x_exact:
+                raise RuntimeError(
+                    "grid verification failed at (n=%d, m=%d); envelope "
+                    "constants are inconsistent" % (n, m))
         verified = True
     return LowerBoundGrid(x, n_max, m_max, count, verified)
 

@@ -3,10 +3,11 @@
 T(x) counts pairs (n, m) with |U_n - V_m| <= x; S(x) counts the distinct
 values c = U_n - V_m with |c| <= x.  All integer-sequence comparisons are
 exact big-integer arithmetic.  The fast counter trusts a verified safety
-window (after the last admitted n it rescans a window of equal length and
-demands every difference exceed x), not the impractically large effective
-bounds; the window is re-verified after every extension and the computation
-fails loudly (CutoffUnsafe) instead of reporting a possibly wrong count.
+window (past the last admitted n it scans on to twice that n, plus 16, and
+demands every difference there exceed x), not the impractically large
+effective bounds; a hit in the window extends the same scan, whose new
+window is verified in turn, and the computation fails loudly (CutoffUnsafe)
+instead of reporting a possibly wrong count.
 
 The enumeration keeps, for each U_n, only an index run [left, right) into
 the value-sorted V terms.  T and S are counted band by band: each band of
@@ -47,8 +48,8 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
-from operator import eq, itemgetter, sub
+from itertools import accumulate, compress, count, islice
+from operator import eq, itemgetter, lt, sub
 
 from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
@@ -206,11 +207,14 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
     Returns (runs, entries, n_cut, m_cut, gap_margin).  entries are the
     (V_m, m) pairs sorted by value; each run is (n, U_n, left, right) with
     |U_n - V_m| <= x exactly for the entries[left:right]; only n with a
-    non-empty run appear, in increasing n.  From the third window round on,
-    a provably recurring hit raises ValueError.
+    non-empty run appear, in increasing n.  A window round extends the one
+    scan: it bisects only the U terms it adds, and re-bisects the others
+    only when a V term it adds is at most x + max |U_n| over them.  From
+    the third window round on, a provably recurring hit raises ValueError.
     """
     field = _field_at(96)
     n_cut = max(_growth_index(envU, 2 * x + 2, field), 4)
+    lefts, rights, entries, u_max = [], [], [], 0
     rounds = 0
     while True:
         rounds += 1
@@ -220,44 +224,35 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
                 "appearing beyond the window)" % n_cut)
         scan_limit = 2 * n_cut + _WINDOW_EXTRA
         u_terms = seqU.terms(scan_limit + 1)
-        u_max = max(abs(u) for u in u_terms)
+        settled = x + u_max         # no V term above it moves a position taken so far
+        u_max = max(u_max, *map(abs, u_terms[len(lefts):]))
         m_big = _growth_index(envV, x + u_max, field)
-        entries = sorted(zip(seqV.terms(m_big + 1), range(m_big + 1)))
-        values = [e[0] for e in entries]
-
-        runs = []
-        last_hit = -1
-        gap_margin = None
-        for n in range(scan_limit + 1):
-            u = u_terms[n]
-            left = bisect_left(values, u - x)
-            right = bisect_right(values, u + x)
-            if right > left:
-                last_hit = n
-                runs.append((n, u, left, right))
-            if n > n_cut:
-                best = None
-                for j in (left - 1, left, right):
-                    if 0 <= j < len(values):
-                        gap = abs(u - values[j])
-                        best = gap if best is None else min(best, gap)
-                if best is not None:
-                    gap_margin = best if gap_margin is None else min(gap_margin, best)
-        if last_hit <= n_cut:
+        if m_big >= len(entries):
+            v_terms = seqV.terms(m_big + 1)
+            if min(v_terms[len(entries):]) <= settled:
+                lefts, rights = [], []
+            entries = sorted(zip(v_terms, range(m_big + 1)))
+            values = [v for v, _ in entries]
+        lefts += [bisect_left(values, u - x) for u in u_terms[len(lefts):]]
+        rights += [bisect_right(values, u + x) for u in u_terms[len(rights):]]
+        hits = list(compress(count(), map(lt, lefts, rights)))
+        if not hits or hits[-1] <= n_cut:
             break
         if rounds >= 2:
             _refuse_recurring_hits(seqU, seqV, envU, envV, [
-                (n, m) for n, _, left, right in runs if n > n_cut
-                for _, m in entries[left:right]],
-                2 * last_hit + _WINDOW_EXTRA)
-        n_cut = last_hit       # extend and re-verify a fresh window
+                (n, m) for n in hits if n > n_cut for _, m in entries[lefts[n]:rights[n]]],
+                2 * hits[-1] + _WINDOW_EXTRA)
+        n_cut = hits[-1]
 
-    # each entry index is read once, however many runs cover it
-    m_cut = reach = 0
-    for left, right in sorted((left, right) for _, _, left, right in runs):
-        for _, m in entries[max(left, reach):right]:
-            m_cut = max(m_cut, m)
-        reach = max(reach, right)
+    # past n_cut every run is empty: the V values nearest U_n sit at left - 1 and left
+    gap_margin = min((abs(u_terms[n] - values[j]) for n in range(n_cut + 1, scan_limit + 1)
+                      for j in (lefts[n] - 1, lefts[n]) if 0 <= j < len(values)), default=None)
+    runs = [(n, u_terms[n], lefts[n], rights[n]) for n in hits]
+    cover = [0] * (len(entries) + 1)    # runs opening less runs closing at each entry
+    for _, _, left, right in runs:
+        cover[left] += 1
+        cover[right] -= 1
+    m_cut = max(compress([m for _, m in entries], accumulate(cover)), default=0)
     return runs, entries, n_cut, m_cut, gap_margin
 
 

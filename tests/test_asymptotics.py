@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,20 @@ def test_lower_bound_grid_threshold():
         lower_bound_grid(A_FIB.envelope, A_POW2.envelope, 2)
     with pytest.raises(InvalidBelowThreshold):
         lower_bound_grid(A_FIB.envelope, A_POW2.envelope, 3.0)
+
+
+@pytest.mark.parametrize("seqs", [(A_FIB, A_POW2), (A_POW2, A_FIB)], ids=("fib-pow2", "pow2-fib"))
+def test_an_oversized_grid_names_a_pair_beyond_x(seqs, monkeypatch):
+    # ten indices past each axis bound: the error names a grid pair with
+    # |U_n - V_m| > x by its indices, also for fib, where F_1 = F_2
+    grid_axis = asymptotics._grid_axis
+    monkeypatch.setattr(asymptotics, "_grid_axis",
+                        lambda *args: (grid_axis(*args)[0] + 10, grid_axis(*args)[1]))
+    x = 10 ** 6
+    with pytest.raises(RuntimeError) as failure:
+        lower_bound_grid(seqs[0].envelope, seqs[1].envelope, x)
+    n, m = map(int, re.search(r"failed at \(n=(\d+), m=(\d+)\)", str(failure.value)).groups())
+    assert abs(seqs[0].sequence.term(n) - seqs[1].sequence.term(m)) > x
 
 
 def test_grid_is_subset_of_solutions():

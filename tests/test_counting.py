@@ -2,30 +2,36 @@ import random
 import sys
 import threading
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_gt, mpi_mul, to_int
 
 from recdiff import counting
 from recdiff.asymptotics import ratio_table
 from recdiff.counting import (
+    _HARD_CAP,
+    _WINDOW_EXTRA,
     _distinct,
     _enumerate_pairs,
+    _growth_index,
+    _refuse_recurring_hits,
     brute_force_oracle,
     count_T_S,
     count_real_power_pairs,
     find_collisions,
 )
-from recdiff.errors import CutoffUnsafe, PrecisionExhausted
-from recdiff.intervals import IntervalField, certainly_greater
+from recdiff.errors import CutoffUnsafe, NoDominantRoot, PrecisionExhausted, RootNotLargerThanOne
+from recdiff.intervals import IntervalField, _field_at, certainly_greater
 from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
 from recdiff.spectral import analyze_sequence
+from test_integration import _recurrences
 
 FIB = BUILTIN_SEQUENCES["fib"]
 POW2 = BUILTIN_SEQUENCES["pow2"]
@@ -130,6 +136,134 @@ def test_dependent_dominant_roots_with_a_finite_count_still_count(monkeypatch):
     oracle = brute_force_oracle(POW2, POW16_PLUS_POW2, 10 ** 6, 200, 60)
     assert (r.T, r.S, r.n_cut) == (oracle.T, oracle.S, 76)
     assert len(calls) == 1 + 3
+
+
+# the restart-per-round enumeration that one extended scan replaced, kept
+# verbatim as the reference for the 5-tuple
+def _restarting_enumerate_pairs(seqU, seqV, x, envU, envV):
+    """Per-n index runs of the V terms within x of U_n, plus cutoff metadata.
+
+    Returns (runs, entries, n_cut, m_cut, gap_margin).  entries are the
+    (V_m, m) pairs sorted by value; each run is (n, U_n, left, right) with
+    |U_n - V_m| <= x exactly for the entries[left:right]; only n with a
+    non-empty run appear, in increasing n.  From the third window round on,
+    a provably recurring hit raises ValueError.
+    """
+    field = _field_at(96)
+    n_cut = max(_growth_index(envU, 2 * x + 2, field), 4)
+    rounds = 0
+    while True:
+        rounds += 1
+        if n_cut > _HARD_CAP or rounds > 64:
+            raise CutoffUnsafe(
+                "cutoff extension runaway at n_cut=%d (near-collisions keep "
+                "appearing beyond the window)" % n_cut)
+        scan_limit = 2 * n_cut + _WINDOW_EXTRA
+        u_terms = seqU.terms(scan_limit + 1)
+        u_max = max(abs(u) for u in u_terms)
+        m_big = _growth_index(envV, x + u_max, field)
+        entries = sorted(zip(seqV.terms(m_big + 1), range(m_big + 1)))
+        values = [e[0] for e in entries]
+
+        runs = []
+        last_hit = -1
+        gap_margin = None
+        for n in range(scan_limit + 1):
+            u = u_terms[n]
+            left = bisect_left(values, u - x)
+            right = bisect_right(values, u + x)
+            if right > left:
+                last_hit = n
+                runs.append((n, u, left, right))
+            if n > n_cut:
+                best = None
+                for j in (left - 1, left, right):
+                    if 0 <= j < len(values):
+                        gap = abs(u - values[j])
+                        best = gap if best is None else min(best, gap)
+                if best is not None:
+                    gap_margin = best if gap_margin is None else min(gap_margin, best)
+        if last_hit <= n_cut:
+            break
+        if rounds >= 2:
+            _refuse_recurring_hits(seqU, seqV, envU, envV, [
+                (n, m) for n, _, left, right in runs if n > n_cut
+                for _, m in entries[left:right]],
+                2 * last_hit + _WINDOW_EXTRA)
+        n_cut = last_hit       # extend and re-verify a fresh window
+
+    # each entry index is read once, however many runs cover it
+    m_cut = reach = 0
+    for left, right in sorted((left, right) for _, _, left, right in runs):
+        for _, m in entries[max(left, reach):right]:
+            m_cut = max(m_cut, m)
+        reach = max(reach, right)
+    return runs, entries, n_cut, m_cut, gap_margin
+
+
+def _both_enumerations(seqU, seqV, x):
+    """(the one-scan 5-tuple, the reference's), or the (type, text) of what
+    each raised."""
+    envU, envV = analyze_sequence(seqU).envelope, analyze_sequence(seqV).envelope
+    results = []
+    for enumerate_pairs in (_enumerate_pairs, _restarting_enumerate_pairs):
+        try:
+            results.append(enumerate_pairs(seqU, seqV, x, envU, envV))
+        except (ValueError, CutoffUnsafe) as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+_DEEP = [(u, v, k) for u, v in (("fib", "pow2"), ("tribonacci", "pow3"), ("lucas", "pow3"))
+         for k in (12, 100, 300)]
+
+
+@pytest.mark.parametrize("seqU, seqV, x", [
+    *((BUILTIN_SEQUENCES[u], BUILTIN_SEQUENCES[v], 10 ** k) for u, v, k in _DEEP),
+    (POW2, POW16_PLUS_POW2, 10 ** 6)],
+    ids=["%s-%s-1e%d" % case for case in _DEEP] + ["pow2-pow16p2-1e6"])
+def test_one_scan_gives_the_restarting_enumeration(seqU, seqV, x):
+    # the count-deep pairs; pow2 against 16^m + 2^m takes three window rounds
+    one_scan, restarting = _both_enumerations(seqU, seqV, x)
+    assert one_scan == restarting and len(one_scan) == 5
+
+
+@pytest.mark.parametrize("seqU, seqV, x", [(POW2, POW4, 10 ** 6), (POW2, POW4_PLUS_1, 10 ** 6),
+                                           (LinearRecurrence("r", (0, 3, -1), (4, 4, 4)),
+                                            LinearRecurrence("r", (0, 3, -1), (4, 4, 4)), 33)],
+                         ids=("4^m", "4^m+1", "cubic-copies"))
+def test_one_scan_refuses_like_the_restarting_enumeration(seqU, seqV, x):
+    one_scan, restarting = _both_enumerations(seqU, seqV, x)
+    assert one_scan == restarting and one_scan[0] is ValueError
+
+
+@settings(max_examples=12, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(seqU=_recurrences(), seqV=_recurrences(), x=st.integers(0, 10 ** 6))
+def test_one_scan_gives_the_restarting_enumeration_on_random_recurrences(seqU, seqV, x):
+    # mixed-sign and zero V terms: a round that adds a V term at most x +
+    # max |U_n| re-bisects every U term
+    for seq in (seqU, seqV):
+        try:
+            analyze_sequence(seq)
+        except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
+            assume(False)
+    one_scan, restarting = _both_enumerations(seqU, seqV, x)
+    assert one_scan == restarting
+
+
+def test_window_rounds_extend_one_scan(monkeypatch):
+    # bisect_right takes each U_n's upper index; the growth index search
+    # uses bisect_left only.  Three rounds scan n <= 58, 128 and 168, each
+    # bisecting only the U terms it adds: 169 calls, where restarting every
+    # round made 59 + 129 + 169
+    envU, envV = analyze_sequence(POW2).envelope, analyze_sequence(POW16_PLUS_POW2).envelope
+    calls = []
+    bisect_right = counting.bisect_right
+    monkeypatch.setattr(counting, "bisect_right",
+                        lambda *args: calls.append(args) or bisect_right(*args))
+    n_cut = _enumerate_pairs(POW2, POW16_PLUS_POW2, 10 ** 6, envU, envV)[2]
+    assert len(calls) == 2 * n_cut + counting._WINDOW_EXTRA + 1 == 169
 
 
 def _stepping_values(env, field):

@@ -4,7 +4,7 @@ root, mixed-sign terms."""
 from collections import OrderedDict
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from recdiff import counting
@@ -133,7 +133,7 @@ def _recurrences(draw):
     return LinearRecurrence("random", tuple(coeffs), tuple(init))
 
 
-@settings(max_examples=6, deadline=None,
+@settings(max_examples=6, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(seq_u=_recurrences(), seq_v=_recurrences(), x=st.integers(0, 200))
 def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
@@ -164,7 +164,7 @@ def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
 
 
 @pytest.mark.parametrize("prime", [counting._PRIME, 101], ids=("prime", "prime-101"))
-@settings(max_examples=6, deadline=None,
+@settings(max_examples=6, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(seq_u=_recurrences(), seq_v=_recurrences(), x=st.integers(0, 10 ** 4))
 def test_residue_tallies_match_the_oracle(prime, seq_u, seq_v, x):
