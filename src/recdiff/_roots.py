@@ -39,7 +39,6 @@ from math import gcd, isqrt
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_rational
 
-from .errors import PrecisionExhausted
 from .intervals import (
     ComplexBox,
     IntervalField,
@@ -47,6 +46,7 @@ from .intervals import (
     contains_zero,
     intersect,
     is_interior,
+    ladder,
     midpoint_float,
     poly_eval_real,
     poly_eval_box,
@@ -110,9 +110,8 @@ class AlgebraicNumber:
         factors = factor_integer_poly(coeffs)
         if len(factors) != 1 or factors[0][1] != 1 or len(factors[0][0]) != len(coeffs):
             raise ValueError("minimal polynomial must be irreducible over Q")
-        roots = isolate_factor_roots(_field_at(192), factors[0][0])
-        if roots is None:
-            raise PrecisionExhausted("cannot isolate the selected root")
+        roots = ladder(192, lambda field: isolate_factor_roots(field, factors[0][0]),
+                       "cannot isolate the selected root")
         roots.sort(key=lambda r: (-midpoint_float(r.box.re), -midpoint_float(r.box.im)))
         return replace(roots[root_index], label=label)
 

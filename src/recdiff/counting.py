@@ -56,7 +56,6 @@ from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 from .errors import CutoffUnsafe, PrecisionExhausted
 from .independence import multiplicative_independence
 from .intervals import (
-    IntervalField,
     _field_at,
     certainly_greater,
     certainly_le,
@@ -509,7 +508,7 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
     if x <= 0:
         raise ValueError("x must be positive")
 
-    field = IntervalField(precision_bits)
+    field = _field_at(precision_bits)
     for label, key in (("alpha", alpha_key), ("beta", beta_key)):
         if not certainly_greater(_base_value(field, key), field.real(1)):
             raise ValueError("%s must exceed 1" % label)

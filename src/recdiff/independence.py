@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._roots import AlgebraicNumber
-from .errors import UnsupportedDegree
-from .intervals import _field_at, interval_inf_fraction, interval_sup_fraction
+from .errors import PrecisionExhausted, UnsupportedDegree
+from .intervals import _field_at, interval_inf_fraction, interval_sup_fraction, ladder
 from .quadratic import QuadraticElement, factor_integer
 
 
-_CONJUGATE_BITS = 192       # precision of the conjugate boxes in _same_root
+_CONJUGATE_BITS = 192       # first rung of the conjugate boxes in _same_root
 _RATIO_BOUND = 10 ** 4      # largest n and m of a modulus-ratio candidate n/m
 
 # Certificate texts of the lattice step per case, keyed by the number of
@@ -105,11 +105,14 @@ def _same_root(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> bool:
     distinct roots may overlap away from both.  Each number lies in its own
     box and in one box of the isolated conjugates, so when both boxes meet
     exactly one conjugate box, the same one, both numbers are its one root.
+    The conjugates climb ``intervals.ladder`` until they isolate; at the
+    precision cap the answer is False, which leaves the pair unknown.
     """
     if alpha.min_poly != beta.min_poly or alpha.box.is_disjoint_from(beta.box):
         return False
-    conjugates = alpha.conjugates(_field_at(_CONJUGATE_BITS))
-    if conjugates is None:
+    try:
+        conjugates = ladder(_CONJUGATE_BITS, alpha.conjugates, "conjugates not isolated")
+    except PrecisionExhausted:
         return False
     hits = [[j for j, c in enumerate(conjugates) if not c.box.is_disjoint_from(x.box)]
             for x in (alpha, beta)]

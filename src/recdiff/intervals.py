@@ -234,7 +234,8 @@ class ComplexBox:
         prec, make = f.prec, f.ctx.make_mpf
         a, b, c, d = self.re._mpi_, self.im._mpi_, other.re._mpi_, other.im._mpi_
         if b == _ZERO:      # a product with the point 0 is 0 and moves no endpoint
-            return ComplexBox(f, make(mpi_mul(a, c, prec)), make(mpi_mul(a, d, prec)))
+            im = _ZERO if d == _ZERO else mpi_mul(a, d, prec)
+            return ComplexBox(f, make(mpi_mul(a, c, prec)), make(im))
         if d == _ZERO:
             return ComplexBox(f, make(mpi_mul(a, c, prec)), make(mpi_mul(b, c, prec)))
         re = mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec)
@@ -336,7 +337,8 @@ def ladder(start: int, attempt, message: str):
     """Climb the precision ladder until ``attempt`` makes a certified decision.
 
     Every certified decision in the package climbs this one ladder.  It runs
-    ``attempt(IntervalField(bits))`` over ``refinement_precisions(start)``:
+    ``attempt(_field_at(bits))``, the one shared field per precision, over
+    ``refinement_precisions(start)``:
     bits double from ``start`` and the last rung is exactly the cap
     (RECDIFF_PRECISION_BITS, default 4096).  The first result
     that is not None is returned; any other value, False included, is a
@@ -344,7 +346,7 @@ def ladder(start: int, attempt, message: str):
     with ``bits`` set to the last rung tried.
     """
     for bits in refinement_precisions(start):
-        result = attempt(IntervalField(bits))
+        result = attempt(_field_at(bits))
         if result is not None:
             return result
     raise PrecisionExhausted(message, bits=bits)

@@ -9,13 +9,14 @@ an integer, so the loop's verdict comes without its cost.
 ``analyze_sequence`` is the one entry point: it climbs ``intervals.ladder``
 once for all four stages.
 
-Within one rung the envelope reuses the Binet check loop's products
-``a_i(n) * root_i^n`` for n <= _WINDOW: its window and its exact check read
-them, and continue the same running powers past _WINDOW, so each product is
-computed once and has the bits the check loop gave it.  These rows are
-dropped with the rung and never kept on an analysis.  The exact check tests
-the squared remainder modulus against the exact square of its bound, which
-decides as the interval square root would without taking it.
+Within one rung the Binet check loop's products ``a_i(n) * root_i^n`` for
+n <= _CHECK_BOUND are the one stream every later stage reads: the
+envelope's window and its exact check take them as they are, and continue
+the same running powers past _CHECK_BOUND, so each product is computed once
+and has the bits the check loop gave it.  These rows are dropped with the
+rung and never kept on an analysis.  The exact check tests the squared
+remainder modulus against the exact square of its bound, which decides as
+the interval square root would without taking it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from ._roots import (
 )
 from .errors import NoDominantRoot, RootNotLargerThanOne
 from .intervals import (
-    _ZERO,
     ComplexBox,
     IntervalField,
     certainly_greater,
@@ -67,7 +67,7 @@ from .recurrences import LinearRecurrence
 
 _CHECK_BOUND = 200         # Binet reconstruction pinned to U_n for n <= _CHECK_BOUND
 _VERIFY_TO = 500           # envelope inequalities checked exactly for n0 <= n <= _VERIFY_TO
-_WINDOW = 64               # smallest envelope window, largest n0; Binet products kept up to it
+_WINDOW = 64               # smallest envelope window, largest n0
 
 
 @dataclass(eq=False)
@@ -308,16 +308,13 @@ def _binet_at(seq, spectrum, field):
     for n in range(_CHECK_BOUND + 1):
         parts = [_binet_part(decomp, i, n, powers[i]) for i in range(len(roots))]
         powers = [p * r.box for p, r in zip(powers, roots)]
-        if n <= _WINDOW:
-            rows.append(parts)
-        if n == _WINDOW:
-            products = (rows, powers)
+        rows.append(parts)
         total = sum(parts[1:], parts[0])
         if not contains_zero(total.im):
             return None
         if not _unique_integer_in(field, total.re, seq.term(n)):
             return None
-    return decomp, products
+    return decomp, (rows, powers)
 
 
 def _binet_part(decomp, i, n, power):
@@ -326,13 +323,14 @@ def _binet_part(decomp, i, n, power):
 
 
 def _binet_parts(decomp, products, columns, start, stop):
-    """The parts of ``columns`` for n = start..stop (start <= _WINDOW + 1):
-    the check loop's rows up to _WINDOW, then its running powers continued."""
+    """The parts of ``columns`` for n = start..stop (start <= _CHECK_BOUND + 1):
+    the check loop's rows up to _CHECK_BOUND, then its running powers
+    continued."""
     rows, powers = products
     roots = decomp.spectrum.roots
     powers = {i: powers[i] for i in columns}
     for n in range(start, stop + 1):
-        if n <= _WINDOW:
+        if n <= _CHECK_BOUND:
             yield [rows[n][i] for i in columns]
             continue
         parts = []
@@ -340,26 +338,6 @@ def _binet_parts(decomp, products, columns, start, stop):
             parts.append(_binet_part(decomp, i, n, powers[i]))
             powers[i] = powers[i] * roots[i].box
         yield parts
-
-
-def _dominant_parts(decomp, products, dom, start, stop, prec):
-    """Raw (Re, Im) tuples of a_dom(n) * root^n for n = start..stop
-    (start <= _WINDOW + 1), endpoint for endpoint those of ``_binet_parts``.
-    A dominant root is real (a non-real one ties with its conjugate), so its
-    box and running power have the point 0 as imaginary part, and past
-    _WINDOW each ``ComplexBox`` product is one ``mpi_mul`` per component."""
-    rows, powers = products
-    root, power = decomp.spectrum.roots[dom].box, powers[dom]
-    assert root.im._mpi_ == power.im._mpi_ == _ZERO
-    r, power = root.re._mpi_, power.re._mpi_
-    for n in range(start, stop + 1):
-        if n <= _WINDOW:
-            part = rows[n][dom]
-            yield part.re._mpi_, part.im._mpi_
-            continue
-        coeff = decomp.coefficient_value(dom, n)
-        yield mpi_mul(coeff.re._mpi_, power, prec), mpi_mul(coeff.im._mpi_, power, prec)
-        power = mpi_mul(power, r, prec)
 
 
 def _decomposition_at(seq, field):
@@ -640,7 +618,9 @@ def _verify_envelope(env, decomp, field, products):
     a' alpha'^n: b is a nonnegative float of the field's precision and
     ``mpf_sqrt`` rounds correctly, so sqrt(s) rounded up is <= b exactly
     when s <= b*b, and the verdict is the interval square root's.
-    a(n) alpha^n is the check loop's product (``_dominant_parts``).
+    a(n) alpha^n is the check loop's product, continued past _CHECK_BOUND by
+    ``_binet_parts``; a dominant root is real (a non-real one ties with its
+    conjugate), so its running power keeps the point 0 as imaginary part.
     """
     seq = decomp.sequence
     dom, sigma, n0 = env.certificate.root_index, env.sigma, env.n0
@@ -652,8 +632,9 @@ def _verify_envelope(env, decomp, field, products):
     apr = field.real(env.a_prime)._mpi_[0]
     pow_lo, pow_hi = mpi_pow_int(mod_alpha, n0, prec)
     ap_pow = mpi_pow_int(ap, n0, prec)[0]
-    parts = _dominant_parts(decomp, products, dom, n0, env.verified_to, prec)
-    for n, ((p_lo, p_hi), p_im) in enumerate(parts, n0):
+    parts = _binet_parts(decomp, products, [dom], n0, env.verified_to)
+    for n, (part,) in enumerate(parts, n0):
+        (p_lo, p_hi), p_im = part.re._mpi_, part.im._mpi_
         term = seq.term(n)
         t_lo, t_hi = from_int(term, prec, round_floor), from_int(term, prec, round_ceiling)
         u_lo, u_hi = (t_lo, t_hi) if term >= 0 else (mpf_neg(t_hi), mpf_neg(t_lo))

@@ -1,6 +1,7 @@
 """Every endpoint of two sets of cold analyses, each pinned by one SHA-256;
 the early refusal of a Binet rung, which must never change a rung's verdict;
-and the Binet products the envelope shares with the check loop.
+and the Binet products the envelope shares with the check loop: one stream
+per rung, computed once.
 
 A digest covers the raw mpmath endpoint tuples of each root box and Binet
 coefficient box, the certificate (dominant root, sigma, ``margin_lower``),
@@ -131,35 +132,40 @@ def test_cached_analysis_keeps_no_binet_rows():
 
 
 def test_each_window_product_is_computed_once_per_rung(monkeypatch):
-    # a_i(n) * root_i^n for n <= _WINDOW comes from the Binet check loop
-    # alone; the envelope's window and exact check only continue past it
+    # a_i(n) * root_i^n for n <= _CHECK_BOUND comes from the Binet check loop
+    # alone; the envelope's window and exact check only continue past it,
+    # and a certified envelope computes just the dominant root's products
+    # for n = _CHECK_BOUND + 1 .. verified_to
     part, envelope = spectral._binet_part, spectral._envelope_at
-    calls, stage, rungs = [], ["binet"], set()
+    calls, stage, rungs = [], ["binet"], {}
 
     def part_spy(decomp, i, n, power):
         calls.append((stage[0], decomp, i, n))
         return part(decomp, i, n, power)
 
-    def envelope_spy(decomp, *args):
-        rungs.add(decomp)
+    def envelope_spy(decomp, cert, *args):
+        rungs[decomp] = cert.root_index
         stage[0] = "envelope"
         try:
-            return envelope(decomp, *args)
+            return envelope(decomp, cert, *args)
         finally:
             stage[0] = "binet"
 
     monkeypatch.setattr(spectral, "_binet_part", part_spy)
     monkeypatch.setattr(spectral, "_envelope_at", envelope_spy)
-    for spec in BATCH[:9]:
-        spectral._analyze_uncached(LinearRecurrence(*spec))
-    window = Counter(call for call in calls if call[3] <= spectral._WINDOW)
-    assert set(window.values()) == {1}
-    assert {call[0] for call in window} == {"binet"}
+    done = [spectral._analyze_uncached(LinearRecurrence(*spec)) for spec in BATCH[:9]]
+    assert set(Counter(call[1:] for call in calls).values()) == {1}
+    bound = spectral._CHECK_BOUND
+    assert {call[0] for call in calls if call[3] <= bound} == {"binet"}
     assert len(rungs) >= 9
-    for decomp in rungs:
-        assert {(i, n) for _, d, i, n in window if d is decomp} == \
-            {(i, n) for i in range(len(decomp.spectrum.roots))
-             for n in range(spectral._WINDOW + 1)}
+    for decomp, dom in rungs.items():
+        assert {(i, n) for where, d, i, n in calls if d is decomp and where == "binet"} == \
+            {(i, n) for i in range(len(decomp.spectrum.roots)) for n in range(bound + 1)}
+        assert {i for where, d, i, _ in calls if d is decomp and where == "envelope"} <= {dom}
+    for analysis in done:
+        decomp, env = analysis.decomposition, analysis.envelope
+        assert sorted((i, n) for where, d, i, n in calls if d is decomp and where == "envelope") \
+            == [(rungs[decomp], n) for n in range(bound + 1, env.verified_to + 1)]
 
 
 def test_early_refusal_keeps_every_rung_verdict(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_gt, mpi_mul, to_int
 
-from recdiff import counting
+from recdiff import counting, intervals
 from recdiff.asymptotics import ratio_table
 from recdiff.counting import (
     _HARD_CAP,
@@ -698,16 +698,24 @@ def test_explorer_rational_bases():
     assert r.T == 2 and r.pairs == ((0, 0), (3, 2))
 
 
+def _field_requests(monkeypatch):
+    """The precisions of the shared fields the explorer and the ladder ask
+    for, in order; each request is one rung or the precondition check."""
+    requests = []
+
+    def spy(prec):
+        requests.append(prec)
+        return _field_at(prec)
+
+    monkeypatch.setattr(counting, "_field_at", spy)
+    monkeypatch.setattr(intervals, "_field_at", spy)
+    return requests
+
+
 def test_explorer_decides_rational_ties_exactly(monkeypatch):
     # |alpha^n - beta^m| = x exactly straddles x at every precision; with
     # rational bases one scan at the first rung counts it
-    fields, init = [], IntervalField.__init__
-
-    def spy(self, prec):
-        fields.append(prec)
-        init(self, prec)
-
-    monkeypatch.setattr(IntervalField, "__init__", spy)
+    fields = _field_requests(monkeypatch)
     assert count_real_power_pairs("1.1", "2", "0.1").pairs == ((0, 0), (1, 0), (7, 1))
     assert fields == [200, 200]
     # 1.5^2 - 2^1 = 1/4 counts at x = 1/4 and not at x = 1/4 - 10^-60
@@ -730,13 +738,7 @@ def test_explorer_preconditions():
 
 
 def test_explorer_climbs_one_ladder_per_scan(monkeypatch):
-    fields, init = [], IntervalField.__init__
-
-    def spy(self, prec):
-        fields.append(prec)
-        init(self, prec)
-
-    monkeypatch.setattr(IntervalField, "__init__", spy)
+    fields = _field_requests(monkeypatch)
     assert count_real_power_pairs("pi", "e", 1000).T == 53
     assert fields == [200, 200]         # the precondition check, then one scan
     # pi^2 - e exceeds 7.1513 by 2.3e-5, which a 16-bit cap cannot decide:

@@ -14,9 +14,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from recdiff._roots import isolate_factor_roots
 from recdiff.errors import UnsupportedDegree
 from recdiff.heights import AlgebraicNumber
 from recdiff.independence import IndependenceResult, _modulus_gt_one, multiplicative_independence
+from recdiff.intervals import IntervalField
 from recdiff.quadratic import QuadraticElement
 
 BIG = 10 ** 4 + 1
@@ -24,6 +26,7 @@ I = QuadraticElement.make(0, 1, -1)
 PHI = QuadraticElement.make(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT2 = QuadraticElement.make(0, 1, 2)
 OMEGA2 = QuadraticElement.make(-1, 1, -3)          # 2 exp(2 pi i / 3)
+CLOSE_ROOTS = (1, -2 * 10 ** 20, 4 * 10 ** 10, -2)
 
 
 def _q(x):
@@ -137,6 +140,21 @@ def test_degree_above_two():
     assert multiplicative_independence(root, root) == _dep(
         1, 1, "alpha and beta are the same root of one minimal polynomial")
     assert multiplicative_independence(root, other) == IndependenceResult(
+        "unknown", certificate="degree > 2 not supported")
+
+
+def test_same_root_climbs_the_ladder(monkeypatch):
+    # x^3 - 2(10^10 x - 1)^2 has two roots about 1e-25 apart, and its
+    # conjugates do not isolate at 192 bits; the decision climbs until they
+    # do, and at a cap below that stays unknown
+    roots = isolate_factor_roots(IntervalField(512), CLOSE_ROOTS)
+    assert isolate_factor_roots(IntervalField(192), CLOSE_ROOTS) is None
+    for root in roots:
+        assert multiplicative_independence(root, root) == _dep(
+            1, 1, "alpha and beta are the same root of one minimal polynomial")
+    assert multiplicative_independence(roots[1], roots[2]).status == "unknown"
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "256")
+    assert multiplicative_independence(roots[1], roots[1]) == IndependenceResult(
         "unknown", certificate="degree > 2 not supported")
 
 

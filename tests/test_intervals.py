@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpi_mul
 
 from recdiff.intervals import (
+    _ZERO,
     IntervalField,
     certainly_greater,
     certainly_le,
@@ -168,3 +170,21 @@ def test_real_and_contains_zero_equal_mpmath_conversion(prec):
     for lo, hi in ((-1, 1), (0, 0), (0, 3), (-3, 0), (1, 2), (-2, -1)):
         x = field.from_endpoints(field.real(lo), field.real(hi))
         assert contains_zero(x) == bool(x.a <= 0 and 0 <= x.b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prec=st.integers(min_value=16, max_value=2048),
+    ends=st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6), min_size=4, max_size=4),
+)
+def test_product_of_real_boxes_is_real(prec, ends):
+    # two boxes with the point 0 as imaginary part multiply to the point 0
+    # there, and to mpi_mul of their real parts
+    field = IntervalField(prec)
+    x, y = (field.box_from_intervals(field.from_endpoints(field.real(min(pair)).a,
+                                                          field.real(max(pair)).b),
+                                     field.real(0))
+            for pair in (ends[:2], ends[2:]))
+    product = x * y
+    assert product.im._mpi_ == _ZERO
+    assert product.re._mpi_ == mpi_mul(x.re._mpi_, y.re._mpi_, prec)

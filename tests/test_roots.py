@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sympy import Poly, Rational, Symbol, im, re
 
 from recdiff import _roots, spectral
-from recdiff.errors import NoDominantRoot, RootNotLargerThanOne
+from recdiff.errors import NoDominantRoot, PrecisionExhausted, RootNotLargerThanOne
 from recdiff.intervals import (
     IntervalField,
     interval_inf_fraction,
@@ -364,3 +364,17 @@ def test_low_degree_factoring_matches_sympy():
             assert _roots._factor.__wrapped__(coeffs) == tuple(_sympy_factor_list(coeffs)), coeffs
     assert _roots._factor.__wrapped__((3, -6, 3)) == (((1, -1), 2),)
     assert _roots._factor.__wrapped__((4, 0, -9)) == (((2, -3), 1), ((2, 3), 1))
+
+
+def test_from_min_poly_climbs_the_ladder(monkeypatch):
+    # x^3 - 2(10^10 x - 1)^2 has two roots about 1e-25 apart: they do not
+    # isolate at 192 bits, the first rung, but do further up
+    coeffs = (1, -2 * 10 ** 20, 4 * 10 ** 10, -2)
+    assert _roots.isolate_factor_roots(IntervalField(192), coeffs) is None
+    small = [_roots.AlgebraicNumber.from_min_poly(coeffs, i) for i in (1, 2)]
+    assert small[0].box.is_disjoint_from(small[1].box)
+    assert all(0 < interval_inf_fraction(r.box.re) < Fraction(1, 10 ** 9) for r in small)
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "256")
+    with pytest.raises(PrecisionExhausted) as refused:
+        _roots.AlgebraicNumber.from_min_poly(coeffs)
+    assert refused.value.bits == 256
