@@ -20,17 +20,26 @@ and two verdicts:
   the parent's inter-quartile distance is wider than that bound and not
   every run of the change beats every run of the parent.
 
-Only the standard library is used, and nothing is written into either
-checkout beyond what perfbench writes there itself.
+Each side runs with its own fresh temporary ``PYTHONPYCACHEPREFIX``, made
+for the session and removed after it, and with bytecode writing on (a
+``PYTHONDONTWRITEBYTECODE`` of the caller's is dropped), so neither side
+reads a ``__pycache__`` left in its checkout: bytecode that only one
+checkout holds would otherwise show as a ``setup_s`` difference with no
+code cause.  A prefix starts empty, so each side first makes one run that
+is not measured, which compiles everything the workload imports.  Only the
+standard library is used, and nothing is written into either checkout
+beyond what perfbench writes there itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -61,13 +70,16 @@ def verdicts(parent, change, better, bound):
             "gain": gain, "no_regression": no_regression}
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One perfbench run in ``checkout``: its result line, or a record of
-    the failure when it printed none."""
+def run_once(checkout, workload, seed, seconds, pycache):
+    """One perfbench run in ``checkout``, with its bytecode under the
+    directory ``pycache``: its result line, or a record of the failure when
+    it printed none."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -91,20 +103,26 @@ def main(argv=None):
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
     sides = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            sides[side].append(run_once(getattr(args, side), args.workload, seed,
-                                        spec["run_seconds"]))
-        print("pair %d seed %d, %s first:" % (i + 1, seed, order[0]))
-        for side in ("parent", "change"):
-            run = sides[side][-1]
-            values = " ".join("%s=%.4g" % (m["name"], run["metrics"][m["name"]])
-                              for m in metrics if m["name"] in run["metrics"])
-            print("  %-6s %s correct=%s failed=%s%s" % (
-                side, values, run["correct"], run["failed"],
-                " error=%s" % run["error"] if "error" in run else ""), flush=True)
+    with tempfile.TemporaryDirectory() as parent_cache, \
+            tempfile.TemporaryDirectory() as change_cache:
+        caches = {"parent": parent_cache, "change": change_cache}
+        for side in caches:         # fills the prefix; not measured
+            run_once(getattr(args, side), args.workload, args.seeds[0], spec["run_seconds"],
+                     caches[side])
+        for i in range(args.pairs):
+            seed = args.seeds[i % len(args.seeds)]
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                sides[side].append(run_once(getattr(args, side), args.workload, seed,
+                                            spec["run_seconds"], caches[side]))
+            print("pair %d seed %d, %s first:" % (i + 1, seed, order[0]))
+            for side in ("parent", "change"):
+                run = sides[side][-1]
+                values = " ".join("%s=%.4g" % (m["name"], run["metrics"][m["name"]])
+                                  for m in metrics if m["name"] in run["metrics"])
+                print("  %-6s %s correct=%s failed=%s%s" % (
+                    side, values, run["correct"], run["failed"],
+                    " error=%s" % run["error"] if "error" in run else ""), flush=True)
 
     print("%-12s %10s %10s %21s %6s %5s %13s" % (
         "metric", "parent", "change", "parent quartiles", "won", "gain", "no regression"))

@@ -53,6 +53,7 @@ from operator import eq, itemgetter, lt, sub
 
 from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
+from ._roots import AlgebraicNumber
 from .errors import CutoffUnsafe, PrecisionExhausted
 from .independence import multiplicative_independence
 from .intervals import (
@@ -498,7 +499,8 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
     Comparisons are decided with certified margin.  With two rational bases a
     comparison the intervals leave open is decided exactly, so a tie such as
     |1.1^1 - 2^0| = 0.1 counts; with pi or e it is refined, and at the
-    precision cap it raises PrecisionExhausted rather than guessing.
+    precision cap it raises PrecisionExhausted rather than guessing.  Rational
+    bases with alpha^p = beta^q, where T is infinite, raise ValueError.
     """
     alpha_key = _parse_base(alpha_expr)
     beta_key = _parse_base(beta_expr)
@@ -514,6 +516,11 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
             raise ValueError("%s must exceed 1" % label)
     exact = None if {alpha_key, beta_key} & set(NAMED_BASES) else (
         Fraction(alpha_key), Fraction(beta_key))
+    if exact is not None:
+        relation = multiplicative_independence(*map(AlgebraicNumber.from_rational, exact))
+        if relation.status == "dependent":
+            raise ValueError("dependent bases: alpha^%d = beta^%d, so T is infinite"
+                             % (relation.n, relation.m))
     undecided = []
 
     def scan(f):

@@ -9,14 +9,14 @@ an integer, so the loop's verdict comes without its cost.
 ``analyze_sequence`` is the one entry point: it climbs ``intervals.ladder``
 once for all four stages.
 
-Within one rung the Binet check loop's products ``a_i(n) * root_i^n`` for
-n <= _CHECK_BOUND are the one stream every later stage reads: the
-envelope's window and its exact check take them as they are, and continue
-the same running powers past _CHECK_BOUND, so each product is computed once
-and has the bits the check loop gave it.  These rows are dropped with the
-rung and never kept on an analysis.  The exact check tests the squared
-remainder modulus against the exact square of its bound, which decides as
-the interval square root would without taking it.
+Within one rung the Binet check loop's real parts on raw interval tuples,
+a_i(n) root_i^n per real root and 2 Re(a_i(n) root_i^n) per conjugate
+pair, are the one stream every later stage reads: the envelope's window and
+its exact check take its rows for n <= _CHECK_BOUND as they are and
+continue its running powers past it, so each part is computed once.  The
+rows are dropped with the rung and never kept on an analysis.  The exact
+check tests the squared remainder against the exact square of its bound,
+which decides as the interval square root would without taking it.
 """
 
 from __future__ import annotations
@@ -26,16 +26,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath.libmp import (
+    fone,
     from_int,
     mpf_abs,
-    mpf_add,
     mpf_le,
+    mpf_lt,
     mpf_mul,
     mpf_neg,
+    mpf_shift,
     mpf_sub,
     mpi_abs,
     mpi_add,
     mpi_mul,
+    mpi_neg,
     mpi_pow_int,
     mpi_sub,
     round_ceiling,
@@ -50,6 +53,7 @@ from ._roots import (
 )
 from .errors import NoDominantRoot, RootNotLargerThanOne
 from .intervals import (
+    _ZERO,
     ComplexBox,
     IntervalField,
     certainly_greater,
@@ -248,14 +252,9 @@ def _exact_binet(seq, spectrum):
     return ((a1,), (a2,))
 
 
-def _unique_integer_in(field, re_interval, value: int) -> bool:
-    return (certainly_greater(re_interval, field.real(value - 1))
-            and certainly_less(re_interval, field.real(value + 1)))
-
-
 def _check_fails_at_bound(decomp, field) -> bool:
     """True when the n = N = _CHECK_BOUND reconstruction is surely at least 2
-    wide, so ``_unique_integer_in`` must fail there.  Interval arithmetic
+    wide, so the check loop cannot pin an integer there.  Interval arithmetic
     encloses ranges, and a_i(N) r^N over a real root box r that excludes 0
     and the coefficient box ranges over at least
     inf|Re a_i(N)| * (|r|_hi^N - |r|_lo^N) + width(Re a_i(N)) * |r|_lo^N,
@@ -273,6 +272,37 @@ def _check_fails_at_bound(decomp, field) -> bool:
         if mpf_le(from_int(2), total[0]):
             return True
     return False
+
+
+def _real_coefficients(field, roots, grouped):
+    """(coefficient boxes, stream columns) from the solved boxes ``grouped``.
+
+    U is real and its Binet decomposition unique, so a real root's
+    coefficients are real and those at conj(r) are the conjugates of those
+    at r.  So each true value stays in its box when a real root's box gets
+    the point 0 as imaginary part, and when the later root of a conjugate
+    pair takes the exact conjugates of its mirror's boxes (same minimal
+    polynomial, exactly mirrored box; isolation gives every non-real root
+    one, so a KeyError here is an internal error).  A column is (root index,
+    raw real parts of its boxes, imaginary parts or None, raw root).
+    """
+    where = {(r.min_poly, r.box.re._mpi_, r.box.im._mpi_): i for i, r in enumerate(roots)}
+    zero = field.real(0)
+    coefficients, columns = [], []
+    for i, (root, group) in enumerate(zip(roots, grouped)):
+        re = tuple(c.re._mpi_ for c in group)
+        if root.is_real:
+            coefficients.append(tuple(field.box_from_intervals(c.re, zero) for c in group))
+            columns.append((i, re, None, root.box.re._mpi_))
+            continue
+        mirror = where[root.min_poly, root.box.re._mpi_, mpi_neg(root.box.im._mpi_)]
+        if mirror < i:
+            coefficients.append(tuple(c.conjugate() for c in coefficients[mirror]))
+            continue
+        coefficients.append(group)
+        columns.append((i, re, tuple(c.im._mpi_ for c in group),
+                        (root.box.re._mpi_, root.box.im._mpi_)))
+    return coefficients, columns
 
 
 def _binet_at(seq, spectrum, field):
@@ -293,6 +323,7 @@ def _binet_at(seq, spectrum, field):
     for r in spectrum.roots:
         grouped.append(tuple(solution[pos:pos + r.multiplicity]))
         pos += r.multiplicity
+    grouped, columns = _real_coefficients(field, spectrum.roots, grouped)
     exact = _exact_binet(seq, spectrum)
     if exact is not None:
         for i, group in enumerate(exact):       # exact values must overlap the boxes
@@ -302,42 +333,59 @@ def _binet_at(seq, spectrum, field):
     decomp = BinetDecomposition(spectrum, tuple(grouped), exact)
     if _check_fails_at_bound(decomp, field):
         return None
-    roots = spectrum.roots
-    powers = [field.box(1) for _ in roots]
+    prec, one = field.prec, (fone, fone)
+    powers = [one if im is None else (one, _ZERO) for _, _, im, _ in columns]
     rows = []
     for n in range(_CHECK_BOUND + 1):
-        parts = [_binet_part(decomp, i, n, powers[i]) for i in range(len(roots))]
-        powers = [p * r.box for p, r in zip(powers, roots)]
-        rows.append(parts)
-        total = sum(parts[1:], parts[0])
-        if not contains_zero(total.im):
+        rows.append(_stream_row(columns, powers, n, prec))
+        lo, hi = functools.reduce(lambda s, t: mpi_add(s, t, prec), rows[-1])
+        term = seq.term(n)
+        if not (mpf_lt(from_int(term - 1, prec, round_ceiling), lo)
+                and mpf_lt(hi, from_int(term + 1, prec, round_floor))):
             return None
-        if not _unique_integer_in(field, total.re, seq.term(n)):
-            return None
-    return decomp, (rows, powers)
+    return decomp, (columns, rows, powers)
 
 
-def _binet_part(decomp, i, n, power):
-    """a_i(n) * root_i^n, given root_i^n as ``power``."""
-    return decomp.coefficient_value(i, n) * power
-
-
-def _binet_parts(decomp, products, columns, start, stop):
-    """The parts of ``columns`` for n = start..stop (start <= _CHECK_BOUND + 1):
-    the check loop's rows up to _CHECK_BOUND, then its running powers
-    continued."""
-    rows, powers = products
-    roots = decomp.spectrum.roots
-    powers = {i: powers[i] for i in columns}
-    for n in range(start, stop + 1):
-        if n <= _CHECK_BOUND:
-            yield [rows[n][i] for i in columns]
+def _stream_row(columns, powers, n, prec):
+    """The parts of ``columns`` at n, given their roots' powers at n, which
+    it advances to n + 1 in place: a(n) r^n at a real root, and
+    2 Re(a(n) r^n) = 2 (Re a(n) Re r^n - Im a(n) Im r^n) at a conjugate
+    pair, whose later root adds the conjugate product; doubling is exact."""
+    row = []
+    for c, (_, re, im, root) in enumerate(columns):
+        a, power = _poly_at(re, n, prec), powers[c]
+        if im is None:
+            row.append(mpi_mul(a, power, prec))
+            powers[c] = mpi_mul(power, root, prec)
             continue
-        parts = []
-        for i in columns:
-            parts.append(_binet_part(decomp, i, n, powers[i]))
-            powers[i] = powers[i] * roots[i].box
-        yield parts
+        (p, q), (r, s) = power, root
+        lo, hi = mpi_sub(mpi_mul(a, p, prec), mpi_mul(_poly_at(im, n, prec), q, prec), prec)
+        row.append((mpf_shift(lo, 1), mpf_shift(hi, 1)))
+        powers[c] = (mpi_sub(mpi_mul(p, r, prec), mpi_mul(q, s, prec), prec),
+                     mpi_add(mpi_mul(p, s, prec), mpi_mul(q, r, prec), prec))
+    return row
+
+
+def _poly_at(coeffs, n, prec):
+    """a(n) by Horner's rule, as ``coefficient_value`` takes it, from the
+    raw intervals of a(X)'s coefficients, lowest degree first."""
+    acc, point = coeffs[-1], (from_int(n),) * 2
+    for c in coeffs[-2::-1]:
+        acc = mpi_add(mpi_mul(acc, point, prec), c, prec)
+    return acc
+
+
+def _binet_parts(products, keep, start, stop, prec):
+    """The parts of the columns of the roots in ``keep``, for n = start..stop
+    (start <= _CHECK_BOUND + 1): the check loop's rows up to _CHECK_BOUND,
+    then its running powers continued on a copy, so that two reads of one
+    ``products`` get the same parts."""
+    columns, rows, powers = products
+    chosen = [c for c, column in enumerate(columns) if column[0] in keep]
+    columns, powers = [columns[c] for c in chosen], [powers[c] for c in chosen]
+    for n in range(start, stop + 1):
+        yield [rows[n][c] for c in chosen] if n <= _CHECK_BOUND else \
+            _stream_row(columns, powers, n, prec)
 
 
 def _decomposition_at(seq, field):
@@ -515,9 +563,10 @@ def _envelope_at(decomp, cert, field, products):
     if others:
         window_sup = Fraction(0)
         ap_pow = field.real(1)
-        for parts in _binet_parts(decomp, products, others, 0, n_seg):
-            tail = sum(parts[1:], parts[0])
-            window_sup = max(window_sup, interval_sup_fraction(tail.modulus() / ap_pow))
+        for parts in _binet_parts(products, others, 0, n_seg, field.prec):
+            tail = functools.reduce(lambda s, t: mpi_add(s, t, field.prec), parts)
+            tail = field.ctx.make_mpf(mpi_abs(tail)) / ap_pow
+            window_sup = max(window_sup, interval_sup_fraction(tail))
             ap_pow = ap_pow * ap
         tail_bound = field.real(0)
         for idx, i in enumerate(others):
@@ -612,15 +661,14 @@ def _verify_envelope(env, decomp, field, products):
     a test reads: the bounds are products of positive intervals, so that
     endpoint is the ``mpf_mul`` with the rounding ``mpi_mul`` would use, and
     n^0 is not multiplied in.  U_n is rounded once,
-    to its (floor, ceiling) pair, which gives |U_n| and the real part of the
-    remainder U_n - a(n) alpha^n.  The remainder test compares the upper end
-    s of its squared modulus with b*b, exactly, where b is the lower end of
-    a' alpha'^n: b is a nonnegative float of the field's precision and
-    ``mpf_sqrt`` rounds correctly, so sqrt(s) rounded up is <= b exactly
-    when s <= b*b, and the verdict is the interval square root's.
-    a(n) alpha^n is the check loop's product, continued past _CHECK_BOUND by
-    ``_binet_parts``; a dominant root is real (a non-real one ties with its
-    conjugate), so its running power keeps the point 0 as imaginary part.
+    to its (floor, ceiling) pair, which gives |U_n| and the remainder
+    U_n - a(n) alpha^n.  The remainder test compares the upper end s of its
+    square with b*b, exactly, where b is the lower end of a' alpha'^n: b is
+    a nonnegative float of the field's precision and ``mpf_sqrt`` rounds
+    correctly, so sqrt(s) rounded up is <= b exactly when s <= b*b, and the
+    verdict is the interval square root's.  a(n) alpha^n is read from the
+    stream as one real tuple: a dominant root is real (a non-real one ties
+    with its conjugate), so the remainder is real too.
     """
     seq = decomp.sequence
     dom, sigma, n0 = env.certificate.root_index, env.sigma, env.n0
@@ -632,9 +680,8 @@ def _verify_envelope(env, decomp, field, products):
     apr = field.real(env.a_prime)._mpi_[0]
     pow_lo, pow_hi = mpi_pow_int(mod_alpha, n0, prec)
     ap_pow = mpi_pow_int(ap, n0, prec)[0]
-    parts = _binet_parts(decomp, products, [dom], n0, env.verified_to)
-    for n, (part,) in enumerate(parts, n0):
-        (p_lo, p_hi), p_im = part.re._mpi_, part.im._mpi_
+    parts = _binet_parts(products, [dom], n0, env.verified_to, prec)
+    for n, ((p_lo, p_hi),) in enumerate(parts, n0):
         term = seq.term(n)
         t_lo, t_hi = from_int(term, prec, round_floor), from_int(term, prec, round_ceiling)
         u_lo, u_hi = (t_lo, t_hi) if term >= 0 else (mpf_neg(t_hi), mpf_neg(t_lo))
@@ -644,24 +691,16 @@ def _verify_envelope(env, decomp, field, products):
                                               prec, round_floor)
         if not mpf_le(u_hi, mpf_mul(upper, pow_lo, prec, round_floor)):
             return False
-        squared = mpf_add(_square_up((mpf_sub(t_lo, p_hi, prec, round_floor),
-                                      mpf_sub(t_hi, p_lo, prec, round_ceiling)), prec),
-                          _square_up(p_im, prec), prec, round_ceiling)
+        r_lo = mpf_abs(mpf_sub(t_lo, p_hi, prec, round_floor))
+        r_hi = mpf_abs(mpf_sub(t_hi, p_lo, prec, round_ceiling))
+        top = r_hi if mpf_le(r_lo, r_hi) else r_lo
         bound = mpf_mul(apr, ap_pow, prec, round_floor)
-        if not mpf_le(squared, mpf_mul(bound, bound)):
+        if not mpf_le(mpf_mul(top, top, prec, round_ceiling), mpf_mul(bound, bound)):
             return False
         pow_lo = mpf_mul(pow_lo, mod_alpha[0], prec, round_floor)
         pow_hi = mpf_mul(pow_hi, mod_alpha[1], prec, round_ceiling)
         ap_pow = mpf_mul(ap_pow, ap[0], prec, round_floor)
     return True
-
-
-def _square_up(interval, prec):
-    """Upper end of ``mpi_pow_int(interval, 2, prec)``: the larger endpoint
-    modulus, squared and rounded up."""
-    lo, hi = mpf_abs(interval[0]), mpf_abs(interval[1])
-    top = hi if mpf_le(lo, hi) else lo
-    return mpf_mul(top, top, prec, round_ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The verdicts of scripts/ab_perfbench.py on hand-made paired samples."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,40 @@ def test_a_spread_wider_than_the_bound_leaves_the_verdict_unresolved(shift, verd
     parent = [0.5, 1.5, 0.7, 1.3, 1.0, 0.6, 1.4, 0.8, 1.2, 1.0]
     change = [p + shift if shift > 0 else 0.1 for p in parent]
     assert ab_perfbench.verdicts(parent, change, "lower", 0.1)["no_regression"] == verdict
+
+
+_FAKE_RUN = """import json, sys
+from pathlib import Path
+with open(Path(__file__).resolve().parents[1] / "prefixes.txt", "a") as out:
+    out.write("%s %s\\n" % (sys.pycache_prefix, sys.dont_write_bytecode))
+print(json.dumps({"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}))
+"""
+
+
+def test_each_side_reads_bytecode_from_its_own_fresh_prefix(tmp_path, capsys, monkeypatch):
+    # no __pycache__ left in a checkout is read: each side gets one
+    # temporary PYTHONPYCACHEPREFIX for all its runs, outside both checkouts,
+    # with bytecode writing on and one run to fill it before the pairs, and
+    # the prefix is gone once the pairs are done
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    checkouts = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(_FAKE_RUN)
+        (root / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1,
+            "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+        checkouts.append(root)
+    assert ab_perfbench.main([str(c) for c in checkouts] +
+                             ["--workload", "w", "--seeds", "1,5", "--pairs", "3"]) == 0
+    assert "wall_s" in capsys.readouterr().out
+    seen = [(c / "prefixes.txt").read_text().splitlines() for c in checkouts]
+    assert [len(runs) for runs in seen] == [4, 4]
+    assert [set(runs) for runs in seen] == [{runs[0]} for runs in seen]
+    assert {runs[0].split()[1] for runs in seen} == {"False"}
+    prefixes = [Path(runs[0].split()[0]) for runs in seen]
+    assert prefixes[0] != prefixes[1]
+    for prefix in prefixes:
+        assert not prefix.exists()
+        assert not any(c in prefix.parents for c in checkouts)

@@ -65,9 +65,9 @@ BATCH_5_7 = [
     ("reducible-quartic-1", (0, 0, 3, 2), (0, 9, 9, 6)),
     ("kbonacci-8", (1,) * 8, (0,) * 7 + (1,)),
 ]
-DIGEST = "8c808a9a31f120c5ecc770e44c19ac01ea27ae9b2ae2866691064127a5ed335b"
-DIGEST_5_7 = "d328b777dede3ec3ebb2f5a31f8aa86e08b7aaa8fdc35573dbfc713ad6ba125f"
-SEED_PATH_DIGEST = "490ba8eff2533df1501db609b1e1911b40dd92bf70cb20b24c30fdd8e465f4c0"
+DIGEST = "862822785b4a1f7ced2fadd188882e3a75eefb1ddcc11610746b8c3837001f8a"
+DIGEST_5_7 = "8be5aad349978ded32507a976c721f43fee4f5386035fd1fa214012823f9417b"
+SEED_PATH_DIGEST = "4184e8101763cf40033fba3cc868c44d276a24dc9717417770985defcf94f068"
 
 
 def raw_box(box):
@@ -132,40 +132,51 @@ def test_cached_analysis_keeps_no_binet_rows():
 
 
 def test_each_window_product_is_computed_once_per_rung(monkeypatch):
-    # a_i(n) * root_i^n for n <= _CHECK_BOUND comes from the Binet check loop
-    # alone; the envelope's window and exact check only continue past it,
-    # and a certified envelope computes just the dominant root's products
-    # for n = _CHECK_BOUND + 1 .. verified_to
-    part, envelope = spectral._binet_part, spectral._envelope_at
+    # the part of each stream column (a real root, or a conjugate pair) for
+    # n <= _CHECK_BOUND comes from the Binet check loop alone; the
+    # envelope's window and exact check only continue past it, and a
+    # certified envelope computes just the dominant column's parts for
+    # n = _CHECK_BOUND + 1 .. verified_to
+    step, envelope = spectral._stream_row, spectral._envelope_at
     calls, stage, rungs = [], ["binet"], {}
 
-    def part_spy(decomp, i, n, power):
-        calls.append((stage[0], decomp, i, n))
-        return part(decomp, i, n, power)
+    def step_spy(columns, powers, n, prec):
+        # keeps each column, so its id stays its own
+        calls.extend((stage[0], column, n) for column in columns)
+        return step(columns, powers, n, prec)
 
-    def envelope_spy(decomp, cert, *args):
-        rungs[decomp] = cert.root_index
+    def envelope_spy(decomp, cert, field, products):
+        rungs[decomp] = (cert.root_index, products[0])
         stage[0] = "envelope"
         try:
-            return envelope(decomp, cert, *args)
+            return envelope(decomp, cert, field, products)
         finally:
             stage[0] = "binet"
 
-    monkeypatch.setattr(spectral, "_binet_part", part_spy)
+    monkeypatch.setattr(spectral, "_stream_row", step_spy)
     monkeypatch.setattr(spectral, "_envelope_at", envelope_spy)
     done = [spectral._analyze_uncached(LinearRecurrence(*spec)) for spec in BATCH[:9]]
+    calls = [(where, id(column), n) for where, column, n in calls]
     assert set(Counter(call[1:] for call in calls).values()) == {1}
     bound = spectral._CHECK_BOUND
-    assert {call[0] for call in calls if call[3] <= bound} == {"binet"}
+    assert {call[0] for call in calls if call[2] <= bound} == {"binet"}
     assert len(rungs) >= 9
-    for decomp, dom in rungs.items():
-        assert {(i, n) for where, d, i, n in calls if d is decomp and where == "binet"} == \
-            {(i, n) for i in range(len(decomp.spectrum.roots)) for n in range(bound + 1)}
-        assert {i for where, d, i, _ in calls if d is decomp and where == "envelope"} <= {dom}
+    for decomp, (dom, columns) in rungs.items():
+        roots = decomp.spectrum.roots
+        # one column per real root and one per conjugate pair
+        assert len(columns) == sum(r.is_real for r in roots) + \
+            sum(not r.is_real for r in roots) // 2
+        ids = {id(c) for c in columns}
+        assert {(c, n) for where, c, n in calls if c in ids and where == "binet"} == \
+            {(c, n) for c in ids for n in range(bound + 1)}
+        dom_column = next(id(c) for c in columns if c[0] == dom)
+        assert {c for where, c, _ in calls if c in ids and where == "envelope"} <= {dom_column}
     for analysis in done:
-        decomp, env = analysis.decomposition, analysis.envelope
-        assert sorted((i, n) for where, d, i, n in calls if d is decomp and where == "envelope") \
-            == [(rungs[decomp], n) for n in range(bound + 1, env.verified_to + 1)]
+        dom, columns = rungs[analysis.decomposition]
+        dom_column = next(id(c) for c in columns if c[0] == dom)
+        assert sorted((c, n) for where, c, n in calls
+                      if where == "envelope" and c in {id(c) for c in columns}) == \
+            [(dom_column, n) for n in range(bound + 1, analysis.envelope.verified_to + 1)]
 
 
 def test_early_refusal_keeps_every_rung_verdict(monkeypatch):

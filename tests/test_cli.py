@@ -219,6 +219,13 @@ def test_problem1_counts_an_exact_rational_tie(capsys):
     assert data["pairs"] == [[0, 0], [1, 0], [7, 1]] and data["precision_bits"] == 200
 
 
+@pytest.mark.parametrize("alpha, beta, x", [("2", "4", "1"), ("1.5", "2.25", "0.5")])
+def test_problem1_refuses_dependent_bases(capsys, alpha, beta, x):
+    code, out, err = run(capsys, "problem1", "--alpha", alpha, "--beta", beta, "--x", x)
+    assert code == 4 and out == ""
+    assert "alpha^2 = beta^1" in err
+
+
 def test_error_exit_code_wiring(capsys, monkeypatch):
     from recdiff import counting
     from recdiff.errors import CutoffUnsafe, PrecisionExhausted

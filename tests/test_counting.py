@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -735,6 +736,16 @@ def test_explorer_preconditions():
         count_real_power_pairs("1", "2", 5)
     with pytest.raises(ValueError):
         count_real_power_pairs("0.5", "2", 5)
+
+
+@pytest.mark.parametrize("alpha, beta, relation", [
+    ("2", "4", "alpha^2 = beta^1"), ("1.5", "2.25", "alpha^2 = beta^1"),
+    ("4", "2", "alpha^1 = beta^2"), ("8", "32", "alpha^5 = beta^3")])
+def test_explorer_refuses_dependent_rational_bases(alpha, beta, relation):
+    # every (pk, qk) with alpha^p = beta^q is an exact hit, so T is infinite:
+    # the refusal names the relation before any scan
+    with pytest.raises(ValueError, match=re.escape("dependent bases: %s," % relation)):
+        count_real_power_pairs(alpha, beta, 1)
 
 
 def test_explorer_climbs_one_ladder_per_scan(monkeypatch):

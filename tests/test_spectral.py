@@ -3,10 +3,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from mpmath.libmp import mpf_le, mpi_mul, mpi_pow_int
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import fzero, mpf_le, mpi_mul, mpi_neg, mpi_pow_int
 
 from recdiff import spectral
-from recdiff.errors import NoDominantRoot, RootNotLargerThanOne
+from recdiff.errors import NoDominantRoot, PrecisionExhausted, RootNotLargerThanOne
 from recdiff.heights import AlgebraicNumber
 from recdiff.independence import multiplicative_independence
 from recdiff.intervals import (
@@ -337,6 +339,91 @@ def test_envelope_check_decides_as_the_square_root_loop_on_every_rung(monkeypatc
                 (decomp.sequence.name, field.prec)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("seq", [FIB, TRIB, N2N, LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1))],
+                         ids=lambda s: s.name)
+def test_envelope_checks_on_one_stream_decide_as_fresh_streams(seq):
+    # a check that reads past _CHECK_BOUND continues the running powers of
+    # the stream it is given; a second check on the same products, with
+    # another verified_to, must still get the verdict of a fresh stream
+    analysis = analyze_sequence(seq)
+    env, decomp = analysis.envelope, analysis.decomposition
+    field = IntervalField(analysis.spectrum.precision_bits)
+
+    def fresh():
+        return spectral._binet_at(seq, analysis.spectrum, field)[1]
+
+    verdicts = []
+    for e in _tightened(env):
+        shared = fresh()
+        for top in (300, 500, 250):
+            e_top = replace(e, verified_to=top)
+            got = spectral._verify_envelope(e_top, decomp, field, shared)
+            assert got == spectral._verify_envelope(e_top, decomp, field, fresh()), (e, top)
+            verdicts.append(got)
+    assert verdicts[:3] == [True, True, True] and False in verdicts
+
+
+@st.composite
+def _order_2_to_5(draw):
+    """Recurrences of order 2-5; in about half the draws of order >= 3 the
+    characteristic polynomial has a double root 2, -2 or 3."""
+    k = draw(st.sampled_from((2, 3, 4, 5)))
+    double = k >= 3 and draw(st.booleans())
+    size = k - 2 if double else k
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+                  .filter(lambda c: not c or c[-1] != 0))
+    if double:
+        r = draw(st.sampled_from((2, -2, 3)))
+        poly = [1] + [-c for c in coeffs]
+        poly = [a - 2 * r * b + r * r * c
+                for a, b, c in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+        coeffs = [-c for c in poly[1:]]
+    init = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    return LinearRecurrence("random", tuple(coeffs), tuple(init))
+
+
+@settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(seq=_order_2_to_5())
+def test_binet_coefficients_are_real_and_conjugate(seq):
+    # on every certified analysis: a real root's coefficient boxes have the
+    # point 0 as imaginary part, the coefficients of a mirrored pair are
+    # exact conjugates, and the decomposition alone, with powers of the root
+    # boxes and no stream, pins U_n for n <= _CHECK_BOUND
+    try:
+        decomp = analyze_sequence(seq).decomposition
+    except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
+        return
+    roots = decomp.spectrum.roots
+    for i, root in enumerate(roots):
+        group = decomp.coefficients[i]
+        if root.is_real:
+            assert all(c.im._mpi_ == (fzero, fzero) for c in group)
+            continue
+        mirrors = [j for j, r in enumerate(roots)
+                   if r.min_poly == root.min_poly and r.box.re._mpi_ == root.box.re._mpi_
+                   and r.box.im._mpi_ == mpi_neg(root.box.im._mpi_)]
+        assert len(mirrors) == 1 and mirrors[0] != i
+        for c, m in zip(group, decomp.coefficients[mirrors[0]]):
+            assert c.re._mpi_ == m.re._mpi_ and c.im._mpi_ == mpi_neg(m.im._mpi_)
+    for n in range(spectral._CHECK_BOUND + 1):
+        box, target = decomp.reconstruct(n), seq.term(n)
+        assert contains_zero(box.im)
+        assert bool(box.re.a > target - 1) and bool(box.re.b < target + 1), n
+
+
+def test_a_non_real_root_without_its_mirror_is_an_internal_error():
+    decomp = analyze_sequence(TRIB).decomposition
+    roots, field = decomp.spectrum.roots, IntervalField(decomp.spectrum.precision_bits)
+    # the real root and the root above the axis make one column each
+    assert [c[0] for c in spectral._real_coefficients(field, roots, decomp.coefficients)[1]] \
+        == [i for i, r in enumerate(roots) if lower_float(r.box.im) >= 0]
+    lone = [(r, c) for r, c in zip(roots, decomp.coefficients) if upper_float(r.box.im) <= 0]
+    assert len(lone) == 2
+    with pytest.raises(KeyError):           # the root below the axis without its mirror
+        spectral._real_coefficients(field, *zip(*lone))
 
 
 def test_independence_of_one_cubic_root_and_itself():
