@@ -62,7 +62,7 @@ from .intervals import (
     certainly_le,
     ladder,
 )
-from .recurrences import LinearRecurrence
+from .recurrences import LinearRecurrence, minimal_recurrence
 from .spectral import GrowthEnvelope, analyze_sequence
 
 _WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
@@ -406,8 +406,9 @@ def _count(seqU, seqV, xs, envU, envV):
     if envV is None:
         envV = analyze_sequence(seqV).envelope
     for seq, env in ((seqU, envU), (seqV, envV)):
+        minimal = minimal_recurrence(seq) or seq     # an envelope is never the zero sequence's
         if (env.sequence.coefficients, env.sequence.initial_terms) != \
-                (seq.coefficients, seq.initial_terms):
+                (minimal.coefficients, minimal.initial_terms):
             raise ValueError("the envelope given for %r is that of %r"
                              % (seq.name, env.sequence.name))
     runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
@@ -437,7 +438,7 @@ def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
               ) -> CountResult:
     """Exact T(x) and S(x) via envelope-seeded enumeration with a verified
     safety window.  An envelope given for a sequence must come from one with
-    the same coefficients and initial terms, or ValueError is raised."""
+    the same minimal recurrence, or ValueError is raised."""
     return _count(seqU, seqV, [x], envU, envV)[0][0]
 
 

@@ -26,7 +26,7 @@ class PrecisionExhausted(RecdiffError):
 
 
 class NoDominantRoot(RecdiffError):
-    """Two roots of maximal modulus, or the dominant Binet coefficient vanishes."""
+    """Two roots of maximal modulus, or the zero sequence, which has no root."""
 
 
 class RootNotLargerThanOne(RecdiffError):

@@ -8,9 +8,11 @@ arithmetic; no floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import InvalidRecurrence, MalformedConfig
 
@@ -82,6 +84,33 @@ class LinearRecurrence:
     def __repr__(self):
         return "LinearRecurrence(%r, coefficients=%r, initial_terms=%r)" % (
             self.name, self.coefficients, self.initial_terms)
+
+
+@functools.lru_cache(maxsize=64)
+def minimal_recurrence(seq: LinearRecurrence):
+    """The least-order recurrence of seq's terms, by Berlekamp-Massey over Q
+    on U_0..U_{2k-1}: ``seq`` itself when minimal, None for the zero
+    sequence.  Its polynomial divides seq's, so c_L != 0, and its
+    coefficients are integers by Fatou's lemma."""
+    terms = seq.terms(2 * seq.order)
+    conn, prev = [1] + [0] * len(terms), [1] + [0] * len(terms)   # x^0 first
+    length, shift, last = 0, 1, 1
+    for n in range(len(terms)):
+        d = sum(conn[i] * terms[n - i] for i in range(length + 1))    # discrepancy
+        if d:
+            old, ratio = conn[:], Fraction(d) / last
+            for i in range(len(terms) + 1 - shift):
+                conn[i + shift] -= ratio * prev[i]
+            if 2 * length <= n:
+                length, prev, last, shift = n + 1 - length, old, d, 0
+        shift += 1
+    if length == 0:
+        return None
+    if length == seq.order:
+        return seq
+    coeffs = [-c for c in conn[1:length + 1]]
+    assert all(c.denominator == 1 for c in coeffs), coeffs
+    return LinearRecurrence(seq.name, tuple(int(c) for c in coeffs), tuple(terms[:length]))
 
 
 def parse_sequence_config(document) -> LinearRecurrence:

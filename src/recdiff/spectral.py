@@ -1,5 +1,7 @@
 """Characteristic roots, Binet decompositions, dominance certificates, growth envelopes.
 
+The analysis runs on the sequence's minimal recurrence, where each root's
+Binet coefficient polynomial has degree exactly its multiplicity minus one.
 All numeric statements produced here are certified: roots are isolated boxes,
 the Binet reconstruction is checked to pin down the exact integer term, and
 envelope inequalities are verified exactly on a window plus a proved
@@ -67,7 +69,7 @@ from .intervals import (
     midpoint_float,
 )
 from .quadratic import QuadraticElement
-from .recurrences import LinearRecurrence
+from .recurrences import LinearRecurrence, minimal_recurrence
 
 _CHECK_BOUND = 200         # Binet reconstruction pinned to U_n for n <= _CHECK_BOUND
 _VERIFY_TO = 500           # envelope inequalities checked exactly for n0 <= n <= _VERIFY_TO
@@ -119,7 +121,7 @@ class BinetDecomposition:
 class DominantRootCertificate:
     decomposition: BinetDecomposition
     root_index: int
-    sigma: int               # degree of the dominant coefficient polynomial
+    sigma: int               # degree of a(X) at the dominant root: its multiplicity - 1
     margin_lower: Fraction   # certified lower bound on min_i(|alpha| - |alpha_i|)
 
     @property
@@ -458,23 +460,10 @@ def _certificate_at(seq, decomp, field):
                     "two maximal-modulus roots of %r (equal exact modulus)" % seq.name)
         return None     # genuine overlap: refine precision
 
-    # degree of the dominant coefficient polynomial
+    # a minimal recurrence's a(X) has degree multiplicity - 1; refine until its top box excludes 0
     coeffs = decomp.coefficients[cand]
-    exact = decomp.exact[cand] if decomp.exact is not None else None
-    sigma = None
-    for j in range(len(coeffs) - 1, -1, -1):
-        if not coeffs[j].contains_zero():
-            sigma = j
-            break
-        if exact is not None:
-            if not exact[j].is_zero():
-                return None       # exact nonzero but box straddles zero: refine
-            continue
-        return None               # cannot separate zero from tiny: refine
-    if sigma is None:
-        if exact is not None and all(e.is_zero() for e in exact):
-            raise NoDominantRoot(
-                "dominant coefficient polynomial of %r vanishes identically" % seq.name)
+    sigma = len(coeffs) - 1
+    if coeffs[sigma].contains_zero():
         return None
 
     mod = moduli[cand]
@@ -708,7 +697,9 @@ def _verify_envelope(env, decomp, field, products):
 
 
 def analyze_sequence(seq: LinearRecurrence) -> SequenceAnalysis:
-    """Full certified pipeline (spectrum, Binet, certificate, envelope).
+    """Full certified pipeline (spectrum, Binet, certificate, envelope) on
+    the minimal recurrence of ``seq``, which all four stages describe;
+    ``sigma`` is the dominant root's multiplicity minus one.
 
     The result, or the refusal NoDominantRoot / RootNotLargerThanOne, is
     kept per sequence object, so ``analyze_sequence(s).sequence is s``.
@@ -728,12 +719,16 @@ def _cached_analysis(seq):
 
 
 def _analyze_uncached(seq):
+    minimal = minimal_recurrence(seq)
+    if minimal is None:
+        raise NoDominantRoot("%r is the zero sequence" % seq.name)
+
     def attempt(field):
-        found = _decomposition_at(seq, field)
+        found = _decomposition_at(minimal, field)
         if found is None:
             return None
         decomp, products = found
-        cert = _certificate_at(seq, decomp, field)
+        cert = _certificate_at(minimal, decomp, field)
         if cert is None:
             return None
         env = _envelope_at(decomp, cert, field, products)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from recdiff.cli import _parse_x_int, dispatch
-from recdiff.recurrences import serialize_sequence_config, BUILTIN_SEQUENCES
+from recdiff.counting import brute_force_oracle
+from recdiff.recurrences import serialize_sequence_config, BUILTIN_SEQUENCES, LinearRecurrence
 
 
 def run(capsys, *argv):
@@ -127,6 +128,35 @@ def test_no_dominant_root_exit(tmp_path, capsys):
     cfg = tmp_path / "pm.cfg"
     cfg.write_text('{"name": "pm", "coefficients": [0, -1], "initial_terms": [0, 1]}')
     code, _, err = run(capsys, "analyze", "--seq-u", str(cfg))
+    assert code == 4
+
+
+@pytest.mark.parametrize("coeffs,init", [
+    ((5, -6), (1, 2)),          # 2^n; exited 4, "vanishes identically"
+    ((4, -2, -3), (0, 1, 1)),   # Fibonacci; exited 3 at the precision cap
+    ((6, -11, 6), (1, 2, 4)),   # 2^n; exited 3
+    ((0, 4), (1, 2)),           # 2^n; was refused as an alpha, -alpha tie
+])
+def test_non_minimal_presentations_analyse_and_count(tmp_path, capsys, coeffs, init):
+    seq = LinearRecurrence("presented", coeffs, init)
+    cfg = tmp_path / "presented.cfg"
+    cfg.write_text(serialize_sequence_config(seq))
+    code, out, _ = run(capsys, "analyze", "--seq-u", str(cfg), "--no-header")
+    assert code == 0 and json.loads(out)["sequences"][0]["precision_bits"] == 256
+    code, out, _ = run(capsys, "count", "--seq-u", str(cfg), "--seq-v", "pow3",
+                       "--x", "1000000", "--no-header")
+    data = json.loads(out)
+    oracle = brute_force_oracle(seq, BUILTIN_SEQUENCES["pow3"], 10 ** 6,
+                                3 * data["n_cut"] + 5, 3 * data["m_cut"] + 5)
+    assert code == 0 and (data["T"], data["S"]) == (oracle.T, oracle.S)
+
+
+@pytest.mark.parametrize("init", [(1, 3), (0, 0)], ids=("tie", "zero"))
+def test_genuine_tie_and_zero_sequence_exit_invalid(tmp_path, capsys, init):
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text(serialize_sequence_config(LinearRecurrence("refused", (0, 4), init)))
+    code, _, _ = run(capsys, "count", "--seq-u", str(cfg), "--seq-v", "pow3",
+                     "--x", "1000000")
     assert code == 4
 
 

@@ -340,6 +340,17 @@ def test_envelope_of_another_sequence_is_refused():
     assert (r.T, r.S) == FIB_POW2_TRUTH[10 ** 6]
 
 
+def test_envelopes_are_matched_by_minimal_recurrence():
+    # Fibonacci written with the characteristic polynomial (x - 3)(x^2 - x - 1)
+    # takes fib's envelope; lucas's, of the same recurrence, is still refused
+    fib3 = LinearRecurrence("fib3", (4, -2, -3), (0, 1, 1))
+    env_pow2, env_fib = analyze_sequence(POW2).envelope, analyze_sequence(FIB).envelope
+    r = count_T_S(POW2, fib3, 10 ** 6, env_pow2, env_fib)
+    assert (r.T, r.S) == FIB_POW2_TRUTH[10 ** 6]
+    with pytest.raises(ValueError, match="envelope"):
+        count_T_S(POW2, fib3, 10 ** 6, env_pow2, analyze_sequence(LUCAS).envelope)
+
+
 def test_float_and_fraction_x_are_taken_exactly():
     # u - x with a huge float x used to overflow; the count is that of int(x)
     r = count_T_S(POW2, POW3, 1e160)

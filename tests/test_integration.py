@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from recdiff import counting
 from recdiff.counting import brute_force_oracle, count_T_S
 from recdiff.errors import (
+    CutoffUnsafe,
     NoDominantRoot,
     PrecisionExhausted,
     RootNotLargerThanOne,
@@ -60,8 +61,14 @@ def test_negative_dominant_root():
     (N2N, BUILTIN_SEQUENCES["pow3"], 10 ** 9),      # sigma = 1 on the U side
     (N2N, KBONACCI_5, 10 ** 9),
     (KBONACCI_6, N2_2N, 10 ** 9),                   # sigma = 2 on the V side
+    # presentations that are not minimal: T/S = 266/261, 409/387, 266/261, 266/261
+    (LinearRecurrence("pow2-5-6", (5, -6), (1, 2)), BUILTIN_SEQUENCES["pow3"], 10 ** 6),
+    (LinearRecurrence("fib-cubic", (4, -2, -3), (0, 1, 1)), BUILTIN_SEQUENCES["pow3"], 10 ** 6),
+    (LinearRecurrence("pow2-cubic", (6, -11, 6), (1, 2, 4)), BUILTIN_SEQUENCES["pow3"], 10 ** 6),
+    (LinearRecurrence("pow2-0-4", (0, 4), (1, 2)), BUILTIN_SEQUENCES["pow3"], 10 ** 6),
 ], ids=("tetra-pow2", "neg2-pow3", "padovan-neg2", "neg2-pow3-1e6", "negfib-pow2-1e6",
-        "negphi-pow3-1e6", "n2n-pow3-1e9", "n2n-kbonacci5-1e9", "kbonacci6-n2-2n-1e9"))
+        "negphi-pow3-1e6", "n2n-pow3-1e9", "n2n-kbonacci5-1e9", "kbonacci6-n2-2n-1e9",
+        "pow2-5-6-pow3-1e6", "fib-cubic-pow3-1e6", "pow2-cubic-pow3-1e6", "pow2-0-4-pow3-1e6"))
 def test_fast_count_matches_oracle(seq_u, seq_v, x):
     fast = count_T_S(seq_u, seq_v, x)
     oracle = brute_force_oracle(seq_u, seq_v, x,
@@ -187,3 +194,35 @@ def test_residue_tallies_match_the_oracle(prime, seq_u, seq_v, x):
             return
     oracle = brute_force_oracle(seq_u, seq_v, x, 3 * fast.n_cut + 5, 3 * fast.m_cut + 5)
     assert (fast.T, fast.S) == (oracle.T, oracle.S)
+
+
+def _count_outcome(seq_u, seq_v, x):
+    """(T, S), or the refusal's type and message."""
+    try:
+        fast = count_T_S(seq_u, seq_v, x)
+    except (ValueError, CutoffUnsafe) as exc:
+        return type(exc), str(exc)
+    return fast.T, fast.S
+
+
+@settings(max_examples=8, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(seq=_recurrences(), r=st.sampled_from((-3, -2, -1, 1, 2, 3)), x=st.integers(0, 10 ** 4))
+def test_a_spare_root_changes_nothing(seq, r, x):
+    # the characteristic polynomial times (X - r), with the first k + 1 terms
+    # kept: the same sequence, so the same minimal recurrence, analysis and
+    # count.  Draws whose original is refused are not compared
+    try:
+        original = analyze_sequence(seq)
+    except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
+        assume(False)
+    poly = [1] + [-c for c in seq.coefficients] + [0]
+    poly = [a - r * b for a, b in zip(poly, [0] + poly)]
+    spare = LinearRecurrence(seq.name, tuple(-c for c in poly[1:]),
+                             tuple(seq.terms(seq.order + 1)))
+    cert, spare_cert = original.certificate, analyze_sequence(spare).certificate
+    assert spare_cert.sigma == cert.sigma
+    (lo, hi), (spare_lo, spare_hi) = cert.modulus_bounds(), spare_cert.modulus_bounds()
+    assert lo <= spare_hi and spare_lo <= hi
+    pow2 = BUILTIN_SEQUENCES["pow2"]
+    assert _count_outcome(spare, pow2, x) == _count_outcome(seq, pow2, x)

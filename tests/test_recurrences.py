@@ -9,9 +9,12 @@ from recdiff.errors import InvalidRecurrence, MalformedConfig
 from recdiff.recurrences import (
     BUILTIN_SEQUENCES,
     LinearRecurrence,
+    minimal_recurrence,
     parse_sequence_config,
     serialize_sequence_config,
 )
+from test_bit_identity import BATCH, BATCH_5_7
+from test_integration import _recurrences
 
 FIB = BUILTIN_SEQUENCES["fib"]
 POW2 = BUILTIN_SEQUENCES["pow2"]
@@ -122,3 +125,46 @@ def test_non_integer_entries_rejected():
         parse_sequence_config({"name": "x", "coefficients": [1.5], "initial_terms": [1]})
     with pytest.raises(InvalidRecurrence):
         parse_sequence_config({"name": "x", "coefficients": [True], "initial_terms": [1]})
+
+
+# the sequence of the SEED_PATH digest: (x - 3)(x^4 + 3x^2 + 1)
+IMAG3 = ("imag3", (3, -3, 9, -1, 3), (0, 0, 0, 0, 1))
+
+
+def test_minimal_recurrence_keeps_minimal_sequences():
+    # so the analyses of the builtins and of the bit-identity digests are of
+    # the presentations they name, on their own term caches
+    seqs = list(BUILTIN_SEQUENCES.values())
+    seqs += [LinearRecurrence(*spec) for spec in BATCH + BATCH_5_7 + [IMAG3]]
+    for seq in seqs:
+        assert minimal_recurrence(seq) is seq
+
+
+@pytest.mark.parametrize("coeffs", [(1,), (-3,), (1, 1), (0, 4), (2, -1, 5), (1, 1, 1, 1),
+                                    (0, 0, 0, -2)])
+def test_minimal_recurrence_of_the_zero_sequence_is_none(coeffs):
+    assert minimal_recurrence(LinearRecurrence("zero", coeffs, (0,) * len(coeffs))) is None
+
+
+@pytest.mark.parametrize("coeffs,init,minimal", [
+    ((5, -6), (1, 2), ((2,), (1,))),                 # (x - 2)(x - 3), 2^n
+    ((4, -2, -3), (0, 1, 1), ((1, 1), (0, 1))),      # (x - 3)(x^2 - x - 1), Fibonacci
+    ((6, -11, 6), (1, 2, 4), ((2,), (1,))),          # (x - 1)(x - 2)(x - 3), 2^n
+    ((0, 4), (1, 2), ((2,), (1,))),                  # (x - 2)(x + 2), 2^n
+    ((4, -4), (1, 2), ((2,), (1,))),                 # (x - 2)^2, 2^n
+])
+def test_minimal_recurrence_examples(coeffs, init, minimal):
+    found = minimal_recurrence(LinearRecurrence("x", coeffs, init))
+    assert (found.name, found.coefficients, found.initial_terms) == ("x", *minimal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=_recurrences())
+def test_minimal_recurrence_generates_the_same_terms(seq):
+    minimal, terms = minimal_recurrence(seq), seq.terms(3 * seq.order + 1)
+    if minimal is None:
+        assert not any(terms)
+        return
+    assert minimal.coefficients[-1] != 0 and minimal.order <= seq.order
+    assert minimal.terms(3 * seq.order + 1) == terms
+    assert minimal_recurrence(minimal) is minimal

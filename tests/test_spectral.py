@@ -127,6 +127,33 @@ def test_no_dominant_root_cases():
         analyze_sequence(LinearRecurrence("zero", (1, 1), (0, 0)))      # a(X) == 0
 
 
+def test_genuine_tie_and_zero_sequence_are_still_refused():
+    # 4^(n/2) and 3 * 4^(n/2), interleaved: the roots 2 and -2 both stay
+    with pytest.raises(NoDominantRoot, match="share the maximal modulus"):
+        analyze_sequence(LinearRecurrence("tie", (0, 4), (1, 3)))
+    for coeffs in ((1, 1), (3,), (1, 0, 2)):
+        with pytest.raises(NoDominantRoot, match="the zero sequence"):
+            analyze_sequence(LinearRecurrence("zero", coeffs, (0,) * len(coeffs)))
+
+
+@pytest.mark.parametrize("coeffs,init,minimal,sigma", [
+    ((5, -6), (1, 2), (2,), 0),                 # (x - 2)(x - 3): 2^n
+    ((4, -2, -3), (0, 1, 1), (1, 1), 0),        # (x - 3)(x^2 - x - 1): Fibonacci
+    ((6, -11, 6), (1, 2, 4), (2,), 0),          # (x - 1)(x - 2)(x - 3): 2^n
+    ((0, 4), (1, 2), (2,), 0),                  # (x - 2)(x + 2): 2^n, no tie
+    ((5, -8, 4), (0, 2, 8), (4, -4), 1),        # (x - 1)(x - 2)^2: n 2^n
+    ((7, -16, 12), (1, 2, 4), (2,), 0),         # (x - 2)^2 (x - 3): 2^n
+])
+def test_the_minimal_recurrence_is_analysed(coeffs, init, minimal, sigma):
+    # each of the first three exited 3 or 4 when the given characteristic
+    # polynomial was analysed: a root whose Binet coefficient is 0 was kept
+    seq = LinearRecurrence("presented", coeffs, init)
+    a = analyze_sequence(seq)
+    assert a.sequence is seq and a.spectrum.sequence.coefficients == minimal
+    assert a.spectrum.precision_bits == 256
+    assert a.certificate.sigma == sigma == a.certificate.root.multiplicity - 1
+
+
 def test_root_not_larger_than_one():
     with pytest.raises(RootNotLargerThanOne):
         analyze_sequence(LinearRecurrence("const", (1,), (1,)))
