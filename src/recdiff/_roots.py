@@ -1,14 +1,17 @@
 """Certified isolation of the roots of integer polynomials.
 
-Factorisation into irreducibles is exact: content, discriminant and
-``math.isqrt`` for degree <= 2, sympy over ZZ above.  Linear and quadratic
-factors get exact roots.  A higher-degree factor starts from isolating
-regions with exact rational corners, and an interval Newton step refines
-each one and certifies that its final box holds exactly one root.  The
-precision rung sets eps = 2^-eps_bits, eps_bits = max(32, min(prec // 4,
-256)), and the real roots start from sympy's real-only intervals at eps.
+Factorisation into irreducibles is exact integer code: content,
+discriminant and ``math.isqrt`` for degree <= 2, and above it Yun's
+square-free split and big-prime Berlekamp–Zassenhaus from ``_zpoly``.
+Linear and quadratic factors get exact roots.  A higher-degree factor
+starts from isolating regions with exact rational corners, and an interval
+Newton step refines each one and certifies that its final box holds exactly
+one root.  The precision rung sets eps = 2^-eps_bits, eps_bits = max(32,
+min(prec // 4, 256)), and the real roots start from the intervals at eps of
+``_zpoly.real_root_intervals``, a port of sympy 1.14's real-only VAS
+isolation that gives sympy's intervals exactly.
 
-The non-real roots never meet sympy's complex isolation.  ``polyroots`` in
+The non-real roots come from ``polyroots`` in
 a private mpmath context at max(128, eps_bits) bits, with precision and
 steps scaled to the size of the roots, seeds each root above the real axis,
 in a rectangle at most half as wide as its distance to the axis, and Newton
@@ -22,10 +25,7 @@ Factorisations and seeds (per factor and bits) sit in LRU caches of
 ``_CACHE_SIZE`` entries each.
 
 Every root is an ``AlgebraicNumber``, the one record that the spectral,
-heights, independence and Matveev layers share.
-
-sympy is imported only inside the functions that handle degree >= 3, so a
-process that meets only factors of degree <= 2 never loads it.
+heights, independence and Matveev layers share.  Nothing here loads sympy.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_rational
@@ -52,6 +52,8 @@ from .intervals import (
     poly_eval_box,
     width_float,
 )
+from ._zpoly import derivative as _derivative
+from ._zpoly import factor_square_free, primitive, real_root_intervals, square_free
 from .quadratic import QuadraticElement, quadratic_roots
 
 _CACHE_SIZE = 256          # polynomials kept by each cache; least recently used go first
@@ -130,34 +132,18 @@ def _factor(coeffs: tuple) -> tuple:
         coeffs = coeffs[1:]
     if len(coeffs) <= 3:
         return _factor_low_degree(coeffs)
-    from sympy import Poly, Symbol
-
-    _, factors = Poly(list(coeffs), Symbol("X"), domain="ZZ").factor_list()
-    out = []
-    for g, mult in factors:
-        gc = [int(c) for c in g.all_coeffs()]
-        if gc[0] < 0:
-            gc = [-c for c in gc]
-        out.append((tuple(gc), int(mult)))
-    return tuple(sorted(out))
-
-
-def _primitive(coeffs) -> tuple:
-    """coeffs over their content, leading coefficient made positive."""
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    if coeffs[0] < 0:
-        g = -g
-    return tuple(c // g for c in coeffs)
+    return tuple(sorted(
+        (g, mult) for part, mult in square_free(coeffs)
+        for g in (factor_square_free(part) if len(part) > 3
+                  else [h for h, _ in _factor_low_degree(part)])))
 
 
 def _factor_low_degree(coeffs: tuple) -> tuple:
-    """``_factor`` of a polynomial of degree <= 2 without sympy: a quadratic
+    """``_factor`` of a polynomial of degree <= 2: a quadratic
     splits exactly when its discriminant is a perfect square."""
     if len(coeffs) <= 1:
         return ()
-    coeffs = _primitive(coeffs)
+    coeffs = primitive(coeffs)
     if len(coeffs) == 2:
         return ((coeffs, 1),)
     a, b, c = coeffs
@@ -165,22 +151,10 @@ def _factor_low_degree(coeffs: tuple) -> tuple:
     root = isqrt(disc) if disc >= 0 else -1
     if root * root != disc:
         return ((coeffs, 1),)
-    linear = [_primitive((2 * a, b - s)) for s in (root, -root)]
+    linear = [primitive((2 * a, b - s)) for s in (root, -root)]
     if disc == 0:
         return ((linear[0], 2),)
     return tuple(sorted((f, 1) for f in linear))
-
-
-def _fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def _sympy_intervals(coeffs, bits):
-    """Sympy's real isolating intervals at eps = 2^-bits, corners left as QQ
-    numbers."""
-    from sympy import QQ, Poly, Symbol
-
-    return Poly(list(coeffs), Symbol("X"), domain="ZZ").rep.intervals(eps=QQ(1, 2 ** bits))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -230,11 +204,6 @@ def _seed_boxes(coeffs, pairs, bits, field):
     return boxes
 
 
-def _derivative(coeffs):
-    n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-
-
 def _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target):
     """Certified refinement of a real isolating interval; None if not certified."""
     X = field.from_endpoints(field.real(lo), field.real(hi))
@@ -279,7 +248,7 @@ def isolate_factor_roots(field: IntervalField, coeffs):
     """All roots of one irreducible integer polynomial, certified.
 
     The rung sets eps = 2^-eps_bits, eps_bits = max(32, min(field.prec // 4,
-    256)).  Each real root is refined from sympy's eps-interval to a width of
+    256)).  Each real root is refined from its eps-interval to a width of
     at most 2^-max(32, field.prec // 2); the non-real roots above the axis
     come from the seed boxes at max(128, eps_bits) bits, and their mirror
     images are the roots below it.  Returns a list of AlgebraicNumber or None
@@ -303,8 +272,7 @@ def isolate_factor_roots(field: IntervalField, coeffs):
     target = 2.0 ** (-max(32, field.prec // 2))
     dcoeffs = _derivative(coeffs)
     roots = []
-    for (lo, hi), _mult in _sympy_intervals(coeffs, eps_bits):
-        lo, hi = sorted((_fraction(lo), _fraction(hi)))
+    for lo, hi in real_root_intervals(coeffs, eps_bits):
         refined = _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target)
         if refined is None:
             return None

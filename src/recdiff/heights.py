@@ -4,8 +4,9 @@ height-growth probe C0 over power quotients.
 h(gamma) = (1/d) (log|a_d| + sum_i log max(1, |gamma_i|)) over the conjugates.
 Heights come back as certified intervals; compound values (alpha^n / beta^m)
 are evaluated exactly in Q or a quadratic field and rejected beyond that.
-The k-th root is exact integer code, and so is the cyclotomic test up to
-degree 2; sympy is imported only for a cyclotomic test in degree >= 3.
+The k-th root and the cyclotomic test are exact integer code: a minimal
+polynomial is cyclotomic when it equals Phi_m for an m with phi(m) equal to
+its degree.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._roots import AlgebraicNumber
+from ._zpoly import cyclotomic
 from .errors import UnsupportedDegree
 from .independence import multiplicative_independence
 from .intervals import (
@@ -23,10 +25,8 @@ from .intervals import (
     midpoint_float,
     width_float,
 )
-from .quadratic import QuadraticElement
+from .quadratic import QuadraticElement, factor_integer
 
-# the cyclotomic polynomials of degree <= 2: Phi_1, Phi_2, Phi_4, Phi_3, Phi_6
-_LOW_CYCLOTOMIC = frozenset({(1, -1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1)})
 _HEIGHT_WIDTH = 2.0 ** -64      # log_height climbs the ladder until h is this narrow
 _HEIGHT_START_BITS = 192
 
@@ -36,15 +36,23 @@ def _is_reciprocal(coeffs) -> bool:
     return coeffs == rev or coeffs == tuple(-c for c in rev)
 
 
+def _totient(m: int) -> int:
+    for p in factor_integer(m):
+        m = m // p * (p - 1)
+    return m
+
+
 def _is_cyclotomic(coeffs) -> bool:
+    """coeffs equal Phi_m for some m, as sympy's ``is_cyclotomic`` decides
+    (so -Phi_3 and x^3 + 1 are not cyclotomic); phi(m) >= sqrt(m / 2) bounds
+    the m with phi(m) = deg by 2 deg^2."""
     coeffs = tuple(coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
-    if len(coeffs) <= 3:
-        return coeffs in _LOW_CYCLOTOMIC
-    from sympy import Poly, Symbol
-
-    return bool(Poly(list(coeffs), Symbol("X")).is_cyclotomic)
+    d = len(coeffs) - 1
+    if d < 1 or coeffs[0] != 1 or abs(coeffs[-1]) != 1:
+        return False
+    return any(_totient(m) == d and cyclotomic(m) == coeffs for m in range(1, 2 * d * d + 1))
 
 
 def _unit_circle_exact(field, roots, idx) -> bool:

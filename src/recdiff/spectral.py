@@ -24,6 +24,7 @@ which decides as the interval square root would without taking it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -73,7 +74,8 @@ from .recurrences import LinearRecurrence, minimal_recurrence
 
 _CHECK_BOUND = 200         # Binet reconstruction pinned to U_n for n <= _CHECK_BOUND
 _VERIFY_TO = 500           # envelope inequalities checked exactly for n0 <= n <= _VERIFY_TO
-_WINDOW = 64               # smallest envelope window, largest n0
+_WINDOW = 64               # smallest envelope window, largest n0 on it
+_WINDOW_CAP = 4096         # largest envelope window
 
 
 @dataclass(eq=False)
@@ -492,6 +494,10 @@ def _dyadic_mid(x) -> Fraction:
     return (lo + hi) / 2
 
 
+def _log(q: Fraction) -> float:
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 def _poly_abs_upper(field, coeff_boxes):
     """Interval upper bound for sum_j |a_j|."""
     total = field.real(0)
@@ -547,7 +553,26 @@ def _envelope_at(decomp, cert, field, products):
         if thr is None:
             return None
         n_seg = max(n_seg, thr + 1)
-    n_seg = min(n_seg, 4096)
+    n_seg = min(n_seg, _WINDOW_CAP)
+    env, wider = _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, _WINDOW)
+    if env is None and n_seg < wider <= _WINDOW_CAP:
+        # a second root close in modulus: a' (alpha'/|alpha|)^n falls below
+        # |a(n)| only past the window, so size the window from that gap
+        env, _ = _envelope_on(decomp, cert, field, products, alpha_prime, rhos, wider, wider)
+    return env
+
+
+def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max):
+    """(envelope, 0) on the window 0..n_seg with n0 <= n0_max, or (None, n)
+    with n the window past which a' (alpha'/|alpha|)^n stays below half the
+    lead of the dominant coefficient when no n0 or no tail bound was found
+    (else 0): the certified gap alpha'/|alpha| < 1 sizes it."""
+    spectrum = decomp.spectrum
+    seq = spectrum.sequence
+    dom, sigma = cert.root_index, cert.sigma
+    mod_alpha = spectrum.roots[dom].modulus()
+    others = [i for i in range(len(spectrum.roots)) if i != dom]
+    ap = field.real(alpha_prime)
 
     if others:
         window_sup = Fraction(0)
@@ -610,16 +635,13 @@ def _envelope_at(decomp, cert, field, products):
     else:
         inf_a_beyond = interval_inf_fraction(lead)
     tail_low = inf_a_beyond - interval_sup_fraction(apf * rho_dom ** (n_seg + 1))
-    if tail_low <= 0:
-        return None
-
-    n0 = None
-    for start in range(_WINDOW + 1):
-        if all(g > 0 for g in g_lower[start:]):
-            n0 = start
-            break
-    if n0 is None:
-        return None
+    n0 = next((start for start in range(n0_max + 1)
+               if all(g > 0 for g in g_lower[start:])), None)
+    if tail_low <= 0 or n0 is None:
+        lead_low, rho_high = interval_inf_fraction(lead), interval_sup_fraction(rho_dom)
+        if lead_low <= 0 or rho_high >= 1:
+            return None, 0
+        return None, math.ceil(_log(2 * a_prime / lead_low) / -_log(rho_high)) + 1
     if sigma > 0:
         n0 = max(n0, 1)
 
@@ -633,13 +655,13 @@ def _envelope_at(decomp, cert, field, products):
         alpha_pow = alpha_pow * mod_alpha
     c_lower = min(ratio_min, tail_low) * (1 - Fraction(1, 1024))
     if c_lower <= 0:
-        return None
+        return None, 0
 
     env = GrowthEnvelope(cert, c_lower, c_upper, alpha_prime, a_prime,
-                         n0, sigma, _VERIFY_TO)
+                         n0, sigma, max(_VERIFY_TO, n0 + _VERIFY_TO - _WINDOW))
     if not _verify_envelope(env, decomp, field, products):
-        return None
-    return env
+        return None, 0
+    return env, 0
 
 
 def _verify_envelope(env, decomp, field, products):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recdiff.errors import UnsupportedDegree
 from recdiff.heights import (
@@ -132,7 +134,47 @@ def test_low_degree_cyclotomic_test_matches_sympy():
         for coeffs in itertools.product(range(-12, 13), repeat=length):
             assert _is_cyclotomic(coeffs) == bool(Poly(list(coeffs), x).is_cyclotomic), coeffs
     assert _is_cyclotomic((1, 0, 0, 1)) is False          # x^3 + 1 = (x + 1)(x^2 - x + 1)
-    assert _is_cyclotomic((1, 1, 1, 1, 1)) is True        # Phi_5, through sympy
+    assert _is_cyclotomic((1, 1, 1, 1, 1)) is True        # Phi_5
+
+
+def _poly_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def test_cyclotomic_test_matches_sympy_on_cyclotomic_polynomials():
+    # Phi_1..Phi_60, their negatives and products of two of them: only a
+    # tuple equal to some Phi_m counts, as in sympy
+    from sympy import Poly, Symbol, cyclotomic_poly
+
+    x = Symbol("X")
+    phis = [tuple(int(c) for c in Poly(cyclotomic_poly(m, x), x).all_coeffs())
+            for m in range(1, 61)]
+    products = [_poly_product(phis[a], phis[b])
+                for a, b in itertools.combinations_with_replacement(range(0, 60, 7), 2)]
+    cases = phis + [tuple(-c for c in f) for f in phis] + products
+    for coeffs in cases:
+        assert _is_cyclotomic(coeffs) == bool(Poly(list(coeffs), x).is_cyclotomic), coeffs
+    assert all(_is_cyclotomic(f) for f in phis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 8), st.data())
+def test_cyclotomic_test_matches_sympy_on_drawn_polynomials(degree, data):
+    # monic tuples with constant term +-1 and small coefficients, where the
+    # cyclotomic polynomials lie, and unconstrained ones
+    from sympy import Poly, Symbol
+
+    middle = data.draw(st.lists(st.integers(-2, 2), min_size=degree - 1, max_size=degree - 1))
+    if data.draw(st.booleans()):
+        coeffs = (1,) + tuple(middle) + (data.draw(st.sampled_from([-1, 1])),)
+    else:
+        ends = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+        coeffs = (ends[0],) + tuple(middle) + (ends[1],)
+    assert _is_cyclotomic(coeffs) == bool(Poly(list(coeffs), Symbol("X")).is_cyclotomic), coeffs
 
 
 def test_integer_root_matches_sympy():

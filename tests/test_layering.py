@@ -1,7 +1,9 @@
 """Module layering of the package: every relative import sits at module
 level, the relative imports between modules form no cycle, and sympy and
 numpy are imported only inside functions, so that they load only when
-needed: a count of a degree-2 pair up to x = 10^12 loads neither.  Every
+needed: a count of a degree-2 pair up to x = 10^12 loads neither, and no
+analysis, bound or height loads sympy, which only ``quadratic.factor_integer``
+imports, for a cofactor above 2^32.  Every
 function also reads each parameter it declares, and no module touches the
 precision of mpmath's global context or finds roots in it."""
 
@@ -9,6 +11,8 @@ import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "recdiff"
 
@@ -90,6 +94,25 @@ def test_numpy_is_not_imported_at_module_level():
     assert module_level_imports("numpy") == []
 
 
+def test_only_factor_integer_imports_sympy():
+    # 'module.function' of each function whose own body imports sympy
+    importers = []
+    for name, tree in parsed_modules().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in module_level_nodes(func):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    targets = [node.module]
+                else:
+                    continue
+                if any(t.split(".")[0] == "sympy" for t in targets):
+                    importers.append("%s.%s" % (name, func.name))
+    assert importers == ["quadratic.factor_integer"]
+
+
 _STARTUP_PROBE = """
 import sys
 from recdiff.cli import dispatch
@@ -112,6 +135,37 @@ def test_small_counts_load_neither_numpy_nor_sympy():
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after")]
     assert loaded == ["loaded after %s 0 []" % command
                       for command in ("count", "collisions", "scan")]
+
+
+_NO_SYMPY_PROBE = """
+import sys
+from recdiff.cli import dispatch
+from recdiff.recurrences import LinearRecurrence
+from recdiff.spectral import analyze_sequence
+job, *args = sys.argv[1:]
+if job == "bounds":
+    code = dispatch(["bounds", "--seq-u", "tribonacci", "--seq-v", "pow3", "--no-header"])
+else:
+    coeffs = tuple(map(int, args))
+    analysis = analyze_sequence(LinearRecurrence(job, coeffs, (0,) * (len(coeffs) - 1) + (1,)))
+    code = 0 if analysis.certificate is not None else 1
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+
+
+@pytest.mark.parametrize("job", [["tribonacci", "1", "1", "1"],
+                                 ["tetranacci", "1", "1", "1", "1"],
+                                 ["quad-quad", "0", "1", "2", "1"],
+                                 ["bounds"]],
+                         ids=["tribonacci", "tetranacci", "quad-quad", "bounds"])
+def test_analyses_and_bounds_load_no_sympy(job):
+    # a fresh process each; (0, 1, 2, 1) has the characteristic polynomial
+    # x^4 - x^2 - 2x - 1 = (x^2 - x - 1)(x^2 + x + 1), and the bound chain of
+    # tribonacci runs the cyclotomic test of a cubic
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_PROBE] + job,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_every_parameter_is_read():

@@ -1,7 +1,8 @@
-"""Root isolation: certified boxes of real roots from sympy's real intervals
-and of non-real roots from mpmath seeds, checked against sympy's real count
-and coarse complex rectangles; no call of sympy's complex isolation; call
-counts of sympy and bounded caches."""
+"""Root isolation: certified boxes of real roots from the port of sympy's
+real intervals and of non-real roots from mpmath seeds, checked against
+sympy's real count and coarse complex rectangles; factoring and the real
+intervals against sympy's own; one factoring per polynomial and bounded
+caches.  sympy is the oracle of these tests only."""
 
 import functools
 import itertools
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from sympy import Poly, Rational, Symbol, im, re
 
 from recdiff import _roots, spectral
+from recdiff._zpoly import real_root_intervals
 from recdiff.errors import NoDominantRoot, PrecisionExhausted, RootNotLargerThanOne
 from recdiff.intervals import (
     IntervalField,
@@ -241,18 +243,19 @@ IMAG3 = LinearRecurrence("imag3", (3, -3, 9, -1, 3), (0, 0, 0, 0, 1))   # (x - 3
 
 def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
     # the seeds replace sympy's complex isolation, also for roots on Re = 0:
-    # no complex intervals call
+    # no complex intervals call; each characteristic polynomial of degree
+    # >= 3 meets the square-free split, the first step of factoring, once
     spectral._cached_analysis.cache_clear()
     _roots._factor.cache_clear()
     _roots._seed_rectangles.cache_clear()
-    factored, factor_list = Counter(), Poly.factor_list
+    factored, square_free = Counter(), _roots.square_free
     complex_calls = no_complex_isolation(monkeypatch)
 
-    def factor_spy(poly, *args, **kwargs):
-        factored[tuple(poly.all_coeffs())] += 1
-        return factor_list(poly, *args, **kwargs)
+    def factor_spy(coeffs):
+        factored[tuple(coeffs)] += 1
+        return square_free(coeffs)
 
-    monkeypatch.setattr(Poly, "factor_list", factor_spy)
+    monkeypatch.setattr(_roots, "square_free", factor_spy)
     analyze_sequence(LinearRecurrence("trib_a", (1, 1, 1), (0, 0, 1)))
     analyze_sequence(LinearRecurrence("trib_b", (1, 1, 1), (1, 1, 1)))
     analyze_sequence(LinearRecurrence("tetra", (1, 1, 1, 1), (0, 0, 0, 1)))
@@ -364,6 +367,45 @@ def test_low_degree_factoring_matches_sympy():
             assert _roots._factor.__wrapped__(coeffs) == tuple(_sympy_factor_list(coeffs)), coeffs
     assert _roots._factor.__wrapped__((3, -6, 3)) == (((1, -1), 2),)
     assert _roots._factor.__wrapped__((4, 0, -9)) == (((2, -3), 1), ((2, 3), 1))
+
+
+def _poly_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+_FACTORS = st.lists(st.integers(-6, 6), min_size=2, max_size=5).filter(lambda f: f[0] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FACTORS, st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(-12, 12).filter(bool))
+def test_factoring_matches_sympy(parts, content):
+    # products of drawn polynomials of degree 1-4, some repeated, times a
+    # content that may be negative, so most leading coefficients are not
+    # units; degree up to 12
+    coeffs = (content,)
+    for factor, mult in parts:
+        for _ in range(mult):
+            if len(coeffs) + len(factor) - 2 <= 12:
+                coeffs = _poly_product(coeffs, factor)
+    assert _roots.factor_integer_poly(coeffs) == _sympy_factor_list(coeffs), coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=3, max_size=8), st.integers(1, 4),
+       st.sampled_from([32, 64, 100, 128, 192, 256]))
+def test_real_root_intervals_equal_sympys(tail, lead, bits):
+    # the ported VAS isolation gives sympy's intervals, endpoint for endpoint,
+    # on irreducible polynomials of degree 3-8
+    coeffs = (lead,) + tuple(tail)
+    assume(_roots._factor(coeffs) == ((coeffs, 1),))
+    oracle = [tuple(sorted(Fraction(str(e)) for e in pair))
+              for pair, _ in Poly(list(coeffs), X).intervals(eps=Rational(1, 2 ** bits))]
+    assert real_root_intervals(coeffs, bits) == oracle
 
 
 def test_from_min_poly_climbs_the_ladder(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import fzero, mpf_le, mpi_mul, mpi_neg, mpi_pow_int
 
 from recdiff import spectral
+from recdiff.counting import brute_force_oracle, count_T_S
 from recdiff.errors import NoDominantRoot, PrecisionExhausted, RootNotLargerThanOne
 from recdiff.heights import AlgebraicNumber
 from recdiff.independence import multiplicative_independence
@@ -171,6 +172,25 @@ def test_envelope_certified_window():
         u = abs(FIB.term(n))
         assert upper_float(F.real(env.c_lower) * mod ** n) <= u
         assert u <= lower_float(F.real(env.c_upper) * mod ** n)
+
+
+@pytest.mark.parametrize("coeffs, init, bits, n0", [
+    ((3, -5, 4, 4), (-1, 3, 2, 2), 512, 79),         # roots 2 and a pair of modulus 1.950
+    ((8, -18, 0, 26, 3, 9, -27), (-2, 1, 4, -2, -4, -2, -2), 1024, 101),   # roots 3 and 2.94
+], ids=["pair-1.95", "root-2.94"])
+def test_a_close_second_root_sizes_the_window_from_the_gap(coeffs, init, bits, n0):
+    # a' (alpha'/|alpha|)^n falls below the dominant coefficient only past
+    # n = 64, so with n0 searched in 0..64 alone no rung had an envelope and
+    # the analysis exhausted the cap; the counts against pow2 are the oracle's
+    seq = LinearRecurrence("close", coeffs, init)
+    analysis = analyze_sequence(seq)
+    env = analysis.envelope
+    assert (analysis.spectrum.precision_bits, env.n0) == (bits, n0)
+    assert env.verified_to == n0 + spectral._VERIFY_TO - spectral._WINDOW
+    for x in (10 ** 6, 10 ** 30):
+        result = count_T_S(seq, POW2, x)
+        oracle = brute_force_oracle(seq, POW2, x, 3 * result.n_cut + 5, 3 * result.m_cut + 5)
+        assert (result.T, result.S) == (oracle.T, oracle.S)
 
 
 def test_envelope_spec_witnesses():
