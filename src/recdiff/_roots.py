@@ -1,14 +1,13 @@
 """Certified isolation of the roots of integer polynomials.
 
-Factorisation into irreducibles is exact integer code: content,
-discriminant and ``math.isqrt`` for degree <= 2, and above it Yun's
-square-free split and big-prime Berlekamp–Zassenhaus from ``_zpoly``.
-Linear and quadratic factors get exact roots.  A higher-degree factor
-starts from isolating regions with exact rational corners, and an interval
-Newton step refines each one and certifies that its final box holds exactly
-one root.  The precision rung sets eps = 2^-eps_bits, eps_bits = max(32,
-min(prec // 4, 256)), and the real roots start from the intervals at eps of
-``_zpoly.real_root_intervals``, a port of sympy 1.14's real-only VAS
+Factorisation into irreducibles is exact integer code, one path for every
+degree: Yun's square-free split and big-prime Berlekamp–Zassenhaus from
+``_zpoly``.  Linear and quadratic factors get exact roots.  A higher-degree
+factor starts from isolating regions with exact rational corners, and an
+interval Newton step refines each one and certifies that its final box holds
+exactly one root.  The precision rung sets eps = 2^-eps_bits, eps_bits =
+max(32, min(prec // 4, 256)), and the real roots start from the intervals at
+eps of ``_zpoly.real_root_intervals``, a port of sympy 1.14's real-only VAS
 isolation that gives sympy's intervals exactly.
 
 The non-real roots come from ``polyroots`` in
@@ -34,7 +33,6 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_rational
@@ -53,7 +51,7 @@ from .intervals import (
     width_float,
 )
 from ._zpoly import derivative as _derivative
-from ._zpoly import factor_square_free, primitive, real_root_intervals, square_free
+from ._zpoly import factor_square_free, real_root_intervals, square_free, strip
 from .quadratic import QuadraticElement, quadratic_roots
 
 _CACHE_SIZE = 256          # polynomials kept by each cache; least recently used go first
@@ -128,33 +126,11 @@ def factor_integer_poly(coeffs) -> list:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _factor(coeffs: tuple) -> tuple:
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 3:
-        return _factor_low_degree(coeffs)
-    return tuple(sorted(
-        (g, mult) for part, mult in square_free(coeffs)
-        for g in (factor_square_free(part) if len(part) > 3
-                  else [h for h, _ in _factor_low_degree(part)])))
-
-
-def _factor_low_degree(coeffs: tuple) -> tuple:
-    """``_factor`` of a polynomial of degree <= 2: a quadratic
-    splits exactly when its discriminant is a perfect square."""
+    coeffs = strip(coeffs)
     if len(coeffs) <= 1:
         return ()
-    coeffs = primitive(coeffs)
-    if len(coeffs) == 2:
-        return ((coeffs, 1),)
-    a, b, c = coeffs
-    disc = b * b - 4 * a * c
-    root = isqrt(disc) if disc >= 0 else -1
-    if root * root != disc:
-        return ((coeffs, 1),)
-    linear = [primitive((2 * a, b - s)) for s in (root, -root)]
-    if disc == 0:
-        return ((linear[0], 2),)
-    return tuple(sorted((f, 1) for f in linear))
+    return tuple(sorted((g, mult) for part, mult in square_free(coeffs)
+                        for g in factor_square_free(part)))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

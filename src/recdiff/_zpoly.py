@@ -19,6 +19,8 @@ modulo a prime works on lists lowest degree first.
   bounds, ``fast=False``) step by step, float ``log`` of the bound included,
   so its intervals are those of ``Poly.intervals(eps)``.
 * ``cyclotomic(m)`` is Phi_m, by exact division of x^m - 1.
+* ``primitive``, ``strip``, ``negated`` and ``derivative`` are the helpers
+  that the rest of the package shares; this module imports none of it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,14 @@ def derivative(f) -> list:
     return [c * (n - i) for i, c in enumerate(f[:-1])]
 
 
-def _strip(f) -> tuple:
+def negated(f) -> tuple:
+    """f(-x)."""
+    n = len(f) - 1
+    return tuple(-c if (n - i) % 2 else c for i, c in enumerate(f))
+
+
+def strip(f) -> tuple:
+    """f without its leading zeros."""
     i = 0
     while i < len(f) and f[i] == 0:
         i += 1
@@ -74,13 +83,13 @@ def _divide(f, g):
 
 def _gcd(f, g) -> tuple:
     """The primitive gcd of f and g over Q, by primitive remainder sequences."""
-    f, g = _strip(f), _strip(g)
+    f, g = strip(f), strip(g)
     f, g = (primitive(f) if f else ()), (primitive(g) if g else ())
     while len(g) > 1:
         r = f
         while len(r) >= len(g):
             tail = g[1:] + (0,) * (len(r) - len(g))
-            r = _strip([g[0] * a - r[0] * b for a, b in zip(r[1:], tail)])
+            r = strip([g[0] * a - r[0] * b for a, b in zip(r[1:], tail)])
         f, g = g, (primitive(r) if r else ())
     return f if not g else (1,)
 
@@ -88,14 +97,14 @@ def _gcd(f, g) -> tuple:
 def square_free(f) -> list:
     """[(a_i, i)] with f = c * prod a_i^i: each a_i primitive, square-free,
     non-constant and prime to the others (Yun)."""
-    f = primitive(_strip(f))
+    f = primitive(strip(f))
     df = derivative(f)
     a = _gcd(f, df)
     b, c = _divide(f, a), _divide(df, a)
     out, i = [], 1
     while len(b) > 1:
         db = (0,) * (len(c) - len(b) + 1) + tuple(derivative(b))
-        d = _strip([x - y for x, y in zip((0,) * (len(db) - len(c)) + c, db)])
+        d = strip([x - y for x, y in zip((0,) * (len(db) - len(c)) + c, db)])
         a = _gcd(b, d)
         if len(a) > 1:
             out.append((a, i))
@@ -284,7 +293,7 @@ def _shift(f, a) -> list:
 
 
 def _reverse(f) -> list:
-    return list(_strip(f[::-1]))
+    return list(strip(f[::-1]))
 
 
 def _inverted(f) -> list:
@@ -392,11 +401,8 @@ def real_root_intervals(f, bits) -> list:
     f with f(0) != 0, each narrower than 2^-bits: sympy 1.14's
     ``Poly(f).intervals(eps=2**-bits)``."""
     f = primitive(f)
-    mirror = list(f)
-    for i in range(len(f) - 2, -1, -2):
-        mirror[i] = -mirror[i]
     out = []
-    for sign, g in ((-1, mirror), (1, list(f))):
+    for sign, g in ((-1, list(negated(f))), (1, list(f))):
         for a, b, c, d in _positive_roots(g, bits):
             lo, hi = sorted((sign * Fraction(a, c), sign * Fraction(b, d)))
             out.append((lo, hi))

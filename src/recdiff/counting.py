@@ -511,9 +511,8 @@ def count_real_power_pairs(alpha_expr, beta_expr, x, precision_bits: int = 200
     if x <= 0:
         raise ValueError("x must be positive")
 
-    field = _field_at(precision_bits)
     for label, key in (("alpha", alpha_key), ("beta", beta_key)):
-        if not certainly_greater(_base_value(field, key), field.real(1)):
+        if key not in NAMED_BASES and Fraction(key) <= 1:
             raise ValueError("%s must exceed 1" % label)
     exact = None if {alpha_key, beta_key} & set(NAMED_BASES) else (
         Fraction(alpha_key), Fraction(beta_key))

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._roots import AlgebraicNumber
-from ._zpoly import cyclotomic
+from ._zpoly import cyclotomic, strip
 from .errors import UnsupportedDegree
 from .independence import multiplicative_independence
 from .intervals import (
@@ -46,9 +46,7 @@ def _is_cyclotomic(coeffs) -> bool:
     """coeffs equal Phi_m for some m, as sympy's ``is_cyclotomic`` decides
     (so -Phi_3 and x^3 + 1 are not cyclotomic); phi(m) >= sqrt(m / 2) bounds
     the m with phi(m) = deg by 2 deg^2."""
-    coeffs = tuple(coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
+    coeffs = strip(coeffs)
     d = len(coeffs) - 1
     if d < 1 or coeffs[0] != 1 or abs(coeffs[-1]) != 1:
         return False

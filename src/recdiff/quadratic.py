@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._zpoly import primitive
 from .errors import UnsupportedDegree
 
 _TRIAL_BOUND = 1 << 16      # trial division is exact below _TRIAL_BOUND ** 2
@@ -176,9 +177,7 @@ class QuadraticElement:
         tr = 2 * self.a          # X^2 - tr X + norm
         nm = self.norm()
         w = tr.denominator * nm.denominator // gcd(tr.denominator, nm.denominator)
-        coeffs = (w, int(-tr * w), int(nm * w))
-        g = gcd(gcd(abs(coeffs[0]), abs(coeffs[1])), abs(coeffs[2]))
-        return tuple(c // g for c in coeffs)
+        return primitive((w, int(-tr * w), int(nm * w)))
 
     def box(self, field):
         """Certified enclosure as a ComplexBox (imaginary for d < 0)."""

@@ -54,6 +54,7 @@ from ._roots import (
     factor_integer_poly,
     isolate_factor_roots,
 )
+from ._zpoly import negated, primitive
 from .errors import NoDominantRoot, RootNotLargerThanOne
 from .intervals import (
     _ZERO,
@@ -406,19 +407,6 @@ def _decomposition_at(seq, field):
 # stage 3: dominant root certificate
 
 
-def _normalize_poly(coeffs):
-    if coeffs[0] < 0:
-        coeffs = tuple(-c for c in coeffs)
-    return tuple(coeffs)
-
-
-def _poly_negated(coeffs):
-    """Coefficients of p(-X), primitive normalized."""
-    deg = len(coeffs) - 1
-    return _normalize_poly(tuple(c if (deg - i) % 2 == 0 else -c
-                                 for i, c in enumerate(coeffs)))
-
-
 def _is_binomial(coeffs) -> bool:
     """X^d - c form: all roots share the modulus |c|^(1/d) exactly."""
     return len(coeffs) > 2 and all(c == 0 for c in coeffs[1:-1])
@@ -428,7 +416,7 @@ def _is_negation_pair(cand: AlgebraicNumber, other: AlgebraicNumber, roots) -> b
     """Exact test for other == -cand (both real)."""
     if not (cand.is_real and other.is_real):
         return False
-    if other.min_poly != _poly_negated(cand.min_poly):
+    if other.min_poly != primitive(negated(cand.min_poly)):
         return False
     neg_box = -cand.box
     hits = [r for r in roots

@@ -249,6 +249,16 @@ def test_problem1_counts_an_exact_rational_tie(capsys):
     assert data["pairs"] == [[0, 0], [1, 0], [7, 1]] and data["precision_bits"] == 200
 
 
+def test_problem1_decides_the_bases_at_a_low_precision(capsys):
+    code, out, _ = run(capsys, "problem1", "--alpha", "1.001", "--beta", "3", "--x", "0.5",
+                       "--precision", "8", "--no-header")
+    assert code == 0 and json.loads(out)["T"] == 406
+    for alpha in ("1", "1/2"):
+        code, out, err = run(capsys, "problem1", "--alpha", alpha, "--beta", "3", "--x", "0.5",
+                             "--precision", "8")
+        assert code == 4 and out == "" and "alpha must exceed 1" in err
+
+
 @pytest.mark.parametrize("alpha, beta, x", [("2", "4", "1"), ("1.5", "2.25", "0.5")])
 def test_problem1_refuses_dependent_bases(capsys, alpha, beta, x):
     code, out, err = run(capsys, "problem1", "--alpha", alpha, "--beta", beta, "--x", x)

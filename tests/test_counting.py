@@ -712,7 +712,7 @@ def test_explorer_rational_bases():
 
 def _field_requests(monkeypatch):
     """The precisions of the shared fields the explorer and the ladder ask
-    for, in order; each request is one rung or the precondition check."""
+    for, in order; each request is one rung."""
     requests = []
 
     def spy(prec):
@@ -729,7 +729,7 @@ def test_explorer_decides_rational_ties_exactly(monkeypatch):
     # rational bases one scan at the first rung counts it
     fields = _field_requests(monkeypatch)
     assert count_real_power_pairs("1.1", "2", "0.1").pairs == ((0, 0), (1, 0), (7, 1))
-    assert fields == [200, 200]
+    assert fields == [200]
     # 1.5^2 - 2^1 = 1/4 counts at x = 1/4 and not at x = 1/4 - 10^-60
     assert (2, 1) in count_real_power_pairs("1.5", "2", "0.25").pairs
     below = Fraction(1, 4) - Fraction(1, 10**60)
@@ -749,6 +749,18 @@ def test_explorer_preconditions():
         count_real_power_pairs("0.5", "2", 5)
 
 
+def test_explorer_decides_the_bases_exceed_one_exactly():
+    # 1.001 > 1 is exact, so a start of 8 bits, which cannot tell 1.001 from
+    # 1, climbs the ladder and counts what 16 bits count
+    low, high = (count_real_power_pairs("1.001", "3", "0.5", bits) for bits in (8, 16))
+    assert low.T == high.T == 406 and low.pairs == high.pairs
+    for base in ("1", "1/2"):
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            count_real_power_pairs(base, "3", "0.5", 8)
+        with pytest.raises(ValueError, match="beta must exceed 1"):
+            count_real_power_pairs("3", base, "0.5", 8)
+
+
 @pytest.mark.parametrize("alpha, beta, relation", [
     ("2", "4", "alpha^2 = beta^1"), ("1.5", "2.25", "alpha^2 = beta^1"),
     ("4", "2", "alpha^1 = beta^2"), ("8", "32", "alpha^5 = beta^3")])
@@ -762,7 +774,7 @@ def test_explorer_refuses_dependent_rational_bases(alpha, beta, relation):
 def test_explorer_climbs_one_ladder_per_scan(monkeypatch):
     fields = _field_requests(monkeypatch)
     assert count_real_power_pairs("pi", "e", 1000).T == 53
-    assert fields == [200, 200]         # the precondition check, then one scan
+    assert fields == [200]              # one scan; the preconditions need no field
     # pi^2 - e exceeds 7.1513 by 2.3e-5, which a 16-bit cap cannot decide:
     # the refusal names the pair
     assert (2, 1) not in count_real_power_pairs("pi", "e", "7.1513").pairs

@@ -70,6 +70,12 @@ def test_relative_imports_form_no_cycle():
             visit(name, [name])
 
 
+def test_zpoly_imports_nothing_from_the_package():
+    # the base layer under quadratic, _roots, spectral and heights: an import
+    # upwards forms no cycle yet, so the cycle test alone would not see it
+    assert [node.lineno for node, _ in relative_imports(parsed_modules()["_zpoly"])] == []
+
+
 def module_level_imports(package):
     """'module.py:line' of every import of ``package`` that runs at import time."""
     eager = []

@@ -243,8 +243,8 @@ IMAG3 = LinearRecurrence("imag3", (3, -3, 9, -1, 3), (0, 0, 0, 0, 1))   # (x - 3
 
 def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
     # the seeds replace sympy's complex isolation, also for roots on Re = 0:
-    # no complex intervals call; each characteristic polynomial of degree
-    # >= 3 meets the square-free split, the first step of factoring, once
+    # no complex intervals call; each characteristic polynomial, of any
+    # degree, meets the square-free split, the first step of factoring, once
     spectral._cached_analysis.cache_clear()
     _roots._factor.cache_clear()
     _roots._seed_rectangles.cache_clear()
@@ -256,6 +256,7 @@ def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
         return square_free(coeffs)
 
     monkeypatch.setattr(_roots, "square_free", factor_spy)
+    analyze_sequence(LinearRecurrence("fib", (1, 1), (0, 1)))
     analyze_sequence(LinearRecurrence("trib_a", (1, 1, 1), (0, 0, 1)))
     analyze_sequence(LinearRecurrence("trib_b", (1, 1, 1), (1, 1, 1)))
     analyze_sequence(LinearRecurrence("tetra", (1, 1, 1, 1), (0, 0, 0, 1)))
@@ -263,8 +264,8 @@ def test_cold_analyses_isolate_and_factor_each_polynomial_once(monkeypatch):
         analyze_sequence(LinearRecurrence("k%d" % k, (1,) * k, (0,) * (k - 1) + (1,)))
     analyze_sequence(IMAG3)
 
-    assert factored == Counter({TRIB: 1, TETRA: 1, kbonacci(5): 1, kbonacci(8): 1,
-                                kbonacci(12): 1, (1, -3, 3, -9, 1, -3): 1})
+    assert factored == Counter({(1, -1, -1): 1, TRIB: 1, TETRA: 1, kbonacci(5): 1,
+                                kbonacci(8): 1, kbonacci(12): 1, (1, -3, 3, -9, 1, -3): 1})
     assert complex_calls == []
 
 
@@ -361,7 +362,8 @@ def _sympy_factor_list(coeffs):
 def test_low_degree_factoring_matches_sympy():
     # every coefficient tuple of length <= 3 in -12..12: leading zeros, zero
     # and constant polynomials, contents, square discriminants and repeated
-    # linear factors (x^2 - 2x + 1 = (x - 1)^2) all take the exact path
+    # linear factors (x^2 - 2x + 1 = (x - 1)^2) take the one factoring path,
+    # Yun's split and Berlekamp–Zassenhaus, as every degree does
     for length in (1, 2, 3):
         for coeffs in itertools.product(range(-12, 13), repeat=length):
             assert _roots._factor.__wrapped__(coeffs) == tuple(_sympy_factor_list(coeffs)), coeffs
