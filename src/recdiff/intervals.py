@@ -11,6 +11,14 @@ step; ``IntervalField.real`` rounds integers and fractions the way mpmath's
 conversion does, without its generic dispatch.  Comparisons are
 three-valued: helpers below return True only when the relation holds for
 *every* point of the operands, so a True answer is a certificate.
+
+A ball ``(m, r, e)``, with integers m and r >= 0, is the real interval
+[(m - r) 2^e, (m + r) 2^e] (midpoint-radius arithmetic, as in Arb).  Balls
+carry a hot loop at one precision on plain integers: a product keeps at most
+``prec`` bits, rounds its midpoint once and adds that rounding to its
+radius only when a nonzero bit was dropped, so powers of 2 or 3 stay exact
+while they fit; a sum aligns exponents exactly and does not round.  They
+convert from and to raw interval tuples at the ends of such a loop.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
     from_int,
+    from_man_exp,
     fzero,
     mpf_le,
     mpi_add,
@@ -304,6 +313,60 @@ class ComplexBox:
 
     def __repr__(self):
         return "ComplexBox(%s, %s)" % (self.re, self.im)
+
+
+# -- integer balls ---------------------------------------------------------
+
+def ball_from_mpi(x):
+    """The ball enclosing exactly the raw finite interval tuple ``x``."""
+    lo, hi = x
+    (s1, m1, e1, b1), (s2, m2, e2, b2) = lo, hi
+    if b1 < 0 or b2 < 0:
+        raise ValueError("an infinite or nan endpoint has no ball")
+    if lo == hi:
+        return (-m1 if s1 else m1), 0, e1
+    e = min(e1, e2) - 1         # both ends even at 2^e: midpoint and radius are exact
+    a, b = (-m1 if s1 else m1) << (e1 - e), (-m2 if s2 else m2) << (e2 - e)
+    return (a + b) >> 1, (b - a) >> 1, e
+
+
+def ball_to_mpi(x, prec):
+    """The raw interval tuple of ``x``, its ends rounded outward to ``prec`` bits."""
+    m, r, e = x
+    return (from_man_exp(m - r, e, prec, round_floor),
+            from_man_exp(m + r, e, prec, round_ceiling))
+
+
+def ball_mul(x, y, prec):
+    """x y, its midpoint and radius cut to ``prec`` bits: the midpoint is
+    rounded down and the radius up, plus one unit when the midpoint lost a
+    nonzero bit."""
+    a, ra, ea = x
+    b, rb, eb = y
+    m, e = a * b, ea + eb
+    r = abs(a) * rb + ra * abs(b) + ra * rb if ra or rb else 0
+    s = (abs(m) | r).bit_length() - prec
+    if s > 0:
+        r = -(-r >> s) + (m & ((1 << s) - 1) != 0)
+        m >>= s
+        e += s
+    return m, r, e
+
+
+def ball_add(x, y):
+    """x + y, exactly."""
+    a, ra, ea = x
+    b, rb, eb = y
+    if ea > eb:
+        d = ea - eb
+        return (a << d) + b, (ra << d) + rb, eb
+    d = eb - ea
+    return a + (b << d), ra + (rb << d), ea
+
+
+def ball_neg(x):
+    m, r, e = x
+    return -m, r, e
 
 
 def poly_eval_box(coeffs, z: ComplexBox) -> ComplexBox:

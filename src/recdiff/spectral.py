@@ -11,14 +11,14 @@ an integer, so the loop's verdict comes without its cost.
 ``analyze_sequence`` is the one entry point: it climbs ``intervals.ladder``
 once for all four stages.
 
-Within one rung the Binet check loop's real parts on raw interval tuples,
-a_i(n) root_i^n per real root and 2 Re(a_i(n) root_i^n) per conjugate
-pair, are the one stream every later stage reads: the envelope's window and
-its exact check take its rows for n <= _CHECK_BOUND as they are and
-continue its running powers past it, so each part is computed once.  The
-rows are dropped with the rung and never kept on an analysis.  The exact
-check tests the squared remainder against the exact square of its bound,
-which decides as the interval square root would without taking it.
+Within one rung the Binet check loop's real parts on integer balls
+(``intervals.ball_mul``), a_i(n) root_i^n per real root and
+2 Re(a_i(n) root_i^n) per conjugate pair, are the one stream every later
+stage reads: the envelope's window and its exact check take its rows for
+n <= _CHECK_BOUND as they are and continue its running powers past it, so
+each part is computed once.  The rows are dropped with the rung and never
+kept on an analysis.  The check loop pins U_n and the exact check tests the
+envelope's inequalities by comparing integers, against the exact constants.
 """
 
 from __future__ import annotations
@@ -29,23 +29,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath.libmp import (
-    fone,
     from_int,
-    mpf_abs,
     mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_neg,
-    mpf_shift,
-    mpf_sub,
     mpi_abs,
     mpi_add,
     mpi_mul,
     mpi_neg,
     mpi_pow_int,
     mpi_sub,
-    round_ceiling,
-    round_floor,
 )
 
 from ._roots import (
@@ -57,9 +48,13 @@ from ._roots import (
 from ._zpoly import negated, primitive
 from .errors import NoDominantRoot, RootNotLargerThanOne
 from .intervals import (
-    _ZERO,
     ComplexBox,
     IntervalField,
+    ball_add,
+    ball_from_mpi,
+    ball_mul,
+    ball_neg,
+    ball_to_mpi,
     certainly_greater,
     certainly_le,
     certainly_less,
@@ -77,6 +72,7 @@ _CHECK_BOUND = 200         # Binet reconstruction pinned to U_n for n <= _CHECK_
 _VERIFY_TO = 500           # envelope inequalities checked exactly for n0 <= n <= _VERIFY_TO
 _WINDOW = 64               # smallest envelope window, largest n0 on it
 _WINDOW_CAP = 4096         # largest envelope window
+_BALL_ONE, _BALL_ZERO = (1, 0, 0), (0, 0, 0)
 
 
 @dataclass(eq=False)
@@ -289,24 +285,25 @@ def _real_coefficients(field, roots, grouped):
     pair takes the exact conjugates of its mirror's boxes (same minimal
     polynomial, exactly mirrored box; isolation gives every non-real root
     one, so a KeyError here is an internal error).  A column is (root index,
-    raw real parts of its boxes, imaginary parts or None, raw root).
+    the balls of its boxes' real parts, of their imaginary parts or None,
+    the root's ball or (real, imaginary) pair of balls).
     """
     where = {(r.min_poly, r.box.re._mpi_, r.box.im._mpi_): i for i, r in enumerate(roots)}
     zero = field.real(0)
     coefficients, columns = [], []
     for i, (root, group) in enumerate(zip(roots, grouped)):
-        re = tuple(c.re._mpi_ for c in group)
+        re = tuple(ball_from_mpi(c.re._mpi_) for c in group)
         if root.is_real:
             coefficients.append(tuple(field.box_from_intervals(c.re, zero) for c in group))
-            columns.append((i, re, None, root.box.re._mpi_))
+            columns.append((i, re, None, ball_from_mpi(root.box.re._mpi_)))
             continue
         mirror = where[root.min_poly, root.box.re._mpi_, mpi_neg(root.box.im._mpi_)]
         if mirror < i:
             coefficients.append(tuple(c.conjugate() for c in coefficients[mirror]))
             continue
         coefficients.append(group)
-        columns.append((i, re, tuple(c.im._mpi_ for c in group),
-                        (root.box.re._mpi_, root.box.im._mpi_)))
+        columns.append((i, re, tuple(ball_from_mpi(c.im._mpi_) for c in group),
+                        (ball_from_mpi(root.box.re._mpi_), ball_from_mpi(root.box.im._mpi_))))
     return coefficients, columns
 
 
@@ -338,46 +335,59 @@ def _binet_at(seq, spectrum, field):
     decomp = BinetDecomposition(spectrum, tuple(grouped), exact)
     if _check_fails_at_bound(decomp, field):
         return None
-    prec, one = field.prec, (fone, fone)
-    powers = [one if im is None else (one, _ZERO) for _, _, im, _ in columns]
+    prec = field.prec
+    powers = [_BALL_ONE if im is None else (_BALL_ONE, _BALL_ZERO) for _, _, im, _ in columns]
     rows = []
-    for n in range(_CHECK_BOUND + 1):
+    for n, term in enumerate(seq.terms(_CHECK_BOUND + 1)):
         rows.append(_stream_row(columns, powers, n, prec))
-        lo, hi = functools.reduce(lambda s, t: mpi_add(s, t, prec), rows[-1])
-        term = seq.term(n)
-        if not (mpf_lt(from_int(term - 1, prec, round_ceiling), lo)
-                and mpf_lt(hi, from_int(term + 1, prec, round_floor))):
+        # pinned when t - 1 < lower end <= upper end < t + 1 for the row's sum
+        if _le(1, 0, *_distance(term, functools.reduce(ball_add, rows[-1]))):
             return None
     return decomp, (columns, rows, powers)
 
 
 def _stream_row(columns, powers, n, prec):
-    """The parts of ``columns`` at n, given their roots' powers at n, which
-    it advances to n + 1 in place: a(n) r^n at a real root, and
+    """The parts of ``columns`` at n as balls, given their roots' powers at
+    n, which it advances to n + 1 in place: a(n) r^n at a real root, and
     2 Re(a(n) r^n) = 2 (Re a(n) Re r^n - Im a(n) Im r^n) at a conjugate
     pair, whose later root adds the conjugate product; doubling is exact."""
     row = []
     for c, (_, re, im, root) in enumerate(columns):
         a, power = _poly_at(re, n, prec), powers[c]
         if im is None:
-            row.append(mpi_mul(a, power, prec))
-            powers[c] = mpi_mul(power, root, prec)
+            row.append(ball_mul(a, power, prec))
+            powers[c] = ball_mul(power, root, prec)
             continue
         (p, q), (r, s) = power, root
-        lo, hi = mpi_sub(mpi_mul(a, p, prec), mpi_mul(_poly_at(im, n, prec), q, prec), prec)
-        row.append((mpf_shift(lo, 1), mpf_shift(hi, 1)))
-        powers[c] = (mpi_sub(mpi_mul(p, r, prec), mpi_mul(q, s, prec), prec),
-                     mpi_add(mpi_mul(p, s, prec), mpi_mul(q, r, prec), prec))
+        b = _poly_at(im, n, prec)
+        m, rad, e = ball_add(ball_mul(a, p, prec), ball_neg(ball_mul(b, q, prec)))
+        row.append((m, rad, e + 1))
+        powers[c] = (ball_add(ball_mul(p, r, prec), ball_neg(ball_mul(q, s, prec))),
+                     ball_add(ball_mul(p, s, prec), ball_mul(q, r, prec)))
     return row
 
 
 def _poly_at(coeffs, n, prec):
     """a(n) by Horner's rule, as ``coefficient_value`` takes it, from the
-    raw intervals of a(X)'s coefficients, lowest degree first."""
-    acc, point = coeffs[-1], (from_int(n),) * 2
+    balls of a(X)'s coefficients, lowest degree first."""
+    acc, point = coeffs[-1], (n, 0, 0)
     for c in coeffs[-2::-1]:
-        acc = mpi_add(mpi_mul(acc, point, prec), c, prec)
+        acc = ball_add(ball_mul(acc, point, prec), c)
     return acc
+
+
+def _le(a, ea, b, eb) -> bool:
+    """a 2^ea <= b 2^eb, for integers a and b."""
+    return a << (ea - eb) <= b if ea >= eb else a <= b << (eb - ea)
+
+
+def _distance(t, ball):
+    """(d, e): d 2^e is the largest distance from the integer t to a point
+    of ``ball``, exactly."""
+    m, r, e = ball
+    if e >= 0:
+        return abs(t - (m << e)) + (r << e), 0
+    return abs((t << -e) - m) + r, e
 
 
 def _binet_parts(products, keep, start, stop, prec):
@@ -566,7 +576,7 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max
         window_sup = Fraction(0)
         ap_pow = field.real(1)
         for parts in _binet_parts(products, others, 0, n_seg, field.prec):
-            tail = functools.reduce(lambda s, t: mpi_add(s, t, field.prec), parts)
+            tail = ball_to_mpi(functools.reduce(ball_add, parts), field.prec)
             tail = field.ctx.make_mpf(mpi_abs(tail)) / ap_pow
             window_sup = max(window_sup, interval_sup_fraction(tail))
             ap_pow = ap_pow * ap
@@ -635,9 +645,9 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max
 
     ratio_min = None
     alpha_pow = field.real(1)
-    for n in range(n_seg + 1):
+    for n, term in enumerate(seq.terms(n_seg + 1)):
         if n >= n0:
-            r = field.real(abs(seq.term(n))) / alpha_pow
+            r = field.real(abs(term)) / alpha_pow
             v = interval_inf_fraction(r)
             ratio_min = v if ratio_min is None else min(ratio_min, v)
         alpha_pow = alpha_pow * mod_alpha
@@ -656,49 +666,36 @@ def _verify_envelope(env, decomp, field, products):
     """Exact check of both envelope inequalities and the remainder bound for
     n0 <= n <= env.verified_to.
 
-    Each step works on mpmath's raw endpoints and computes only the endpoint
-    a test reads: the bounds are products of positive intervals, so that
-    endpoint is the ``mpf_mul`` with the rounding ``mpi_mul`` would use, and
-    n^0 is not multiplied in.  U_n is rounded once,
-    to its (floor, ceiling) pair, which gives |U_n| and the remainder
-    U_n - a(n) alpha^n.  The remainder test compares the upper end s of its
-    square with b*b, exactly, where b is the lower end of a' alpha'^n: b is
-    a nonnegative float of the field's precision and ``mpf_sqrt`` rounds
-    correctly, so sqrt(s) rounded up is <= b exactly when s <= b*b, and the
-    verdict is the interval square root's.  a(n) alpha^n is read from the
-    stream as one real tuple: a dominant root is real (a non-real one ties
-    with its conjugate), so the remainder is real too.
+    |alpha|^n and alpha'^n are running ball products from the balls of
+    |alpha| and alpha', and a(n) alpha^n is read from the stream as one real
+    ball: a dominant root is real (a non-real one ties with its conjugate).
+    Each inequality compares integers against the exact c_lower, c_upper
+    and a_prime: c_lower times the upper end of |alpha|^n, c_upper n^sigma
+    times its lower end, and a_prime times the lower end of alpha'^n, with
+    the largest distance from U_n to the stream's ball.
     """
-    seq = decomp.sequence
-    dom, sigma, n0 = env.certificate.root_index, env.sigma, env.n0
+    dom, n0, top = env.certificate.root_index, env.n0, env.verified_to
     prec = field.prec
-    mod_alpha = decomp.spectrum.roots[dom].modulus()._mpi_
-    cl = field.real(env.c_lower)._mpi_[1]
-    cu = field.real(env.c_upper)._mpi_[0]
-    ap = field.real(env.alpha_prime)._mpi_
-    apr = field.real(env.a_prime)._mpi_[0]
-    pow_lo, pow_hi = mpi_pow_int(mod_alpha, n0, prec)
-    ap_pow = mpi_pow_int(ap, n0, prec)[0]
-    parts = _binet_parts(products, [dom], n0, env.verified_to, prec)
-    for n, ((p_lo, p_hi),) in enumerate(parts, n0):
-        term = seq.term(n)
-        t_lo, t_hi = from_int(term, prec, round_floor), from_int(term, prec, round_ceiling)
-        u_lo, u_hi = (t_lo, t_hi) if term >= 0 else (mpf_neg(t_hi), mpf_neg(t_lo))
-        if not mpf_le(mpf_mul(cl, pow_hi, prec, round_ceiling), u_lo):
+    alpha = ball_from_mpi(decomp.spectrum.roots[dom].modulus()._mpi_)
+    ap = ball_from_mpi(field.real(env.alpha_prime)._mpi_)
+    alpha_pow = ap_pow = _BALL_ONE
+    for _ in range(n0):
+        alpha_pow, ap_pow = ball_mul(alpha_pow, alpha, prec), ball_mul(ap_pow, ap, prec)
+    cl, cl_den = env.c_lower.as_integer_ratio()
+    cu, cu_den = env.c_upper.as_integer_ratio()
+    apr, apr_den = env.a_prime.as_integer_ratio()
+    terms = decomp.sequence.terms(top + 1)
+    for n, (part,) in enumerate(_binet_parts(products, [dom], n0, top, prec), n0):
+        term = terms[n]
+        m, r, e = alpha_pow
+        if not (_le(cl * (m + r), e, cl_den * abs(term), 0)
+                and _le(cu_den * abs(term), 0, cu * n ** env.sigma * (m - r), e)):
             return False
-        upper = cu if sigma == 0 else mpf_mul(cu, from_int(n ** sigma, prec, round_floor),
-                                              prec, round_floor)
-        if not mpf_le(u_hi, mpf_mul(upper, pow_lo, prec, round_floor)):
+        d, de = _distance(term, part)
+        m, r, e = ap_pow
+        if not _le(apr_den * d, de, apr * (m - r), e):
             return False
-        r_lo = mpf_abs(mpf_sub(t_lo, p_hi, prec, round_floor))
-        r_hi = mpf_abs(mpf_sub(t_hi, p_lo, prec, round_ceiling))
-        top = r_hi if mpf_le(r_lo, r_hi) else r_lo
-        bound = mpf_mul(apr, ap_pow, prec, round_floor)
-        if not mpf_le(mpf_mul(top, top, prec, round_ceiling), mpf_mul(bound, bound)):
-            return False
-        pow_lo = mpf_mul(pow_lo, mod_alpha[0], prec, round_floor)
-        pow_hi = mpf_mul(pow_hi, mod_alpha[1], prec, round_ceiling)
-        ap_pow = mpf_mul(ap_pow, ap[0], prec, round_floor)
+        alpha_pow, ap_pow = ball_mul(alpha_pow, alpha, prec), ball_mul(ap_pow, ap, prec)
     return True
 
 

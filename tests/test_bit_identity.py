@@ -65,9 +65,9 @@ BATCH_5_7 = [
     ("reducible-quartic-1", (0, 0, 3, 2), (0, 9, 9, 6)),
     ("kbonacci-8", (1,) * 8, (0,) * 7 + (1,)),
 ]
-DIGEST = "862822785b4a1f7ced2fadd188882e3a75eefb1ddcc11610746b8c3837001f8a"
-DIGEST_5_7 = "8be5aad349978ded32507a976c721f43fee4f5386035fd1fa214012823f9417b"
-SEED_PATH_DIGEST = "4184e8101763cf40033fba3cc868c44d276a24dc9717417770985defcf94f068"
+DIGEST = "e2ad6c357f4d80b2d290310d65fe0d8181d68592bb7ee2a1ca99bf48da14a4eb"
+DIGEST_5_7 = "243adff125f101b74080067ac4762393328ce26e302d4da2cc27c97127a1eeaa"
+SEED_PATH_DIGEST = "308851b59ce39707461d8819e047eb65ba10167af127a568524368927dd24d45"
 
 
 def raw_box(box):
@@ -123,6 +123,18 @@ def test_seed_5_and_7_analyses_are_bit_identical():
 
 def test_seed_path_is_bit_identical():
     assert seed_path_digest() == SEED_PATH_DIGEST
+
+
+def test_every_analysis_certifies_at_its_pinned_rung():
+    # the rungs on their own, so that a digest re-pinned for a moved low bit
+    # of a constant cannot hide a moved rung
+    assert [a.spectrum.precision_bits for a in analyses(BATCH)] == \
+        [512, 512, 512, 512, 512, 256, 512, 512, 256, 512, 256]
+    assert [a.spectrum.precision_bits for a in analyses(BATCH_5_7)] == \
+        [512, 512, 512, 512, 256, 256, 512, 512, 512, 512, 256, 512, 512, 256, 512]
+    assert {name: analyze_sequence(seq).spectrum.precision_bits
+            for name, seq in BUILTIN_SEQUENCES.items()} == \
+        {"fib": 256, "lucas": 256, "pow2": 256, "pow3": 512, "tribonacci": 512}
 
 
 def test_cached_analysis_keeps_no_binet_rows():

@@ -4,11 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpi_mul
+from mpmath.libmp import from_man_exp, mpi_mul, round_ceiling, round_floor
 
 from recdiff.intervals import (
     _ZERO,
     IntervalField,
+    ball_add,
+    ball_from_mpi,
+    ball_mul,
+    ball_neg,
+    ball_to_mpi,
     certainly_greater,
     certainly_le,
     certainly_less,
@@ -188,3 +193,82 @@ def test_product_of_real_boxes_is_real(prec, ends):
     product = x * y
     assert product.im._mpi_ == _ZERO
     assert product.re._mpi_ == mpi_mul(x.re._mpi_, y.re._mpi_, prec)
+
+
+def _dyadic(man, exp):
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _ends(ball):
+    """The exact ends of a ball (m, r, e)."""
+    m, r, e = ball
+    return _dyadic(m - r, e), _dyadic(m + r, e)
+
+
+def _raw_ends(x):
+    """The exact ends of a raw interval tuple."""
+    return tuple(_dyadic(-man if sign else man, exp) for sign, man, exp, _ in x)
+
+
+_balls = st.tuples(st.integers(-2 ** 1100, 2 ** 1100), st.integers(0, 2 ** 1100),
+                   st.integers(-3000, 3000))
+_small_balls = st.tuples(st.integers(-2 ** 40, 2 ** 40), st.integers(0, 3),
+                         st.integers(-3000, 3000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prec=st.integers(64, 1024), x=st.one_of(_balls, _small_balls),
+       y=st.one_of(_balls, _small_balls))
+def test_ball_operations_enclose_the_exact_results(prec, x, y):
+    # a product encloses the four products of the ends, which bound the
+    # exact product set, and keeps at most prec bits; a sum and a negation
+    # are exact
+    (xl, xh), (yl, yh) = _ends(x), _ends(y)
+    product = ball_mul(x, y, prec)
+    lo, hi = _ends(product)
+    assert all(lo <= u * v <= hi for u in (xl, xh) for v in (yl, yh))
+    assert (abs(product[0]) | product[1]).bit_length() <= prec
+    assert _ends(ball_add(x, y)) == (xl + yl, xh + yh)
+    assert _ends(ball_neg(x)) == (-xh, -xl)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prec=st.integers(64, 1024), ball=st.one_of(_balls, _small_balls),
+       mans=st.lists(st.integers(-2 ** 1024, 2 ** 1024), min_size=2, max_size=2),
+       exps=st.lists(st.integers(-3000, 3000), min_size=2, max_size=2))
+def test_ball_conversions_enclose_exactly(prec, ball, mans, exps):
+    # a raw interval of prec-bit ends becomes the ball of exactly those ends;
+    # a ball becomes the raw interval of its ends rounded outward to prec bits
+    ends = sorted((from_man_exp(m, e, prec, round_floor) for m, e in zip(mans, exps)),
+                  key=lambda end: _raw_ends((end,))[0])
+    raw = tuple(ends)
+    assert _ends(ball_from_mpi(raw)) == _raw_ends(raw)
+    assert _ends(ball_from_mpi((raw[0], raw[0]))) == (_raw_ends(raw)[0],) * 2
+    m, r, e = ball
+    lo, hi = ball_to_mpi(ball, prec)
+    assert lo == from_man_exp(m - r, e, prec, round_floor)
+    assert hi == from_man_exp(m + r, e, prec, round_ceiling)
+    (low, high), (exact_low, exact_high) = _raw_ends((lo, hi)), _ends(ball)
+    assert low <= exact_low and exact_high <= high
+    assert lo[3] <= prec and hi[3] <= prec
+
+
+def test_an_infinite_end_has_no_ball():
+    inf = IntervalField(64).ctx.inf._mpi_
+    with pytest.raises(ValueError):
+        ball_from_mpi(inf)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 512, 1024])
+def test_exact_balls_stay_exact(prec):
+    # powers of 2 keep radius 0 at every size, powers of 3 while they fit
+    # in prec bits; the first power of 3 that does not fit gets a radius
+    two = three = (1, 0, 0)
+    for n in range(1, 2 * prec):
+        two, three = ball_mul(two, (2, 0, 0), prec), ball_mul(three, (3, 0, 0), prec)
+        assert two[1] == 0 and _ends(two) == (2 ** n, 2 ** n)
+        if (3 ** n).bit_length() <= prec:
+            assert three == (3 ** n, 0, 0)
+        else:
+            assert three[1] > 0 and _ends(three)[0] < 3 ** n < _ends(three)[1]
+            break

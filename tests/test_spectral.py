@@ -5,7 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import fzero, mpf_le, mpi_mul, mpi_neg, mpi_pow_int
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_le,
+    mpf_lt,
+    mpf_shift,
+    mpi_add,
+    mpi_mul,
+    mpi_neg,
+    mpi_pow_int,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from recdiff import spectral
 from recdiff.counting import brute_force_oracle, count_T_S
@@ -22,7 +36,7 @@ from recdiff.intervals import (
     upper_float,
 )
 from recdiff.quadratic import QuadraticElement, quadratic_roots
-from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
+from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence, minimal_recurrence
 from recdiff.spectral import _spectrum_at, analyze_sequence
 
 FIB = BUILTIN_SEQUENCES["fib"]
@@ -386,6 +400,84 @@ def test_envelope_check_decides_as_the_square_root_loop_on_every_rung(monkeypatc
                 (decomp.sequence.name, field.prec)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def _check_loop_by_intervals(seq, decomp, field):
+    """The Binet check loop on mpmath's raw interval tuples: a(n) r^n per
+    real root and 2 Re(a(n) r^n) per conjugate pair (its root above the
+    axis) by ``mpi_mul``, the row summed by ``mpi_add``, and U_n pinned
+    between t - 1 rounded up and t + 1 rounded down: the first n not
+    pinned, or None when every n up to _CHECK_BOUND is."""
+    prec, roots = field.prec, decomp.spectrum.roots
+
+    def mul(x, y):
+        return mpi_mul(x, y, prec)
+
+    def value(coeffs, n):           # a(n) by Horner's rule, lowest degree first
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = mpi_add(mul(acc, (from_int(n),) * 2), c, prec)
+        return acc
+
+    columns = [i for i, r in enumerate(roots) if r.is_real or bool(r.box.im.a > 0)]
+    powers = {i: ((fone, fone), (fzero, fzero)) for i in columns}
+    for n in range(spectral._CHECK_BOUND + 1):
+        total = None
+        for i in columns:
+            coeffs, root = decomp.coefficients[i], roots[i].box
+            (p, q), (r, s) = powers[i], (root.re._mpi_, root.im._mpi_)
+            re = value([c.re._mpi_ for c in coeffs], n)
+            if roots[i].is_real:
+                part, powers[i] = mul(re, p), (mul(p, r), q)
+            else:
+                lo, hi = mpi_sub(mul(re, p), mul(value([c.im._mpi_ for c in coeffs], n), q), prec)
+                part = (mpf_shift(lo, 1), mpf_shift(hi, 1))
+                powers[i] = (mpi_sub(mul(p, r), mul(q, s), prec),
+                             mpi_add(mul(p, s), mul(q, r), prec))
+            total = part if total is None else mpi_add(total, part, prec)
+        term = seq.term(n)
+        if not (mpf_lt(from_int(term - 1, prec, round_ceiling), total[0])
+                and mpf_lt(total[1], from_int(term + 1, prec, round_floor))):
+            return n
+    return None
+
+
+def test_ball_check_loop_pins_as_the_interval_loop(monkeypatch):
+    # the seed-1 batch of the spectral-cold benchmark and every builtin, at
+    # 256 and 512 bits, with the early refusal off: the check loop on balls
+    # accepts a rung exactly when the loop on interval tuples does; a
+    # refused rung fails at the same n in both, or one step earlier on balls
+    # (the reducible cubics at 256 bits), never later
+    from test_bit_identity import BATCH
+
+    seqs = [LinearRecurrence(*spec) for spec in BATCH] + list(BUILTIN_SEQUENCES.values())
+    step, reached, steps = spectral._stream_row, [], []
+
+    def refusal_spy(decomp, field):
+        reached.append(decomp)
+        return False
+
+    def step_spy(columns, powers, n, prec):
+        steps.append(n)
+        return step(columns, powers, n, prec)
+
+    monkeypatch.setattr(spectral, "_check_fails_at_bound", refusal_spy)
+    monkeypatch.setattr(spectral, "_stream_row", step_spy)
+    failed_at = {}
+    for bits in (256, 512):
+        field = IntervalField(bits)
+        for seq in seqs:
+            minimal = minimal_recurrence(seq)
+            reached.clear()
+            steps.clear()
+            found = spectral._binet_at(minimal, _spectrum_at(minimal, field), field)
+            assert len(reached) == 1, (seq.name, bits)
+            got = None if found is not None else steps[-1]
+            want = _check_loop_by_intervals(minimal, reached[0], field)
+            assert got == want or want is not None and got == want - 1, (seq.name, bits)
+            failed_at[seq.name, bits] = got
+    assert failed_at["pow3", 256] is not None and failed_at["pow3", 512] is None
+    assert failed_at["tribonacci", 256] is not None and failed_at["pow2", 256] is None
 
 
 @pytest.mark.parametrize("seq", [FIB, TRIB, N2N, LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1))],
