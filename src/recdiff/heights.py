@@ -25,7 +25,7 @@ from .intervals import (
     midpoint_float,
     width_float,
 )
-from .quadratic import QuadraticElement, factor_integer
+from .quadratic import QuadraticElement, _integer_root
 
 _HEIGHT_WIDTH = 2.0 ** -64      # log_height climbs the ladder until h is this narrow
 _HEIGHT_START_BITS = 192
@@ -37,9 +37,15 @@ def _is_reciprocal(coeffs) -> bool:
 
 
 def _totient(m: int) -> int:
-    for p in factor_integer(m):
-        m = m // p * (p - 1)
-    return m
+    """Euler's phi(m) by trial division (m <= 2 deg^2 here)."""
+    phi, p = m, 2
+    while p * p <= m:
+        if m % p == 0:
+            phi = phi // p * (p - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return phi // m * (m - 1) if m > 1 else phi
 
 
 def _is_cyclotomic(coeffs) -> bool:
@@ -111,19 +117,6 @@ def _ratio_log_over(height_arg: int, k: int) -> float:
     if root ** k == height_arg:
         return math.log(root)
     return math.log(height_arg) / k
-
-
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by integer Newton steps from a
-    power of two above the root (floats would overflow past 1e308)."""
-    if n < 2 or k == 1:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
 
 
 def exact_power_quotient(alpha: AlgebraicNumber, beta: AlgebraicNumber,

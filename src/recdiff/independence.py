@@ -10,10 +10,12 @@ A relation alpha^n = beta^m with (n, m) != (0, 0) is decided in two steps:
    their field norms, every other pair through the inputs' smallest rational
    powers (a rational is its own first power; a quadratic number with no
    rational power has no relation with a rational or another field).  A
-   relation puts the exponents on the lattice where the prime exponent
-   vectors of the two rationals agree, and the lattice generator is checked
-   exactly: a relation up to sign, up to a root of unity (each one in a
-   quadratic field has order dividing 12), or none.
+   relation |r|^n = |s|^m between two rationals needs |r| = t^k and
+   |s| = t^l for one t that is no perfect power, found by exact k-th roots
+   without factoring, and puts (n, m) on the multiples of (l, k) / gcd(k, l);
+   the lattice generator is checked exactly: a relation up to sign, up to a
+   root of unity (each one in a quadratic field has order dividing 12), or
+   none.
 
 In degree > 2 only one case is decided: two boxes of the same root of one
 minimal polynomial give alpha^1 = beta^1.  Other degree > 2 inputs, and the
@@ -26,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ._roots import AlgebraicNumber
 from .errors import PrecisionExhausted, UnsupportedDegree
 from .intervals import _field_at, interval_inf_fraction, interval_sup_fraction, ladder
-from .quadratic import QuadraticElement, factor_integer
+from .quadratic import QuadraticElement, _integer_root
 
 
 _CONJUGATE_BITS = 192       # first rung of the conjugate boxes in _same_root
@@ -72,7 +75,7 @@ class IndependenceResult:
 
 
 def _sign(p: Fraction, q: Fraction, d: int) -> int:
-    """Exact sign of p + q sqrt(d) for a squarefree d > 1."""
+    """Exact sign of p + q sqrt(d) for a non-square d > 1."""
     sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
     if sp * sq >= 0:
         return sp or sq
@@ -89,13 +92,18 @@ def _modulus_gt_one(value: QuadraticElement) -> bool:
     return _sign(a - 1, b, d) > 0 or _sign(a + 1, b, d) < 0
 
 
-def _prime_vector(x: Fraction) -> dict:
-    vec = {}
-    for p, e in factor_integer(abs(x.numerator)).items():
-        vec[p] = vec.get(p, 0) + e
-    for p, e in factor_integer(x.denominator).items():
-        vec[p] = vec.get(p, 0) - e
-    return {p: e for p, e in vec.items() if e != 0}
+def _power_base(x: Fraction):
+    """(t, k) with x = t^k for a rational x > 0 (t = k = 1 for x = 1): t > 1
+    is no perfect power and k != 0, found by exact k-th roots, largest first."""
+    if x < 1:
+        t, k = _power_base(1 / x)
+        return t, -k
+    num, den = x.numerator, x.denominator
+    for k in range(num.bit_length(), 1, -1):
+        root_num, root_den = _integer_root(num, k), _integer_root(den, k)
+        if root_num ** k == num and root_den ** k == den:
+            return Fraction(root_num, root_den), k
+    return x, 1
 
 
 def _same_root(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> bool:
@@ -120,14 +128,14 @@ def _same_root(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> bool:
 
 
 def _rational_relation(r: Fraction, s: Fraction):
-    """Minimal (n0, m0) with |r|^n0 = |s|^m0 and n0, m0 > 0, or None (the
-    prime exponent vectors are not positively proportional)."""
-    vr, vs = _prime_vector(abs(r)), _prime_vector(abs(s))
-    ratios = {Fraction(vs[p], vr[p]) for p in vr} if set(vr) == set(vs) else set()
-    if len(ratios) != 1 or min(ratios) <= 0:
+    """Minimal (n0, m0) with |r|^n0 = |s|^m0 and n0, m0 > 0, or None: with
+    |r| = t^k and |s| = u^l for t, u no perfect powers, a relation needs
+    t == u and k, l of one sign, and then (n0, m0) = (|l|, |k|) / gcd."""
+    (t, k), (u, l) = _power_base(abs(r)), _power_base(abs(s))
+    if t != u or k * l < 0:
         return None
-    ratio = ratios.pop()
-    return ratio.numerator, ratio.denominator
+    g = gcd(k, l)
+    return abs(l) // g, abs(k) // g
 
 
 def _dependent_from_abs_lattice(alpha: QuadraticElement, beta: QuadraticElement,
@@ -229,7 +237,7 @@ def multiplicative_independence(alpha: AlgebraicNumber,
     found = _relation_candidate(a, b)
     if found is not None:
         return found
-    if a.d == b.d and not a.is_rational:
+    if a.shares_field(b):
         na, nb = a.norm(), b.norm()
         if abs(na) == 1 and abs(nb) == 1:
             return IndependenceResult(

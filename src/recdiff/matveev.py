@@ -209,7 +209,7 @@ def _coeff_poly_abs_inf(cert, from_n):
 def _compositum_degree(alpha, beta) -> int:
     """[Q(alpha, beta):Q] bound: 2 for two roots of one quadratic field, else
     the product of the degrees."""
-    if alpha.degree == beta.degree == 2 and alpha.exact.d == beta.exact.d:
+    if alpha.degree == beta.degree == 2 and alpha.exact.shares_field(beta.exact):
         return 2
     return alpha.degree * beta.degree
 

@@ -1,14 +1,14 @@
 """Exact arithmetic in Q and in quadratic fields Q(sqrt(d)).
 
-Elements are stored as a + b*sqrt(d) with rational a, b and a squarefree
+Elements are stored as a + b*sqrt(d) with rational a, b and a non-square
 integer d (d may be negative; d = 1 encodes a plain rational with b folded
 into a).  Everything here is exact Fraction arithmetic; these elements feed
 the heights module (exact minimal polynomials of compound values) and the
 zero-detection paths in the linear-form machinery.
 
-``factor_integer`` is exact by trial division for the small integers met
-here and hands only a cofactor with no prime factor below its bound to
-sympy, so sympy is not loaded on that path.
+Nothing here factors an integer past trial division, so d is square-free
+only when ``square_free_core`` can tell; one field has many d, and == and
+hash compare values, not d.
 """
 
 from __future__ import annotations
@@ -16,60 +16,59 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from ._zpoly import primitive
 from .errors import UnsupportedDegree
 
-_TRIAL_BOUND = 1 << 16      # trial division is exact below _TRIAL_BOUND ** 2
+_TRIAL_BOUND = 1 << 16      # trial division by the p below it in square_free_core
 
 
-def factor_integer(n: int) -> dict:
-    """Prime factorisation {p: e} of n >= 1, as ``sympy.factorint`` gives it.
-
-    Trial division stops once d * d > n, when the cofactor left is 1 or a
-    prime; a cofactor left at the bound goes to ``sympy.factorint``.
-    """
-    factors = {}
-    d = 2
-    while d * d <= n:
-        if d >= _TRIAL_BOUND:
-            from sympy import factorint
-
-            for p, e in factorint(n).items():
-                factors[int(p)] = int(e)
-            return factors
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors[d] = e
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = 1
-    return factors
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, k >= 1, by integer Newton steps from a
+    power of two above the root (floats would overflow past 1e308)."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @functools.lru_cache(maxsize=256)
 def square_free_core(n: int):
-    """n = core * square^2 with core squarefree; returns (core, square)."""
+    """n = core * square^2, returned as (core, square): trial division by
+    each p < _TRIAL_BOUND strips p^2 and then p, and the cofactor left goes
+    to square when it is a square and to core otherwise.  core is 1 or no
+    square; it is square-free unless that cofactor is at least
+    _TRIAL_BOUND ** 2 (below, it is 1 or a prime)."""
     if n == 0:
         return 0, 1
-    sign = -1 if n < 0 else 1
-    core, square = sign, 1
-    for p, e in factor_integer(abs(n)).items():
-        if e % 2:
+    core, square = (-1 if n < 0 else 1), 1
+    n = abs(n)
+    p = 2
+    while p * p <= n and p < _TRIAL_BOUND:
+        while n % (p * p) == 0:
+            n //= p * p
+            square *= p
+        if n % p == 0:
+            n //= p
             core *= p
-        square *= p ** (e // 2)
-    return core, square
+        p += 1 if p == 2 else 2
+    root = isqrt(n)
+    if root * root == n:
+        return core, square * root
+    return core * n, square
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticElement:
-    """make() brings outside input to one normal form (a rational has b == 0
-    and d == 1), so == is exact equality.  Arithmetic on normal-form elements
-    keeps it without factoring d again."""
+    """make() brings outside input to a normal form: a rational has b == 0
+    and d == 1, an irrational a non-square d.  A field has many d, so == and
+    hash read the value's key (a, b^2 d, b > 0), and arithmetic rewrites the
+    other operand's b into self's d."""
 
     a: Fraction
     b: Fraction
@@ -78,22 +77,14 @@ class QuadraticElement:
     @staticmethod
     def make(a, b=0, d=1) -> "QuadraticElement":
         a, b = Fraction(a), Fraction(b)
-        if b == 0 or d == 1:
-            if d == 1:
-                a, b = a + b, Fraction(0)
-            else:
-                b = Fraction(0)
-            return QuadraticElement(a, b, 1)
-        if d == 0:
-            return QuadraticElement(a, Fraction(0), 1)
-        core, square = square_free_core(d)
-        if core == 1:
-            return QuadraticElement(a + b * square, Fraction(0), 1)
+        core, square = square_free_core(d) if b else (1, 1)
+        if core in (0, 1):          # sqrt(d) = core * square is rational
+            return QuadraticElement(a + b * core * square, Fraction(0), 1)
         return QuadraticElement(a, b * square, core)
 
     @staticmethod
     def _normal(a: Fraction, b: Fraction, d: int) -> "QuadraticElement":
-        """a + b sqrt(d) for a squarefree d, b == 0 folded to a rational."""
+        """a + b sqrt(d) for a non-square d, b == 0 folded to a rational."""
         return QuadraticElement(a, b, d) if b else QuadraticElement(a, Fraction(0), 1)
 
     @staticmethod
@@ -104,16 +95,35 @@ class QuadraticElement:
     def is_rational(self) -> bool:
         return self.b == 0
 
+    def _key(self) -> tuple:
+        return self.a, self.b * self.b * self.d, self.b > 0
+
+    def __eq__(self, other):
+        return isinstance(other, QuadraticElement) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def shares_field(self, other: "QuadraticElement") -> bool:
+        """Both are irrational and lie in one field: d1 d2 is a positive square."""
+        product = self.d * other.d
+        return (not self.is_rational and not other.is_rational and product > 0
+                and isqrt(product) ** 2 == product)
+
     def _check_field(self, other: "QuadraticElement"):
-        if self.d != other.d and not self.is_rational and not other.is_rational:
+        """(d, b') with other = other.a + b' sqrt(d) and d self's d (other's
+        when self is rational): sqrt(d2) = isqrt(d1 d2) / |d1| sqrt(d1)."""
+        if self.is_rational or other.is_rational or self.d == other.d:
+            return (other.d if self.is_rational else self.d), other.b
+        if not self.shares_field(other):
             raise UnsupportedDegree(
                 "mixed quadratic fields Q(sqrt(%d)) and Q(sqrt(%d))" % (self.d, other.d))
-        return self.d if not self.is_rational else other.d
+        return self.d, other.b * isqrt(self.d * other.d) / abs(self.d)
 
     def __add__(self, other):
         other = _coerce(other)
-        d = self._check_field(other)
-        return QuadraticElement._normal(self.a + other.a, self.b + other.b, d)
+        d, b = self._check_field(other)
+        return QuadraticElement._normal(self.a + other.a, self.b + b, d)
 
     __radd__ = __add__
 
@@ -128,10 +138,9 @@ class QuadraticElement:
 
     def __mul__(self, other):
         other = _coerce(other)
-        d = self._check_field(other)
-        a = self.a * other.a + d * self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        return QuadraticElement._normal(a, b, d)
+        d, b = self._check_field(other)
+        return QuadraticElement._normal(self.a * other.a + d * self.b * b,
+                                        self.a * b + self.b * other.a, d)
 
     __rmul__ = __mul__
 
@@ -208,15 +217,5 @@ def quadratic_roots(a: int, b: int, c: int):
     if a == 0:
         raise ValueError("not a quadratic")
     disc = b * b - 4 * a * c
-    core, square = square_free_core(disc)
-    if disc == 0:
-        r = QuadraticElement.from_rational(Fraction(-b, 2 * a))
-        return r, r
-    if core == 1:  # rational roots
-        plus = QuadraticElement.from_rational(Fraction(-b + square, 2 * a))
-        minus = QuadraticElement.from_rational(Fraction(-b - square, 2 * a))
-        return plus, minus
-    half = Fraction(1, 2 * a)
-    plus = QuadraticElement._normal(Fraction(-b, 2 * a), square * half, core)
-    minus = QuadraticElement._normal(Fraction(-b, 2 * a), -square * half, core)
-    return plus, minus
+    return tuple(QuadraticElement.make(Fraction(-b, 2 * a), Fraction(sign, 2 * a), disc)
+                 for sign in (1, -1))

@@ -519,9 +519,7 @@ def _decay_threshold(field, rho, degree) -> int | None:
 
 def _envelope_at(decomp, cert, field, products):
     spectrum = decomp.spectrum
-    seq = spectrum.sequence
     dom = cert.root_index
-    sigma = cert.sigma
     mod_alpha = spectrum.roots[dom].modulus()
     others = [i for i in range(len(spectrum.roots)) if i != dom]
 

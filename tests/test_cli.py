@@ -151,6 +151,19 @@ def test_non_minimal_presentations_analyse_and_count(tmp_path, capsys, coeffs, i
     assert code == 0 and (data["T"], data["S"]) == (oracle.T, oracle.S)
 
 
+def test_huge_discriminant_exits_quickly(tmp_path, capsys):
+    # x^2 - 10^40 x - 1: its discriminant 10^80 + 4 is not factored, so the
+    # analysis reaches the precision cap in well under a second
+    import time
+
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(serialize_sequence_config(LinearRecurrence("huge", (10 ** 40, 1), (0, 1))))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", "--seq-u", str(cfg))
+    assert code == 3 and "precision" in err
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize("init", [(1, 3), (0, 0)], ids=("tie", "zero"))
 def test_genuine_tie_and_zero_sequence_exit_invalid(tmp_path, capsys, init):
     cfg = tmp_path / "refused.cfg"
@@ -326,10 +339,12 @@ print(code, sorted(m for m in sys.modules if m.startswith("sympy")))
 @pytest.mark.parametrize("argv, loads_sympy", [
     (["count", "--seq-u", "fib", "--seq-v", "pow2", "--x", "1e6"], False),
     (["analyze", "--seq-u", "tribonacci", "--seq-v", "pow3"], False),
-], ids=["degree-2-count", "degree-3-analyze"])
+    (["independence", "--alpha", "sqrt(%d)" % (10 ** 80 + 4), "--beta", "2"], False),
+], ids=["degree-2-count", "degree-3-analyze", "huge-sqrt-independence"])
 def test_sympy_is_loaded_only_for_degree_3(argv, loads_sympy):
     # a fresh process: this one has sympy loaded by other tests; a degree-3
-    # analysis factors and isolates in integer code, and loads no sympy either
+    # analysis factors and isolates in integer code, and loads no sympy either,
+    # nor does an independence test whose radicand has a cofactor past 2^32
     import subprocess
     import sys
     proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE] + argv,

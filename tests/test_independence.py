@@ -9,15 +9,23 @@ alpha^(ja p) = +-beta^(jb q); and "degenerate rational power(s)", since
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recdiff._roots import isolate_factor_roots
 from recdiff.errors import UnsupportedDegree
 from recdiff.heights import AlgebraicNumber
-from recdiff.independence import IndependenceResult, _modulus_gt_one, multiplicative_independence
+from recdiff.independence import (
+    IndependenceResult,
+    _modulus_gt_one,
+    _rational_relation,
+    multiplicative_independence,
+)
 from recdiff.intervals import IntervalField
 from recdiff.quadratic import QuadraticElement
 
@@ -190,3 +198,55 @@ def test_modulus_against_one_is_exact():
     assert checked > 800
     assert not _modulus_gt_one(2 - QuadraticElement.make(0, 1, 3))
     assert _modulus_gt_one(-1 - SQRT2)
+
+
+# primes below and above the square free core's trial bound 2^16
+_PRIMES = (2, 3, 5, 7, 65537, 65539, 1000003)
+
+
+def _rational(draw, max_primes, max_exponent):
+    value = Fraction(1)
+    for p in draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=max_primes,
+                           unique=True)):
+        e = draw(st.integers(1, max_exponent))
+        value *= Fraction(p) ** draw(st.sampled_from((e, -e)))
+    return value
+
+
+@st.composite
+def power_pairs(draw):
+    """(r, s) = (+-t^k c, +-t^l c') for a drawn rational t, exponents k and
+    l of either sign and cofactors c, c' that are 1 about half the time."""
+    t = _rational(draw, 3, 3)
+    r, s = (draw(st.sampled_from((1, -1))) * t ** draw(st.integers(-6, 6))
+            * (_rational(draw, 2, 2) if draw(st.booleans()) else 1) for _ in range(2))
+    return r, s
+
+
+def _relation_by_prime_vectors(r, s):
+    """The minimal (n, m) > 0 with |r|^n = |s|^m from sympy's factorisations:
+    the prime exponent vectors must be positively proportional."""
+    from sympy import factorint
+
+    def vector(x):
+        vec = Counter(factorint(x.numerator))
+        vec.subtract(factorint(x.denominator))
+        return {p: e for p, e in vec.items() if e}
+
+    vr, vs = vector(abs(r)), vector(abs(s))
+    if not vr or not vs:
+        return (1, 1) if vr == vs else None
+    ratios = {Fraction(vs[p], vr[p]) for p in vr} if set(vr) == set(vs) else set()
+    if len(ratios) != 1 or min(ratios) < 0:
+        return None
+    ratio = ratios.pop()
+    return ratio.numerator, ratio.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_pairs())
+def test_rational_relation_matches_prime_exponent_vectors(pair):
+    # perfect-power bases decide the relation without factoring; the prime
+    # exponent vectors of sympy's factorint are the oracle
+    r, s = pair
+    assert _rational_relation(r, s) == _relation_by_prime_vectors(r, s), pair

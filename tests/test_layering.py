@@ -1,13 +1,14 @@
 """Module layering of the package: every relative import sits at module
-level, the relative imports between modules form no cycle, and sympy and
-numpy are imported only inside functions, so that they load only when
-needed: a count of a degree-2 pair up to x = 10^12 loads neither, and no
-analysis, bound or height loads sympy, which only ``quadratic.factor_integer``
-imports, for a cofactor above 2^32.  Every
-function also reads each parameter it declares, and no module touches the
-precision of mpmath's global context or finds roots in it."""
+level, the relative imports between modules form no cycle, numpy is
+imported only inside functions, so that it loads only when needed (a count
+of a degree-2 pair up to x = 10^12 does not load it), and no module imports
+sympy, a test-only dependency: the third-party packages imported anywhere
+in the package are exactly the runtime dependencies of ``pyproject.toml``.
+Every function also reads each parameter it declares, and no module touches
+the precision of mpmath's global context or finds roots in it."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,7 +101,7 @@ def test_numpy_is_not_imported_at_module_level():
     assert module_level_imports("numpy") == []
 
 
-def test_only_factor_integer_imports_sympy():
+def test_no_function_imports_sympy():
     # 'module.function' of each function whose own body imports sympy
     importers = []
     for name, tree in parsed_modules().items():
@@ -116,7 +117,29 @@ def test_only_factor_integer_imports_sympy():
                     continue
                 if any(t.split(".")[0] == "sympy" for t in targets):
                     importers.append("%s.%s" % (name, func.name))
-    assert importers == ["quadratic.factor_integer"]
+    assert importers == []
+
+
+def test_imported_packages_are_the_runtime_dependencies():
+    # top-level imports and imports inside functions alike; sympy, pytest
+    # and hypothesis belong to the test extra
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for tree in parsed_modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"recdiff"}
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+
+    assert third_party == names(project["dependencies"])
+    assert {"pytest", "hypothesis", "sympy"} <= names(project["optional-dependencies"]["test"])
 
 
 _STARTUP_PROBE = """

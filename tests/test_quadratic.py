@@ -1,4 +1,4 @@
-import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,14 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiff.errors import UnsupportedDegree
+from recdiff.heights import AlgebraicNumber
+from recdiff.independence import multiplicative_independence
 from recdiff.intervals import IntervalField, contains, midpoint_float
+from recdiff.matveev import _compositum_degree
 from recdiff.quadratic import (
     _TRIAL_BOUND,
     QuadraticElement,
-    factor_integer,
     quadratic_roots,
     square_free_core,
 )
+
+
+def _prime_past_the_trial_bound():
+    from sympy import nextprime
+
+    return int(nextprime(_TRIAL_BOUND))
 
 
 def test_square_free_core():
@@ -22,6 +30,22 @@ def test_square_free_core():
     assert square_free_core(49) == (1, 7)
     assert square_free_core(5) == (5, 1)
     assert square_free_core(0) == (0, 1)
+    p = _prime_past_the_trial_bound()
+    assert square_free_core(-12 * p ** 2) == (-3, 2 * p)     # a square cofactor past the bound
+    assert square_free_core(5 * p ** 3) == (5 * p ** 3, 1)   # a non-square one stays in core
+
+
+def test_large_discriminant_is_not_factored():
+    # the discriminant 10^80 + 4 = 2^2 (25 10^78 + 1) leaves a cofactor past
+    # 2^32 after trial division; one square test keeps it in d, non-square
+    quadratic_roots.cache_clear()
+    square_free_core.cache_clear()
+    start = time.perf_counter()
+    plus, minus = quadratic_roots(1, -10 ** 40, -1)
+    assert time.perf_counter() - start < 0.1
+    assert (plus.a, plus.b, plus.d) == (10 ** 40 / Fraction(2), 1, (10 ** 80 + 4) // 4)
+    assert plus + minus == QuadraticElement.from_rational(10 ** 40)
+    assert plus * minus == QuadraticElement.from_rational(-1)
 
 
 def test_golden_ratio_identities():
@@ -97,33 +121,65 @@ def test_field_axioms_random(a, b, d):
         assert product.is_rational and x.norm() == product.a
 
 
-def test_factor_integer_matches_sympy():
-    from sympy import factorint, nextprime
+@pytest.mark.parametrize("d", [5, -3])
+def test_one_field_under_two_d(d):
+    # a + b sqrt(d) = a + (b / p) sqrt(d p^2): both forms are one value, so
+    # they compare and hash equal, and arithmetic across them is exact
+    p = _prime_past_the_trial_bound()
+    x = QuadraticElement(Fraction(1, 2), Fraction(3, 2), d)
+    y = QuadraticElement(Fraction(1, 2), Fraction(3, 2 * p), d * p * p)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != QuadraticElement(Fraction(1, 2), Fraction(-3, 2 * p), d * p * p)
+    square, cube = x * x, x * x * x
+    assert x + y == y + x == 2 * x and (x - y).is_zero() and (y - x).is_zero()
+    assert x * y == y * x == y * y == square and x / y == y / x == QuadraticElement.from_rational(1)
+    assert y * square == square * y == cube and (y + 1) * (x - 1) == square - 1
+    assert (x * y).norm() == square.norm() == x.norm() ** 2
+    with pytest.raises(UnsupportedDegree):
+        x * QuadraticElement(Fraction(0), Fraction(1), d * p)      # d^2 p is no square
+    with pytest.raises(UnsupportedDegree):
+        x * QuadraticElement(Fraction(0), Fraction(1), -d * p * p)  # d1 d2 < 0
 
-    rng = random.Random(24)
-    numbers = [1, 2, 4, 97, 2 ** 40, 3 ** 25 * 5 ** 9]
-    numbers += [rng.randint(2, 10 ** rng.randint(2, 24)) for _ in range(80)]
-    big = [nextprime(_TRIAL_BOUND + 1000 * i) for i in range(3)]
-    numbers += [p * p for p in big]                            # prime squares past the bound
-    numbers += [big[0] * big[1], 12 * big[1] * big[2]]         # semiprimes past the bound
-    numbers += [nextprime(2 ** 40) * nextprime(2 ** 41)]
-    for n in numbers:
-        assert factor_integer(n) == factorint(n), n
-    assert square_free_core(-12 * big[0] ** 2) == (-3, 2 * big[0])
+
+def test_make_keeps_a_non_square_cofactor_in_d():
+    # p sqrt(5 p) = sqrt(5 p^3): the cofactor p^3 passes the trial bound and stays in d
+    p = _prime_past_the_trial_bound()
+    x, y = QuadraticElement.make(0, p, 5 * p), QuadraticElement.make(0, 1, 5 * p ** 3)
+    assert (x.d, y.d) == (5 * p, 5 * p ** 3)
+    assert x == y and hash(x) == hash(y) and x * y == QuadraticElement.from_rational(5 * p ** 3)
 
 
-def test_arithmetic_on_normal_forms_factors_nothing(monkeypatch):
-    # d is squarefree once make() has run, so sums, products, quotients and
-    # powers build their results directly; only make() factors outside input
-    from recdiff import quadratic
+def test_independence_and_compositum_see_one_field_under_two_d():
+    # phi^2 over d = 5 and phi^3 over d = 5 p^2 satisfy alpha^3 = beta^2, and
+    # phi against phi^10001 is the same-field two-units case; comparing d
+    # with == would send both to the cross-field branch, which calls them
+    # independent
+    p = _prime_past_the_trial_bound()
+    phi, _ = quadratic_roots(1, -1, -1)
 
+    def over_5p2(x):
+        return QuadraticElement(x.a, x.b / p, 5 * p * p)
+
+    def verdict(x, y):
+        return multiplicative_independence(AlgebraicNumber.from_quadratic(x),
+                                           AlgebraicNumber.from_quadratic(over_5p2(y)))
+
+    found = verdict(phi ** 2, phi ** 3)
+    assert (found.status, found.n, found.m) == ("dependent", 3, 2)
+    assert verdict(phi, phi ** 10001).status == "unknown"
+    assert _compositum_degree(AlgebraicNumber.from_quadratic(phi),
+                              AlgebraicNumber.from_quadratic(over_5p2(phi ** 3))) == 2
+
+
+def test_arithmetic_on_normal_forms_factors_nothing():
+    # d is in normal form once make() has run, so sums, products, quotients
+    # and powers build their results directly; only make() reduces outside input
     quadratic_roots.cache_clear()
     square_free_core.cache_clear()
     phi, _ = quadratic_roots(1, -1, -1)
     values = [phi, QuadraticElement.make(Fraction(3, 2), -2, 7), QuadraticElement.make(0, 1, -3),
               QuadraticElement.from_rational(Fraction(-5, 3))]
-    calls = []
-    monkeypatch.setattr(quadratic, "factor_integer", lambda n: calls.append(n) or factor_integer(n))
+    misses = square_free_core.cache_info().misses
     for x in values:
         for y in values:
             if x.d == y.d or x.is_rational or y.is_rational:
@@ -131,28 +187,22 @@ def test_arithmetic_on_normal_forms_factors_nothing(monkeypatch):
         x ** 5, x ** -3, x.inverse(), 1 / x
     assert (phi * (1 - phi), (phi * phi - phi) ** 7) == (QuadraticElement.from_rational(-1),
                                                          QuadraticElement.from_rational(1))
-    assert calls == []
+    assert square_free_core.cache_info().misses == misses
     assert quadratic_roots(2, 6, 1) == (QuadraticElement.make(Fraction(-3, 2), Fraction(1, 2), 7),
                                         QuadraticElement.make(Fraction(-3, 2), Fraction(-1, 2), 7))
-    assert calls == [28]     # the discriminant; make() finds 7, cached when values were built
+    # one miss, the discriminant 28; make() finds 7, cached when values were built
+    assert square_free_core.cache_info().misses == misses + 1
 
 
-def test_bounds_factors_each_integer_once(monkeypatch):
+def test_bounds_factors_each_integer_once():
     # the quadratic conjugates of heights.log_height's ladder share their
-    # discriminants: 67 factor_integer calls on 44 integers before the caches
-    from recdiff import independence, quadratic, spectral
+    # discriminants: square_free_core misses once per integer, and evicts none
+    from recdiff import spectral
     from recdiff.cli import dispatch
 
     spectral._cached_analysis.cache_clear()
     quadratic_roots.cache_clear()
     square_free_core.cache_clear()
-    calls = []
-
-    def spy(n):
-        calls.append(n)
-        return factor_integer(n)
-
-    monkeypatch.setattr(quadratic, "factor_integer", spy)
-    monkeypatch.setattr(independence, "factor_integer", spy)
     assert dispatch("bounds --seq-u fib --seq-v pow2 --no-header".split()) == 0
-    assert len(calls) == len(set(calls)) <= 44
+    info = square_free_core.cache_info()
+    assert info.misses == info.currsize <= 44
