@@ -263,5 +263,12 @@ def isolate_factor_roots(field: IntervalField, coeffs):
     return roots
 
 
+def only_root_meeting(box: ComplexBox, roots):
+    """The index of the one root of ``roots`` whose box meets ``box``; None
+    when no root's box or more than one meets it."""
+    hits = [j for j, r in enumerate(roots) if not box.is_disjoint_from(r.box)]
+    return hits[0] if len(hits) == 1 else None
+
+
 def all_pairwise_disjoint(roots) -> bool:
     return all(a.box.is_disjoint_from(b.box) for a, b in itertools.combinations(roots, 2))

@@ -25,19 +25,20 @@ x of a grid covers every smaller x, so a grid is enumerated once.
 
 A tally keeps T(e) and S(e), the pairs and values with |c| < e, at every
 band edge e of its walk, the repeated values, and its region: the n cutoff
-and the number of V entries of its count.  For the 64 pairs used last, the
-widest tally (largest x) and the latest one are kept.  A later count still
-enumerates, so its cutoffs and window checks are its own.  It starts its
-bands at the highest edge e <= min(xs) + 1 of a kept tally whose region and
-its own nest (one contains the other) and whose T(e) its runs hold: the
-pairs with |c| < e of the smaller region lie in the larger one's, so an
-equal number means the same pairs, values and repeats.  This holds for x
-above and below the tally's, so a wide count serves the scattered counts
-below it, and the latest tally, which keeps the edges below its start of
-the tally it reused, serves a dense run of x.
+and the number of V entries of its count.  Each of the 64 pairs used last
+keeps one tally, the one of its count at the largest x (the newer one on a
+tie).  A later count still enumerates, so its cutoffs and window checks are
+its own.  It starts its bands at the kept tally's highest edge
+e <= min(xs) + 1 when the two regions nest (one contains the other) and its
+runs hold the tally's T(e): the pairs with |c| < e of the smaller region
+lie in the larger one's, so an equal number means the same pairs, values
+and repeats.  This holds for x above and below the tally's, so a wide count
+serves the counts below it; a count below every edge of the kept tally
+counts cold.
 
-The real-base explorer (pi^n vs e^m) is the one interval-arithmetic consumer;
-every comparison there is decided with certified margin or refined.
+Certified real comparisons are interval arithmetic: the growth index of an
+envelope, on 96-bit intervals, and the real-base explorer (pi^n vs e^m),
+where every comparison is decided with certified margin or refined.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class _Tally:
 
 
 _COLD = (0, 0, 0, frozenset())      # a walk's start (e, T, S, repeated) covering no |c|
-_TALLIES = OrderedDict()     # (seqU, seqV) -> (widest, latest) tallies, least recently used first
+_TALLIES = OrderedDict()     # (seqU, seqV) -> its tally, least recently used first
 _TALLIES_LOCK = threading.Lock()
 
 
@@ -261,14 +262,12 @@ def _distinct(runs, values, xs, bands, start=_COLD):
     the pairs with |c| < e, and the set of values c = U_n - V_m taken more
     than once.
 
-    |c| is split at every x + 1, at 2^b_j for b_j = int(bits(max xs)
-    sqrt(j / bands)), j = 1 .. bands - 1, and below 2^b_1 at 2^(b_1 >> k)
-    while b_1 >> k >= 16: the pairs with |c| < 2^b grow like b^2, so each
-    band above 2^b_1 holds about T / bands of them, and a count far below
-    the largest x still finds an edge under it.  Each band is gathered one
-    sign at a time from every run, between the bisections of the run at
-    its two edges; c = 0 belongs to the non-negative side only.  A side of
-    _RESIDUE_BAND pairs or more computes only its tied differences
+    |c| is split at every x + 1 and at 2^b_j for b_j = int(bits(max xs)
+    sqrt(j / bands)), j = 1 .. bands - 1: the pairs with |c| < 2^b grow
+    like b^2, so each band holds about T / bands of them.  Each band is
+    gathered one sign at a time from every run, between the bisections of
+    the run at its two edges; c = 0 belongs to the non-negative side only.
+    A side of _RESIDUE_BAND pairs or more computes only its tied differences
     (_tied_differences), a smaller one all of them; either sorts what it
     computed and counts adjacent equal values.  The bands ascend in |c|, so
     the running totals at the edge x + 1 are T(x) and S(x).
@@ -278,12 +277,9 @@ def _distinct(runs, values, xs, bands, start=_COLD):
     """
     e, T, S, repeated = start
     bits = max(xs).bit_length()
-    powers = {int(bits * math.sqrt(j / bands)) for j in range(1, bands)}
-    power = min(powers, default=0) >> 1
-    while power >= 16:
-        powers.add(power)
-        power >>= 1
-    edges = sorted(edge for edge in {*(x + 1 for x in xs), *(1 << b for b in powers)}
+    edges = sorted(edge for edge in {*(x + 1 for x in xs),
+                                     *(1 << int(bits * math.sqrt(j / bands))
+                                       for j in range(1, bands))}
                    if edge > e)
     checkpoints, repeated = [(e, T, S)], set(repeated)
     us = [u for _, u, _, _ in runs]
@@ -365,25 +361,22 @@ def _tied_differences(us, values, starts, stops, u_res, v_res):
     return [us[r] - values[j] for r, j in zip(run.tolist(), index.tolist())]
 
 
-def _start(tallies, runs, values, n_cut, n_entries, limit):
-    """The start of a walk over these runs, as _distinct takes it, and the
-    checkpoints below it of the tally it comes from: the highest edge e <=
-    limit of a kept tally whose region nests with the runs' (one holds the
-    other) and whose T(e) the runs hold with |c| < e.  (_COLD, ()) when no
-    edge e >= 1 qualifies; e = 0 covers no |c|."""
-    candidates = []
-    for tally in tallies:
-        i = bisect_right(tally.checkpoints, limit, key=itemgetter(0)) - 1
-        if i >= 0 and tally.checkpoints[i][0] >= 1 \
-                and (n_cut - tally.n_cut) * (n_entries - tally.n_entries) >= 0:
-            candidates.append((tally.checkpoints[i][0], i, tally))
-    for e, i, tally in sorted(candidates, key=itemgetter(0), reverse=True):
-        if tally.checkpoints[i][1] == sum(bisect_left(values, u + e, left, right)
-                                          - bisect_right(values, u - e, left, right)
-                                          for _, u, left, right in runs):
-            repeated = frozenset(c for c in tally.repeated if abs(c) < e)
-            return (*tally.checkpoints[i], repeated), tally.checkpoints[:i]
-    return _COLD, ()
+def _start(tally, runs, values, n_cut, n_entries, limit):
+    """The start of a walk over these runs, as _distinct takes it: the
+    highest edge e <= limit of the pair's kept tally, when its region nests
+    with the runs' (one holds the other) and the runs hold its T(e) pairs
+    with |c| < e.  _COLD when there is no tally or no such edge e >= 1;
+    e = 0 covers no |c|."""
+    if tally is None or (n_cut - tally.n_cut) * (n_entries - tally.n_entries) < 0:
+        return _COLD
+    i = bisect_right(tally.checkpoints, limit, key=itemgetter(0)) - 1
+    if i < 0 or tally.checkpoints[i][0] < 1:
+        return _COLD
+    e, T, S = tally.checkpoints[i]
+    if T != sum(bisect_left(values, u + e, left, right) - bisect_right(values, u - e, left, right)
+                for _, u, left, right in runs):
+        return _COLD
+    return e, T, S, frozenset(c for c in tally.repeated if abs(c) < e)
 
 
 def _count(seqU, seqV, xs, envU, envV):
@@ -395,10 +388,10 @@ def _count(seqU, seqV, xs, envU, envV):
     in _enumerate_pairs; repeated the values c taken by two or more pairs.
     One band of about 2^17 pairs is alive at a time, whatever T is.
 
-    The walk starts where _start finds a kept tally of the pair to agree
-    with these runs, so only e <= |c| <= max(xs) is tallied.  The new tally
-    keeps the reused one's checkpoints below e; it becomes the pair's latest,
-    and its widest when no kept tally reaches a larger x.
+    The walk starts where _start finds the pair's kept tally to agree with
+    these runs, so only e <= |c| <= max(xs) is tallied.  The new tally,
+    which holds the edges of this walk only, replaces the kept one unless
+    that one reaches a larger x.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -415,17 +408,15 @@ def _count(seqU, seqV, xs, envU, envV):
     values = [v for v, _ in entries]
     key = seqU, seqV
     with _TALLIES_LOCK:
-        kept = _TALLIES.get(key, ())
-    start, below = _start(kept, runs, values, n_cut, len(entries), min(xs) + 1)
+        kept = _TALLIES.get(key)
+    start = _start(kept, runs, values, n_cut, len(entries), min(xs) + 1)
     pairs = sum(right - left for _, _, left, right in runs)
     checkpoints, repeated = _distinct(runs, values, xs, max(1, pairs >> 17), start)
-    tally = _Tally((*below, *checkpoints)[-_CHECKPOINT_CAP:], frozenset(repeated),
+    tally = _Tally(tuple(checkpoints[-_CHECKPOINT_CAP:]), frozenset(repeated),
                    n_cut, len(entries))
     with _TALLIES_LOCK:
-        widest = _TALLIES.pop(key, (tally,))[0]
-        if widest.checkpoints[-1][0] <= tally.checkpoints[-1][0]:
-            widest = tally
-        _TALLIES[key] = widest, tally
+        kept = _TALLIES.pop(key, tally)
+        _TALLIES[key] = kept if kept.checkpoints[-1][0] > tally.checkpoints[-1][0] else tally
         if len(_TALLIES) > _TALLY_CAP:
             _TALLIES.popitem(last=False)
     totals = {e: (T, S) for e, T, S in checkpoints}

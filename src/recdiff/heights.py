@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import AlgebraicNumber
+from ._roots import AlgebraicNumber, only_root_meeting
 from ._zpoly import cyclotomic, strip
 from .errors import UnsupportedDegree
 from .independence import multiplicative_independence
@@ -65,11 +65,8 @@ def _unit_circle_exact(field, roots, idx) -> bool:
     box = roots[idx].box
     if box.contains_zero():
         return False
-    inv = field.box(1) / box
-    conj = box.conjugate()
-    inv_hits = [j for j, r in enumerate(roots) if not inv.is_disjoint_from(r.box)]
-    conj_hits = [j for j, r in enumerate(roots) if not conj.is_disjoint_from(r.box)]
-    return len(inv_hits) == 1 and len(conj_hits) == 1 and inv_hits[0] == conj_hits[0]
+    j = only_root_meeting(field.box(1) / box, roots)
+    return j is not None and j == only_root_meeting(box.conjugate(), roots)
 
 
 def log_height(gamma: AlgebraicNumber):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._roots import AlgebraicNumber
+from ._roots import AlgebraicNumber, only_root_meeting
 from .errors import PrecisionExhausted, UnsupportedDegree
 from .intervals import _field_at, interval_inf_fraction, interval_sup_fraction, ladder
 from .quadratic import QuadraticElement, _integer_root
@@ -122,9 +122,8 @@ def _same_root(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> bool:
         conjugates = ladder(_CONJUGATE_BITS, alpha.conjugates, "conjugates not isolated")
     except PrecisionExhausted:
         return False
-    hits = [[j for j, c in enumerate(conjugates) if not c.box.is_disjoint_from(x.box)]
-            for x in (alpha, beta)]
-    return len(hits[0]) == 1 and hits[0] == hits[1]
+    j = only_root_meeting(alpha.box, conjugates)
+    return j is not None and j == only_root_meeting(beta.box, conjugates)
 
 
 def _rational_relation(r: Fraction, s: Fraction):

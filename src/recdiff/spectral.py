@@ -44,6 +44,7 @@ from ._roots import (
     all_pairwise_disjoint,
     factor_integer_poly,
     isolate_factor_roots,
+    only_root_meeting,
 )
 from ._zpoly import negated, primitive
 from .errors import NoDominantRoot, RootNotLargerThanOne
@@ -428,10 +429,9 @@ def _is_negation_pair(cand: AlgebraicNumber, other: AlgebraicNumber, roots) -> b
         return False
     if other.min_poly != primitive(negated(cand.min_poly)):
         return False
-    neg_box = -cand.box
-    hits = [r for r in roots
-            if r.min_poly == other.min_poly and not neg_box.is_disjoint_from(r.box)]
-    return len(hits) == 1 and hits[0] is other
+    same = [r for r in roots if r.min_poly == other.min_poly]
+    j = only_root_meeting(-cand.box, same)
+    return j is not None and same[j] is other
 
 
 def _certificate_at(seq, decomp, field):

@@ -517,7 +517,7 @@ def test_collisions_match_brute_grouping(seqU, seqV, x):
 
 
 # ---------------------------------------------------------------------------
-# a pair's widest and latest tallies, reused by its next counts
+# a pair's one tally, of its count at the largest x, reused by its next counts
 
 
 @pytest.fixture
@@ -562,9 +562,10 @@ def test_grids_and_collisions_reuse_tallies_as_cold_counts(tally_starts):
     assert find_collisions(FIB, POW2, 10 ** 40) == cold_scan
     count_T_S(FIB, POW2, 10 ** 12)             # between the grid's ends
     assert ratio_table(FIB, POW2, grid).rows == cold_rows
-    # the count at 10^12 starts at the grid's edge 10^9 + 1, kept by the
-    # collision scan's tally below its start, and the grid again at 10^3 + 1
-    assert tally_starts == [-1, 100, 10 ** 30, 10 ** 9, 10 ** 3]
+    # the grid starts at the count's edge 100 + 1 and the scan at the grid's
+    # 10^30 + 1; the scan's tally, which the pair keeps, has no edge below
+    # 10^30 + 1, so the count at 10^12 and the grid again count cold
+    assert tally_starts == [-1, 100, 10 ** 30, -1, -1]
 
 
 def test_a_tally_is_reused_only_within_its_bounds_and_with_its_T(tally_starts):
@@ -573,7 +574,7 @@ def test_a_tally_is_reused_only_within_its_bounds_and_with_its_T(tally_starts):
     _, entries, n_cut, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 9, *envs)
     counting._TALLIES.clear()
     count_T_S(FIB, POW2, 10 ** 6)
-    _, tally = counting._TALLIES[FIB, POW2]
+    tally = counting._TALLIES[FIB, POW2]
     # within both bounds and with its T, a changed S is read
     counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, S=+1000)
     assert count_T_S(FIB, POW2, 10 ** 9).S == cold.S + 1000
@@ -587,14 +588,12 @@ def test_a_tally_is_reused_only_within_its_bounds_and_with_its_T(tally_starts):
 
 
 def _edited(tally, e, T=0, S=0, **region):
-    """The store's entry (widest and latest) for one hand-made tally:
-    ``tally`` with T and S at its checkpoint e shifted by the given amounts,
-    and its region replaced."""
+    """``tally`` with T and S at its checkpoint e shifted by the given
+    amounts, and its region replaced."""
     checkpoints = tuple((edge, t + T, s + S) if edge == e else (edge, t, s)
                         for edge, t, s in tally.checkpoints)
     assert any(edge == e for edge, _, _ in tally.checkpoints)
-    edited = replace(tally, checkpoints=checkpoints, **region)
-    return edited, edited
+    return replace(tally, checkpoints=checkpoints, **region)
 
 
 def test_a_wider_tally_is_reused_below_it_only_when_nested_and_with_its_T(tally_starts):
@@ -605,7 +604,7 @@ def test_a_wider_tally_is_reused_below_it_only_when_nested_and_with_its_T(tally_
     _, entries, n_cut, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 9, *envs)
     counting._TALLIES.clear()
     counting._count(FIB, POW2, [10 ** 6, 10 ** 12], None, None)
-    _, tally = counting._TALLIES[FIB, POW2]
+    tally = counting._TALLIES[FIB, POW2]
     assert tally.n_cut > n_cut and tally.n_entries > len(entries)
     counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, S=+1000)
     assert count_T_S(FIB, POW2, 10 ** 9).S == cold.S + 1000
@@ -619,26 +618,40 @@ def test_a_wider_tally_is_reused_below_it_only_when_nested_and_with_its_T(tally_
 
 
 # band edges of a count at 10^300 (997 bits, T = 1,433,695, so 10 bands) lie
-# at 2^int(997 sqrt(j / 10)): 2^315, 2^445, 2^546, 2^630, 2^705, ..., and
-# below the lowest by halving its exponent: 2^157, 2^78, 2^39, 2^19
+# at 2^int(997 sqrt(j / 10)): 2^315, 2^445, 2^546, 2^630, 2^705, ...
 @pytest.mark.parametrize("xs, starts", [
     ((10 ** 300, 3 * 10 ** 104, 10 ** 60, 10 ** 12),
-     [-1, 2 ** 315 - 1, 2 ** 157 - 1, 2 ** 39 - 1]),
+     [-1, 2 ** 315 - 1, -1, -1]),
     ((10 ** 300, 10 ** 200, 11 * 10 ** 199, 12 * 10 ** 199),
-     [-1, 2 ** 630 - 1, 10 ** 200, 11 * 10 ** 199]),
+     [-1, 2 ** 630 - 1, 2 ** 630 - 1, 2 ** 630 - 1]),
 ], ids=("scattered-below", "dense-run-below"))
 def test_tallies_serve_counts_below_a_wide_count(xs, starts, tally_starts):
-    # the wide count's tally serves each scattered count below it from its
-    # highest edge under x, down to 10^12 > 2^39; in the dense run, each
-    # count starts at the x of the one before, from the latest tally, which
-    # the widest cannot give
+    # the wide count's tally, which stays the pair's, serves each count
+    # below it from its highest edge under x; the counts below its lowest
+    # edge 2^315 count cold
     cold = [_cold(count_T_S, FIB, POW2, x) for x in xs]
     counting._TALLIES.clear()
     tally_starts.clear()
     assert [count_T_S(FIB, POW2, x) for x in xs] == cold
     assert tally_starts == starts
-    widest, latest = counting._TALLIES[FIB, POW2]
-    assert (widest.checkpoints[-1][0], latest.checkpoints[-1][0]) == (xs[0] + 1, xs[-1] + 1)
+    assert counting._TALLIES[FIB, POW2].checkpoints[-1][0] == xs[0] + 1
+
+
+@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (LUCAS, POW3)],
+                         ids=("fib-pow2", "lucas-pow3"))
+@settings(max_examples=20, deadline=None)
+@given(xs=st.lists(st.integers(0, 60).flatmap(lambda k: st.integers(0, 10 ** k)),
+                   min_size=2, max_size=6))
+def test_one_tally_per_pair_serves_counts_in_any_order(seqU, seqV, xs):
+    # each count, above, below or between the x counted before it, equals a
+    # cold count, and the pair keeps one tally: that of its largest x
+    cold = [_cold(count_T_S, seqU, seqV, x) for x in xs]
+    counting._TALLIES.clear()
+    assert [count_T_S(seqU, seqV, x) for x in xs] == cold
+    assert list(counting._TALLIES) == [(seqU, seqV)]
+    tally = counting._TALLIES[seqU, seqV]
+    assert isinstance(tally, counting._Tally)
+    assert tally.checkpoints[-1][0] == max(xs) + 1
 
 
 def test_the_tally_store_keeps_the_64_latest_pairs(tally_starts):

@@ -150,10 +150,10 @@ def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
     # copies of one cubic recurrence are drawn too: their shared dominant root
     # gives alpha^1 = beta^1, and the count refuses with the dependent-roots
     # ValueError in well under a second.  Counting at x // 49, x // 7 and x
-    # chains each count from the latest tally; x // 7 and x // 49 then start
-    # below the widest tally, at edges that the latest chain kept, and x
-    # again from the widest tally's last edge.  A CutoffUnsafe on a drawn
-    # pair fails the test
+    # starts each count from the tally of the one before; x // 7 then starts
+    # from the first edge of the tally at x, which the pair keeps, x // 49
+    # below every edge of that tally counts cold, and x starts again from
+    # its last edge.  A CutoffUnsafe on a drawn pair fails the test
     for seq in (seq_u, seq_v):
         try:
             analyze_sequence(seq)
