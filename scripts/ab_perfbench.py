@@ -3,6 +3,7 @@
 
 Usage:
     python3 scripts/ab_perfbench.py PARENT CHANGE --workload W --seeds 1,5,7 --pairs N
+    python3 scripts/ab_perfbench.py CHECKOUT --aa --workload W --seeds 1,5,7 --pairs N
 
 Pair i runs ``perfbench/run.py --workload W --seed S --trace 0`` once in
 each checkout, with S the i-th seed of the list taken in turn and the run
@@ -20,15 +21,26 @@ and two verdicts:
   the parent's inter-quartile distance is wider than that bound and not
   every run of the change beats every run of the parent.
 
-Each side runs with its own fresh temporary ``PYTHONPYCACHEPREFIX``, made
-for the session and removed after it, and with bytecode writing on (a
-``PYTHONDONTWRITEBYTECODE`` of the caller's is dropped), so neither side
-reads a ``__pycache__`` left in its checkout: bytecode that only one
-checkout holds would otherwise show as a ``setup_s`` difference with no
-code cause.  A prefix starts empty, so each side first makes one run that
-is not measured, which compiles everything the workload imports.  Only the
-standard library is used, and nothing is written into either checkout
-beyond what perfbench writes there itself.
+With ``--aa`` the one checkout runs against a copy of itself, made in a
+temporary directory (without ``.git``, bytecode caches and perfbench's
+output) and removed after the pairs; the copy takes the change's place,
+and per metric the split of the pairs won by the copy, by the checkout and
+tied is printed.  Code cannot favour either side there, so a lopsided
+split measures the harness and the host.
+
+Each side runs with its own fresh ``PYTHONPYCACHEPREFIX``, both made in
+one temporary directory for the session and removed after it, and with
+bytecode writing on (a ``PYTHONDONTWRITEBYTECODE`` of the caller's is
+dropped), so neither side reads a ``__pycache__`` left in its checkout:
+bytecode that only one checkout holds would otherwise show as a
+``setup_s`` difference with no code cause.  A prefix starts empty, so each
+side first makes one run that is not measured, which compiles everything
+the workload imports.  These warm-up runs, and the making of the prefixes,
+go in the order opposite to the first pair's, so the whole session
+alternates as B A | A B | B A | ...: the side that opens a pair has always
+just run, whichever side it is.  Only the standard library is used, and
+nothing is written into either checkout beyond what perfbench writes there
+itself.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +68,7 @@ def verdicts(parent, change, better, bound):
     change[i] come from pair i).  ``better`` is "lower" or "higher"."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
     q1, parent_median, q3 = quartiles(parent)
     change_median = statistics.median(change)
     gain = wins >= 0.9 * len(parent) and sign * (parent_median - change_median) > q3 - q1
@@ -66,7 +80,7 @@ def verdicts(parent, change, better, bound):
     else:
         no_regression = "yes"
     return {"parent_median": parent_median, "change_median": change_median,
-            "parent_quartiles": (q1, q3), "wins": wins, "pairs": len(parent),
+            "parent_quartiles": (q1, q3), "wins": wins, "losses": losses, "pairs": len(parent),
             "gain": gain, "no_regression": no_regression}
 
 
@@ -90,32 +104,48 @@ def run_once(checkout, workload, seed, seconds, pycache):
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def order(i):
+    """The sides in the order they run in pair i; the warm-ups run in
+    ``order(-1)``."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--aa", action="store_true",
+                        help="run PARENT against a copy of itself; give no CHANGE")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True,
                         type=lambda text: [int(s) for s in text.split(",")])
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args(argv)
+    if args.aa == (args.change is not None):
+        parser.error("give CHANGE, or --aa without it")
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = spec["end_to_end"]
     sides = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory() as parent_cache, \
-            tempfile.TemporaryDirectory() as change_cache:
-        caches = {"parent": parent_cache, "change": change_cache}
-        for side in caches:         # fills the prefix; not measured
-            run_once(getattr(args, side), args.workload, args.seeds[0], spec["run_seconds"],
+    with tempfile.TemporaryDirectory() as session:
+        session = Path(session)
+        checkouts = {"parent": args.parent, "change": args.change}
+        if args.aa:
+            checkouts["change"] = session / "copy"
+            shutil.copytree(args.parent, checkouts["change"], ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".perfbench", ".pytest_cache", ".hypothesis"))
+        spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        metrics = spec["end_to_end"]
+        caches = {}
+        for side in order(-1):      # makes and fills the prefix; not measured
+            caches[side] = session / ("pycache-" + side)
+            caches[side].mkdir()
+            run_once(checkouts[side], args.workload, args.seeds[0], spec["run_seconds"],
                      caches[side])
         for i in range(args.pairs):
             seed = args.seeds[i % len(args.seeds)]
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                sides[side].append(run_once(getattr(args, side), args.workload, seed,
+            for side in order(i):
+                sides[side].append(run_once(checkouts[side], args.workload, seed,
                                             spec["run_seconds"], caches[side]))
-            print("pair %d seed %d, %s first:" % (i + 1, seed, order[0]))
+            print("pair %d seed %d, %s first:" % (i + 1, seed, order(i)[0]))
             for side in ("parent", "change"):
                 run = sides[side][-1]
                 values = " ".join("%s=%.4g" % (m["name"], run["metrics"][m["name"]])
@@ -126,6 +156,7 @@ def main(argv=None):
 
     print("%-12s %10s %10s %21s %6s %5s %13s" % (
         "metric", "parent", "change", "parent quartiles", "won", "gain", "no regression"))
+    splits = []
     for m in metrics:
         pairs = [(p["metrics"][m["name"]], c["metrics"][m["name"]])
                  for p, c in zip(sides["parent"], sides["change"])
@@ -137,6 +168,12 @@ def main(argv=None):
         print("%-12s %10.4g %10.4g %10.4g-%-10.4g %2d/%-3d %5s %13s" % (
             m["name"], v["parent_median"], v["change_median"], *v["parent_quartiles"],
             v["wins"], v["pairs"], "yes" if v["gain"] else "no", v["no_regression"]))
+        splits.append("%s copy %d, checkout %d, tied %d" % (
+            m["name"], v["wins"], v["losses"], v["pairs"] - v["wins"] - v["losses"]))
+    if args.aa:
+        print("A/A split of the pairs won:")
+        for line in splits:
+            print("  " + line)
     correct = all(run["correct"] for runs in sides.values() for run in runs)
     return 0 if correct else 1
 

@@ -340,7 +340,8 @@ def ball_to_mpi(x, prec):
 def ball_mul(x, y, prec):
     """x y, its midpoint and radius cut to ``prec`` bits: the midpoint is
     rounded down and the radius up, plus one unit when the midpoint lost a
-    nonzero bit."""
+    nonzero bit, and once more by one bit when that rounding carried either
+    past ``prec`` bits."""
     a, ra, ea = x
     b, rb, eb = y
     m, e = a * b, ea + eb
@@ -350,6 +351,10 @@ def ball_mul(x, y, prec):
         r = -(-r >> s) + (m & ((1 << s) - 1) != 0)
         m >>= s
         e += s
+        if (abs(m) | r).bit_length() > prec:     # the rounding carried into bit prec
+            r = -(-r >> 1) + (m & 1)
+            m >>= 1
+            e += 1
     return m, r, e
 
 

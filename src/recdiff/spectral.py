@@ -5,20 +5,26 @@ Binet coefficient polynomial has degree exactly its multiplicity minus one.
 All numeric statements produced here are certified: roots are isolated boxes,
 the Binet reconstruction is checked to pin down the exact integer term, and
 envelope inequalities are verified exactly on a window plus a proved
-geometric tail.  A Binet rung is refused before its check loop when a real
-root box makes the n = _CHECK_BOUND reconstruction provably too wide to pin
-an integer, so the loop's verdict comes without its cost.
-``analyze_sequence`` is the one entry point: it climbs ``intervals.ladder``
-once for all four stages.
+geometric tail.  When every root is simple, each Binet coefficient is
+a_i = R(alpha_i) / f'(alpha_i) on its root box, the partial fractions of the
+generating function, in O(k) box operations; only a repeated root takes
+elimination over the boxes of U_0..U_(k-1).  A Binet rung is refused before
+its check loop when a real root box makes the n = _CHECK_BOUND
+reconstruction provably too wide to pin an integer, so the loop's verdict
+comes without its cost.  ``analyze_sequence`` is the one entry point: it
+climbs ``intervals.ladder`` once for all four stages.
 
 Within one rung the Binet check loop's real parts on integer balls
 (``intervals.ball_mul``), a_i(n) root_i^n per real root and
 2 Re(a_i(n) root_i^n) per conjugate pair, are the one stream every later
 stage reads: the envelope's window and its exact check take its rows for
-n <= _CHECK_BOUND as they are and continue its running powers past it, so
-each part is computed once.  The rows are dropped with the rung and never
-kept on an analysis.  The check loop pins U_n and the exact check tests the
-envelope's inequalities by comparing integers, against the exact constants.
+n <= _CHECK_BOUND as they are and continue its running values past it, so
+each part is computed once.  At a simple root the running value is
+a_i root_i^n itself, one ball product a step.  The rows are dropped with the
+rung and never kept on an analysis.  The check loop pins U_n; the envelope
+reads one table of running ball powers |alpha|^n and alpha'^n per rung for
+its window maximum, its n0 and its ratio minimum, and its exact check tests
+the envelope's inequalities, all by comparing integers.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from .intervals import (
     ball_from_mpi,
     ball_mul,
     ball_neg,
-    ball_to_mpi,
     certainly_greater,
     certainly_le,
     certainly_less,
@@ -65,6 +70,7 @@ from .intervals import (
     ladder,
     lower_float,
     midpoint_float,
+    poly_eval_box,
 )
 from .quadratic import QuadraticElement
 from .recurrences import LinearRecurrence, minimal_recurrence
@@ -308,25 +314,54 @@ def _real_coefficients(field, roots, grouped):
     return coefficients, columns
 
 
-def _binet_at(seq, spectrum, field):
-    k = seq.order
-    columns = [(i, j) for i, r in enumerate(spectrum.roots) for j in range(r.multiplicity)]
-    matrix = []
-    for n in range(k):
-        row = []
-        for (i, j) in columns:
-            scale = 1 if j == 0 else n ** j        # 0^0 = 1
-            row.append((spectrum.roots[i].box ** n) * scale)
-        matrix.append(row)
-    rhs = [field.box(seq.initial_terms[n]) for n in range(k)]
-    solution = _solve_box_system(matrix, rhs)
+def _partial_fractions(seq, roots):
+    """a_i = R(alpha_i) / f'(alpha_i) on each root box, all roots simple:
+    the partial fractions sum_i a_i / (1 - alpha_i z) of the generating
+    function sum_n U_n z^n, with f the characteristic polynomial,
+    R(X) = sum_j d_j X^(k-1-j) and d_j = U_j - c_1 U_(j-1) - ... - c_j U_0
+    (Everest, van der Poorten, Shparlinski and Ward, *Recurrence
+    Sequences*, ch. 1).  None when an f'(alpha_i) box holds 0."""
+    c, u, k = seq.coefficients, seq.initial_terms, seq.order
+    numerator = [u[j] - sum(c[i] * u[j - 1 - i] for i in range(j)) for j in range(k)]
+    derivative = [(k - j) * f for j, f in enumerate(seq.characteristic_polynomial()[:-1])]
+    grouped = []
+    for root in roots:
+        den = poly_eval_box(derivative, root.box)
+        if den.contains_zero():
+            return None
+        grouped.append((poly_eval_box(numerator, root.box) / den,))
+    return grouped
+
+
+def _eliminated(seq, roots, field):
+    """a_i(X)'s coefficients by elimination on U_0..U_(k-1), for a
+    repeated root: n^j root_i^n is a column per root and j below its
+    multiplicity.  None when a pivot is ambiguous."""
+    columns = [(r, j) for r in roots for j in range(r.multiplicity)]
+    matrix = [[(r.box ** n) * (1 if j == 0 else n ** j) for r, j in columns]   # 0^0 = 1
+              for n in range(seq.order)]
+    solution = _solve_box_system(matrix, [field.box(t) for t in seq.initial_terms])
     if solution is None:
         return None
     grouped, pos = [], 0
-    for r in spectrum.roots:
+    for r in roots:
         grouped.append(tuple(solution[pos:pos + r.multiplicity]))
         pos += r.multiplicity
-    grouped, columns = _real_coefficients(field, spectrum.roots, grouped)
+    return grouped
+
+
+def _binet_at(seq, spectrum, field):
+    """The coefficient boxes, by partial fractions when every root is simple
+    and by elimination otherwise, then the check loop: the stream pins U_n
+    for n <= _CHECK_BOUND.  (decomposition, the loop's products) or None."""
+    roots = spectrum.roots
+    if all(r.multiplicity == 1 for r in roots):
+        grouped = _partial_fractions(seq, roots)
+    else:
+        grouped = _eliminated(seq, roots, field)
+    if grouped is None:
+        return None
+    grouped, columns = _real_coefficients(field, roots, grouped)
     exact = _exact_binet(seq, spectrum)
     if exact is not None:
         for i, group in enumerate(exact):       # exact values must overlap the boxes
@@ -337,7 +372,7 @@ def _binet_at(seq, spectrum, field):
     if _check_fails_at_bound(decomp, field):
         return None
     prec = field.prec
-    powers = [_BALL_ONE if im is None else (_BALL_ONE, _BALL_ZERO) for _, _, im, _ in columns]
+    powers = [_stream_start(column) for column in columns]
     rows = []
     for n, term in enumerate(seq.terms(_CHECK_BOUND + 1)):
         rows.append(_stream_row(columns, powers, n, prec))
@@ -347,21 +382,36 @@ def _binet_at(seq, spectrum, field):
     return decomp, (columns, rows, powers)
 
 
+def _stream_start(column):
+    """A column's running value at n = 0: a, when a(X) is a constant a (a
+    simple root), so that the stream carries a r^n, and otherwise 1, so
+    that it carries r^n; a pair of balls (real, imaginary) at a pair."""
+    _, re, im, _ = column
+    if len(re) > 1:
+        return _BALL_ONE if im is None else (_BALL_ONE, _BALL_ZERO)
+    return re[0] if im is None else (re[0], im[0])
+
+
 def _stream_row(columns, powers, n, prec):
-    """The parts of ``columns`` at n as balls, given their roots' powers at
+    """The parts of ``columns`` at n as balls, given their running values at
     n, which it advances to n + 1 in place: a(n) r^n at a real root, and
     2 Re(a(n) r^n) = 2 (Re a(n) Re r^n - Im a(n) Im r^n) at a conjugate
-    pair, whose later root adds the conjugate product; doubling is exact."""
+    pair, whose later root adds the conjugate product; doubling is exact.
+    A simple root's running value is a r^n itself (``_stream_start``): its
+    part is read, not multiplied."""
     row = []
     for c, (_, re, im, root) in enumerate(columns):
-        a, power = _poly_at(re, n, prec), powers[c]
+        power = powers[c]
         if im is None:
-            row.append(ball_mul(a, power, prec))
+            row.append(power if len(re) == 1 else ball_mul(_poly_at(re, n, prec), power, prec))
             powers[c] = ball_mul(power, root, prec)
             continue
         (p, q), (r, s) = power, root
-        b = _poly_at(im, n, prec)
-        m, rad, e = ball_add(ball_mul(a, p, prec), ball_neg(ball_mul(b, q, prec)))
+        if len(re) == 1:
+            m, rad, e = p
+        else:
+            a, b = _poly_at(re, n, prec), _poly_at(im, n, prec)
+            m, rad, e = ball_add(ball_mul(a, p, prec), ball_neg(ball_mul(b, q, prec)))
         row.append((m, rad, e + 1))
         powers[c] = (ball_add(ball_mul(p, r, prec), ball_neg(ball_mul(q, s, prec))),
                      ball_add(ball_mul(p, s, prec), ball_mul(q, r, prec)))
@@ -550,41 +600,82 @@ def _envelope_at(decomp, cert, field, products):
             return None
         n_seg = max(n_seg, thr + 1)
     n_seg = min(n_seg, _WINDOW_CAP)
-    env, wider = _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, _WINDOW)
+    powers = (_power_table(ball_from_mpi(mod_alpha._mpi_), field.prec),
+              _power_table(ball_from_mpi(ap._mpi_), field.prec))
+    env, wider = _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers,
+                              n_seg, _WINDOW)
     if env is None and n_seg < wider <= _WINDOW_CAP:
         # a second root close in modulus: a' (alpha'/|alpha|)^n falls below
         # |a(n)| only past the window, so size the window from that gap
-        env, _ = _envelope_on(decomp, cert, field, products, alpha_prime, rhos, wider, wider)
+        env, _ = _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers,
+                              wider, wider)
     return env
 
 
-def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max):
+def _power_table(x, prec):
+    """upto(n): the list x^0, x^1, ... as balls, extended in place to at
+    least x^n, so that each product is made once per rung."""
+    table = [_BALL_ONE]
+
+    def upto(n):
+        while len(table) <= n:
+            table.append(ball_mul(table[-1], x, prec))
+        return table
+    return upto
+
+
+def _ratio_le(x, y) -> bool:
+    """x <= y for ratios (num, den, e) = num / den 2^e, den > 0."""
+    (a, b, ea), (c, d, ec) = x, y
+    return _le(a * d, ea, c * b, ec)
+
+
+def _dyadic(num, den, e, prec, up) -> Fraction:
+    """num / den 2^e, for integers num >= 0 and den > 0, rounded up or down
+    to a dyadic rational of ``prec`` bits."""
+    s = prec + den.bit_length() - num.bit_length()
+    q, rest = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    q, e = q + (up and rest > 0), e - s
+    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
+
+
+def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg, n0_max):
     """(envelope, 0) on the window 0..n_seg with n0 <= n0_max, or (None, n)
     with n the window past which a' (alpha'/|alpha|)^n stays below half the
     lead of the dominant coefficient when no n0 or no tail bound was found
-    (else 0): the certified gap alpha'/|alpha| < 1 sizes it."""
+    (else 0): the certified gap alpha'/|alpha| < 1 sizes it.
+
+    The window's three loops read the rung's running ball powers of |alpha|
+    and alpha' (``powers``, two ``_power_table``s) and compare integers: the
+    maximum of sup|tail(n)| / inf alpha'^n and the minimum of
+    |U_n| / sup |alpha|^n, each rounded outward once to the rung's bits, and
+    the sign of inf|a(n)| inf |alpha|^n - a' sup alpha'^n at each n, whose
+    positive run to the window's end starts at n0."""
     spectrum = decomp.spectrum
     seq = spectrum.sequence
+    prec = field.prec
     dom, sigma = cert.root_index, cert.sigma
     mod_alpha = spectrum.roots[dom].modulus()
     others = [i for i in range(len(spectrum.roots)) if i != dom]
     ap = field.real(alpha_prime)
+    alpha_pows, ap_pows = (upto(n_seg) for upto in powers)
 
     if others:
-        window_sup = Fraction(0)
-        ap_pow = field.real(1)
-        for parts in _binet_parts(products, others, 0, n_seg, field.prec):
-            tail = ball_to_mpi(functools.reduce(ball_add, parts), field.prec)
-            tail = field.ctx.make_mpf(mpi_abs(tail)) / ap_pow
-            window_sup = max(window_sup, interval_sup_fraction(tail))
-            ap_pow = ap_pow * ap
+        window_sup = (0, 1, 0)
+        for parts, (pm, pr, pe) in zip(_binet_parts(products, others, 0, n_seg, prec), ap_pows):
+            m, r, e = functools.reduce(ball_add, parts)
+            if pm <= pr:
+                return None, 0
+            ratio = (abs(m) + r, pm - pr, e - pe)
+            if not _ratio_le(ratio, window_sup):
+                window_sup = ratio
         tail_bound = field.real(0)
         for idx, i in enumerate(others):
             s_val = field.real(0)
             for j, c in enumerate(decomp.coefficients[i]):
                 s_val = s_val + c.modulus() * ((n_seg + 1) ** j)
             tail_bound = tail_bound + s_val * rhos[idx] ** (n_seg + 1)
-        sup = max(window_sup, interval_sup_fraction(tail_bound))
+        sup = max(_dyadic(*window_sup, prec, True), interval_sup_fraction(tail_bound))
         a_prime = sup * (1 + Fraction(1, 1024))
     else:
         a_prime = Fraction(1, 2 ** 64)
@@ -600,19 +691,17 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max
     apf = field.real(a_prime)
     dom_coeffs = decomp.coefficients[dom]
 
-    constant_abs = dom_coeffs[0].modulus() if len(dom_coeffs) == 1 else None   # simple root
-
     def dom_poly_abs(n):
-        if constant_abs is not None:
-            return constant_abs
         return decomp.coefficient_value(dom, n).modulus()
 
-    g_lower = []
-    rho_pow = field.real(1)
+    apn, apd = a_prime.as_integer_ratio()
+    positive = []
     for n in range(n_seg + 1):
-        g = dom_poly_abs(n) - apf * rho_pow
-        g_lower.append(interval_inf_fraction(g))
-        rho_pow = rho_pow * rho_dom
+        if n == 0 or sigma > 0:         # a(n) = a_0 at every n when sigma = 0
+            ln, ld = interval_inf_fraction(dom_poly_abs(n)).as_integer_ratio()
+        (m, r, e), (pm, pr, pe) = alpha_pows[n], ap_pows[n]
+        # inf|a(n)| inf |alpha|^n > a' sup alpha'^n
+        positive.append(not _le(ln * apd * (m - r), e, apn * ld * (pm + pr), pe))
 
     # certified inf of |a(n)| for n > N: window plus the |lead|*n^sigma/2 bound
     lead = dom_coeffs[sigma].modulus()
@@ -631,8 +720,7 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max
     else:
         inf_a_beyond = interval_inf_fraction(lead)
     tail_low = inf_a_beyond - interval_sup_fraction(apf * rho_dom ** (n_seg + 1))
-    n0 = next((start for start in range(n0_max + 1)
-               if all(g > 0 for g in g_lower[start:])), None)
+    n0 = next((start for start in range(n0_max + 1) if all(positive[start:])), None)
     if tail_low <= 0 or n0 is None:
         lead_low, rho_high = interval_inf_fraction(lead), interval_sup_fraction(rho_dom)
         if lead_low <= 0 or rho_high >= 1:
@@ -641,15 +729,14 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max
     if sigma > 0:
         n0 = max(n0, 1)
 
+    terms = seq.terms(n_seg + 1)
     ratio_min = None
-    alpha_pow = field.real(1)
-    for n, term in enumerate(seq.terms(n_seg + 1)):
-        if n >= n0:
-            r = field.real(abs(term)) / alpha_pow
-            v = interval_inf_fraction(r)
-            ratio_min = v if ratio_min is None else min(ratio_min, v)
-        alpha_pow = alpha_pow * mod_alpha
-    c_lower = min(ratio_min, tail_low) * (1 - Fraction(1, 1024))
+    for n in range(n0, n_seg + 1):
+        m, r, e = alpha_pows[n]
+        ratio = (abs(terms[n]), m + r, -e)
+        if ratio_min is None or not _ratio_le(ratio_min, ratio):
+            ratio_min = ratio
+    c_lower = min(_dyadic(*ratio_min, prec, False), tail_low) * (1 - Fraction(1, 1024))
     if c_lower <= 0:
         return None, 0
 

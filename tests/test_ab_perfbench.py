@@ -84,3 +84,70 @@ def test_each_side_reads_bytecode_from_its_own_fresh_prefix(tmp_path, capsys, mo
     for prefix in prefixes:
         assert not prefix.exists()
         assert not any(c in prefix.parents for c in checkouts)
+
+
+_LOGGING_RUN = """import json, os, sys
+from pathlib import Path
+root = Path(__file__).resolve().parents[1]
+with open(os.environ["AB_TEST_LOG"], "a") as out:
+    out.write("%s %s %s\\n" % (root, sys.pycache_prefix, sorted(p.name for p in root.iterdir())))
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {"wall_s": {"value": float((root / "wall.txt").read_text())}}}))
+"""
+
+
+def _checkout(root, wall):
+    """A checkout whose benchmark logs each run and reports ``wall`` seconds."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(_LOGGING_RUN)
+    (root / "wall.txt").write_text(str(wall))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    return root
+
+
+def _runs(log):
+    return [line.split(" ", 2) for line in log.read_text().splitlines()]
+
+
+def test_the_session_alternates_from_the_warm_ups_on(tmp_path, monkeypatch):
+    # the warm-ups run in the order opposite to the first pair's, so the
+    # sides run as B A | A B | B A | A B: whichever side opens a pair has
+    # just run
+    log = tmp_path / "log.txt"
+    monkeypatch.setenv("AB_TEST_LOG", str(log))
+    parent, change = _checkout(tmp_path / "parent", 1.0), _checkout(tmp_path / "change", 0.5)
+    assert ab_perfbench.main([str(parent), str(change), "--workload", "w", "--seeds", "1",
+                              "--pairs", "4"]) == 0
+    sides = [Path(root).name for root, _, _ in _runs(log)]
+    assert sides == ["change", "parent"] + ["parent", "change", "change", "parent"] * 2
+
+
+def test_aa_runs_a_checkout_against_a_copy_of_itself(tmp_path, monkeypatch, capsys):
+    # the copy leaves out .git, bytecode and perfbench's output, gets its own
+    # prefix, and is gone with the session; the split is printed per metric
+    log = tmp_path / "log.txt"
+    monkeypatch.setenv("AB_TEST_LOG", str(log))
+    checkout = _checkout(tmp_path / "checkout", 1.0)
+    for name in (".git", "__pycache__", ".perfbench"):
+        (checkout / name).mkdir()
+    assert ab_perfbench.main([str(checkout), "--aa", "--workload", "w", "--seeds", "1,5",
+                              "--pairs", "3"]) == 0
+    runs = _runs(log)
+    roots = [Path(root) for root, _, _ in runs]
+    copy = roots[0]
+    assert roots == [copy, checkout, checkout, copy, copy, checkout, checkout, copy]
+    assert copy != checkout and checkout not in copy.parents and not copy.exists()
+    listing = {Path(root): names for root, _, names in runs}
+    assert listing[copy] == "['BENCHMARK.json', 'perfbench', 'wall.txt']"
+    assert listing[checkout] != listing[copy]
+    assert len({prefix for _, prefix, _ in runs}) == 2
+    out = capsys.readouterr().out
+    assert "A/A split of the pairs won:\n  wall_s copy 0, checkout 0, tied 3" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["CHANGE", "--aa"]])
+def test_aa_takes_one_checkout_and_a_comparison_two(extra, capsys):
+    with pytest.raises(SystemExit):
+        ab_perfbench.main(["PARENT"] + extra + ["--workload", "w", "--seeds", "1", "--pairs", "1"])
+    assert "give CHANGE, or --aa without it" in capsys.readouterr().err

@@ -65,9 +65,9 @@ BATCH_5_7 = [
     ("reducible-quartic-1", (0, 0, 3, 2), (0, 9, 9, 6)),
     ("kbonacci-8", (1,) * 8, (0,) * 7 + (1,)),
 ]
-DIGEST = "e2ad6c357f4d80b2d290310d65fe0d8181d68592bb7ee2a1ca99bf48da14a4eb"
-DIGEST_5_7 = "243adff125f101b74080067ac4762393328ce26e302d4da2cc27c97127a1eeaa"
-SEED_PATH_DIGEST = "308851b59ce39707461d8819e047eb65ba10167af127a568524368927dd24d45"
+DIGEST = "2b19964743a3bf659afa2e0c68a232bbe470c2178a9ae8c1d486cfa4d77ebebe"
+DIGEST_5_7 = "79fb362d2a9028e06710607344ae11448e1a95dc5778737c3cefa7c7c29aeac2"
+SEED_PATH_DIGEST = "1c0c9165b8f6ead6d87569ff0615bc8156a8936c3f592a0664c40a32bf642ad4"
 
 
 def raw_box(box):
@@ -192,15 +192,16 @@ def test_each_window_product_is_computed_once_per_rung(monkeypatch):
 
 
 def test_early_refusal_keeps_every_rung_verdict(monkeypatch):
-    # the seed-1 batch and five builtins: at 256 and 512 bits, _binet_at
-    # returns None exactly when its check loop alone would
-    seqs = [LinearRecurrence(*spec) for spec in BATCH[:9]]
+    # the seed-1 batch, the seed-7 reducible cubic (x - 3)(x^2 + x + 1) and
+    # five builtins: at 256 and 512 bits, _binet_at returns None exactly
+    # when its check loop alone would
+    seqs = [LinearRecurrence(*spec) for spec in BATCH[:9] + [BATCH_5_7[11]]]
     seqs += [BUILTIN_SEQUENCES[name] for name in ("fib", "lucas", "pow2", "pow3", "tribonacci")]
-    refusal, fired = spectral._check_fails_at_bound, []
+    refusal, fired, refused = spectral._check_fails_at_bound, [], []
 
     def spy(decomp, field):
         if refusal(decomp, field):
-            fired.append((decomp.sequence.name, field.prec))
+            fired.append((decomp.sequence.name, decomp.sequence.coefficients, field.prec))
             return True
         return False
 
@@ -214,9 +215,21 @@ def test_early_refusal_keeps_every_rung_verdict(monkeypatch):
             monkeypatch.setattr(spectral, "_check_fails_at_bound", lambda decomp, field: False)
             late = spectral._binet_at(seq, spectrum, field)
             assert (early is None) == (late is None), (seq.name, bits)
-    assert ("tribonacci", 256) in fired
-    # refused by its coefficient box's width: roots 3, +-i and -1 are point boxes
-    assert ("reducible-quartic-0", 256) in fired
+            if late is None:
+                refused.append((seq.name, seq.coefficients, bits))
+    assert fired == [("tribonacci", (1, 1, 1), 256), ("tetranacci", (1, 1, 1, 1), 256),
+                     ("irreducible-cubic-a", (0, 2, 2), 256),
+                     ("irreducible-cubic-b", (0, 2, 2), 256),
+                     ("irreducible-quartic", (1, 0, 2, 2), 256),
+                     ("reducible-cubic-1", (1, 3, 1), 256),
+                     # by its coefficient box's width alone: the root 3 is a
+                     # point box, its coefficient 12/13 is not
+                     ("reducible-cubic-1", (2, 2, 3), 256),
+                     ("tribonacci", (1, 1, 1), 256)]
+    # the pin loop refuses the rest, when 3^n outgrows the rung: pow3, and
+    # reducible-quartic-0, whose coefficient at its root 3 is the point 1/8
+    assert sorted(refused) == sorted(fired + [("pow3", (3,), 256),
+                                              ("reducible-quartic-0", (2, 2, 2, 3), 256)])
 
 
 if __name__ == "__main__":

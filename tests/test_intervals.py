@@ -259,6 +259,20 @@ def test_an_infinite_end_has_no_ball():
         ball_from_mpi(inf)
 
 
+@pytest.mark.parametrize("x, y", [
+    ((0, 1, 0), (0, 2 ** 65 - 1, 0)),               # the radius rounds up to 2^64
+    ((-(2 ** 65 - 1), 0, 0), (1, 0, 0)),            # the midpoint rounds down to -2^64
+    ((2 ** 65 - 1, 0, 0), (-1, 1, 0)),              # both
+])
+def test_a_rounding_carry_keeps_prec_bits(x, y):
+    # rounding a product to 64 bits can carry into a 65th; it is cut once more
+    (xl, xh), (yl, yh) = _ends(x), _ends(y)
+    product = ball_mul(x, y, 64)
+    lo, hi = _ends(product)
+    assert all(lo <= u * v <= hi for u in (xl, xh) for v in (yl, yh))
+    assert (abs(product[0]) | product[1]).bit_length() <= 64
+
+
 @pytest.mark.parametrize("prec", [64, 256, 512, 1024])
 def test_exact_balls_stay_exact(prec):
     # powers of 2 keep radius 0 at every size, powers of 3 while they fit

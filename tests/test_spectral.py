@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -12,6 +13,7 @@ from mpmath.libmp import (
     mpf_le,
     mpf_lt,
     mpf_shift,
+    mpi_abs,
     mpi_add,
     mpi_mul,
     mpi_neg,
@@ -28,8 +30,12 @@ from recdiff.heights import AlgebraicNumber
 from recdiff.independence import multiplicative_independence
 from recdiff.intervals import (
     IntervalField,
+    ball_add,
+    ball_to_mpi,
     contains,
     contains_zero,
+    interval_inf_fraction,
+    interval_sup_fraction,
     is_subset,
     lower_float,
     midpoint_float,
@@ -502,6 +508,186 @@ def test_envelope_checks_on_one_stream_decide_as_fresh_streams(seq):
             assert got == spectral._verify_envelope(e_top, decomp, field, fresh()), (e, top)
             verdicts.append(got)
     assert verdicts[:3] == [True, True, True] and False in verdicts
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_partial_fractions_meet_the_eliminated_boxes(bits):
+    # the two spectral-cold batches and k-bonacci 3-8, orders 3 to 8, all
+    # roots simple: each closed-form coefficient box R(alpha)/f'(alpha)
+    # meets the box that elimination over the root boxes gives
+    from test_bit_identity import BATCH, BATCH_5_7
+
+    seqs = [LinearRecurrence(*spec) for spec in BATCH + BATCH_5_7]
+    seqs += [LinearRecurrence("kbonacci", (1,) * k, (0,) * (k - 1) + (1,)) for k in range(3, 9)]
+    field = IntervalField(bits)
+    checked = set()
+    for seq in seqs:
+        roots = _spectrum_at(seq, field).roots
+        if any(r.multiplicity > 1 for r in roots):
+            continue
+        closed = spectral._partial_fractions(seq, roots)
+        eliminated = spectral._eliminated(seq, roots, field)
+        assert len(closed) == len(eliminated) == seq.order
+        for (a,), (b,) in zip(closed, eliminated):
+            assert not a.is_disjoint_from(b), (seq.name, bits)
+        checked.add(seq.order)
+    assert checked == set(range(3, 9)) and len(checked) < len(seqs)
+
+
+@pytest.mark.parametrize("coeffs, init", [
+    ((1, 1), (0, 1)), ((1, 1), (2, 1)), ((5, -6), (1, 4)), ((2, 1), (0, 1)),
+    ((0, 2), (1, 3)), ((3, -1), (2, 7)), ((-1, 3), (5, -2)), ((2,), (1,)), ((-3,), (7,)),
+])
+@pytest.mark.parametrize("bits", [256, 512])
+def test_low_order_partial_fractions_meet_the_exact_values(coeffs, init, bits):
+    seq, field = LinearRecurrence("low", coeffs, init), IntervalField(bits)
+    spectrum = _spectrum_at(seq, field)
+    closed = spectral._partial_fractions(seq, spectrum.roots)
+    exact = spectral._exact_binet(seq, spectrum)
+    assert len(closed) == len(exact) == seq.order
+    for (a,), (value,) in zip(closed, exact):
+        assert not value.box(field).is_disjoint_from(a), (coeffs, init, bits)
+
+
+def _ratio_value(ratio):
+    num, den, e = ratio
+    return Fraction(num, den) * Fraction(2) ** e
+
+
+_ratios = st.tuples(st.integers(0, 2 ** 700), st.integers(1, 2 ** 700), st.integers(-1500, 1500))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio=_ratios, prec=st.integers(16, 1024))
+def test_a_ratio_rounds_once_outward_to_a_dyadic(ratio, prec):
+    # down <= num / den 2^e <= up, one unit of prec bits apart at most, each
+    # a dyadic rational whose odd part has at most prec + 1 bits
+    exact = _ratio_value(ratio)
+    down, up = (spectral._dyadic(*ratio, prec, way) for way in (False, True))
+    assert down <= exact <= up and up - down <= exact / 2 ** (prec - 1)
+    for q in (down, up):
+        assert q.denominator & (q.denominator - 1) == 0
+        odd = q.numerator // (q.numerator & -q.numerator) if q else 0
+        assert odd.bit_length() <= prec + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_ratios, y=_ratios)
+def test_ratios_compare_exactly(x, y):
+    assert spectral._ratio_le(x, y) == (_ratio_value(x) <= _ratio_value(y))
+    assert spectral._ratio_le(x, x)
+
+
+def _envelope_loops_by_intervals(decomp, cert, field, products, alpha_prime, rhos, n_seg,
+                                 n0_max):
+    """``_envelope_on``'s window maximum, n0 search and ratio minimum on
+    mpmath's interval operators, each n's bound read as an exact Fraction:
+    (a_prime, n0, c_lower), with n0 None when no n0 <= n0_max is found and
+    c_lower None when either bound fails."""
+    roots, prec = decomp.spectrum.roots, field.prec
+    dom, sigma = cert.root_index, cert.sigma
+    others = [i for i in range(len(roots)) if i != dom]
+    mod_alpha, ap = roots[dom].modulus(), field.real(alpha_prime)
+    a_prime = Fraction(1, 2 ** 64)
+    if others:
+        window_sup, ap_pow = Fraction(0), field.real(1)
+        for parts in spectral._binet_parts(products, others, 0, n_seg, prec):
+            tail = ball_to_mpi(functools.reduce(ball_add, parts), prec)
+            window_sup = max(window_sup, interval_sup_fraction(
+                field.ctx.make_mpf(mpi_abs(tail)) / ap_pow))
+            ap_pow = ap_pow * ap
+        tail_bound = field.real(0)
+        for rho, i in zip(rhos, others):
+            for j, c in enumerate(decomp.coefficients[i]):
+                tail_bound = tail_bound + c.modulus() * (n_seg + 1) ** j * rho ** (n_seg + 1)
+        a_prime = max(a_prime, max(window_sup, interval_sup_fraction(tail_bound))
+                      * (1 + Fraction(1, 1024)))
+
+    def dom_abs(n):
+        return decomp.coefficient_value(dom, n).modulus()
+
+    rho_dom, apf = ap / mod_alpha, field.real(a_prime)
+    g_lower, rho_pow = [], field.real(1)
+    for n in range(n_seg + 1):
+        g_lower.append(interval_inf_fraction(dom_abs(n) - apf * rho_pow))
+        rho_pow = rho_pow * rho_dom
+    n0 = next((start for start in range(n0_max + 1)
+               if all(g > 0 for g in g_lower[start:])), None)
+    lead = interval_inf_fraction(decomp.coefficients[dom][sigma].modulus())
+    inf_a_beyond = lead
+    if sigma > 0:
+        rest = sum(interval_sup_fraction(c.modulus()) for c in decomp.coefficients[dom][:sigma])
+        n2 = max(n_seg + 1, int(2 * rest / lead) + 2)
+        inf_a_beyond = min([interval_inf_fraction(dom_abs(n)) for n in range(n_seg + 1, n2 + 1)]
+                           + [lead * Fraction(n2 + 1) ** sigma / 2])
+    tail_low = inf_a_beyond - interval_sup_fraction(apf * rho_dom ** (n_seg + 1))
+    if n0 is None or tail_low <= 0:
+        return a_prime, n0, None
+    n0 = max(n0, 1) if sigma > 0 else n0
+    ratio_min, alpha_pow = None, mod_alpha ** n0
+    for term in decomp.sequence.terms(n_seg + 1)[n0:]:
+        v = interval_inf_fraction(field.real(abs(term)) / alpha_pow)
+        ratio_min = v if ratio_min is None else min(ratio_min, v)
+        alpha_pow = alpha_pow * mod_alpha
+    return a_prime, n0, min(ratio_min, tail_low) * (1 - Fraction(1, 1024))
+
+
+def test_envelope_loops_decide_as_the_interval_operators(monkeypatch):
+    # every window of every rung that reaches the envelope, on the seed-1
+    # batch, five builtins, n 2^n, padovan and the two close-root cases,
+    # whose first window finds no n0: the loops on integer balls find the
+    # same n0, and a_prime and c_lower within a few units of the rung's
+    # last bit per window step, as the loops on interval operators
+    from test_bit_identity import BATCH
+
+    seqs = [LinearRecurrence(*spec) for spec in BATCH[:9]] + [N2N]
+    seqs += [BUILTIN_SEQUENCES[name] for name in ("fib", "lucas", "pow2", "pow3", "tribonacci")]
+    seqs += [LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1)),
+             LinearRecurrence("close", (3, -5, 4, 4), (-1, 3, 2, 2)),
+             LinearRecurrence("close", (8, -18, 0, 26, 3, 9, -27), (-2, 1, 4, -2, -4, -2, -2))]
+    on, windows = spectral._envelope_on, []
+
+    def spy(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg, n0_max):
+        found = on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg, n0_max)
+        windows.append(((decomp, cert, field, products, alpha_prime, rhos, n_seg, n0_max), found))
+        return found
+
+    monkeypatch.setattr(spectral, "_envelope_on", spy)
+    for seq in seqs:
+        spectral._analyze_uncached(seq)
+    certified, wider = 0, 0
+    for args, (env, width) in windows:
+        a_prime, n0, c_lower = _envelope_loops_by_intervals(*args)
+        prec = args[2].prec
+        if width:
+            assert c_lower is None, (args[0].sequence.name, prec)
+            wider += 1
+        if env is None:
+            continue
+        assert env.n0 == n0, (args[0].sequence.name, prec)
+        # both sides round each running power of the window once a step, a
+        # ball's radius by up to two units of 2^-prec, an interval's ends by
+        # one: n_seg units bound the drift (12.8 is the largest seen)
+        n_seg = args[6]
+        for got, want in ((env.a_prime, a_prime), (env.c_lower, c_lower)):
+            assert abs(got - want) <= want * n_seg / 2 ** prec, (args[0].sequence.name, prec)
+        certified += 1
+    assert certified == len(seqs) and wider >= 2
+
+
+@pytest.mark.parametrize("k, constants", [
+    (12, ("0.000244260294067", "0.0113076966657", "0.0110518663218")),
+    (16, ("1.52457490754e-05", "0.0027826520489", "0.00276467498394")),
+])
+def test_kbonacci_12_and_16_certify_at_512_bits(k, constants):
+    # the closed-form coefficient boxes pin U_200 at 512 bits, where the
+    # boxes from elimination needed 1024; c_lower, c_upper and a_prime agree
+    # with the 1024-bit analysis to 12 digits
+    seq = LinearRecurrence("kbonacci-%d" % k, (1,) * k, (0,) * (k - 1) + (1,))
+    analysis = spectral._analyze_uncached(seq)
+    env = analysis.envelope
+    assert analysis.spectrum.precision_bits == 512
+    assert tuple("%.12g" % v for v in (env.c_lower, env.c_upper, env.a_prime)) == constants
 
 
 @st.composite
