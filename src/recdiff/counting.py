@@ -10,31 +10,30 @@ window is verified in turn, and the computation fails loudly (CutoffUnsafe)
 instead of reporting a possibly wrong count.
 
 The enumeration keeps, for each U_n, only an index run [left, right) into
-the value-sorted V terms.  T and S are counted band by band: each band of
-|c| (one sign at a time) gathers its pairs from every run by bisection.  A
-band of fewer than 2^12 pairs sorts its big-integer differences and counts
-adjacent equal values.  A larger one sorts one machine word per pair, the
-difference's residue mod a 31-bit prime beside the pair's position, and
-computes exactly only the differences whose residue another pair shares:
-equal values always share it, so T, S and the repeated values are exact
-whatever the prime, which only decides how few differences are computed
-(Karp and Rabin's fingerprints, IBM J. Res. Dev. 31 (1987), with every tie
-resolved).  Only one band is alive at a time, so the memory of a count grows
-with n_cut + m_cut and the band size, not with T(x).  A pass at the largest
-x of a grid covers every smaller x, so a grid is enumerated once.
+the value-sorted V terms.  T(x) is read from the runs, and S(x) from the
+identity S = T - sum of (r(c) - 1) over the values c, |c| <= x, that
+r(c) >= 2 pairs (n, m) take.  A sweep finds those ties with work that grows
+with n_cut + m_cut, not with T.  It works on the distinct values: u, taken
+by mu(u) indices n of the runs, and v, taken by nu(v) indices m, so a pair
+(u, v) stands for mu(u) nu(v) pairs (n, m).  With K = 2^_SPLIT = 4,
 
-A tally keeps T(e) and S(e), the pairs and values with |c| < e, at every
-band edge e of its walk, the repeated values, and its region: the n cutoff
-and the number of V entries of its count.  Each of the 64 pairs used last
-keeps one tally, the one of its count at the largest x (the newer one on a
-tie).  A later count still enumerates, so its cutoffs and window checks are
-its own.  It starts its bands at the kept tally's highest edge
-e <= min(xs) + 1 when the two regions nest (one contains the other) and its
-runs hold the tally's T(e): the pairs with |c| < e of the smaller region
-lie in the larger one's, so an equal number means the same pairs, values
-and repeats.  This holds for x above and below the tally's, so a wide count
-serves the counts below it; a count below every edge of the kept tally
-counts cold.
+- a row block holds, for one u, the v with K|v| <= |u|: one contiguous
+  range of the sorted V values, so its c = u - v are distinct and lie in
+  an exactly known range;
+- a column block holds, for one v != 0, the u with K|u| <= |v|;
+- every other pair is balanced, |u| < K|v| and |v| < K|u|, and is listed:
+  for lacunary terms about log(K^2) / log|beta| of them per U term.
+
+So r(c) >= 2 needs a pair with mu nu >= 2, a balanced pair taking c, or two
+blocks whose c-ranges meet.  The blocks sorted by range start give the
+stretches of c that two or more of them cover, and only those stretches of
+the blocks are listed.  Outside them a value lies in at most one block,
+found by bisection and decided by one lookup (u - c among the V values,
+v + c among the U values).  Every tie is found exactly whatever K >= 2 is:
+K only moves pairs between the blocks and the balanced list, and so sets
+the speed (with K = 2 the row blocks of Fibonacci terms overlap, and the
+stretches hold nearly every pair).  A pass at the largest x of a grid
+covers every smaller x, so a grid is enumerated once.
 
 Certified real comparisons are interval arithmetic: the growth index of an
 envelope, on 96-bit intervals, and the real-base explorer (pi^n vs e^m),
@@ -43,14 +42,12 @@ where every comparison is decided with certified margin or refined.
 
 from __future__ import annotations
 
-import math
-import threading
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice
-from operator import eq, itemgetter, lt, sub
+from itertools import accumulate, compress, count, repeat, starmap
+from operator import itemgetter, le, lt, sub
 
 from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
@@ -68,10 +65,7 @@ from .spectral import GrowthEnvelope, analyze_sequence
 
 _WINDOW_EXTRA = 16          # indices scanned past twice the cutoff, each round
 _HARD_CAP = 100000          # largest n cutoff before the window counts as a runaway
-_TALLY_CAP = 64             # pairs whose tallies are kept
-_CHECKPOINT_CAP = 256       # band edges a tally keeps: its highest ones
-_RESIDUE_BAND = 1 << 12     # pairs of a band and sign from which it is tallied by residues
-_PRIME = 2 ** 31 - 69       # a safe prime: 2 and 3 have order p - 1 and (p - 1) / 2 mod p
+_SPLIT = 2                  # log2 of the sweep's K: any K >= 2 finds the same ties
 
 
 @dataclass(frozen=True)
@@ -99,23 +93,6 @@ class CollisionScan:
     n_emp: int                 # max over records of the record's smallest n
     m_emp: int
     count: CountResult
-
-
-@dataclass(frozen=True)
-class _Tally:
-    """A tally of one pair: (e, T(e), S(e)) at band edges e, ascending, for
-    the pairs with |c| < e; the values c taken more than once below the last
-    edge (the count's largest x, plus one); and the region counted, n <=
-    n_cut and the first n_entries V terms."""
-    checkpoints: tuple
-    repeated: frozenset
-    n_cut: int
-    n_entries: int
-
-
-_COLD = (0, 0, 0, frozenset())      # a walk's start (e, T, S, repeated) covering no |c|
-_TALLIES = OrderedDict()     # (seqU, seqV) -> its tally, least recently used first
-_TALLIES_LOCK = threading.Lock()
 
 
 def _parse_x_int(value) -> int:
@@ -234,8 +211,8 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
                 lefts, rights = [], []
             entries = sorted(zip(v_terms, range(m_big + 1)))
             values = [v for v, _ in entries]
-        lefts += [bisect_left(values, u - x) for u in u_terms[len(lefts):]]
-        rights += [bisect_right(values, u + x) for u in u_terms[len(rights):]]
+        lefts += map(bisect_left, repeat(values), [u - x for u in u_terms[len(lefts):]])
+        rights += map(bisect_right, repeat(values), [u + x for u in u_terms[len(rights):]])
         hits = list(compress(count(), map(lt, lefts, rights)))
         if not hits or hits[-1] <= n_cut:
             break
@@ -245,9 +222,13 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
                 2 * hits[-1] + _WINDOW_EXTRA)
         n_cut = hits[-1]
 
-    # past n_cut every run is empty: the V values nearest U_n sit at left - 1 and left
-    gap_margin = min((abs(u_terms[n] - values[j]) for n in range(n_cut + 1, scan_limit + 1)
-                      for j in (lefts[n] - 1, lefts[n]) if 0 <= j < len(values)), default=None)
+    # past n_cut every run is empty: the V values nearest U_n sit at left - 1
+    # and left; read cyclically, an index past one end gives the other end,
+    # which lies farther from U_n
+    tail, starts = u_terms[n_cut + 1:], lefts[n_cut + 1:]
+    below = [values[left - 1] for left in starts]
+    above = [values[left % len(values)] for left in starts]
+    gap_margin = min(map(abs, map(sub, tail * 2, below + above)))
     runs = [(n, u_terms[n], lefts[n], rights[n]) for n in hits]
     cover = [0] * (len(entries) + 1)    # runs opening less runs closing at each entry
     for _, _, left, right in runs:
@@ -257,141 +238,121 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
     return runs, entries, n_cut, m_cut, gap_margin
 
 
-def _distinct(runs, values, xs, bands, start=_COLD):
-    """The (e, T(e), S(e)) of the runs at each band edge e, ascending, for
-    the pairs with |c| < e, and the set of values c = U_n - V_m taken more
-    than once.
+def _cut(fixed, others, x, edge):
+    """For the edges edge[i], |edge[i]| <= K|f| + 1 with f = fixed[i] and
+    fixed ascending, the indices bisect_left(others, edge[i]) with edge[i]
+    clamped to [f - x, f + x + 1]: the w of the sorted others with
+    |f - w| <= x between two edges lie between their indices.  Only an f
+    with (K + 1)|f| >= x needs the clamp."""
+    m = (x - 1) >> _SPLIT + 1       # 2K m < x, so (K + 1)|f| < x for |f| <= m
+    cut = list(map(bisect_left, repeat(others), edge))
+    for i in [*range(bisect_left(fixed, -m)), *range(bisect_right(fixed, m), len(fixed))]:
+        f = fixed[i]
+        cut[i] = bisect_left(others, min(max(edge[i], f - x), f + x + 1))
+    return cut
 
-    |c| is split at every x + 1 and at 2^b_j for b_j = int(bits(max xs)
-    sqrt(j / bands)), j = 1 .. bands - 1: the pairs with |c| < 2^b grow
-    like b^2, so each band holds about T / bands of them.  Each band is
-    gathered one sign at a time from every run, between the bisections of
-    the run at its two edges; c = 0 belongs to the non-negative side only.
-    A side of _RESIDUE_BAND pairs or more computes only its tied differences
-    (_tied_differences), a smaller one all of them; either sorts what it
-    computed and counts adjacent equal values.  The bands ascend in |c|, so
-    the running totals at the edge x + 1 are T(x) and S(x).
 
-    ``start`` is (e, T(e), S(e), the values with |c| < e taken more than
-    once) of these runs for some e <= min(xs) + 1; the walk starts there.
+def _ties(mu, nu, x):
+    """(ties, blocks, balanced) of the sweep: ties maps each value c = u - v,
+    |c| <= x, that r(c) >= 2 index pairs take to (r(c), its pairs (u, v));
+    balanced lists the balanced pairs (u, v).
+
+    mu and nu map the distinct values u and v to their multiplicities.  A
+    block is (lo, hi, sign, f, others, a, b): a row is (u, V values, 1), a
+    column (v, U values, -1), and c = sign (f - w) runs monotonically from
+    one end of [lo, hi] to the other over w in others[a:b].  The listed
+    pairs keep no c: their differences are taken again where needed, and
+    two of them can share a c only when they share its hash.
     """
-    e, T, S, repeated = start
-    bits = max(xs).bit_length()
-    edges = sorted(edge for edge in {*(x + 1 for x in xs),
-                                     *(1 << int(bits * math.sqrt(j / bands))
-                                       for j in range(1, bands))}
-                   if edge > e)
-    checkpoints, repeated = [(e, T, S)], set(repeated)
-    us = [u for _, u, _, _ in runs]
-    # per run, the first entry with u - v < e (v > u - e) and with v - u >= max(e, 1)
-    above = [bisect_right(values, u - e, left, right) for _, u, left, right in runs]
-    below = [bisect_left(values, u + max(e, 1), left, right) for _, u, left, right in runs]
-    residues = None
-    for hi in edges:
-        next_above = [bisect_right(values, u - hi, left, a)
-                      for (_, u, left, _), a in zip(runs, above)]
-        next_below = [bisect_left(values, u + hi, b, right)
-                      for (_, u, _, right), b in zip(runs, below)]
-        # lo <= u - v < hi, then max(lo, 1) <= v - u < hi
-        for starts, stops in ((next_above, above), (below, next_below)):
-            pairs = sum(map(sub, stops, starts))
-            if _RESIDUE_BAND <= pairs < 1 << 32:        # a position fits 32 bits
-                if residues is None:
-                    residues = _residues(us, values)
-                diffs = _tied_differences(us, values, starts, stops, *residues)
-            else:
-                diffs = [u - v for u, a, b in zip(us, starts, stops) for v in values[a:b]]
-            diffs.sort()
-            equal = list(compress(diffs, map(eq, diffs, islice(diffs, 1, None))))
-            T += pairs
-            S += pairs - len(equal)
-            repeated.update(equal)
-        above, below = next_above, next_below
-        checkpoints.append((hi, T, S))
-    return checkpoints, repeated
+    us, vs = sorted(mu), sorted(nu)
+    # rows -h <= v <= h and balanced h < |v| < K|u|, for h = |u| // K, one
+    # list of edges alive at a time; the cuts of u = 0 cross, which leaves
+    # its balanced ranges empty
+    cuts = list(zip(us, _cut(us, vs, x, [1 - (abs(u) << _SPLIT) for u in us]),
+                    _cut(us, vs, x, [-(abs(u) >> _SPLIT) for u in us]),
+                    _cut(us, vs, x, [(abs(u) >> _SPLIT) + 1 for u in us]),
+                    _cut(us, vs, x, [abs(u) << _SPLIT for u in us])))
+    blocks = [(u - vs[b - 1], u - vs[a], 1, u, vs, a, b) for u, _, a, b, _ in cuts if a < b]
+    balanced = [(u, v) for u, p, a, b, q in cuts for v in vs[p:a] + vs[b:q]]
+    # columns -h <= u <= h for v != 0, h = |v| // K
+    blocks += [(us[a] - v, us[b - 1] - v, -1, v, us, a, b) for v, a, b
+               in zip(vs, _cut(vs, us, x, [-(abs(v) >> _SPLIT) for v in vs]),
+                      _cut(vs, us, x, [(abs(v) >> _SPLIT) + 1 for v in vs])) if a < b and v]
 
+    # reaches[i], the furthest hi among the first i blocks; the front, after
+    # a sentinel, the blocks reaching further than all starting before them;
+    # the stretches [p, q] of c that two or more blocks cover, disjoint and
+    # ascending, whose pairs are listed from every block meeting them
+    blocks.sort(key=itemgetter(0))
+    reaches = list(accumulate([block[1] for block in blocks], max, initial=-x - 1))
+    front = [(-x - 1, -x - 1, 1, 0)] + [block for block, reach in zip(blocks, reaches)
+                                        if block[1] > reach]
+    shared = []
+    for lo, hi in [(block[0], min(block[1], reach))
+                   for block, reach in zip(blocks, reaches) if block[0] <= reach]:
+        if shared and lo <= shared[-1][1]:
+            shared[-1][1] = max(shared[-1][1], hi)
+        else:
+            shared.append([lo, hi])
+    listed, ends = balanced[:], [q for _, q in shared]
+    for lo, hi, sign, f, others, a, b in blocks if shared else ():
+        for p, q in shared[bisect_left(ends, lo):bisect_right(ends, hi) + 1]:
+            if p > hi:
+                break
+            w_lo, w_hi = (f - q, f - p) if sign > 0 else (f + p, f + q)
+            listed += [(f, w) if sign > 0 else (w, f)
+                       for w in others[bisect_left(others, w_lo, a, b):
+                                       bisect_right(others, w_hi, a, b)]]
 
-def _residues(us, values):
-    """The residues mod _PRIME of the us and of the values, as int64 arrays."""
-    import numpy
-
-    return (numpy.array([u % _PRIME for u in us], dtype=numpy.int64),
-            numpy.array([v % _PRIME for v in values], dtype=numpy.int64))
-
-
-def _tied_differences(us, values, starts, stops, u_res, v_res):
-    """The differences u - v, v in values[start:stop] for each u, of the pairs
-    whose residue mod _PRIME another pair shares; every other pair takes a
-    value that no pair here shares.
-
-    Each pair is packed into one machine word, (c mod p) << 32 | its
-    position, and the words are sorted once: equal high halves are adjacent.
-    Only the tied positions are mapped back to (u, v), so equal values, which
-    always tie, are found by exact integers whatever the prime.
-    """
-    import numpy
-
-    starts, stops = (numpy.array(a, dtype=numpy.int64) for a in (starts, stops))
-    counts = stops - starts
-    ends = numpy.cumsum(counts)
-    firsts = ends - counts                  # the position of each run's first pair
-    pairs = int(ends[-1])
-    # a pair's V index steps by one within a run and jumps from the last
-    # entry of one run to the first of the next: a cumulative sum of steps,
-    # so that at most two band-sized arrays are alive at a time
-    steps = numpy.ones(pairs, dtype=numpy.int64)
-    filled = counts > 0
-    jumps = starts[filled]
-    jumps[1:] -= stops[filled][:-1] - 1
-    steps[firsts[filled]] = jumps
-    words = v_res[numpy.cumsum(steps, out=steps)]
-    del steps
-    numpy.subtract(numpy.repeat(u_res, counts), words, out=words)
-    words %= _PRIME
-    words <<= 32
-    words |= numpy.arange(pairs, dtype=numpy.int64)
-    words.sort()
-    same = (words[1:] ^ words[:-1]) < 1 << 32
-    tied = numpy.zeros(pairs, dtype=bool)
-    tied[1:] = same
-    tied[:-1] |= same
-    positions = words[tied] & 0xFFFFFFFF
-    run = numpy.searchsorted(ends, positions, side="right")
-    index = starts[run] + positions - firsts[run]
-    return [us[r] - values[j] for r, j in zip(run.tolist(), index.tolist())]
-
-
-def _start(tally, runs, values, n_cut, n_entries, limit):
-    """The start of a walk over these runs, as _distinct takes it: the
-    highest edge e <= limit of the pair's kept tally, when its region nests
-    with the runs' (one holds the other) and the runs hold its T(e) pairs
-    with |c| < e.  _COLD when there is no tally or no such edge e >= 1;
-    e = 0 covers no |c|."""
-    if tally is None or (n_cut - tally.n_cut) * (n_entries - tally.n_entries) < 0:
-        return _COLD
-    i = bisect_right(tally.checkpoints, limit, key=itemgetter(0)) - 1
-    if i < 0 or tally.checkpoints[i][0] < 1:
-        return _COLD
-    e, T, S = tally.checkpoints[i]
-    if T != sum(bisect_left(values, u + e, left, right) - bisect_right(values, u - e, left, right)
-                for _, u, left, right in runs):
-        return _COLD
-    return e, T, S, frozenset(c for c in tally.repeated if abs(c) < e)
+    # r(c) >= 2 when two listed pairs take c, a listed pair and a block do,
+    # or a pair standing for mu nu >= 2 index pairs does.  Outside the
+    # stretches a c lies in one block at most, the last of the front starting
+    # at or below it, which holds c when w = f - sign c is a value; so a c
+    # that no listed pair takes has one pair at most
+    hashes = list(map(hash, starmap(sub, listed)))
+    seen = Counter(hashes)
+    starts = [block[0] for block in front[1:]]
+    leaders = list(map(front.__getitem__,
+                       map(bisect_right, repeat(starts), starmap(sub, listed))))
+    inside = list(map(le, starmap(sub, listed), map(itemgetter(1), leaders)))
+    at = defaultdict(list)          # c -> its pairs, for each c that may tie
+    for (u, v), (_, _, sign, f, _, _, _) in zip(compress(listed, inside),
+                                                compress(leaders, inside)):
+        w = f - sign * (u - v)
+        if w in (nu if sign > 0 else mu):
+            pair = (f, w) if sign > 0 else (w, f)
+            if pair not in at[u - v]:
+                at[u - v].append(pair)
+    # each pair standing for several index pairs, with its surplus mu nu - 1
+    heavy = [(u - v, (u, v), k * nu[v] - 1) for u, k in mu.items() if k > 1
+             for v in vs[bisect_left(vs, u - x):bisect_right(vs, u + x)]]
+    heavy += [(u - v, (u, v), k - 1) for v, k in nu.items() if k > 1
+              for u in us[bisect_left(us, v - x):bisect_right(us, v + x)] if mu[u] == 1]
+    ties = {c: (1 + extra, [pair]) for c, pair, extra in heavy if hash(c) not in seen}
+    surplus = defaultdict(int)
+    for c, pair, extra in heavy:
+        if hash(c) in seen:
+            surplus[c] += extra
+            if pair not in at[c]:
+                at[c].append(pair)
+    candidates = at.keys() | surplus.keys() | {
+        u - v for u, v in compress(listed, [seen[h] > 1 for h in hashes])}
+    wanted = set(map(hash, candidates))
+    for u, v in compress(listed, map(wanted.__contains__, hashes)):
+        if u - v in candidates and (u, v) not in at[u - v]:
+            at[u - v].append((u, v))
+    ties.update({c: (len(at[c]) + surplus[c], at[c]) for c in candidates})
+    return {c: tie for c, tie in ties.items() if tie[0] > 1}, blocks, balanced
 
 
 def _count(seqU, seqV, xs, envU, envV):
-    """The one enumeration pass, at max(xs), and the banded tally of
-    c = U_n - V_m for every x of xs.
+    """The one enumeration pass, at max(xs), and T and S for every x of xs.
 
-    Returns (counts, runs, entries, repeated): one CountResult per x, in
-    order, all with the pass's cutoffs and gap margin; runs and entries as
-    in _enumerate_pairs; repeated the values c taken by two or more pairs.
-    One band of about 2^17 pairs is alive at a time, whatever T is.
-
-    The walk starts where _start finds the pair's kept tally to agree with
-    these runs, so only e <= |c| <= max(xs) is tallied.  The new tally,
-    which holds the edges of this walk only, replaces the kept one unless
-    that one reaches a larger x.
+    Returns (counts, ties, runs, entries): one CountResult per x, in order,
+    all with the pass's cutoffs and gap margin; ties as _ties gives them for
+    max(xs); runs and entries as in _enumerate_pairs.  T(x) is read from
+    the runs and S(x) is T(x) - sum of (r(c) - 1) over the ties with
+    |c| <= x.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -405,23 +366,18 @@ def _count(seqU, seqV, xs, envU, envV):
             raise ValueError("the envelope given for %r is that of %r"
                              % (seq.name, env.sequence.name))
     runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
+    _, us, lefts, rights = zip(*runs) if runs else ((),) * 4
     values = [v for v, _ in entries]
-    key = seqU, seqV
-    with _TALLIES_LOCK:
-        kept = _TALLIES.get(key)
-    start = _start(kept, runs, values, n_cut, len(entries), min(xs) + 1)
-    pairs = sum(right - left for _, _, left, right in runs)
-    checkpoints, repeated = _distinct(runs, values, xs, max(1, pairs >> 17), start)
-    tally = _Tally(tuple(checkpoints[-_CHECKPOINT_CAP:]), frozenset(repeated),
-                   n_cut, len(entries))
-    with _TALLIES_LOCK:
-        kept = _TALLIES.pop(key, tally)
-        _TALLIES[key] = kept if kept.checkpoints[-1][0] > tally.checkpoints[-1][0] else tally
-        if len(_TALLIES) > _TALLY_CAP:
-            _TALLIES.popitem(last=False)
-    totals = {e: (T, S) for e, T, S in checkpoints}
-    counts = [CountResult(x, *totals[x + 1], n_cut, m_cut, gap_margin, "fast") for x in xs]
-    return counts, runs, entries, repeated
+    ties, _, _ = _ties(Counter(us), Counter(values[min(lefts, default=0):max(rights, default=0)]),
+                       max(xs))
+    counts = []
+    for x in xs:
+        T = sum(rights) - sum(lefts) if x == max(xs) else \
+            sum(map(bisect_right, repeat(values), [u + x for u in us], lefts, rights)) - \
+            sum(map(bisect_left, repeat(values), [u - x for u in us], lefts, rights))
+        S = T - sum(r - 1 for c, (r, _) in ties.items() if abs(c) <= x)
+        counts.append(CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast"))
+    return counts, ties, runs, entries
 
 
 def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
@@ -436,19 +392,19 @@ def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
 def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int) -> CollisionScan:
     """Report all c = U_n - V_m with >= 2 counted representations and the
     empirical repeat-index witnesses."""
-    (count,), runs, entries, repeated = _count(seqU, seqV, [x], None, None)
-    groups = {c: [] for c in sorted(repeated)}
-    for n, u, left, right in runs:
-        for v, m in entries[left:right]:
-            if u - v in groups:
-                groups[u - v].append((n, m))
-    # runs ascend in n, and equal values within a run ascend in m, so each
-    # list of representations is already sorted
-    records = tuple(CollisionRecord(c, tuple(reps), reps[-1][0], max(m for _, m in reps))
-                    for c, reps in groups.items())
+    (count,), ties, runs, entries = _count(seqU, seqV, [x], None, None)
+    ns, ms = defaultdict(list), defaultdict(list)     # the indices taking each value, ascending
+    for n, u, _, _ in runs:
+        ns[u].append(n)
+    for v, m in entries:
+        ms[v].append(m)
+    records = []
+    for c in sorted(ties):
+        reps = sorted((n, m) for u, v in ties[c][1] for n in ns[u] for m in ms[v])
+        records.append(CollisionRecord(c, tuple(reps), reps[-1][0], max(m for _, m in reps)))
     n_emp = max((r.representations[0][0] for r in records), default=0)
     m_emp = max((min(m for _, m in r.representations) for r in records), default=0)
-    return CollisionScan(records, n_emp, m_emp, count)
+    return CollisionScan(tuple(records), n_emp, m_emp, count)
 
 
 # ---------------------------------------------------------------------------

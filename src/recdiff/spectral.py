@@ -742,45 +742,40 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg
 
     env = GrowthEnvelope(cert, c_lower, c_upper, alpha_prime, a_prime,
                          n0, sigma, max(_VERIFY_TO, n0 + _VERIFY_TO - _WINDOW))
-    if not _verify_envelope(env, decomp, field, products):
+    if not _verify_envelope(env, decomp, field, products, powers):
         return None, 0
     return env, 0
 
 
-def _verify_envelope(env, decomp, field, products):
+def _verify_envelope(env, decomp, field, products, powers):
     """Exact check of both envelope inequalities and the remainder bound for
     n0 <= n <= env.verified_to.
 
-    |alpha|^n and alpha'^n are running ball products from the balls of
-    |alpha| and alpha', and a(n) alpha^n is read from the stream as one real
-    ball: a dominant root is real (a non-real one ties with its conjugate).
-    Each inequality compares integers against the exact c_lower, c_upper
-    and a_prime: c_lower times the upper end of |alpha|^n, c_upper n^sigma
-    times its lower end, and a_prime times the lower end of alpha'^n, with
-    the largest distance from U_n to the stream's ball.
+    |alpha|^n and alpha'^n are read from the rung's running ball powers of
+    |alpha| and env.alpha_prime (``powers``, two ``_power_table``s, extended
+    here as far as the check reads), and a(n) alpha^n from the stream as one
+    real ball: a dominant root is real (a non-real one ties with its
+    conjugate).  Each inequality compares integers against the exact
+    c_lower, c_upper and a_prime: c_lower times the upper end of |alpha|^n,
+    c_upper n^sigma times its lower end, and a_prime times the lower end of
+    alpha'^n, with the largest distance from U_n to the stream's ball.
     """
     dom, n0, top = env.certificate.root_index, env.n0, env.verified_to
-    prec = field.prec
-    alpha = ball_from_mpi(decomp.spectrum.roots[dom].modulus()._mpi_)
-    ap = ball_from_mpi(field.real(env.alpha_prime)._mpi_)
-    alpha_pow = ap_pow = _BALL_ONE
-    for _ in range(n0):
-        alpha_pow, ap_pow = ball_mul(alpha_pow, alpha, prec), ball_mul(ap_pow, ap, prec)
+    alpha_pows, ap_pows = (upto(top) for upto in powers)
     cl, cl_den = env.c_lower.as_integer_ratio()
     cu, cu_den = env.c_upper.as_integer_ratio()
     apr, apr_den = env.a_prime.as_integer_ratio()
     terms = decomp.sequence.terms(top + 1)
-    for n, (part,) in enumerate(_binet_parts(products, [dom], n0, top, prec), n0):
+    for n, (part,) in enumerate(_binet_parts(products, [dom], n0, top, field.prec), n0):
         term = terms[n]
-        m, r, e = alpha_pow
+        m, r, e = alpha_pows[n]
         if not (_le(cl * (m + r), e, cl_den * abs(term), 0)
                 and _le(cu_den * abs(term), 0, cu * n ** env.sigma * (m - r), e)):
             return False
         d, de = _distance(term, part)
-        m, r, e = ap_pow
+        m, r, e = ap_pows[n]
         if not _le(apr_den * d, de, apr * (m - r), e):
             return False
-        alpha_pow, ap_pow = ball_mul(alpha_pow, alpha, prec), ball_mul(ap_pow, ap, prec)
     return True
 
 

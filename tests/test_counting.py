@@ -4,8 +4,7 @@ import sys
 import threading
 import tracemalloc
 from bisect import bisect_left, bisect_right
-from collections import Counter, OrderedDict, defaultdict
-from dataclasses import replace
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import islice
 
@@ -19,7 +18,6 @@ from recdiff.asymptotics import ratio_table
 from recdiff.counting import (
     _HARD_CAP,
     _WINDOW_EXTRA,
-    _distinct,
     _enumerate_pairs,
     _growth_index,
     _refuse_recurring_hits,
@@ -406,38 +404,156 @@ def _pair_differences(runs, entries):
                          ids=("fib-pow2", "pow2-fib", "lucas-pow3", "tribonacci-pow3"))
 @pytest.mark.parametrize("x", [10 ** 6, 10 ** 12])
 def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x, monkeypatch):
-    # band edges are powers of two, and c = +-2^k occurs (pow2 against
-    # F_0 = 0, say), as does c = 0 (F_1 - 2^0); the grid below x, out of
-    # order and with x twice, puts an edge x + 1 at and next to 2^k.  Equal
-    # terms (F_1 = F_2, tribonacci's T_0 = T_1 = 0) repeat values.  Every
-    # band is tallied by the exact sort, then by residues with the real
-    # prime, then by residues mod 101, where nearly every pair ties another
+    # c = +-2^k occurs (pow2 against F_0 = 0, say), as does c = 0
+    # (F_1 - 2^0); the grid below x, out of order and with x twice, puts an x
+    # at and next to 2^k.  Equal terms (F_1 = F_2, tribonacci's T_0 = T_1 = 0)
+    # repeat values.  Every K = 2, 4, 8, 16 of the sweep gives the same ties:
+    # with K = 2 the row blocks of Fibonacci terms overlap, so the stretches
+    # hold most pairs
     k = x.bit_length() - 2
     xs = [x, 2 ** k, x // 1000, 2 ** k - 1, 0, 2 ** k + 1, x]
     envU, envV = analyze_sequence(seqU).envelope, analyze_sequence(seqV).envelope
     runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, x, envU, envV)
     tally = Counter(_pair_differences(runs, entries))
 
-    def below(e):
-        return (sum(t for c, t in tally.items() if abs(c) < e),
-                sum(1 for c in tally if abs(c) < e))
+    def within(y):
+        return (sum(t for c, t in tally.items() if abs(c) <= y),
+                sum(1 for c in tally if abs(c) <= y))
 
-    expected = ([below(y + 1) for y in xs], {c for c, t in tally.items() if t > 1})
-    values = [v for v, _ in entries]
-    for threshold, prime in ((counting._RESIDUE_BAND, counting._PRIME),
-                             (1, counting._PRIME), (1, 101)):
-        monkeypatch.setattr(counting, "_RESIDUE_BAND", threshold)
-        monkeypatch.setattr(counting, "_PRIME", prime)
-        for bands in (1, 2, 3, 7, 64):
-            checkpoints, repeated = _distinct(runs, values, xs, bands)
-            totals = {e: (T, S) for e, T, S in checkpoints}
-            assert ([totals[y + 1] for y in xs], repeated) == expected
-            # every band edge is a checkpoint a later count can start from
-            assert all((T, S) == below(e) for e, T, S in checkpoints)
+    expected = [within(y) for y in xs], {c: t for c, t in tally.items() if t > 1}
+    for split in (1, 2, 3, 4):
+        monkeypatch.setattr(counting, "_SPLIT", split)
+        counts, ties, _, _ = counting._count(seqU, seqV, xs, envU, envV)
+        assert ([(r.T, r.S) for r in counts], {c: r for c, (r, _) in ties.items()}) == expected
+
+
+# a dominant root of either sign, equal terms on both sides (F_1 = F_2,
+# V_0 = V_1, tribonacci's 0, 0, 1, 1 and Padovan's 1, 1, 1, 2, 2), zero terms,
+# and the plastic number, x^3 - x - 1, whose terms grow so slowly that
+# consecutive row blocks overlap for every K <= 4
+SWEEP_POOL = (FIB, POW3, TRIBONACCI,
+              LinearRecurrence("pell-1-1", (2, 1), (1, 1)),
+              LinearRecurrence("neg2", (-2,), (1,)),
+              LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1)))
+
+
+def _negated(seq):
+    return LinearRecurrence("-" + seq.name, seq.coefficients, tuple(-t for t in seq.initial_terms))
+
+
+def _sweep_inputs(seqU, seqV, x):
+    """(mu, nu, the Counter of every enumerated pair's difference)."""
+    envs = [analyze_sequence(seq).envelope for seq in (seqU, seqV)]
+    runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, x, *envs)
+    mu = Counter(u for _, u, _, _ in runs)
+    nu = Counter(v for v, _ in entries)
+    return mu, nu, Counter(_pair_differences(runs, entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seqU=st.sampled_from(SWEEP_POOL), seqV=st.sampled_from(SWEEP_POOL),
+       flip=st.tuples(st.booleans(), st.booleans()), k=st.integers(0, 40),
+       x_offset=st.integers(0, 9), split=st.integers(1, 4))
+def test_the_sweep_finds_every_tie_with_its_pairs(seqU, seqV, flip, k, x_offset, split):
+    # each repeated value, its r(c) and its distinct (u, v) pairs, against a
+    # plain Counter of all pair differences; equal sequences are dependent
+    # and refused
+    seqU, seqV = (_negated(s) if f else s for s, f in zip((seqU, seqV), flip))
+    x = 10 ** k + x_offset
+    try:
+        mu, nu, tally = _sweep_inputs(seqU, seqV, x)
+    except ValueError as exc:
+        assert "multiplicatively dependent" in str(exc)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_SPLIT", split)
+        ties, _, _ = counting._ties(mu, nu, x)
+    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in tally.items() if t > 1}
+    for c, (r, pairs) in ties.items():
+        assert sorted(pairs) == sorted((u, u - c) for u in mu if u - c in nu)
+        assert r == sum(mu[u] * nu[v] for u, v in pairs)
+
+
+@pytest.mark.parametrize("seqU, seqV, x", [
+    (FIB, POW2, 10 ** 100), (POW2, FIB, 10 ** 60), (LUCAS, POW3, 10 ** 80),
+    (SWEEP_POOL[5], POW3, 10 ** 30), (SWEEP_POOL[4], _negated(SWEEP_POOL[3]), 10 ** 40),
+    (_negated(TRIBONACCI), SWEEP_POOL[5], 10 ** 20)],
+    ids=("fib-pow2", "pow2-fib", "lucas-pow3", "padovan-pow3", "neg2-minus-pell",
+         "minus-trib-padovan"))
+@pytest.mark.parametrize("split", [1, 2, 4])
+def test_rows_columns_and_balanced_pairs_sum_to_T(seqU, seqV, x, split, monkeypatch):
+    # every pair of a row block has K|v| <= |u|, of a column block K|u| <= |v|
+    # and v != 0, a balanced pair neither; a block's c run monotonically
+    # between its ends; the index pairs of the three sum to T
+    K = 2 ** split
+    mu, nu, tally = _sweep_inputs(seqU, seqV, x)
+    monkeypatch.setattr(counting, "_SPLIT", split)
+    _, blocks, balanced = counting._ties(mu, nu, x)
+    rows = columns = 0
+    for lo, hi, sign, f, others, a, b in blocks:
+        cs = [sign * (f - w) for w in others[a:b]]
+        assert cs in (sorted(cs), sorted(cs, reverse=True)) and {cs[0], cs[-1]} == {lo, hi}
+        assert len(set(cs)) == len(cs) and all(abs(c) <= x for c in cs)
+        if sign > 0:
+            assert all(K * abs(v) <= abs(f) for v in others[a:b])
+            rows += mu[f] * sum(nu[v] for v in others[a:b])
+        else:
+            assert f != 0 and all(K * abs(u) <= abs(f) for u in others[a:b])
+            columns += nu[f] * sum(mu[u] for u in others[a:b])
+    assert all(abs(u - v) <= x and abs(u) < K * abs(v) and abs(v) < K * abs(u)
+               for u, v in balanced)
+    assert len(set(balanced)) == len(balanced)
+    pairs = (rows, columns, sum(mu[u] * nu[v] for u, v in balanced))
+    assert sum(pairs) == sum(tally.values())
+    assert min(pairs) > 0
+
+
+@pytest.mark.parametrize("seqU, seqV, x", [
+    (FIB, POW2, 10 ** 6), (POW2, FIB, 10 ** 5), (TRIBONACCI, POW3, 10 ** 6),
+    (SWEEP_POOL[5], SWEEP_POOL[3], 10 ** 4), (SWEEP_POOL[4], _negated(FIB), 10 ** 5)],
+    ids=("fib-pow2", "pow2-fib", "tribonacci-pow3", "padovan-pell", "neg2-minus-fib"))
+def test_each_r_equals_the_brute_force_count(seqU, seqV, x):
+    # r(c) of every repeated value, and of no other, against a double loop
+    # over three times the cutoffs; the blocks of Padovan terms overlap
+    (count,), ties, _, _ = counting._count(seqU, seqV, [x], None, None)
+    u_terms, v_terms = seqU.terms(3 * count.n_cut + 1), seqV.terms(3 * count.m_cut + 1)
+    brute = Counter(u - v for u in u_terms for v in v_terms if abs(u - v) <= x)
+    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in brute.items() if t > 1}
+    oracle = brute_force_oracle(seqU, seqV, x, 3 * count.n_cut, 3 * count.m_cut)
+    assert (count.T, count.S) == (oracle.T, oracle.S) == (sum(brute.values()), len(brute))
+
+
+def test_values_sharing_a_hash_are_told_apart():
+    # hash(c) is c mod 2^61 - 1, so 1 - 2^61, which only the pair of
+    # F_1 = F_2 = 1 and 2^61 takes (r = 2, in a column block), shares the
+    # hash of 0, which the balanced pair (2, 2) takes; both stay exact
+    x = 2 ** 62
+    mu, nu, tally = _sweep_inputs(FIB, POW2, x)
+    assert hash(1 - 2 ** 61) == hash(0)
+    ties, _, balanced = counting._ties(mu, nu, x)
+    assert (2, 2) in balanced
+    assert ties[1 - 2 ** 61] == (2, [(1, 2 ** 61)])
+    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in tally.items() if t > 1}
+
+
+def test_slow_growth_takes_the_overlapping_block_path():
+    # with K = 4 the row block of a Padovan term u against (-2)^m, of both
+    # signs, spans c from about 3u/4 to 5u/4, and the next term is only
+    # 1.32 u: consecutive row blocks overlap, and the sweep lists the
+    # stretches they share; the ties still equal a plain Counter's
+    mu, nu, tally = _sweep_inputs(SWEEP_POOL[5], SWEEP_POOL[4], 10 ** 30)
+    ties, blocks, _ = counting._ties(mu, nu, 10 ** 30)
+    reach, overlaps = None, 0
+    for lo, hi, *_ in blocks:
+        overlaps += reach is not None and lo <= reach
+        reach = hi if reach is None else max(reach, hi)
+    assert overlaps > 100
+    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in tally.items() if t > 1}
 
 
 def test_multi_band_count_and_collisions_match_a_plain_grouping():
-    # T = 637,743 here, so the count sorts 4 bands
+    # T = 637,743 here; each record's representations come from lookups on
+    # its repeated value, not from a pass over the pairs
     envU, envV = analyze_sequence(FIB).envelope, analyze_sequence(POW2).envelope
     x = 10 ** 200
     scan = find_collisions(FIB, POW2, x)
@@ -451,17 +567,15 @@ def test_multi_band_count_and_collisions_match_a_plain_grouping():
     expected = [(c, tuple(sorted(reps)), max(n for n, _ in reps), max(m for _, m in reps))
                 for c, reps in sorted(groups.items())]
     assert scan.count.T == sum(tally.values()) == 637743
-    assert scan.count.T >> 17 == 4
     assert scan.count.S == len(tally)
     assert [(r.c, r.representations, r.max_n, r.max_m) for r in scan.records] == expected
     assert (len(scan.records), scan.n_emp, scan.m_emp) == (674, 11, 664)
 
 
-def test_count_memory_does_not_grow_with_T(monkeypatch):
+def test_count_memory_does_not_grow_with_T():
     # one Counter of all T = 637,743 differences peaked at 77 MiB under
-    # tracemalloc; the banded count peaks at about 10 MiB.  The tally store
-    # starts empty, so the count tallies every pair
-    monkeypatch.setattr(counting, "_TALLIES", OrderedDict())
+    # tracemalloc, the banded tally at about 7 MiB; the sweep, which lists
+    # only its balanced pairs, at about 2 MiB
     envU, envV = analyze_sequence(FIB).envelope, analyze_sequence(POW2).envelope
     tracemalloc.start()
     try:
@@ -517,124 +631,55 @@ def test_collisions_match_brute_grouping(seqU, seqV, x):
 
 
 # ---------------------------------------------------------------------------
-# a pair's one tally, of its count at the largest x, reused by its next counts
+# counts in any order, grids and threads: no count depends on another
 
 
-@pytest.fixture
-def tally_starts(monkeypatch):
-    """An empty tally store, and the y above which each tally starts (-1 for
-    a cold one)."""
-    monkeypatch.setattr(counting, "_TALLIES", OrderedDict())
-    starts, distinct = [], counting._distinct
-    monkeypatch.setattr(counting, "_distinct", lambda runs, values, xs, bands, start:
-                        starts.append(start[0] - 1) or distinct(runs, values, xs, bands, start))
-    return starts
+def _cold(seqU, seqV, x):
+    """The count of (seqU, seqV, x) made before any other count of the test:
+    every later count of it must equal this one."""
+    return count_T_S(seqU, seqV, x)
 
 
-def _cold(call, *args):
-    counting._TALLIES.clear()
-    return call(*args)
+def _grid(seqU, seqV, xs):
+    """(T, S) per x of one enumeration pass at max(xs)."""
+    return [(r.T, r.S) for r in counting._count(seqU, seqV, xs, None, None)[0]]
 
 
 @pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB), (LUCAS, POW3)],
                          ids=("fib-pow2", "pow2-fib", "lucas-pow3"))
-@pytest.mark.parametrize("xs, starts", [
-    ((0, 10, 10 ** 6, 10 ** 40), [-1, 0, 10, 10 ** 6]),
-    ((10 ** 40, 10 ** 6, 10, 0), [-1, -1, -1, -1]),
-    ((10 ** 12,) * 3, [-1, 10 ** 12, 10 ** 12]),
-], ids=("ascending", "descending", "equal"))
-def test_reused_tallies_count_as_cold_counts(seqU, seqV, xs, starts, tally_starts):
-    cold = [_cold(count_T_S, seqU, seqV, x) for x in xs]
-    counting._TALLIES.clear()
-    tally_starts.clear()
-    assert [count_T_S(seqU, seqV, x) for x in xs] == cold
-    assert tally_starts == starts
+@pytest.mark.parametrize("xs", [(0, 10, 10 ** 6, 10 ** 40), (10 ** 40, 10 ** 6, 10, 0),
+                                (10 ** 12,) * 3], ids=("ascending", "descending", "equal"))
+def test_reused_tallies_count_as_cold_counts(seqU, seqV, xs):
+    # the counts one after another equal the cold counts a fresh process
+    # makes, and each (T, S) equals that of the grid's one pass at max(xs)
+    cold = [_cold(seqU, seqV, x) for x in xs]
+    counts = [count_T_S(seqU, seqV, x) for x in xs]
+    assert counts == cold
+    assert [(r.T, r.S) for r in counts] == _grid(seqU, seqV, xs)
 
 
-def test_grids_and_collisions_reuse_tallies_as_cold_counts(tally_starts):
+def test_grids_and_collisions_reuse_tallies_as_cold_counts():
     grid = [10 ** 9, 10 ** 3, 10 ** 30, 10 ** 3]
-    cold_rows = _cold(ratio_table, FIB, POW2, grid).rows
-    cold_scan = _cold(find_collisions, FIB, POW2, 10 ** 40)
-    counting._TALLIES.clear()
-    tally_starts.clear()
+    cold_rows = ratio_table(FIB, POW2, grid).rows
+    cold_scan = find_collisions(FIB, POW2, 10 ** 40)
     count_T_S(FIB, POW2, 100)
     assert ratio_table(FIB, POW2, grid).rows == cold_rows
     assert find_collisions(FIB, POW2, 10 ** 40) == cold_scan
     count_T_S(FIB, POW2, 10 ** 12)             # between the grid's ends
     assert ratio_table(FIB, POW2, grid).rows == cold_rows
-    # the grid starts at the count's edge 100 + 1 and the scan at the grid's
-    # 10^30 + 1; the scan's tally, which the pair keeps, has no edge below
-    # 10^30 + 1, so the count at 10^12 and the grid again count cold
-    assert tally_starts == [-1, 100, 10 ** 30, -1, -1]
+    assert [(r.T, r.S) for r in cold_rows] == _grid(FIB, POW2, grid)
+    assert cold_scan.count == _cold(FIB, POW2, 10 ** 40)
 
 
-def test_a_tally_is_reused_only_within_its_bounds_and_with_its_T(tally_starts):
-    cold = _cold(count_T_S, FIB, POW2, 10 ** 9)
-    envs = [analyze_sequence(seq).envelope for seq in (FIB, POW2)]
-    _, entries, n_cut, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 9, *envs)
-    counting._TALLIES.clear()
-    count_T_S(FIB, POW2, 10 ** 6)
-    tally = counting._TALLIES[FIB, POW2]
-    # within both bounds and with its T, a changed S is read
-    counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, S=+1000)
-    assert count_T_S(FIB, POW2, 10 ** 9).S == cold.S + 1000
-    # a wrong T, or a bound above the new count's: the whole tally is redone
-    for wrong in ({"T": +1000},
-                  {"S": +1000, "n_cut": n_cut + 1},
-                  {"S": +1000, "n_entries": len(entries) + 1}):
-        counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, **wrong)
-        assert count_T_S(FIB, POW2, 10 ** 9) == cold
-    assert tally_starts == [-1, -1, 10 ** 6, -1, -1, -1]
-
-
-def _edited(tally, e, T=0, S=0, **region):
-    """``tally`` with T and S at its checkpoint e shifted by the given
-    amounts, and its region replaced."""
-    checkpoints = tuple((edge, t + T, s + S) if edge == e else (edge, t, s)
-                        for edge, t, s in tally.checkpoints)
-    assert any(edge == e for edge, _, _ in tally.checkpoints)
-    return replace(tally, checkpoints=checkpoints, **region)
-
-
-def test_a_wider_tally_is_reused_below_it_only_when_nested_and_with_its_T(tally_starts):
-    # the grid's tally keeps the edge 10^6 + 1, below 10^9, and its region
-    # holds the region of a count at 10^9
-    cold = _cold(count_T_S, FIB, POW2, 10 ** 9)
-    envs = [analyze_sequence(seq).envelope for seq in (FIB, POW2)]
-    _, entries, n_cut, _, _ = _enumerate_pairs(FIB, POW2, 10 ** 9, *envs)
-    counting._TALLIES.clear()
-    counting._count(FIB, POW2, [10 ** 6, 10 ** 12], None, None)
-    tally = counting._TALLIES[FIB, POW2]
-    assert tally.n_cut > n_cut and tally.n_entries > len(entries)
-    counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, S=+1000)
-    assert count_T_S(FIB, POW2, 10 ** 9).S == cold.S + 1000
-    # a wrong T at the edge, or regions that do not nest
-    for wrong in ({"T": +1000},
-                  {"S": +1000, "n_cut": n_cut + 1, "n_entries": len(entries) - 1},
-                  {"S": +1000, "n_cut": n_cut - 1, "n_entries": len(entries) + 1}):
-        counting._TALLIES[FIB, POW2] = _edited(tally, 10 ** 6 + 1, **wrong)
-        assert count_T_S(FIB, POW2, 10 ** 9) == cold
-    assert tally_starts == [-1, -1, 10 ** 6, -1, -1, -1]
-
-
-# band edges of a count at 10^300 (997 bits, T = 1,433,695, so 10 bands) lie
-# at 2^int(997 sqrt(j / 10)): 2^315, 2^445, 2^546, 2^630, 2^705, ...
-@pytest.mark.parametrize("xs, starts", [
-    ((10 ** 300, 3 * 10 ** 104, 10 ** 60, 10 ** 12),
-     [-1, 2 ** 315 - 1, -1, -1]),
-    ((10 ** 300, 10 ** 200, 11 * 10 ** 199, 12 * 10 ** 199),
-     [-1, 2 ** 630 - 1, 2 ** 630 - 1, 2 ** 630 - 1]),
-], ids=("scattered-below", "dense-run-below"))
-def test_tallies_serve_counts_below_a_wide_count(xs, starts, tally_starts):
-    # the wide count's tally, which stays the pair's, serves each count
-    # below it from its highest edge under x; the counts below its lowest
-    # edge 2^315 count cold
-    cold = [_cold(count_T_S, FIB, POW2, x) for x in xs]
-    counting._TALLIES.clear()
-    tally_starts.clear()
+@pytest.mark.parametrize("xs", [(10 ** 300, 3 * 10 ** 104, 10 ** 60, 10 ** 12),
+                                (10 ** 300, 10 ** 200, 11 * 10 ** 199, 12 * 10 ** 199)],
+                         ids=("scattered-below", "dense-run-below"))
+def test_tallies_serve_counts_below_a_wide_count(xs):
+    # counts below a wide count keep their own cutoffs, and their (T, S) are
+    # the wide pass's at their x
+    cold = [_cold(FIB, POW2, x) for x in xs]
     assert [count_T_S(FIB, POW2, x) for x in xs] == cold
-    assert tally_starts == starts
-    assert counting._TALLIES[FIB, POW2].checkpoints[-1][0] == xs[0] + 1
+    assert [(r.T, r.S) for r in cold] == _grid(FIB, POW2, xs)
 
 
 @pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (LUCAS, POW3)],
@@ -644,38 +689,20 @@ def test_tallies_serve_counts_below_a_wide_count(xs, starts, tally_starts):
                    min_size=2, max_size=6))
 def test_one_tally_per_pair_serves_counts_in_any_order(seqU, seqV, xs):
     # each count, above, below or between the x counted before it, equals a
-    # cold count, and the pair keeps one tally: that of its largest x
-    cold = [_cold(count_T_S, seqU, seqV, x) for x in xs]
-    counting._TALLIES.clear()
-    assert [count_T_S(seqU, seqV, x) for x in xs] == cold
-    assert list(counting._TALLIES) == [(seqU, seqV)]
-    tally = counting._TALLIES[seqU, seqV]
-    assert isinstance(tally, counting._Tally)
-    assert tally.checkpoints[-1][0] == max(xs) + 1
+    # cold count and the grid's pass at that x
+    counts = [count_T_S(seqU, seqV, x) for x in xs]
+    assert counts == [_cold(seqU, seqV, x) for x in xs]
+    assert [(r.T, r.S) for r in counts] == _grid(seqU, seqV, xs)
 
 
-def test_the_tally_store_keeps_the_64_latest_pairs(tally_starts):
-    powers = [LinearRecurrence("pow%d" % p, (p,), (1,))
-              for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
-    pairs = [(u, v) for u in powers for v in powers if u is not v][:66]
-    for u, v in pairs[:65]:
-        count_T_S(u, v, 10)
-    assert list(counting._TALLIES) == pairs[1:65]
-    count_T_S(*pairs[1], 10)                    # now the latest used
-    count_T_S(*pairs[65], 10)
-    assert list(counting._TALLIES) == pairs[3:65] + [pairs[1], pairs[65]]
-
-
-def test_threads_sharing_the_tally_store_count_as_cold_counts(monkeypatch):
+def test_threads_sharing_the_tally_store_count_as_cold_counts():
     # eight threads on two cores, switching every microsecond, count twelve
-    # pairs into a store of three: every count stays a cold count's, no
-    # thread raises and the store keeps its cap
-    monkeypatch.setattr(counting, "_TALLIES", OrderedDict())
-    monkeypatch.setattr(counting, "_TALLY_CAP", 3)
+    # pairs that share their sequences and term caches: every count stays a
+    # cold count's and no thread raises
     powers = [LinearRecurrence("pow%d" % p, (p,), (1,)) for p in (2, 3, 5, 7)]
     pairs = [(u, v) for u in powers for v in powers if u is not v]
     xs = (0, 10, 10 ** 6)
-    cold = {(pair, x): _cold(count_T_S, *pair, x) for pair in pairs for x in xs}
+    cold = {(pair, x): _cold(*pair, x) for pair in pairs for x in xs}
     errors = []
 
     def work(i):
@@ -699,7 +726,6 @@ def test_threads_sharing_the_tally_store_count_as_cold_counts(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(counting._TALLIES) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
 """Cross-module checks on harder sequences: higher order, negative dominant
 root, mixed-sign terms."""
 
-from collections import OrderedDict
-
 import pytest
 from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from recdiff import counting
 from recdiff.counting import brute_force_oracle, count_T_S
 from recdiff.errors import (
     CutoffUnsafe,
@@ -149,11 +146,9 @@ def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
     # analysis over these coefficient ranges ends within a second.  Two
     # copies of one cubic recurrence are drawn too: their shared dominant root
     # gives alpha^1 = beta^1, and the count refuses with the dependent-roots
-    # ValueError in well under a second.  Counting at x // 49, x // 7 and x
-    # starts each count from the tally of the one before; x // 7 then starts
-    # from the first edge of the tally at x, which the pair keeps, x // 49
-    # below every edge of that tally counts cold, and x starts again from
-    # its last edge.  A CutoffUnsafe on a drawn pair fails the test
+    # ValueError in well under a second.  The drawn terms take both signs and
+    # zero, so c = 0 and equal terms occur; each x is counted twice, in
+    # rising and falling order.  A CutoffUnsafe on a drawn pair fails the test
     for seq in (seq_u, seq_v):
         try:
             analyze_sequence(seq)
@@ -168,32 +163,6 @@ def test_random_recurrences_fast_vs_oracle(seq_u, seq_v, x):
     for fast in counts:
         oracle = brute_force_oracle(seq_u, seq_v, fast.x, 3 * fast.n_cut + 5, 3 * fast.m_cut + 5)
         assert (fast.T, fast.S) == (oracle.T, oracle.S)
-
-
-@pytest.mark.parametrize("prime", [counting._PRIME, 101], ids=("prime", "prime-101"))
-@settings(max_examples=6, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
-          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(seq_u=_recurrences(), seq_v=_recurrences(), x=st.integers(0, 10 ** 4))
-def test_residue_tallies_match_the_oracle(prime, seq_u, seq_v, x):
-    # every band of the count, however small, is tallied by residues; mod
-    # 101 most pairs of a band tie another and are told apart exactly.  The
-    # drawn terms take both signs and zero, so c = 0 and equal terms occur
-    for seq in (seq_u, seq_v):
-        try:
-            analyze_sequence(seq)
-        except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
-            assume(False)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "_RESIDUE_BAND", 1)
-        patch.setattr(counting, "_PRIME", prime)
-        patch.setattr(counting, "_TALLIES", OrderedDict())
-        try:
-            fast = count_T_S(seq_u, seq_v, x)
-        except ValueError as exc:
-            assert "multiplicatively dependent" in str(exc)
-            return
-    oracle = brute_force_oracle(seq_u, seq_v, x, 3 * fast.n_cut + 5, 3 * fast.m_cut + 5)
-    assert (fast.T, fast.S) == (oracle.T, oracle.S)
 
 
 def _count_outcome(seq_u, seq_v, x):

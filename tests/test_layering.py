@@ -1,9 +1,9 @@
 """Module layering of the package: every relative import sits at module
-level, the relative imports between modules form no cycle, numpy is
-imported only inside functions, so that it loads only when needed (a count
-of a degree-2 pair up to x = 10^12 does not load it), and no module imports
-sympy, a test-only dependency: the third-party packages imported anywhere
-in the package are exactly the runtime dependencies of ``pyproject.toml``.
+level, the relative imports between modules form no cycle, and no module
+imports numpy, which is no dependency, or sympy, a test-only one: the
+third-party packages imported anywhere in the package are exactly the
+runtime dependencies of ``pyproject.toml``, and neither numpy nor sympy
+loads in a process that counts, small x or large.
 Every function also reads each parameter it declares, and no module touches
 the precision of mpmath's global context or finds roots in it."""
 
@@ -156,14 +156,31 @@ for argv in (["count", "--seq-u", "fib", "--seq-v", "pow2", "--x", "1e12"],
 
 
 def test_small_counts_load_neither_numpy_nor_sympy():
-    # a fresh process, since this one has both loaded by other tests: counts
-    # of degree-2 pairs up to x = 10^12 sort their few pairs as integers
+    # a fresh process, since this one may have both loaded by other tests:
+    # counts, collisions and a scan of a degree-2 pair up to x = 10^12
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after")]
     assert loaded == ["loaded after %s 0 []" % command
                       for command in ("count", "collisions", "scan")]
+
+
+_DEEP_COUNT_PROBE = """
+import sys
+from recdiff.cli import dispatch
+code = dispatch(["count", "--seq-u", "fib", "--seq-v", "pow2", "--x", "1e300", "--no-header"])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "sympy")))
+"""
+
+
+def test_a_deep_count_loads_neither_numpy_nor_sympy():
+    # a fresh process: fib/pow2 at x = 10^300 has T = 1,433,695 pairs, whose
+    # repeated values the sweep finds from the terms alone
+    proc = subprocess.run([sys.executable, "-c", _DEEP_COUNT_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 _NO_SYMPY_PROBE = """

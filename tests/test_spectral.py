@@ -31,6 +31,7 @@ from recdiff.independence import multiplicative_independence
 from recdiff.intervals import (
     IntervalField,
     ball_add,
+    ball_from_mpi,
     ball_to_mpi,
     contains,
     contains_zero,
@@ -323,6 +324,14 @@ def _verify_envelope_by_operators(env, decomp, field, verify_to):
     return True
 
 
+def _powers(env, decomp, field):
+    """The rung's two running power tables the envelope check reads: of
+    |alpha| and of env.alpha_prime."""
+    modulus = decomp.spectrum.roots[env.certificate.root_index].modulus()
+    return tuple(spectral._power_table(ball_from_mpi(value._mpi_), field.prec)
+                 for value in (modulus, field.real(env.alpha_prime)))
+
+
 def _tightened(env):
     """The envelope and four tightened ones; the last remainder bound decays
     too fast, so it holds at first and fails further on."""
@@ -343,7 +352,8 @@ def test_envelope_check_decides_as_the_interval_operators(seq):
     verdicts = []
     for e in _tightened(env):
         for top in (e.n0 + 3, 120):
-            got = spectral._verify_envelope(replace(e, verified_to=top), decomp, field, products)
+            got = spectral._verify_envelope(replace(e, verified_to=top), decomp, field, products,
+                                            _powers(e, decomp, field))
             assert got == _verify_envelope_by_operators(e, decomp, field, top)
             verdicts.append(got)
     assert verdicts[:2] == [True, True] and False in verdicts
@@ -390,9 +400,9 @@ def test_envelope_check_decides_as_the_square_root_loop_on_every_rung(monkeypatc
     seqs += [BUILTIN_SEQUENCES[name] for name in ("fib", "lucas", "pow2", "pow3", "tribonacci")]
     verify, rungs = spectral._verify_envelope, []
 
-    def spy(env, decomp, field, products):
+    def spy(env, decomp, field, products, powers):
         rungs.append((env, decomp, field, products))
-        return verify(env, decomp, field, products)
+        return verify(env, decomp, field, products, powers)
 
     monkeypatch.setattr(spectral, "_verify_envelope", spy)
     for seq in seqs:
@@ -401,7 +411,7 @@ def test_envelope_check_decides_as_the_square_root_loop_on_every_rung(monkeypatc
     verdicts = []
     for env, decomp, field, products in rungs:
         for e in _tightened(env):
-            got = verify(e, decomp, field, products)
+            got = verify(e, decomp, field, products, _powers(e, decomp, field))
             assert got == _verify_envelope_by_interval_sqrt(e, decomp, field, 500), \
                 (decomp.sequence.name, field.prec)
             verdicts.append(got)
@@ -490,8 +500,9 @@ def test_ball_check_loop_pins_as_the_interval_loop(monkeypatch):
                          ids=lambda s: s.name)
 def test_envelope_checks_on_one_stream_decide_as_fresh_streams(seq):
     # a check that reads past _CHECK_BOUND continues the running powers of
-    # the stream it is given; a second check on the same products, with
-    # another verified_to, must still get the verdict of a fresh stream
+    # the stream and the power tables it is given; a second check on the
+    # same products and tables, with another verified_to, must still get the
+    # verdict of a fresh stream and fresh tables
     analysis = analyze_sequence(seq)
     env, decomp = analysis.envelope, analysis.decomposition
     field = IntervalField(analysis.spectrum.precision_bits)
@@ -501,11 +512,12 @@ def test_envelope_checks_on_one_stream_decide_as_fresh_streams(seq):
 
     verdicts = []
     for e in _tightened(env):
-        shared = fresh()
+        shared, powers = fresh(), _powers(e, decomp, field)
         for top in (300, 500, 250):
             e_top = replace(e, verified_to=top)
-            got = spectral._verify_envelope(e_top, decomp, field, shared)
-            assert got == spectral._verify_envelope(e_top, decomp, field, fresh()), (e, top)
+            got = spectral._verify_envelope(e_top, decomp, field, shared, powers)
+            assert got == spectral._verify_envelope(e_top, decomp, field, fresh(),
+                                                    _powers(e, decomp, field)), (e, top)
             verdicts.append(got)
     assert verdicts[:3] == [True, True, True] and False in verdicts
 
