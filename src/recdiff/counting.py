@@ -10,12 +10,14 @@ window is verified in turn, and the computation fails loudly (CutoffUnsafe)
 instead of reporting a possibly wrong count.
 
 The enumeration keeps, for each U_n, only an index run [left, right) into
-the value-sorted V terms.  T(x) is read from the runs, and S(x) from the
-identity S = T - sum of (r(c) - 1) over the values c, |c| <= x, that
-r(c) >= 2 pairs (n, m) take.  A sweep finds those ties with work that grows
-with n_cut + m_cut, not with T.  It works on the distinct values: u, taken
-by mu(u) indices n of the runs, and v, taken by nu(v) indices m, so a pair
-(u, v) stands for mu(u) nu(v) pairs (n, m).  With K = 2^_SPLIT = 4,
+the value-sorted V terms, and T(x) is read from the runs.  S(x) comes from
+the distinct pairs (u, v) of values: P(x) of them have |u - v| <= x, and
+S = P - sum of (d(c) - 1) over the values c, |c| <= x, that d(c) >= 2 of
+them take.  So T - S = (T - P) + sum (d(c) - 1): the families, where a
+value repeats in U or in V (F_1 = F_2) and one pair (u, v) stands for
+several pairs (n, m), plus the sporadic surplus.  A sweep finds the ties,
+the c with d(c) >= 2, with work that grows with n_cut + m_cut, not with T.
+With K = 2^_SPLIT = 4,
 
 - a row block holds, for one u, the v with K|v| <= |u|: one contiguous
   range of the sorted V values, so its c = u - v are distinct and lie in
@@ -24,16 +26,16 @@ by mu(u) indices n of the runs, and v, taken by nu(v) indices m, so a pair
 - every other pair is balanced, |u| < K|v| and |v| < K|u|, and is listed:
   for lacunary terms about log(K^2) / log|beta| of them per U term.
 
-So r(c) >= 2 needs a pair with mu nu >= 2, a balanced pair taking c, or two
-blocks whose c-ranges meet.  The blocks sorted by range start give the
-stretches of c that two or more of them cover, and only those stretches of
-the blocks are listed.  Outside them a value lies in at most one block,
-found by bisection and decided by one lookup (u - c among the V values,
-v + c among the U values).  Every tie is found exactly whatever K >= 2 is:
-K only moves pairs between the blocks and the balanced list, and so sets
-the speed (with K = 2 the row blocks of Fibonacci terms overlap, and the
-stretches hold nearly every pair).  A pass at the largest x of a grid
-covers every smaller x, so a grid is enumerated once.
+So d(c) >= 2 needs a balanced pair taking c or two blocks whose c-ranges
+meet.  The blocks sorted by range start give the stretches of c that two or
+more of them cover, and only those stretches of the blocks are listed.
+Outside them a value lies in at most one block, found by bisection and
+decided by one lookup (u - c among the V values, v + c among the U values).
+Every tie is found exactly whatever K >= 2 is: K only moves pairs between
+the blocks and the balanced list, and so sets the speed (with K = 2 the row
+blocks of Fibonacci terms overlap, and the stretches hold nearly every
+pair).  A pass at the largest x of a grid covers every smaller x, so a grid
+is enumerated once.
 
 Certified real comparisons are interval arithmetic: the growth index of an
 envelope, on 96-bit intervals, and the real-base explorer (pi^n vs e^m),
@@ -47,7 +49,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat, starmap
-from operator import itemgetter, le, lt, sub
+from operator import itemgetter, lt, sub
 
 from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
@@ -252,19 +254,18 @@ def _cut(fixed, others, x, edge):
     return cut
 
 
-def _ties(mu, nu, x):
+def _ties(us, vs, x):
     """(ties, blocks, balanced) of the sweep: ties maps each value c = u - v,
-    |c| <= x, that r(c) >= 2 index pairs take to (r(c), its pairs (u, v));
-    balanced lists the balanced pairs (u, v).
+    |c| <= x, that two or more distinct pairs (u, v) take to those pairs,
+    sorted; balanced lists the balanced pairs (u, v).
 
-    mu and nu map the distinct values u and v to their multiplicities.  A
-    block is (lo, hi, sign, f, others, a, b): a row is (u, V values, 1), a
-    column (v, U values, -1), and c = sign (f - w) runs monotonically from
-    one end of [lo, hi] to the other over w in others[a:b].  The listed
-    pairs keep no c: their differences are taken again where needed, and
-    two of them can share a c only when they share its hash.
+    us and vs are the sorted distinct U and V values.  A block is (lo, hi,
+    sign, f, others, a, b): a row is (u, V values, 1), a column (v, U
+    values, -1), and c = sign (f - w) runs monotonically from one end of
+    [lo, hi] to the other over w in others[a:b].  The listed pairs keep no
+    c: their differences are taken again where needed, and two of them can
+    share a c only when they share its hash.
     """
-    us, vs = sorted(mu), sorted(nu)
     # rows -h <= v <= h and balanced h < |v| < K|u|, for h = |u| // K, one
     # list of edges alive at a time; the cuts of u = 0 cross, which leaves
     # its balanced ranges empty
@@ -304,45 +305,32 @@ def _ties(mu, nu, x):
                        for w in others[bisect_left(others, w_lo, a, b):
                                        bisect_right(others, w_hi, a, b)]]
 
-    # r(c) >= 2 when two listed pairs take c, a listed pair and a block do,
-    # or a pair standing for mu nu >= 2 index pairs does.  Outside the
-    # stretches a c lies in one block at most, the last of the front starting
-    # at or below it, which holds c when w = f - sign c is a value; so a c
-    # that no listed pair takes has one pair at most
-    hashes = list(map(hash, starmap(sub, listed)))
-    seen = Counter(hashes)
+    # two pairs take c when two listed pairs do or a listed pair and a block
+    # does.  Outside the stretches a c lies in one block at most, the last
+    # of the front starting at or below it, which holds c when w = f - sign c
+    # is a value; so a c that no listed pair takes has one pair at most
+    seen = Counter(map(hash, starmap(sub, listed)))
     starts = [block[0] for block in front[1:]]
-    leaders = list(map(front.__getitem__,
-                       map(bisect_right, repeat(starts), starmap(sub, listed))))
-    inside = list(map(le, starmap(sub, listed), map(itemgetter(1), leaders)))
-    at = defaultdict(list)          # c -> its pairs, for each c that may tie
-    for (u, v), (_, _, sign, f, _, _, _) in zip(compress(listed, inside),
-                                                compress(leaders, inside)):
-        w = f - sign * (u - v)
-        if w in (nu if sign > 0 else mu):
-            pair = (f, w) if sign > 0 else (w, f)
-            if pair not in at[u - v]:
-                at[u - v].append(pair)
-    # each pair standing for several index pairs, with its surplus mu nu - 1
-    heavy = [(u - v, (u, v), k * nu[v] - 1) for u, k in mu.items() if k > 1
-             for v in vs[bisect_left(vs, u - x):bisect_right(vs, u + x)]]
-    heavy += [(u - v, (u, v), k - 1) for v, k in nu.items() if k > 1
-              for u in us[bisect_left(us, v - x):bisect_right(us, v + x)] if mu[u] == 1]
-    ties = {c: (1 + extra, [pair]) for c, pair, extra in heavy if hash(c) not in seen}
-    surplus = defaultdict(int)
-    for c, pair, extra in heavy:
-        if hash(c) in seen:
-            surplus[c] += extra
-            if pair not in at[c]:
-                at[c].append(pair)
-    candidates = at.keys() | surplus.keys() | {
-        u - v for u, v in compress(listed, [seen[h] > 1 for h in hashes])}
-    wanted = set(map(hash, candidates))
-    for u, v in compress(listed, map(wanted.__contains__, hashes)):
-        if u - v in candidates and (u, v) not in at[u - v]:
-            at[u - v].append((u, v))
-    ties.update({c: (len(at[c]) + surplus[c], at[c]) for c in candidates})
-    return {c: tie for c, tie in ties.items() if tie[0] > 1}, blocks, balanced
+    members = set(vs), set(us)
+    at = defaultdict(set)           # c -> its pairs, for each c that may tie
+    for pair in listed:
+        c = pair[0] - pair[1]
+        _, hi, sign, f, *_ = front[bisect_right(starts, c)]
+        w = f - sign * c
+        other = (f, w) if sign > 0 else (w, f)
+        if seen[hash(c)] > 1:
+            at[c].add(pair)
+        if c <= hi and other != pair and w in members[sign < 0]:
+            at[c].update((pair, other))
+    return {c: sorted(pairs) for c, pairs in at.items() if len(pairs) > 1}, blocks, balanced
+
+
+def _within(values, keys, x, lows, highs):
+    """The number of pairs (k, w), k of keys and w of the sorted values
+    between the bisection bounds lows[i] and highs[i] of keys[i], with
+    |k - w| <= x."""
+    return sum(map(bisect_right, repeat(values), [k + x for k in keys], lows, highs)) - \
+        sum(map(bisect_left, repeat(values), [k - x for k in keys], lows, highs))
 
 
 def _count(seqU, seqV, xs, envU, envV):
@@ -350,9 +338,11 @@ def _count(seqU, seqV, xs, envU, envV):
 
     Returns (counts, ties, runs, entries): one CountResult per x, in order,
     all with the pass's cutoffs and gap margin; ties as _ties gives them for
-    max(xs); runs and entries as in _enumerate_pairs.  T(x) is read from
-    the runs and S(x) is T(x) - sum of (r(c) - 1) over the ties with
-    |c| <= x.
+    max(xs) and the distinct values of the runs; runs and entries as in
+    _enumerate_pairs.  S(x) is P(x), the distinct pairs (u, v) with
+    |u - v| <= x, less d(c) - 1 for each tie c.  At max(xs) T is read from
+    the runs and P from the sweep's blocks and balanced pairs; below it both
+    are bisection sums.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -368,14 +358,15 @@ def _count(seqU, seqV, xs, envU, envV):
     runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
     _, us, lefts, rights = zip(*runs) if runs else ((),) * 4
     values = [v for v, _ in entries]
-    ties, _, _ = _ties(Counter(us), Counter(values[min(lefts, default=0):max(rights, default=0)]),
-                       max(xs))
+    us_set = sorted(set(us))
+    vs_set = list(dict.fromkeys(values[min(lefts, default=0):max(rights, default=0)]))
+    ties, blocks, balanced = _ties(us_set, vs_set, max(xs))
     counts = []
     for x in xs:
-        T = sum(rights) - sum(lefts) if x == max(xs) else \
-            sum(map(bisect_right, repeat(values), [u + x for u in us], lefts, rights)) - \
-            sum(map(bisect_left, repeat(values), [u - x for u in us], lefts, rights))
-        S = T - sum(r - 1 for c, (r, _) in ties.items() if abs(c) <= x)
+        T = sum(rights) - sum(lefts) if x == max(xs) else _within(values, us, x, lefts, rights)
+        P = sum(block[6] - block[5] for block in blocks) + len(balanced) if x == max(xs) else \
+            _within(vs_set, us_set, x, repeat(0), repeat(len(vs_set)))
+        S = P - sum(len(pairs) - 1 for c, pairs in ties.items() if abs(c) <= x)
         counts.append(CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast"))
     return counts, ties, runs, entries
 
@@ -391,16 +382,24 @@ def count_T_S(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int,
 
 def find_collisions(seqU: LinearRecurrence, seqV: LinearRecurrence, x: int) -> CollisionScan:
     """Report all c = U_n - V_m with >= 2 counted representations and the
-    empirical repeat-index witnesses."""
+    empirical repeat-index witnesses: the ties of the sweep, and the family
+    values of one pair (u, v) whose u repeats in U or v in V, found by
+    bisection around the repeated values only."""
     (count,), ties, runs, entries = _count(seqU, seqV, [x], None, None)
     ns, ms = defaultdict(list), defaultdict(list)     # the indices taking each value, ascending
     for n, u, _, _ in runs:
         ns[u].append(n)
     for v, m in entries:
         ms[v].append(m)
+    us, vs = sorted(ns), sorted(ms)
+    pairs_of = {u - v: [(u, v)] for u in us if len(ns[u]) > 1       # the family values
+                for v in vs[bisect_left(vs, u - count.x):bisect_right(vs, u + count.x)]}
+    pairs_of.update({u - v: [(u, v)] for v in vs if len(ms[v]) > 1
+                     for u in us[bisect_left(us, v - count.x):bisect_right(us, v + count.x)]})
+    pairs_of.update(ties)
     records = []
-    for c in sorted(ties):
-        reps = sorted((n, m) for u, v in ties[c][1] for n in ns[u] for m in ms[v])
+    for c in sorted(pairs_of):
+        reps = sorted((n, m) for u, v in pairs_of[c] for n in ns[u] for m in ms[v])
         records.append(CollisionRecord(c, tuple(reps), reps[-1][0], max(m for _, m in reps)))
     n_emp = max((r.representations[0][0] for r in records), default=0)
     m_emp = max((min(m for _, m in r.representations) for r in records), default=0)

@@ -13,6 +13,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidRecurrence, MalformedConfig
 
@@ -59,12 +60,9 @@ class LinearRecurrence:
         if n < 0:
             raise ValueError("negative indices are not defined")
         with self._lock:
-            cache = self._cache
-            k = self.order
-            c = self.coefficients
+            cache, k, reversed_coefficients = self._cache, self.order, self.coefficients[::-1]
             while len(cache) <= n:
-                j = len(cache)
-                cache.append(sum(c[i] * cache[j - 1 - i] for i in range(k)))
+                cache.append(sum(map(mul, reversed_coefficients, cache[-k:])))
             return cache[n]
 
     def terms(self, stop: int) -> list:

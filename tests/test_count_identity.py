@@ -7,9 +7,10 @@ numbers fails here.  The (pair, x) list is
 ``python perfbench/workloads.py count-deep 1``, written out.
 
 Run as a script, ``python tests/test_count_identity.py`` prints the digest
-of the checkout it sits in, and per count the values taken more than once
-and the balanced pairs of its sweep, to compare two commits of the counting
-layer without the benchmark.
+of the checkout it sits in, and per count the ties of its sweep (the values
+that two or more distinct pairs (u, v) take), its family surplus T - P (P
+the number of distinct pairs) and its balanced pairs, to compare two
+commits of the counting layer without the benchmark.
 """
 
 import hashlib
@@ -61,21 +62,24 @@ def benchmark_counts():
 
 
 def sweeps():
-    """Per count of ``benchmark_counts``, the number of values taken more
-    than once and of balanced pairs, read by a spy on ``counting._ties``."""
+    """Per count of ``benchmark_counts``, the number of ties, the family
+    surplus T - P and the number of balanced pairs, read by a spy on
+    ``counting._ties``: P = S + sum of (d(c) - 1) over the ties."""
     found, ties = [], counting._ties
 
-    def spy(mu, nu, x):
-        result = ties(mu, nu, x)
-        found.append((len(result[0]), len(result[2])))
+    def spy(us, vs, x):
+        result = ties(us, vs, x)
+        found.append((len(result[0]), sum(map(len, result[0].values())) - len(result[0]),
+                      len(result[2])))
         return result
 
     counting._ties = spy
     try:
-        benchmark_counts()
+        counts = benchmark_counts()
     finally:
         counting._ties = ties
-    return found
+    return [(tied, r.T - r.S - surplus, balanced)
+            for r, (tied, surplus, balanced) in zip(counts, found)]
 
 
 def digest(results):
@@ -94,6 +98,7 @@ def test_warm_counts_are_pinned_and_equal_cold_recounts():
 if __name__ == "__main__":
     print("COUNTS", digest(benchmark_counts()))
     found = sweeps()
-    for i, ((u, v, _), (repeated, balanced)) in enumerate(zip(COUNTS, found)):
-        print("%2d  %-16s repeated %-6d balanced %d" % (i, u + "/" + v, repeated, balanced))
-    print("balanced pairs", sum(balanced for _, balanced in found))
+    for i, ((u, v, _), (tied, family, balanced)) in enumerate(zip(COUNTS, found)):
+        print("%2d  %-16s distinct-pair ties %-4d family T-P %-6d balanced %d"
+              % (i, u + "/" + v, tied, family, balanced))
+    print("balanced pairs", sum(balanced for _, _, balanced in found))

@@ -399,6 +399,23 @@ def _pair_differences(runs, entries):
     return [u - v for _, u, left, right in runs for v, _ in entries[left:right]]
 
 
+def _groups(pairs):
+    """The distinct pairs (u, v) grouped by c = u - v, each group sorted."""
+    groups = defaultdict(list)
+    for u, v in sorted(set(pairs)):
+        groups[u - v].append((u, v))
+    return groups
+
+
+def _ties_of(groups):
+    """The groups that hold two or more pairs."""
+    return {c: group for c, group in groups.items() if len(group) > 1}
+
+
+def _run_pairs(runs, entries):
+    return [(u, v) for _, u, left, right in runs for v, _ in entries[left:right]]
+
+
 @pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB), (LUCAS, POW3),
                                         (TRIBONACCI, POW3)],
                          ids=("fib-pow2", "pow2-fib", "lucas-pow3", "tribonacci-pow3"))
@@ -407,9 +424,9 @@ def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x, monkeypatch):
     # c = +-2^k occurs (pow2 against F_0 = 0, say), as does c = 0
     # (F_1 - 2^0); the grid below x, out of order and with x twice, puts an x
     # at and next to 2^k.  Equal terms (F_1 = F_2, tribonacci's T_0 = T_1 = 0)
-    # repeat values.  Every K = 2, 4, 8, 16 of the sweep gives the same ties:
-    # with K = 2 the row blocks of Fibonacci terms overlap, so the stretches
-    # hold most pairs
+    # repeat values.  Every K = 2, 4, 8, 16 of the sweep gives the same ties,
+    # those of a grouping of the distinct pairs (u, v): with K = 2 the row
+    # blocks of Fibonacci terms overlap, so the stretches hold most pairs
     k = x.bit_length() - 2
     xs = [x, 2 ** k, x // 1000, 2 ** k - 1, 0, 2 ** k + 1, x]
     envU, envV = analyze_sequence(seqU).envelope, analyze_sequence(seqV).envelope
@@ -420,11 +437,11 @@ def test_distinct_is_the_same_for_every_band_count(seqU, seqV, x, monkeypatch):
         return (sum(t for c, t in tally.items() if abs(c) <= y),
                 sum(1 for c in tally if abs(c) <= y))
 
-    expected = [within(y) for y in xs], {c: t for c, t in tally.items() if t > 1}
+    expected = [within(y) for y in xs], _ties_of(_groups(_run_pairs(runs, entries)))
     for split in (1, 2, 3, 4):
         monkeypatch.setattr(counting, "_SPLIT", split)
         counts, ties, _, _ = counting._count(seqU, seqV, xs, envU, envV)
-        assert ([(r.T, r.S) for r in counts], {c: r for c, (r, _) in ties.items()}) == expected
+        assert ([(r.T, r.S) for r in counts], ties) == expected
 
 
 # a dominant root of either sign, equal terms on both sides (F_1 = F_2,
@@ -442,12 +459,16 @@ def _negated(seq):
 
 
 def _sweep_inputs(seqU, seqV, x):
-    """(mu, nu, the Counter of every enumerated pair's difference)."""
+    """(mu, nu, groups, tally) of the runs: the multiplicities of their U
+    values and of the V values within their reach, their distinct pairs
+    (u, v) as _groups gives them, and the Counter of every enumerated
+    pair's difference.  sorted(mu) and sorted(nu) are the sweep's sets."""
     envs = [analyze_sequence(seq).envelope for seq in (seqU, seqV)]
     runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, x, *envs)
     mu = Counter(u for _, u, _, _ in runs)
-    nu = Counter(v for v, _ in entries)
-    return mu, nu, Counter(_pair_differences(runs, entries))
+    reach = entries[min(left for _, _, left, _ in runs):max(right for *_, right in runs)]
+    nu = Counter(v for v, _ in reach)
+    return mu, nu, _groups(_run_pairs(runs, entries)), Counter(_pair_differences(runs, entries))
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,23 +476,24 @@ def _sweep_inputs(seqU, seqV, x):
        flip=st.tuples(st.booleans(), st.booleans()), k=st.integers(0, 40),
        x_offset=st.integers(0, 9), split=st.integers(1, 4))
 def test_the_sweep_finds_every_tie_with_its_pairs(seqU, seqV, flip, k, x_offset, split):
-    # each repeated value, its r(c) and its distinct (u, v) pairs, against a
-    # plain Counter of all pair differences; equal sequences are dependent
-    # and refused
+    # each value that two or more distinct pairs (u, v) take, with those
+    # pairs, against a grouping of the distinct pairs; with multiplicity they
+    # give a plain Counter of all pair differences.  Equal sequences are
+    # dependent and refused
     seqU, seqV = (_negated(s) if f else s for s, f in zip((seqU, seqV), flip))
     x = 10 ** k + x_offset
     try:
-        mu, nu, tally = _sweep_inputs(seqU, seqV, x)
+        mu, nu, groups, tally = _sweep_inputs(seqU, seqV, x)
     except ValueError as exc:
         assert "multiplicatively dependent" in str(exc)
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(counting, "_SPLIT", split)
-        ties, _, _ = counting._ties(mu, nu, x)
-    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in tally.items() if t > 1}
-    for c, (r, pairs) in ties.items():
-        assert sorted(pairs) == sorted((u, u - c) for u in mu if u - c in nu)
-        assert r == sum(mu[u] * nu[v] for u, v in pairs)
+        ties, _, _ = counting._ties(sorted(mu), sorted(nu), x)
+    assert ties == _ties_of(groups)
+    for c, pairs in ties.items():
+        assert pairs == sorted((u, u - c) for u in mu if u - c in nu)
+    assert {c: sum(mu[u] * nu[v] for u, v in group) for c, group in groups.items()} == tally
 
 
 @pytest.mark.parametrize("seqU, seqV, x", [
@@ -484,11 +506,11 @@ def test_the_sweep_finds_every_tie_with_its_pairs(seqU, seqV, flip, k, x_offset,
 def test_rows_columns_and_balanced_pairs_sum_to_T(seqU, seqV, x, split, monkeypatch):
     # every pair of a row block has K|v| <= |u|, of a column block K|u| <= |v|
     # and v != 0, a balanced pair neither; a block's c run monotonically
-    # between its ends; the index pairs of the three sum to T
+    # between its ends; the distinct pairs (u, v) of the three sum to P
     K = 2 ** split
-    mu, nu, tally = _sweep_inputs(seqU, seqV, x)
+    mu, nu, groups, _ = _sweep_inputs(seqU, seqV, x)
     monkeypatch.setattr(counting, "_SPLIT", split)
-    _, blocks, balanced = counting._ties(mu, nu, x)
+    _, blocks, balanced = counting._ties(sorted(mu), sorted(nu), x)
     rows = columns = 0
     for lo, hi, sign, f, others, a, b in blocks:
         cs = [sign * (f - w) for w in others[a:b]]
@@ -496,15 +518,15 @@ def test_rows_columns_and_balanced_pairs_sum_to_T(seqU, seqV, x, split, monkeypa
         assert len(set(cs)) == len(cs) and all(abs(c) <= x for c in cs)
         if sign > 0:
             assert all(K * abs(v) <= abs(f) for v in others[a:b])
-            rows += mu[f] * sum(nu[v] for v in others[a:b])
+            rows += b - a
         else:
             assert f != 0 and all(K * abs(u) <= abs(f) for u in others[a:b])
-            columns += nu[f] * sum(mu[u] for u in others[a:b])
+            columns += b - a
     assert all(abs(u - v) <= x and abs(u) < K * abs(v) and abs(v) < K * abs(u)
                for u, v in balanced)
     assert len(set(balanced)) == len(balanced)
-    pairs = (rows, columns, sum(mu[u] * nu[v] for u, v in balanced))
-    assert sum(pairs) == sum(tally.values())
+    pairs = (rows, columns, len(balanced))
+    assert sum(pairs) == sum(map(len, groups.values()))
     assert min(pairs) > 0
 
 
@@ -513,42 +535,77 @@ def test_rows_columns_and_balanced_pairs_sum_to_T(seqU, seqV, x, split, monkeypa
     (SWEEP_POOL[5], SWEEP_POOL[3], 10 ** 4), (SWEEP_POOL[4], _negated(FIB), 10 ** 5)],
     ids=("fib-pow2", "pow2-fib", "tribonacci-pow3", "padovan-pell", "neg2-minus-fib"))
 def test_each_r_equals_the_brute_force_count(seqU, seqV, x):
-    # r(c) of every repeated value, and of no other, against a double loop
-    # over three times the cutoffs; the blocks of Padovan terms overlap
+    # d(c), the distinct pairs (u, v) taking c, of every value two or more
+    # take, and of no other, against a double loop over three times the
+    # cutoffs; the blocks of Padovan terms overlap
     (count,), ties, _, _ = counting._count(seqU, seqV, [x], None, None)
     u_terms, v_terms = seqU.terms(3 * count.n_cut + 1), seqV.terms(3 * count.m_cut + 1)
     brute = Counter(u - v for u in u_terms for v in v_terms if abs(u - v) <= x)
-    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in brute.items() if t > 1}
+    distinct = _groups((u, v) for u in u_terms for v in v_terms if abs(u - v) <= x)
+    assert ties == _ties_of(distinct)
     oracle = brute_force_oracle(seqU, seqV, x, 3 * count.n_cut, 3 * count.m_cut)
     assert (count.T, count.S) == (oracle.T, oracle.S) == (sum(brute.values()), len(brute))
 
 
+@pytest.mark.parametrize("seqU, seqV", [(FIB, SWEEP_POOL[3]), (TRIBONACCI, _negated(FIB))],
+                         ids=("fib-pell-1-1", "tribonacci-minus-fib"))
+def test_families_and_sporadic_surplus_split_T_minus_S(seqU, seqV):
+    # repeated values on both sides (F_1 = F_2 and V_0 = V_1; tribonacci's
+    # 0, 0, 1, 1 and -F_1 = -F_2): T - P is the family surplus, the sum of
+    # mu(u) nu(v) - 1 over the distinct pairs (u, v), and S = P - D with D
+    # the sum of d(c) - 1, against double loops over three times the cutoffs
+    x = 10 ** 12
+    k = x.bit_length() - 2
+    xs = [x, 2 ** k - 1, 2 ** k, 2 ** k + 1, 10 ** 6, 1, 0]
+    counts, ties, _, _ = counting._count(seqU, seqV, xs, None, None)
+    u_terms = seqU.terms(3 * counts[0].n_cut + 1)
+    v_terms = seqV.terms(3 * counts[0].m_cut + 1)
+    mu, nu = Counter(u_terms), Counter(v_terms)
+    assert max(mu.values()) > 1 and max(nu.values()) > 1
+    for y, count in zip(xs, counts):
+        groups = _groups((u, v) for u in mu for v in nu if abs(u - v) <= y)
+        P = sum(map(len, groups.values()))
+        D = sum(len(group) - 1 for group in groups.values())
+        assert D == sum(len(pairs) - 1 for c, pairs in ties.items() if abs(c) <= y)
+        assert count.T - (count.S + D) == sum(
+            mu[u] * nu[v] - 1 for group in groups.values() for u, v in group)
+        assert (count.T, count.S) == (
+            sum(1 for u in u_terms for v in v_terms if abs(u - v) <= y), P - D)
+
+
 def test_values_sharing_a_hash_are_told_apart():
     # hash(c) is c mod 2^61 - 1, so 1 - 2^61, which only the pair of
-    # F_1 = F_2 = 1 and 2^61 takes (r = 2, in a column block), shares the
-    # hash of 0, which the balanced pair (2, 2) takes; both stay exact
+    # F_1 = F_2 = 1 and 2^61 takes, shares the hash of 0, which the balanced
+    # pair (2, 2) takes.  1 - 2^61 is a family value, never a tie of the
+    # sweep, and find_collisions gives it its two representations
     x = 2 ** 62
-    mu, nu, tally = _sweep_inputs(FIB, POW2, x)
     assert hash(1 - 2 ** 61) == hash(0)
-    ties, _, balanced = counting._ties(mu, nu, x)
-    assert (2, 2) in balanced
-    assert ties[1 - 2 ** 61] == (2, [(1, 2 ** 61)])
-    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in tally.items() if t > 1}
+    assert 1 - 2 ** 61 not in counting._count(FIB, POW2, [x], None, None)[1]
+    scan = find_collisions(FIB, POW2, x)
+    assert {r.c: r.representations for r in scan.records}[1 - 2 ** 61] == ((1, 61), (2, 61))
+    # by hand: the four balanced pairs of a and a + M, M = 2^61 - 1, take
+    # c = -M, 0, 0 and M, all of one hash; only c = 0 is a tie
+    a, M = 2 ** 62, 2 ** 61 - 1
+    assert hash(M) == hash(-M) == hash(0)
+    ties, blocks, balanced = counting._ties([a, a + M], [a, a + M], x)
+    assert blocks == [] and len(balanced) == 4
+    assert ties == _ties_of(_groups(balanced)) == {0: [(a, a), (a + M, a + M)]}
 
 
 def test_slow_growth_takes_the_overlapping_block_path():
     # with K = 4 the row block of a Padovan term u against (-2)^m, of both
     # signs, spans c from about 3u/4 to 5u/4, and the next term is only
     # 1.32 u: consecutive row blocks overlap, and the sweep lists the
-    # stretches they share; the ties still equal a plain Counter's
-    mu, nu, tally = _sweep_inputs(SWEEP_POOL[5], SWEEP_POOL[4], 10 ** 30)
-    ties, blocks, _ = counting._ties(mu, nu, 10 ** 30)
+    # stretches they share; the ties still equal a grouping of the distinct
+    # pairs
+    mu, nu, groups, _ = _sweep_inputs(SWEEP_POOL[5], SWEEP_POOL[4], 10 ** 30)
+    ties, blocks, _ = counting._ties(sorted(mu), sorted(nu), 10 ** 30)
     reach, overlaps = None, 0
     for lo, hi, *_ in blocks:
         overlaps += reach is not None and lo <= reach
         reach = hi if reach is None else max(reach, hi)
     assert overlaps > 100
-    assert {c: r for c, (r, _) in ties.items()} == {c: t for c, t in tally.items() if t > 1}
+    assert ties == _ties_of(groups)
 
 
 def test_multi_band_count_and_collisions_match_a_plain_grouping():
@@ -618,11 +675,16 @@ def _brute_collisions(seqU, seqV, x, n_cap, m_cap):
     return records, n_emp, m_emp
 
 
-@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB)])
+@pytest.mark.parametrize("seqU, seqV", [(FIB, POW2), (POW2, FIB), (POW3, SWEEP_POOL[3]),
+                                        (_negated(TRIBONACCI), FIB),
+                                        (SWEEP_POOL[3], SWEEP_POOL[5])])
 @settings(max_examples=25, deadline=None)
 @given(x=st.integers(0, 5000))
 def test_collisions_match_brute_grouping(seqU, seqV, x):
-    # with fib as V, the value 1 sits at m = 1 and m = 2: same-n representations
+    # with fib as V, the value 1 sits at m = 1 and m = 2: same-n representations.
+    # V repeats a value in all but the first pair (F_1 = F_2, pell's
+    # V_0 = V_1 = 1, Padovan's 1, 1, 1 and 2, 2), so some family values come
+    # from the V side: one pair (u, v) standing for several (n, m)
     scan = find_collisions(seqU, seqV, x)
     got = [(r.c, r.representations, r.max_n, r.max_m) for r in scan.records]
     expected = _brute_collisions(seqU, seqV, x, 3 * scan.count.n_cut, 3 * scan.count.m_cut)

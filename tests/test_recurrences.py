@@ -57,6 +57,20 @@ def test_recurrence_identity_far_out():
             seq.coefficients[i] * seq.term(n - 1 - i) for i in range(seq.order))
 
 
+@pytest.mark.parametrize("coeffs, init", [
+    ((-3,), (5,)), ((-1, -1), (2, -7)), ((2, -5), (0, 1)), ((-1, 0, -2), (1, -1, 3)),
+    ((1, -4, 0, -3), (0, 0, 0, 1)), ((-2, -2, -2, -2), (-9, 4, 0, 6))])
+def test_terms_equal_stepping_the_recurrence(coeffs, init):
+    # orders 1-4 with negative coefficients, against a window stepped by hand
+    # from U_{n+k} = c_1 U_{n+k-1} + ... + c_k U_n
+    seq, window, stepped = LinearRecurrence("neg", coeffs, init), list(init), list(init)
+    while len(stepped) < 300:
+        window = window[1:] + [sum(c * u for c, u in zip(coeffs, reversed(window)))]
+        stepped.append(window[-1])
+    assert [seq.term(n) for n in (299, 7, 0)] == [stepped[299], stepped[7], stepped[0]]
+    assert seq.terms(300) == stepped
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     coeffs=st.lists(st.integers(-6, 6), min_size=1, max_size=4),
