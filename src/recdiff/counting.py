@@ -329,8 +329,8 @@ def _within(values, keys, x, lows, highs):
     """The number of pairs (k, w), k of keys and w of the sorted values
     between the bisection bounds lows[i] and highs[i] of keys[i], with
     |k - w| <= x."""
-    return sum(map(bisect_right, repeat(values), [k + x for k in keys], lows, highs)) - \
-        sum(map(bisect_left, repeat(values), [k - x for k in keys], lows, highs))
+    above = sum(map(bisect_right, repeat(values), [k + x for k in keys], lows, highs))
+    return above - sum(map(bisect_left, repeat(values), [k - x for k in keys], lows, highs))
 
 
 def _count(seqU, seqV, xs, envU, envV):
@@ -340,9 +340,9 @@ def _count(seqU, seqV, xs, envU, envV):
     all with the pass's cutoffs and gap margin; ties as _ties gives them for
     max(xs) and the distinct values of the runs; runs and entries as in
     _enumerate_pairs.  S(x) is P(x), the distinct pairs (u, v) with
-    |u - v| <= x, less d(c) - 1 for each tie c.  At max(xs) T is read from
-    the runs and P from the sweep's blocks and balanced pairs; below it both
-    are bisection sums.
+    |u - v| <= x, less d(c) - 1 for each tie c.  P is a bisection sum over
+    the distinct values; so is T below max(xs), and at max(xs) T is read
+    from the runs.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -360,12 +360,11 @@ def _count(seqU, seqV, xs, envU, envV):
     values = [v for v, _ in entries]
     us_set = sorted(set(us))
     vs_set = list(dict.fromkeys(values[min(lefts, default=0):max(rights, default=0)]))
-    ties, blocks, balanced = _ties(us_set, vs_set, max(xs))
+    ties = _ties(us_set, vs_set, max(xs))[0]
     counts = []
     for x in xs:
         T = sum(rights) - sum(lefts) if x == max(xs) else _within(values, us, x, lefts, rights)
-        P = sum(block[6] - block[5] for block in blocks) + len(balanced) if x == max(xs) else \
-            _within(vs_set, us_set, x, repeat(0), repeat(len(vs_set)))
+        P = _within(vs_set, us_set, x, repeat(0), repeat(len(vs_set)))
         S = P - sum(len(pairs) - 1 for c, pairs in ties.items() if abs(c) <= x)
         counts.append(CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast"))
     return counts, ties, runs, entries

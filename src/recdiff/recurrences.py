@@ -60,9 +60,12 @@ class LinearRecurrence:
         if n < 0:
             raise ValueError("negative indices are not defined")
         with self._lock:
-            cache, k, reversed_coefficients = self._cache, self.order, self.coefficients[::-1]
-            while len(cache) <= n:
-                cache.append(sum(map(mul, reversed_coefficients, cache[-k:])))
+            cache = self._cache
+            if len(cache) <= n:
+                k = self.order
+                reversed_coefficients = self.coefficients[::-1]
+                while len(cache) <= n:
+                    cache.append(sum(map(mul, reversed_coefficients, cache[-k:])))
             return cache[n]
 
     def terms(self, stop: int) -> list:

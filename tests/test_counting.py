@@ -577,12 +577,20 @@ def test_values_sharing_a_hash_are_told_apart():
     # hash(c) is c mod 2^61 - 1, so 1 - 2^61, which only the pair of
     # F_1 = F_2 = 1 and 2^61 takes, shares the hash of 0, which the balanced
     # pair (2, 2) takes.  1 - 2^61 is a family value, never a tie of the
-    # sweep, and find_collisions gives it its two representations
+    # sweep, and find_collisions gives it its two representations; the ties
+    # equal a grouping of the distinct pairs, and with multiplicity they
+    # give a plain Counter of all pair differences
     x = 2 ** 62
     assert hash(1 - 2 ** 61) == hash(0)
-    assert 1 - 2 ** 61 not in counting._count(FIB, POW2, [x], None, None)[1]
+    mu, nu, groups, tally = _sweep_inputs(FIB, POW2, x)
+    ties, _, balanced = counting._ties(sorted(mu), sorted(nu), x)
+    assert (2, 2) in balanced
+    assert 1 - 2 ** 61 not in ties and ties == _ties_of(groups)
+    assert {c: sum(mu[u] * nu[v] for u, v in group) for c, group in groups.items()} == tally
     scan = find_collisions(FIB, POW2, x)
     assert {r.c: r.representations for r in scan.records}[1 - 2 ** 61] == ((1, 61), (2, 61))
+    assert {r.c: len(r.representations) for r in scan.records} == \
+        {c: t for c, t in tally.items() if t > 1}
     # by hand: the four balanced pairs of a and a + M, M = 2^61 - 1, take
     # c = -M, 0, 0 and M, all of one hash; only c = 0 is a tie
     a, M = 2 ** 62, 2 ** 61 - 1
