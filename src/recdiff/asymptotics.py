@@ -6,6 +6,10 @@ log x / log|root| minus a loglog correction give |U_n|, |V_m| <= x/2, so every
 grid pair is a solution.  Its validity threshold is computed from the
 envelope constants and recorded, since "x large enough" must be concrete to
 be testable.
+
+Each lemma's threshold has one implementation, which its fuzz check draws
+from: forLowerBound's is this module's, the one the grid applies, and
+mlogm's is matveev's, the one the bound chain applies.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from fractions import Fraction
 from .counting import _count, _parse_x_int, brute_force_oracle
 from .errors import InvalidBelowThreshold, InvalidParameters
 from .intervals import _field_at, midpoint_float
+from .matveev import _mlogm_threshold
 from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
 
 _VERIFY_LIMIT = 10 ** 6     # largest grid that lower_bound_grid checks
@@ -51,12 +56,9 @@ def _grid_axis(env: GrowthEnvelope, z: float, loglog_x: float):
     """(axis bound, validity threshold) for one sequence."""
     field = _field_at(96)
     la = midpoint_float(env.log_alpha(field))
-    k = 1.0 / la
     c = env.sigma / la + 1.0
     d = (math.log(float(env.c_upper)) + math.log(2.0)) / la
-    threshold = max(k ** (c - 1.0) * math.exp(d), 1.0)
-    bound = z / la - (env.sigma / la + 1.0) * loglog_x
-    return bound, threshold
+    return z / la - c * loglog_x, _for_lower_bound_threshold(1.0 / la, c, d)
 
 
 def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoundGrid:
@@ -170,6 +172,11 @@ class LemmaCheckResult:
     counterexample: dict | None
 
 
+def _for_lower_bound_threshold(k, c, d) -> float:
+    """forLowerBound's hypothesis on z, which the grid checks: z >= max(k^(c-1) e^d, 1)."""
+    return max(k ** (c - 1.0) * math.exp(d), 1.0)
+
+
 def _check_for_lower_bound(k, c, d, z, n) -> bool:
     return n + (c - 1.0) * math.log(n) + d <= k * z
 
@@ -178,31 +185,16 @@ def _check_mlogm(k, c, z, n) -> bool:
     return n <= k * z + 4.0 * c * math.log(z) ** 2
 
 
-def _mlogm_n_threshold(k, c) -> float:
-    """A point beyond which the hypotheses hold permanently.
-
-    n / (log n)^4 is increasing past e^4, so the fixpoint search starts there;
-    the validity region has a small island near n = 3 that this deliberately
-    skips.
-    """
-    n = max(math.exp(math.sqrt(2.0) / math.sqrt(c)), math.e ** 4)
-    for _ in range(512):
-        need = (k * c) ** 2 * math.log(n) ** 4
-        if need <= n:
-            return n
-        n = max(need, n * 2.0)
-    return n
-
-
 def auxiliary_inequality_check(lemma: str, trials: int = 10 ** 4,
                                seed: int = 0) -> LemmaCheckResult:
     """Fuzz check of the auxiliary lemmas over random constants and points.
 
-    forLowerBound: k > 0, c > 1, z >= max(k^(c-1) e^d, 1) and
-    n <= k z - c log z imply n + (c-1) log n + d <= k z.
+    forLowerBound: k > 0, c >= 1, z >= max(k^(c-1) e^d, 1) and
+    n <= k z - c log z imply n + (c-1) log n + d <= k z.  The grid applies it
+    at c = 1 for a simple dominant root; the draws here take c > 1.
 
-    mlogm: k, c > 0, n >= N(k, c), z >= 2/k and n <= k z + c (log n)^2 imply
-    n <= k z + 4 c (log z)^2.
+    mlogm: k, c > 0, n >= N(k, c) = matveev._mlogm_threshold(k, c), z >= 2/k
+    and n <= k z + c (log n)^2 imply n <= k z + 4 c (log z)^2.
 
     Random draws keep a small relative margin inside the hypothesis region so
     that double-precision evaluation of the conclusion is conclusive.
@@ -216,7 +208,7 @@ def auxiliary_inequality_check(lemma: str, trials: int = 10 ** 4,
             k = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
             c = 1.0 + math.exp(rng.uniform(math.log(0.05), math.log(7.0)))
             d = rng.uniform(-5.0, 5.0)
-            z_min = max(k ** (c - 1.0) * math.exp(d), 1.0)
+            z_min = _for_lower_bound_threshold(k, c, d)
             zv = z_min * math.exp(rng.uniform(0.0, 9.0))
             n_hi = (k * zv - c * math.log(zv)) * (1.0 - 1e-9) - 1e-9
             if n_hi < 1.0:
@@ -227,7 +219,7 @@ def auxiliary_inequality_check(lemma: str, trials: int = 10 ** 4,
         else:
             k = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             c = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            n_min = _mlogm_n_threshold(k, c)
+            n_min = _mlogm_threshold(k, c)
             nv = n_min * math.exp(rng.uniform(0.0, 10.0))
             z_need = max(2.0 / k, (nv - c * math.log(nv) ** 2) / k, 1.0)
             zv = z_need * (1.0 + rng.uniform(1e-6, 3.0))

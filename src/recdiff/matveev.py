@@ -7,6 +7,10 @@ coefficient records n_max(|c|) = P + Q log|c| + R (loglog|c|)^2 (Q exactly
 records are verifiable artifacts of effectivity, not enumeration cutoffs;
 every constant is written to a provenance ledger with its defining formula
 and a rigor flag.
+
+The envelope (``spectral``) proves each side's growth constants and its
+floor on |a(n)|; this module rounds them to floats and proves the Matveev
+step and the mlogm threshold, which ``asymptotics`` fuzzes.
 """
 
 from __future__ import annotations
@@ -184,28 +188,6 @@ def _log_plus(x: float) -> float:
     return max(0.0, math.log(x)) if x > 0 else 0.0
 
 
-def _coeff_poly_abs_inf(cert, from_n):
-    """(threshold, inf) with |a(n)| >= inf > 0 certified for all n >= threshold,
-    a being the dominant coefficient polynomial of ``cert``; None if not found."""
-    decomp, idx, sigma = cert.decomposition, cert.root_index, cert.sigma
-    coeffs = decomp.coefficients[idx]
-    lead_low = lower_float(coeffs[sigma].modulus())
-    if lead_low <= 0:
-        return None
-    if sigma == 0:
-        return from_n, lead_low
-    rest = sum(upper_float(c.modulus()) for c in coeffs[:sigma])
-    n2 = max(from_n + 1, int(2.0 * rest / lead_low) + 2, 64)
-    vals = {n: lower_float(decomp.coefficient_value(idx, n).modulus())
-            for n in range(from_n, n2 + 1)}
-    floor_tail = lead_low * (n2 + 1) ** sigma / 2.0   # |p(n)| >= |lead| n^sigma / 2 beyond n2
-    for m0 in range(from_n, n2 + 1):
-        inf_val = min([vals[n] for n in range(m0, n2 + 1)] + [floor_tail])
-        if inf_val > 0:
-            return m0, inf_val
-    return None
-
-
 def _compositum_degree(alpha, beta) -> int:
     """[Q(alpha, beta):Q] bound: 2 for two roots of one quadratic field, else
     the product of the degrees."""
@@ -299,6 +281,13 @@ def _fixpoint_threshold(fn) -> float:
     return x
 
 
+def _mlogm_threshold(k, c) -> float:
+    """A point from which the hypotheses of the mlogm lemma hold for every n:
+    n >= e^(sqrt 2 / sqrt c) and k^2 c^2 (log n)^4 <= n."""
+    thr1 = math.exp(math.sqrt(2.0) / math.sqrt(c)) if c > 0 else 3.0
+    return max(thr1, _fixpoint_threshold(lambda x: (k * c) ** 2 * math.log(x) ** 4))
+
+
 @dataclass(frozen=True)
 class _Side:
     """One sequence's inputs to the chain, read once from its analysis."""
@@ -310,14 +299,14 @@ class _Side:
     a_prime: float
     sigma: int
     n0: int
-    coeff_inf: tuple | None     # (floor, inf) of |a(n)|, from _coeff_poly_abs_inf
+    a_floor: float      # |a(n)| >= a_floor for n >= n0: the envelope's, rounded
 
 
 def _side(analysis: SequenceAnalysis, field) -> _Side:
     cert, env = analysis.certificate, analysis.envelope
     return _Side(midpoint_float(field.log(cert.modulus())), math.log(float(env.alpha_prime)),
                  float(env.c_lower), float(env.c_upper), float(env.a_prime),
-                 env.sigma, env.n0, _coeff_poly_abs_inf(cert, env.n0))
+                 env.sigma, env.n0, float(env.a_floor))
 
 
 def _case2_constants(prefix, suffix, C_boundfor, main, other, C11, C12, ledger):
@@ -354,12 +343,7 @@ def _case2_constants(prefix, suffix, C_boundfor, main, other, C11, C12, ledger):
         return (rhs - math.log(main.c_lower)) / la
 
     thr_growth = _fixpoint_threshold(growth_gap)
-    # mlogm lemma threshold: n >= e^(sqrt2/sqrt(c)) and k^2 c^2 (log n)^4 <= n
-    k_ml = 1.0 / la
-    c_ml = C18 / la
-    thr_ml1 = math.exp(math.sqrt(2.0) / math.sqrt(c_ml)) if c_ml > 0 else 3.0
-    thr_ml2 = _fixpoint_threshold(lambda x: (k_ml * c_ml) ** 2 * math.log(x) ** 4)
-    return C17, C18, max(thr_growth, thr_ml1, thr_ml2, 3.0)
+    return C17, C18, max(thr_growth, _mlogm_threshold(1.0 / la, C18 / la), 3.0)
 
 
 def _directional_chain(U, V, C10, A2, A3, D, ledger, primed=False):
@@ -367,15 +351,12 @@ def _directional_chain(U, V, C10, A2, A3, D, ledger, primed=False):
     V.  Returns (Q, R, P) for n, the same for m, and (C17, C17b)."""
     la, lb = U.la, V.la
     p = "C" if not primed else "C'"
-    if V.coeff_inf is None:
-        raise PrecisionExhausted("cannot bound |b(m)| away from zero")
-    m_floor, b_min = V.coeff_inf
 
     C5 = (math.log(V.c_upper) - math.log(U.c_lower) + 2.0 * math.log(2.0)) / la
     C6 = (math.log(U.c_upper) - math.log(V.c_lower) + 2.0 * math.log(2.0)) / lb
-    C7 = U.a_prime / b_min
-    C8 = V.a_prime / b_min
-    C9 = 1.0 / b_min
+    C7 = U.a_prime / V.a_floor
+    C8 = V.a_prime / V.a_floor
+    C9 = 1.0 / V.a_floor
     C11 = matveev_constant_c3d(D) * (1.0 + (1.0 + math.log(3.0)) / math.log(2.0)) \
         * C10 * A2 * A3
     C12 = C7 + C8 + C9
@@ -402,7 +383,7 @@ def _directional_chain(U, V, C10, A2, A3, D, ledger, primed=False):
     r_n = max(C14 / la, 4.0 * C18a / la)
     r_m = max(C14 / lb, 4.0 * C18b / lb)
     p_n = max(float(U.n0) + 1.0, thr2a, 3.0)
-    p_m = max(float(V.n0) + 1.0, float(m_floor) + 1.0, thr2b, 3.0)
+    p_m = max(float(V.n0) + 1.0, thr2b, 3.0)
     return (1.0 / la, r_n, p_n), (1.0 / lb, r_m, p_m), (C17a, C17b)
 
 

@@ -152,8 +152,10 @@ class DominantRootCertificate:
 
 @dataclass(eq=False)
 class GrowthEnvelope:
-    """Certified constants: c_lower*|alpha|^n <= |U_n| <= c_upper*n^sigma*|alpha|^n
-    and |U_n - a(n) alpha^n| <= a_prime * alpha_prime^n, all for n >= n0.
+    """Certified constants: c_lower*|alpha|^n <= |U_n| <= c_upper*n^sigma*|alpha|^n,
+    |U_n - a(n) alpha^n| <= a_prime * alpha_prime^n and |a(n)| >= a_floor > 0,
+    all for n >= n0.  a_floor is the least inf |a(n)| that the window and its
+    tail bound prove; the bound chain divides by it.
 
     For the second sequence of a pair the same fields play the roles of the
     companion constants (lower/upper bound constants, inner base, remainder
@@ -169,6 +171,7 @@ class GrowthEnvelope:
     n0: int
     sigma: int
     verified_to: int
+    a_floor: Fraction
 
     @property
     def sequence(self):
@@ -650,7 +653,8 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg
     maximum of sup|tail(n)| / inf alpha'^n and the minimum of
     |U_n| / sup |alpha|^n, each rounded outward once to the rung's bits, and
     the sign of inf|a(n)| inf |alpha|^n - a' sup alpha'^n at each n, whose
-    positive run to the window's end starts at n0."""
+    positive run to the window's end starts at n0.  The least of those
+    inf|a(n)| from n0 on and of the bound past the window is a_floor."""
     spectrum = decomp.spectrum
     seq = spectrum.sequence
     prec = field.prec
@@ -695,10 +699,11 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg
         return decomp.coefficient_value(dom, n).modulus()
 
     apn, apd = a_prime.as_integer_ratio()
-    positive = []
+    positive, a_infs = [], []
     for n in range(n_seg + 1):
         if n == 0 or sigma > 0:         # a(n) = a_0 at every n when sigma = 0
-            ln, ld = interval_inf_fraction(dom_poly_abs(n)).as_integer_ratio()
+            a_infs.append(interval_inf_fraction(dom_poly_abs(n)))
+            ln, ld = a_infs[-1].as_integer_ratio()
         (m, r, e), (pm, pr, pe) = alpha_pows[n], ap_pows[n]
         # inf|a(n)| inf |alpha|^n > a' sup alpha'^n
         positive.append(not _le(ln * apd * (m - r), e, apn * ld * (pm + pr), pe))
@@ -741,7 +746,8 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg
         return None, 0
 
     env = GrowthEnvelope(cert, c_lower, c_upper, alpha_prime, a_prime,
-                         n0, sigma, max(_VERIFY_TO, n0 + _VERIFY_TO - _WINDOW))
+                         n0, sigma, max(_VERIFY_TO, n0 + _VERIFY_TO - _WINDOW),
+                         min(min(a_infs[n0 if sigma else 0:]), inf_a_beyond))
     if not _verify_envelope(env, decomp, field, products, powers):
         return None, 0
     return env, 0

@@ -1,10 +1,11 @@
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from recdiff import asymptotics, counting
+from recdiff import asymptotics, counting, matveev
 from recdiff.asymptotics import (
     auxiliary_inequality_check,
     lower_bound_grid,
@@ -15,6 +16,7 @@ from recdiff.asymptotics import (
 from recdiff.cli import dispatch
 from recdiff.counting import count_T_S
 from recdiff.errors import InvalidBelowThreshold, InvalidParameters
+from recdiff.matveev import effective_upper_bounds
 from recdiff.recurrences import BUILTIN_SEQUENCES
 from recdiff.spectral import analyze_sequence
 
@@ -188,3 +190,43 @@ def test_lemma_fuzz_smoke():
     assert r1.passed and r1.counterexample is None
     r2 = auxiliary_inequality_check("mlogm", trials=2000, seed=11)
     assert r2.passed and r2.counterexample is None
+
+
+def test_the_fuzz_checks_call_the_thresholds_the_bounds_use(monkeypatch):
+    # one function per lemma threshold: _grid_axis and the forLowerBound fuzz
+    # call the same one, and so do the bound chain and the mlogm fuzz
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    assert asymptotics._mlogm_threshold is matveev._mlogm_threshold
+    for module in (asymptotics, matveev):
+        monkeypatch.setattr(module, "_mlogm_threshold",
+                            spy("mlogm", matveev._mlogm_threshold))
+    monkeypatch.setattr(asymptotics, "_for_lower_bound_threshold",
+                        spy("forLowerBound", asymptotics._for_lower_bound_threshold))
+    lower_bound_grid(A_FIB.envelope, A_POW2.envelope, 10 ** 6)
+    effective_upper_bounds(A_FIB, A_POW2)
+    assert sorted(set(calls)) == ["forLowerBound", "mlogm"]
+    for lemma in ("forLowerBound", "mlogm"):
+        del calls[:]
+        assert auxiliary_inequality_check(lemma, trials=50, seed=3).passed
+        assert set(calls) == {lemma} and len(calls) >= 50
+
+
+def test_for_lower_bound_holds_at_c_equal_to_one():
+    # lower_bound_grid applies the lemma with c = sigma / log|root| + 1,
+    # which is 1 for every simple dominant root; there z >= e^d gives
+    # d <= log z, so n <= k z - log z implies n + d <= k z
+    rng = random.Random(2026)
+    for _ in range(10 ** 4):
+        k = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+        d = rng.uniform(-5.0, 5.0)
+        z = asymptotics._for_lower_bound_threshold(k, 1.0, d) * math.exp(rng.uniform(0.0, 9.0))
+        n_hi = (k * z - math.log(z)) * (1.0 - 1e-9) - 1e-9
+        if n_hi >= 1.0:
+            assert asymptotics._check_for_lower_bound(k, 1.0, d, z, rng.uniform(1.0, n_hi))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import HealthCheck, Phase, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_gt, mpi_mul, to_int
 
@@ -466,7 +466,9 @@ def _sweep_inputs(seqU, seqV, x):
     envs = [analyze_sequence(seq).envelope for seq in (seqU, seqV)]
     runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, x, *envs)
     mu = Counter(u for _, u, _, _ in runs)
-    reach = entries[min(left for _, _, left, _ in runs):max(right for *_, right in runs)]
+    # a draw with no pair within x has no runs: pow3 against -pow3 at x = 1
+    reach = entries[min((left for _, _, left, _ in runs), default=0):
+                    max((right for *_, right in runs), default=0)]
     nu = Counter(v for v, _ in reach)
     return mu, nu, _groups(_run_pairs(runs, entries)), Counter(_pair_differences(runs, entries))
 
@@ -475,6 +477,7 @@ def _sweep_inputs(seqU, seqV, x):
 @given(seqU=st.sampled_from(SWEEP_POOL), seqV=st.sampled_from(SWEEP_POOL),
        flip=st.tuples(st.booleans(), st.booleans()), k=st.integers(0, 40),
        x_offset=st.integers(0, 9), split=st.integers(1, 4))
+@example(seqU=POW3, seqV=POW3, flip=(False, True), k=0, x_offset=0, split=1)
 def test_the_sweep_finds_every_tie_with_its_pairs(seqU, seqV, flip, k, x_offset, split):
     # each value that two or more distinct pairs (u, v) take, with those
     # pairs, against a grouping of the distinct pairs; with multiplicity they

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from recdiff import matveev
 from recdiff.heights import AlgebraicNumber, log_height
 from recdiff.intervals import midpoint_float, upper_float
 from recdiff.matveev import (
@@ -18,6 +19,7 @@ from recdiff.spectral import analyze_sequence
 FIB = analyze_sequence(BUILTIN_SEQUENCES["fib"])
 POW2 = analyze_sequence(BUILTIN_SEQUENCES["pow2"])
 POW3 = analyze_sequence(BUILTIN_SEQUENCES["pow3"])
+N2N = analyze_sequence(LinearRecurrence("n2n", (4, -4), (0, 2)))
 
 
 def test_matveev_formula_values():
@@ -219,3 +221,24 @@ def test_fixpoint_threshold_holds_from_the_returned_point_on(fn):
     x = _fixpoint_threshold(fn)
     assert all(fn(y) <= y for y in (x * 1.01 ** j for j in range(3000)))
     assert x / 2 <= math.exp(4) or fn(x / 2) > x / 2       # the smallest such grid point
+
+
+@pytest.mark.parametrize("k, c", [(0.1, 0.1), (1.0, 1.0), (1.4427, 37.5), (10.0, 10.0),
+                                  (0.6, 2.0e4)])
+def test_mlogm_threshold_holds_from_the_returned_point_on(k, c):
+    # both hypotheses of the mlogm lemma, n >= e^(sqrt 2 / sqrt c) and
+    # k^2 c^2 (log n)^4 <= n, at every point past the threshold
+    x = matveev._mlogm_threshold(k, c)
+    for y in (x * 1.01 ** j for j in range(3000)):
+        assert y >= math.exp(math.sqrt(2.0) / math.sqrt(c))
+        assert (k * c) ** 2 * math.log(y) ** 4 <= y
+
+
+@pytest.mark.parametrize("u, v", [(FIB, POW2), (POW2, FIB), (POW3, N2N), (N2N, POW3)],
+                         ids=["fib-pow2", "pow2-fib", "pow3-n2n", "n2n-pow3"])
+def test_the_chain_divides_by_the_envelope_floor(u, v):
+    # C9 = 1/inf|b(m)| of the second side, C'9 the same of the first, and
+    # both infima are the envelopes' certified a_floor
+    ledger = {r.name: r.value for r in effective_upper_bounds(u, v).ledger}
+    assert ledger["C9"] == 1.0 / float(v.envelope.a_floor)
+    assert ledger["C'9"] == 1.0 / float(u.envelope.a_floor)

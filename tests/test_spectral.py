@@ -236,6 +236,35 @@ def test_envelope_remainder_bound():
         assert upper_float(rem.modulus()) <= lower_float(bound)
 
 
+def _real_sign(q):
+    """The sign of the real number a + b sqrt(d), exactly."""
+    sa, sb = (q.a > 0) - (q.a < 0), (q.b > 0) - (q.b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if q.a * q.a > q.b * q.b * q.d else sb
+
+
+N_MINUS_7 = LinearRecurrence("(n-7)2^n", (4, -4), (-7, -12))    # a(7) = 0
+
+
+@pytest.mark.parametrize("seq", [POW2, FIB, N2N, N_MINUS_7],
+                         ids=["pow2", "fib", "n2n", "n-7"])
+def test_a_floor_bounds_the_exact_dominant_coefficient(seq):
+    # |a(n)| >= a_floor > 0 at every n the envelope checks, against the
+    # exact Binet coefficients of order 2
+    analysis = analyze_sequence(seq)
+    env = analysis.envelope
+    coeffs = analysis.decomposition.exact[env.certificate.root_index]
+    assert env.a_floor > 0
+    for n in range(env.n0, env.verified_to + 1):
+        a_n = sum((c * n ** j for j, c in enumerate(coeffs)), QuadraticElement.from_rational(0))
+        assert _real_sign(a_n - env.a_floor) >= 0 or _real_sign(a_n + env.a_floor) <= 0
+    if seq is N_MINUS_7:
+        assert (env.n0, env.a_floor) == (8, 1)
+
+
 def test_pow2_envelope_tight():
     env = analyze_sequence(POW2).envelope
     assert env.sigma == 0 and env.n0 == 0
