@@ -10,14 +10,14 @@ window is verified in turn, and the computation fails loudly (CutoffUnsafe)
 instead of reporting a possibly wrong count.
 
 The enumeration keeps, for each U_n, only an index run [left, right) into
-the value-sorted V terms, and T(x) is read from the runs.  S(x) comes from
-the distinct pairs (u, v) of values: P(x) of them have |u - v| <= x, and
-S = P - sum of (d(c) - 1) over the values c, |c| <= x, that d(c) >= 2 of
-them take.  So T - S = (T - P) + sum (d(c) - 1): the families, where a
-value repeats in U or in V (F_1 = F_2) and one pair (u, v) stands for
-several pairs (n, m), plus the sporadic surplus.  A sweep finds the ties,
-the c with d(c) >= 2, with work that grows with n_cut + m_cut, not with T.
-With K = 2^_SPLIT = 4,
+the value-sorted V terms; at the largest x of a grid T(x) and P(x) are
+read from the runs.  S(x) comes from the distinct pairs (u, v) of values:
+P(x) of them have |u - v| <= x, and S = P - sum of (d(c) - 1) over the
+values c, |c| <= x, that d(c) >= 2 of them take.  So T - S = (T - P) +
+sum (d(c) - 1): the families, where a value repeats in U or in V (F_1 =
+F_2) and one pair (u, v) stands for several pairs (n, m), plus the
+sporadic surplus.  A sweep finds the ties, the c with d(c) >= 2, with work
+that grows with n_cut + m_cut, not with T.  With K = 2^_SPLIT = 4,
 
 - a row block holds, for one u, the v with K|v| <= |u|: one contiguous
   range of the sorted V values, so its c = u - v are distinct and lie in
@@ -29,8 +29,9 @@ With K = 2^_SPLIT = 4,
 So d(c) >= 2 needs a balanced pair taking c or two blocks whose c-ranges
 meet.  The blocks sorted by range start give the stretches of c that two or
 more of them cover, and only those stretches of the blocks are listed.
-Outside them a value lies in at most one block, found by bisection and
-decided by one lookup (u - c among the V values, v + c among the U values).
+Outside them a value lies in at most one block, found by one C-level
+bisection pass; Python decides a value in that block's range, or sharing a
+hash, by bisecting for u - c among the V values or v + c among the U values.
 Every tie is found exactly whatever K >= 2 is: K only moves pairs between
 the blocks and the balanced list, and so sets the speed (with K = 2 the row
 blocks of Fibonacci terms overlap, and the stretches hold nearly every
@@ -44,12 +45,13 @@ where every comparison is decided with certified margin or refined.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat, starmap
-from operator import itemgetter, lt, sub
+from operator import gt, itemgetter, le, lt, ne, or_, sub
 
 from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
@@ -136,9 +138,10 @@ def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
     Both factors are positive, so a lower bound of the value is the lower
     endpoint of c_lower times that of |alpha|^n, each rounded down at the
     field's precision: one directed-rounding power per probe, on mpmath's
-    raw endpoints.  Probes at n0, n0 + 2, n0 + 6, n0 + 14, ... bracket the
-    first certified n, and a bisection of the bracket finds it.  An index
-    past n = 10^7 is a runaway.
+    raw endpoints.  A guess from their log2 (mantissa and exponent: no float
+    overflows) is returned when certified and the n before it is not; else
+    probes at n0, n0 + 2, n0 + 6, ... bracket the first certified n, and a
+    bisection finds it.  An index past n = 10^7 is a runaway.
     """
     prec, mod_low = field.prec, env.certificate.modulus()._mpi_[0]
     c_low, thr_upper = field.real(env.c_lower)._mpi_[0], field.real(threshold)._mpi_[1]
@@ -147,6 +150,10 @@ def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
         power = mpf_pow_int(mod_low, n, prec, round_floor)
         return mpf_gt(mpf_mul(c_low, power, prec, round_floor), thr_upper)
 
+    slope, low, high = (math.log2(e[1] or 1) + e[2] for e in (mod_low, c_low, thr_upper))
+    guess = max(env.n0, math.floor((high - low) / slope) + 1) if slope > 0 else env.n0
+    if guess <= 10 ** 7 and certified(guess) and (guess == env.n0 or not certified(guess - 1)):
+        return guess
     lo, hi = env.n0 - 1, env.n0
     while not certified(hi):
         if hi >= 10 ** 7:
@@ -214,7 +221,8 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
             entries = sorted(zip(v_terms, range(m_big + 1)))
             values = [v for v, _ in entries]
         lefts += map(bisect_left, repeat(values), [u - x for u in u_terms[len(lefts):]])
-        rights += map(bisect_right, repeat(values), [u + x for u in u_terms[len(rights):]])
+        rights += map(bisect_right, repeat(values), [u + x for u in u_terms[len(rights):]],
+                      lefts[len(rights):])
         hits = list(compress(count(), map(lt, lefts, rights)))
         if not hits or hits[-1] <= n_cut:
             break
@@ -240,17 +248,20 @@ def _enumerate_pairs(seqU, seqV, x, envU, envV):
     return runs, entries, n_cut, m_cut, gap_margin
 
 
-def _cut(fixed, others, x, edge):
-    """For the edges edge[i], |edge[i]| <= K|f| + 1 with f = fixed[i] and
-    fixed ascending, the indices bisect_left(others, edge[i]) with edge[i]
-    clamped to [f - x, f + x + 1]: the w of the sorted others with
-    |f - w| <= x between two edges lie between their indices.  Only an f
-    with (K + 1)|f| >= x needs the clamp."""
+def _cut(fixed, others, x, edge, side):
+    """For the edges edge(f), |edge(f)| <= K|f| + 1, of the ascending f of
+    fixed, the indices bisect_left(others, edge(f)) with edge(f) clamped to
+    [f - x, f + x + 1]: the w of the sorted others with |f - w| <= x between
+    two edges lie between their indices.  Only an f with (K + 1)|f| >= x
+    needs the clamp.  The edges are at most 1 when side < 0, else at least
+    0, so only the others < 1, or >= 0, are searched, and only if any are."""
     m = (x - 1) >> _SPLIT + 1       # 2K m < x, so (K + 1)|f| < x for |f| <= m
-    cut = list(map(bisect_left, repeat(others), edge))
+    lo, hi = (0, bisect_left(others, 1)) if side < 0 else (bisect_left(others, 0), len(others))
+    cut = list(map(bisect_left, repeat(others), map(edge, fixed), repeat(lo), repeat(hi))) \
+        if lo < hi else [lo] * len(fixed)
     for i in [*range(bisect_left(fixed, -m)), *range(bisect_right(fixed, m), len(fixed))]:
         f = fixed[i]
-        cut[i] = bisect_left(others, min(max(edge[i], f - x), f + x + 1))
+        cut[i] = bisect_left(others, min(max(edge(f), f - x), f + x + 1))
     return cut
 
 
@@ -263,22 +274,21 @@ def _ties(us, vs, x):
     sign, f, others, a, b): a row is (u, V values, 1), a column (v, U
     values, -1), and c = sign (f - w) runs monotonically from one end of
     [lo, hi] to the other over w in others[a:b].  The listed pairs keep no
-    c: their differences are taken again where needed, and two of them can
-    share a c only when they share its hash.
+    c: C-level passes hash each difference and find its block, and Python
+    takes it again only where a block or another pair may share it.
     """
-    # rows -h <= v <= h and balanced h < |v| < K|u|, for h = |u| // K, one
-    # list of edges alive at a time; the cuts of u = 0 cross, which leaves
-    # its balanced ranges empty
-    cuts = list(zip(us, _cut(us, vs, x, [1 - (abs(u) << _SPLIT) for u in us]),
-                    _cut(us, vs, x, [-(abs(u) >> _SPLIT) for u in us]),
-                    _cut(us, vs, x, [(abs(u) >> _SPLIT) + 1 for u in us]),
-                    _cut(us, vs, x, [abs(u) << _SPLIT for u in us])))
-    blocks = [(u - vs[b - 1], u - vs[a], 1, u, vs, a, b) for u, _, a, b, _ in cuts if a < b]
-    balanced = [(u, v) for u, p, a, b, q in cuts for v in vs[p:a] + vs[b:q]]
+    # rows -h <= v <= h and balanced h < |v| < K|u|, for h = |u| // K; the
+    # cuts of u = 0 cross, which leaves its balanced ranges empty
+    p, a, b, q = (_cut(us, vs, x, lambda u: 1 - (abs(u) << _SPLIT), -1),
+                  _cut(us, vs, x, lambda u: -(abs(u) >> _SPLIT), -1),
+                  _cut(us, vs, x, lambda u: (abs(u) >> _SPLIT) + 1, 1),
+                  _cut(us, vs, x, lambda u: abs(u) << _SPLIT, 1))
+    blocks = [(u - vs[j - 1], u - vs[i], 1, u, vs, i, j) for u, i, j in zip(us, a, b) if i < j]
+    balanced = [(u, v) for u, h, i, j, k in zip(us, p, a, b, q) for v in vs[h:i] + vs[j:k]]
     # columns -h <= u <= h for v != 0, h = |v| // K
     blocks += [(us[a] - v, us[b - 1] - v, -1, v, us, a, b) for v, a, b
-               in zip(vs, _cut(vs, us, x, [-(abs(v) >> _SPLIT) for v in vs]),
-                      _cut(vs, us, x, [(abs(v) >> _SPLIT) + 1 for v in vs])) if a < b and v]
+               in zip(vs, _cut(vs, us, x, lambda v: -(abs(v) >> _SPLIT), -1),
+                      _cut(vs, us, x, lambda v: (abs(v) >> _SPLIT) + 1, 1)) if a < b and v]
 
     # reaches[i], the furthest hi among the first i blocks; the front, after
     # a sentinel, the blocks reaching further than all starting before them;
@@ -286,8 +296,8 @@ def _ties(us, vs, x):
     # ascending, whose pairs are listed from every block meeting them
     blocks.sort(key=itemgetter(0))
     reaches = list(accumulate([block[1] for block in blocks], max, initial=-x - 1))
-    front = [(-x - 1, -x - 1, 1, 0)] + [block for block, reach in zip(blocks, reaches)
-                                        if block[1] > reach]
+    front = [(-x - 1, -x - 1, 1, 0, [0])] + [block for block, reach in zip(blocks, reaches)
+                                             if block[1] > reach]
     shared = []
     for lo, hi in [(block[0], min(block[1], reach))
                    for block, reach in zip(blocks, reaches) if block[0] <= reach]:
@@ -306,21 +316,26 @@ def _ties(us, vs, x):
                                        bisect_right(others, w_hi, a, b)]]
 
     # two pairs take c when two listed pairs do or a listed pair and a block
-    # does.  Outside the stretches a c lies in one block at most, the last
-    # of the front starting at or below it, which holds c when w = f - sign c
-    # is a value; so a c that no listed pair takes has one pair at most
-    seen = Counter(map(hash, starmap(sub, listed)))
-    starts = [block[0] for block in front[1:]]
-    members = set(vs), set(us)
+    # does.  Outside the stretches a c lies in one block at most, its owner,
+    # the last of the front starting at or below it, which holds c when c <=
+    # hi and w = f - sign c is one of its others.  C-level passes hash every
+    # c and find its owner, and only a c that is at most its owner's hi or
+    # whose hash repeats is taken again
+    starts, his = [block[0] for block in front[1:]], [block[1] for block in front]
+    hashes = list(map(hash, starmap(sub, listed)))
+    seen = Counter(hashes)
+    owners = map(bisect_right, repeat(starts), starmap(sub, listed))
+    held = map(le, starmap(sub, listed), map(his.__getitem__, owners))
     at = defaultdict(set)           # c -> its pairs, for each c that may tie
-    for pair in listed:
+    for pair, h in compress(zip(listed, hashes),
+                            map(or_, held, map(gt, map(seen.__getitem__, hashes), repeat(1)))):
         c = pair[0] - pair[1]
-        _, hi, sign, f, *_ = front[bisect_right(starts, c)]
-        w = f - sign * c
+        _, hi, sign, f, others = front[bisect_right(starts, c)][:5]
+        w = f - c if sign > 0 else f + c
         other = (f, w) if sign > 0 else (w, f)
-        if seen[hash(c)] > 1:
+        if seen[h] > 1:
             at[c].add(pair)
-        if c <= hi and other != pair and w in members[sign < 0]:
+        if c <= hi and others[bisect_left(others, w) % len(others)] == w and other != pair:
             at[c].update((pair, other))
     return {c: sorted(pairs) for c, pairs in at.items() if len(pairs) > 1}, blocks, balanced
 
@@ -340,9 +355,10 @@ def _count(seqU, seqV, xs, envU, envV):
     all with the pass's cutoffs and gap margin; ties as _ties gives them for
     max(xs) and the distinct values of the runs; runs and entries as in
     _enumerate_pairs.  S(x) is P(x), the distinct pairs (u, v) with
-    |u - v| <= x, less d(c) - 1 for each tie c.  P is a bisection sum over
-    the distinct values; so is T below max(xs), and at max(xs) T is read
-    from the runs.
+    |u - v| <= x, less d(c) - 1 for each tie c.  Below max(xs), T and P are
+    bisection sums over the values and the distinct values; at max(xs) both
+    are read from the runs, P from one run per distinct u, whose distinct
+    values a prefix count of where each new value starts gives.
     """
     xs = [_parse_x_int(x) for x in xs]
     if envU is None:
@@ -358,13 +374,16 @@ def _count(seqU, seqV, xs, envU, envV):
     runs, entries, n_cut, m_cut, gap_margin = _enumerate_pairs(seqU, seqV, max(xs), envU, envV)
     _, us, lefts, rights = zip(*runs) if runs else ((),) * 4
     values = [v for v, _ in entries]
-    us_set = sorted(set(us))
+    us_set = sorted(dict.fromkeys(us))
     vs_set = list(dict.fromkeys(values[min(lefts, default=0):max(rights, default=0)]))
     ties = _ties(us_set, vs_set, max(xs))[0]
+    news = list(accumulate(map(ne, values, values[1:]), initial=0))
+    top = sum(news[right - 1] - news[left] + 1
+              for left, right in dict(zip(us, zip(lefts, rights))).values())
     counts = []
     for x in xs:
         T = sum(rights) - sum(lefts) if x == max(xs) else _within(values, us, x, lefts, rights)
-        P = _within(vs_set, us_set, x, repeat(0), repeat(len(vs_set)))
+        P = top if x == max(xs) else _within(vs_set, us_set, x, repeat(0), repeat(len(vs_set)))
         S = P - sum(len(pairs) - 1 for c, pairs in ties.items() if abs(c) <= x)
         counts.append(CountResult(x, T, S, n_cut, m_cut, gap_margin, "fast"))
     return counts, ties, runs, entries

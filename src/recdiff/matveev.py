@@ -9,14 +9,16 @@ every constant is written to a provenance ledger with its defining formula
 and a rigor flag.
 
 The envelope (``spectral``) proves each side's growth constants and its
-floor on |a(n)|; this module rounds them to floats and proves the Matveev
-step and the mlogm threshold, which ``asymptotics`` fuzzes.
+floor on |a(n)|; this module rounds them to floats, each bound on its
+certified side, and proves the Matveev step and the mlogm threshold, which
+``asymptotics`` fuzzes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import PrecisionExhausted, UnsupportedDegree
 from .heights import compound_height, height_constant_probe, log_height
@@ -299,14 +301,23 @@ class _Side:
     a_prime: float
     sigma: int
     n0: int
-    a_floor: float      # |a(n)| >= a_floor for n >= n0: the envelope's, rounded
+    a_floor: float      # |a(n)| >= a_floor for n >= n0: the envelope's, rounded down
+
+
+def _rounded(bound: Fraction, down: bool) -> float:
+    """The float nearest bound on its certified side: at most bound when
+    down, at least it otherwise."""
+    f = float(bound)
+    if Fraction(f) > bound if down else Fraction(f) < bound:
+        f = math.nextafter(f, -math.inf if down else math.inf)
+    return f
 
 
 def _side(analysis: SequenceAnalysis, field) -> _Side:
     cert, env = analysis.certificate, analysis.envelope
     return _Side(midpoint_float(field.log(cert.modulus())), math.log(float(env.alpha_prime)),
-                 float(env.c_lower), float(env.c_upper), float(env.a_prime),
-                 env.sigma, env.n0, float(env.a_floor))
+                 _rounded(env.c_lower, True), _rounded(env.c_upper, False),
+                 _rounded(env.a_prime, False), env.sigma, env.n0, _rounded(env.a_floor, True))
 
 
 def _case2_constants(prefix, suffix, C_boundfor, main, other, C11, C12, ledger):

@@ -6,12 +6,12 @@ import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 import pytest
 from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_gt, mpi_mul, to_int
+from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, mpi_mul, round_floor, to_int
 
 from recdiff import counting, intervals
 from recdiff.asymptotics import ratio_table
@@ -324,6 +324,91 @@ def test_the_growth_index_search_stops_past_ten_million():
             counting._growth_index(env, 2 ** (k - 1), field)
 
 
+# the bracket-and-bisection search that the log2 guess of _growth_index
+# now short-cuts, kept verbatim as the reference for the index
+def _bracketing_growth_index(env, threshold, field):
+    prec, mod_low = field.prec, env.certificate.modulus()._mpi_[0]
+    c_low, thr_upper = field.real(env.c_lower)._mpi_[0], field.real(threshold)._mpi_[1]
+
+    def certified(n):
+        power = mpf_pow_int(mod_low, n, prec, round_floor)
+        return mpf_gt(mpf_mul(c_low, power, prec, round_floor), thr_upper)
+
+    lo, hi = env.n0 - 1, env.n0
+    while not certified(hi):
+        if hi >= 10 ** 7:
+            raise CutoffUnsafe("growth index search runaway")
+        lo, hi = hi, min(hi + 2 * (hi - lo), 10 ** 7)
+    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=certified)
+
+
+def _index_outcome(search, env, threshold, field):
+    """The index, or the refusal's type and message."""
+    try:
+        return search(env, threshold, field)
+    except CutoffUnsafe as exc:
+        return type(exc), str(exc)
+
+
+def _growth_thresholds(env, field, rng, k):
+    """k thresholds for env: integers log-uniform up to 10^5000, Fractions,
+    ones at or below the bound at n0 (answer n0, as is a zero or negative
+    threshold), and integers one 96-bit ulp around the bound at drawn n,
+    where the guess can be off by one and the bracket takes over."""
+    mod = env.certificate.modulus()
+    at_n0 = to_int((field.real(env.c_lower) * mod ** env.n0)._mpi_[0])
+    found = [0, -7, Fraction(-1, 3), Fraction(1, 10 ** 40), at_n0 // 2, at_n0 - 1]
+    while len(found) < k:
+        kind = rng.randrange(4)
+        if kind == 0:
+            found.append(rng.randrange(1, 10 ** rng.randrange(1, 5001)))
+        elif kind == 1:
+            found.append(Fraction(rng.randrange(1, 10 ** rng.randrange(1, 3000)),
+                                  rng.randrange(1, 10 ** rng.randrange(1, 300))))
+        elif kind == 2:
+            found.append(rng.randrange(0, max(at_n0, 1) + 1))
+        else:
+            low = to_int((field.real(env.c_lower) * mod ** rng.randrange(env.n0, 20000))._mpi_[0])
+            ulp = 1 << max(low.bit_length() - field.prec, 0)
+            found.append(low + rng.choice((-ulp, 0, ulp)))
+    return found
+
+
+@pytest.mark.parametrize("name", ["fib", "lucas", "pow2", "pow3", "tribonacci"])
+def test_the_growth_index_guess_gives_the_bracketing_search_index(name):
+    # 1,200 thresholds per builtin; with the drawn recurrences below, more
+    # than 10,000 (envelope, threshold) checks, some with answer n0
+    env, field = analyze_sequence(BUILTIN_SEQUENCES[name]).envelope, IntervalField(96)
+    thresholds = _growth_thresholds(env, field, random.Random(name), 1200)
+    found = [counting._growth_index(env, t, field) for t in thresholds]
+    assert found == [_bracketing_growth_index(env, t, field) for t in thresholds]
+    assert found.count(env.n0) >= 6
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(seq=_recurrences(), seed=st.integers(0, 2 ** 32))
+def test_the_growth_index_guess_matches_on_drawn_recurrences(seq, seed):
+    try:
+        env = analyze_sequence(seq).envelope
+    except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
+        assume(False)
+    field = IntervalField(96)
+    for t in _growth_thresholds(env, field, random.Random(seed), 150):
+        assert _index_outcome(counting._growth_index, env, t, field) == \
+            _index_outcome(_bracketing_growth_index, env, t, field)
+
+
+def test_the_growth_index_guess_keeps_the_runaway_refusal():
+    # pow2's bound is 0.999 * 2^n: thresholds 2^(k - 1) need n = k, and past
+    # 10^7 both searches refuse alike, as does a guess that would land there
+    env, field = analyze_sequence(POW2).envelope, IntervalField(96)
+    for k in (10 ** 7 - 1, 10 ** 7, 10 ** 7 + 1, 10 ** 7 + 10 ** 5):
+        outcome = _index_outcome(counting._growth_index, env, 2 ** (k - 1), field)
+        assert outcome == _index_outcome(_bracketing_growth_index, env, 2 ** (k - 1), field)
+        assert outcome == (k if k <= 10 ** 7 else (CutoffUnsafe, "growth index search runaway"))
+
+
 def test_envelope_of_another_sequence_is_refused():
     # pow1000's envelope beside fib once gave T = 140, S = 110 as a "fast"
     # count; an envelope of an equal sequence under another name is accepted
@@ -574,6 +659,56 @@ def test_families_and_sporadic_surplus_split_T_minus_S(seqU, seqV):
             mu[u] * nu[v] - 1 for group in groups.values() for u, v in group)
         assert (count.T, count.S) == (
             sum(1 for u in u_terms for v in v_terms if abs(u - v) <= y), P - D)
+
+
+def _bisection_P(seqU, seqV, xs):
+    """P(x) for every x of xs as the bisection sum over the distinct values
+    that the count below max(xs) uses: the U values of the runs at max(xs)
+    and the V values within their reach."""
+    envs = [analyze_sequence(seq).envelope for seq in (seqU, seqV)]
+    runs, entries, _, _, _ = _enumerate_pairs(seqU, seqV, max(xs), *envs)
+    us = sorted({u for _, u, _, _ in runs})
+    values = [v for v, _ in entries]
+    vs = list(dict.fromkeys(values[min((left for _, _, left, _ in runs), default=0):
+                                   max((right for *_, right in runs), default=0)]))
+    return [counting._within(vs, us, x, repeat(0), repeat(len(vs))) for x in xs]
+
+
+@pytest.mark.parametrize("seqU, seqV", [(FIB, POW3), (TRIBONACCI, FIB), (POW2, FIB),
+                                        (TRIBONACCI, _negated(FIB))],
+                         ids=("fib-pow3", "tribonacci-fib", "pow2-fib", "tribonacci-minus-fib"))
+def test_P_from_the_runs_is_the_bisection_P(seqU, seqV):
+    # P = S + sum of (d(c) - 1) over the ties; at max(xs) it is read from the
+    # runs, one per distinct u, below it summed by bisection.  Repeated
+    # values on either side (F_1 = F_2, tribonacci's 0, 0, 1, 1) give one
+    # run to several n and repeat a value within a run.  Each x counted
+    # alone, where P comes from its own runs, and the grid give the
+    # bisection P at every x, and the distinct pairs of a double loop
+    x = 10 ** 30
+    k = x.bit_length() - 2
+    xs = [x, 2 ** k - 1, 10 ** 6, 2 ** k, x, 2 ** k + 1, 1, 0]
+    grid, ties, _, _ = counting._count(seqU, seqV, xs, None, None)
+    u_terms = seqU.terms(3 * grid[0].n_cut + 1)
+    v_terms = seqV.terms(3 * grid[0].m_cut + 1)
+    assert max(Counter(u_terms).values()) > 1 or max(Counter(v_terms).values()) > 1
+    for y, count, P in zip(xs, grid, _bisection_P(seqU, seqV, xs)):
+        (alone,), alone_ties, _, _ = counting._count(seqU, seqV, [y], None, None)
+        assert alone.S + sum(len(p) - 1 for p in alone_ties.values()) == P == \
+            _bisection_P(seqU, seqV, [y])[0]
+        assert count.S + sum(len(p) - 1 for c, p in ties.items() if abs(c) <= y) == P == \
+            len({(u, v) for u in u_terms for v in v_terms if abs(u - v) <= y})
+        assert (count.T, count.S) == (alone.T, alone.S)
+
+
+def test_ratio_table_grid_rows_keep_their_counts():
+    # grid rows whose largest x reads P from the runs, with F_1 = F_2 on
+    # either side; the counts are those that a bisection P at every x gave
+    grid = [10 ** 30, 10 ** 3, 2 ** 40, 10 ** 12, 2 ** 40 + 1]
+    rows = {(u, v): [(r.T, r.S) for r in ratio_table(u, v, grid).rows]
+            for u, v in ((TRIBONACCI, FIB), (FIB, POW2))}
+    assert rows == {
+        (TRIBONACCI, FIB): [(17091, 16654), (263, 186), (2949, 2752), (2948, 2751), (2949, 2752)],
+        (FIB, POW2): [(14607, 14491), (182, 156), (2466, 2409), (2411, 2355), (2466, 2409)]}
 
 
 def test_values_sharing_a_hash_are_told_apart():

@@ -29,7 +29,7 @@ PAIRS = [
     ("fib", "pow2"), ("pow2", "fib"), ("tribonacci", "pow3"), ("pow3", "n2n"),
     ("n2n", "pow3"), ("lucas", "pow3"), ("pow2", "pow3"),
 ]
-DIGEST = "a43deab3744fef1f8f4950b7911eb6de11eb4b6a98bd513b52f3a213a9ef8476"
+DIGEST = "7598fde372c9b4eb3fd8ce509aa08796bec905ba59e1b154aa4c25edea30dd60"
 
 
 def raw_bounds(eb):
