@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .counting import _count, _parse_x_int, brute_force_oracle
 from .errors import InvalidBelowThreshold, InvalidParameters
-from .intervals import _field_at, midpoint_float
 from .matveev import _mlogm_threshold
 from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
 
@@ -35,12 +34,8 @@ def main_term_value(log_alpha: float, log_beta: float, x) -> float:
     return math.log(x) ** 2 / (log_alpha * log_beta)
 
 
-def main_term(cert_alpha: DominantRootCertificate,
-              cert_beta: DominantRootCertificate, x) -> float:
-    field = _field_at(96)
-    la = midpoint_float(field.log(cert_alpha.modulus()))
-    lb = midpoint_float(field.log(cert_beta.modulus()))
-    return main_term_value(la, lb, x)
+def main_term(cert_alpha: DominantRootCertificate, cert_beta: DominantRootCertificate, x) -> float:
+    return main_term_value(cert_alpha.log_modulus_mid, cert_beta.log_modulus_mid, x)
 
 
 @dataclass(frozen=True)
@@ -54,11 +49,20 @@ class LowerBoundGrid:
 
 def _grid_axis(env: GrowthEnvelope, z: float, loglog_x: float):
     """(axis bound, validity threshold) for one sequence."""
-    field = _field_at(96)
-    la = midpoint_float(env.log_alpha(field))
+    la = env.certificate.log_modulus_mid
     c = env.sigma / la + 1.0
-    d = (math.log(float(env.c_upper)) + math.log(2.0)) / la
+    d = (_log_float(env.c_upper) + math.log(2.0)) / la
     return z / la - c * loglog_x, _for_lower_bound_threshold(1.0 / la, c, d)
+
+
+def _log_float(q: Fraction) -> float:
+    """log q for q > 0: math.log(float(q)), through q = r 2^e, 1/2 < r < 2,
+    only when float(q) overflows."""
+    try:
+        return math.log(float(q))
+    except OverflowError:
+        e = q.numerator.bit_length() - q.denominator.bit_length()
+        return math.log(float(q / 2 ** e)) + e * math.log(2.0)
 
 
 def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoundGrid:
@@ -128,7 +132,6 @@ def ratio_table(seqU, seqV, x_grid, oracle: bool = False) -> AsymptoticReport:
     the oracle checks each row at 3x that pass's cutoffs."""
     analysis_u = analyze_sequence(seqU)
     analysis_v = analyze_sequence(seqV)
-    la_lb = (analysis_u.certificate, analysis_v.certificate)
     xs = [_parse_x_int(x) for x in x_grid]
     if any(x <= 1 for x in xs):
         raise ValueError("x must exceed 1")
@@ -142,7 +145,7 @@ def ratio_table(seqU, seqV, x_grid, oracle: bool = False) -> AsymptoticReport:
                                        3 * result.n_cut, 3 * result.m_cut)
             if (check.T, check.S) != (result.T, result.S):
                 raise RuntimeError("fast count disagrees with the oracle at x=%d" % x)
-        main = main_term(la_lb[0], la_lb[1], x)
+        main = main_term(analysis_u.certificate, analysis_v.certificate, x)
         try:
             grid = lower_bound_grid(analysis_u.envelope, analysis_v.envelope, x)
             grid_count = grid.count
@@ -173,8 +176,12 @@ class LemmaCheckResult:
 
 
 def _for_lower_bound_threshold(k, c, d) -> float:
-    """forLowerBound's hypothesis on z, which the grid checks: z >= max(k^(c-1) e^d, 1)."""
-    return max(k ** (c - 1.0) * math.exp(d), 1.0)
+    """forLowerBound's hypothesis on z, which the grid checks: z >= max(k^(c-1) e^d, 1).
+    A threshold past the float range is infinite: no z meets it."""
+    try:
+        return max(k ** (c - 1.0) * math.exp(d), 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def _check_for_lower_bound(k, c, d, z, n) -> bool:

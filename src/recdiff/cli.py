@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import asymptotics, counting, heights, matveev
@@ -54,6 +55,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _real(v: float) -> str:
     return "%.12g" % v
+
+
+def _constant(q: Fraction) -> str:
+    """``_real(float(q))``; from q's digits when float(q) overflows."""
+    try:
+        return _real(float(q))
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = 12
+            return format((Decimal(q.numerator) / q.denominator).normalize(), ".12g")
 
 
 def _emit(args, text: str):
@@ -115,10 +126,10 @@ def _analysis_report(seq):
             "min_poly": list(cert.min_poly),
         },
         "envelope": {
-            "c_lower": _real(float(env.c_lower)),
-            "c_upper": _real(float(env.c_upper)),
-            "alpha_prime": _real(float(env.alpha_prime)),
-            "a_prime": _real(float(env.a_prime)),
+            "c_lower": _constant(env.c_lower),
+            "c_upper": _constant(env.c_upper),
+            "alpha_prime": _constant(env.alpha_prime),
+            "a_prime": _constant(env.a_prime),
             "n0": env.n0,
             "verified_to": env.verified_to,
         },

@@ -39,8 +39,8 @@ pair).  A pass at the largest x of a grid covers every smaller x, so a grid
 is enumerated once.
 
 Certified real comparisons are interval arithmetic: the growth index of an
-envelope, on 96-bit intervals, and the real-base explorer (pi^n vs e^m),
-where every comparison is decided with certified margin or refined.
+envelope, at 96 bits from the certificate's |alpha| and c_lower, and the
+real-base explorer (pi^n vs e^m), decided with certified margin or refined.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, repeat, starmap
 from operator import gt, itemgetter, le, lt, ne, or_, sub
 
-from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, round_floor
+from mpmath.libmp import from_man_exp, mpf_gt, mpf_mul, mpf_pow_int, round_floor
 
 from ._roots import AlgebraicNumber
 from .errors import CutoffUnsafe, PrecisionExhausted
@@ -135,16 +135,17 @@ def brute_force_oracle(seqU: LinearRecurrence, seqV: LinearRecurrence,
 def _growth_index(env: GrowthEnvelope, threshold, field) -> int:
     """Smallest n >= n0 with c_lower * |alpha|^n certified > threshold.
 
-    Both factors are positive, so a lower bound of the value is the lower
-    endpoint of c_lower times that of |alpha|^n, each rounded down at the
-    field's precision: one directed-rounding power per probe, on mpmath's
-    raw endpoints.  A guess from their log2 (mantissa and exponent: no float
-    overflows) is returned when certified and the n before it is not; else
-    probes at n0, n0 + 2, n0 + 6, ... bracket the first certified n, and a
-    bisection finds it.  An index past n = 10^7 is a runaway.
+    Both factors are positive, so a lower bound of the value is c_lower
+    times the certificate's modulus_low to the n, each rounded down at the
+    field's precision: one directed-rounding power per probe, on raw mpfs
+    of the two dyadic fractions.  A guess from their log2 (mantissa and
+    exponent: no float overflows) is returned when certified and the n
+    before it is not; else probes at n0, n0 + 2, n0 + 6, ... bracket the
+    first certified n, and a bisection finds it.  Past n = 10^7: a runaway.
     """
-    prec, mod_low = field.prec, env.certificate.modulus()._mpi_[0]
-    c_low, thr_upper = field.real(env.c_lower)._mpi_[0], field.real(threshold)._mpi_[1]
+    prec, thr_upper = field.prec, field.real(threshold)._mpi_[1]
+    mod_low, c_low = (from_man_exp(q.numerator, 1 - q.denominator.bit_length(), bits, round_floor)
+                      for q, bits in ((env.certificate.modulus_low, None), (env.c_lower, prec)))
 
     def certified(n):
         power = mpf_pow_int(mod_low, n, prec, round_floor)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PrecisionExhausted, UnsupportedDegree
+from .errors import InvalidParameters, PrecisionExhausted, UnsupportedDegree
 from .heights import compound_height, height_constant_probe, log_height
 from .independence import multiplicative_independence
 from .intervals import (
@@ -304,20 +304,27 @@ class _Side:
     a_floor: float      # |a(n)| >= a_floor for n >= n0: the envelope's, rounded down
 
 
-def _rounded(bound: Fraction, down: bool) -> float:
-    """The float nearest bound on its certified side: at most bound when
-    down, at least it otherwise."""
-    f = float(bound)
+def _rounded(env, name: str, down: bool) -> float:
+    """The float nearest the envelope constant ``name`` on its certified
+    side: at most it when down, at least it otherwise.  The chain's
+    arithmetic is floats, so a constant past their range refuses it."""
+    bound = getattr(env, name)
+    try:
+        f = float(bound)
+    except OverflowError:
+        raise InvalidParameters("envelope constant %s of %r is past the float range of "
+                                "the bound chain" % (name, env.sequence.name)) from None
     if Fraction(f) > bound if down else Fraction(f) < bound:
         f = math.nextafter(f, -math.inf if down else math.inf)
     return f
 
 
-def _side(analysis: SequenceAnalysis, field) -> _Side:
-    cert, env = analysis.certificate, analysis.envelope
-    return _Side(midpoint_float(field.log(cert.modulus())), math.log(float(env.alpha_prime)),
-                 _rounded(env.c_lower, True), _rounded(env.c_upper, False),
-                 _rounded(env.a_prime, False), env.sigma, env.n0, _rounded(env.a_floor, True))
+def _side(analysis: SequenceAnalysis) -> _Side:
+    env = analysis.envelope
+    return _Side(analysis.certificate.log_modulus_mid, math.log(float(env.alpha_prime)),
+                 _rounded(env, "c_lower", True), _rounded(env, "c_upper", False),
+                 _rounded(env, "a_prime", False), env.sigma, env.n0,
+                 _rounded(env, "a_floor", True))
 
 
 def _case2_constants(prefix, suffix, C_boundfor, main, other, C11, C12, ledger):
@@ -422,7 +429,7 @@ def effective_upper_bounds(u: SequenceAnalysis, v: SequenceAnalysis) -> Effectiv
         ConstantRecord("C10", C10, c10_formula, c10_rig),
     ]
 
-    side_u, side_v = _side(u, field), _side(v, field)
+    side_u, side_v = _side(u), _side(v)
     a_n, a_m, (c17a, c17b) = _directional_chain(side_u, side_v, C10, A2, A3, D, ledger)
     # branch B bounds (m, n) in its own orientation
     b_m, b_n, (c17a_b, c17b_b) = _directional_chain(side_v, side_u, C10, A3, A2, D, ledger,

@@ -57,6 +57,7 @@ from .errors import NoDominantRoot, RootNotLargerThanOne
 from .intervals import (
     ComplexBox,
     IntervalField,
+    _field_at,
     ball_add,
     ball_from_mpi,
     ball_mul,
@@ -125,10 +126,14 @@ class BinetDecomposition:
 
 @dataclass(eq=False)
 class DominantRootCertificate:
+    """The dominant root alpha: the one place |alpha| and log|alpha| are read."""
+
     decomposition: BinetDecomposition
     root_index: int
     sigma: int               # degree of a(X) at the dominant root: its multiplicity - 1
     margin_lower: Fraction   # certified lower bound on min_i(|alpha| - |alpha_i|)
+    modulus_low: Fraction    # the exact lower end of modulus(), at the certificate's rung
+    log_modulus: tuple       # the exact ends of modulus()'s 96-bit log, around log|alpha|
 
     @property
     def root(self) -> AlgebraicNumber:
@@ -146,8 +151,11 @@ class DominantRootCertificate:
         return self.root.modulus()
 
     def modulus_bounds(self) -> tuple:
-        m = self.modulus()
-        return interval_inf_fraction(m), interval_sup_fraction(m)
+        return self.modulus_low, interval_sup_fraction(self.modulus())
+
+    @property
+    def log_modulus_mid(self) -> float:     # the midpoint of log_modulus, rounded
+        return float(sum(self.log_modulus) / 2)
 
 
 @dataclass(eq=False)
@@ -159,8 +167,8 @@ class GrowthEnvelope:
 
     For the second sequence of a pair the same fields play the roles of the
     companion constants (lower/upper bound constants, inner base, remainder
-    scale, threshold).  Every constant is an exact dyadic rational so that
-    downstream interval checks carry no representation slop.
+    scale, threshold).  Every constant is an exact dyadic rational (no
+    representation slop); |alpha| and log|alpha| are the certificate's.
     """
 
     certificate: DominantRootCertificate
@@ -176,9 +184,6 @@ class GrowthEnvelope:
     @property
     def sequence(self):
         return self.certificate.sequence
-
-    def log_alpha(self, field: IntervalField):
-        return field.log(self.certificate.modulus())
 
 
 @dataclass(eq=False)
@@ -528,12 +533,13 @@ def _certificate_at(seq, decomp, field):
             raise RootNotLargerThanOne("|dominant root| <= 1 for %r" % seq.name)
         return None
 
-    gaps = [interval_inf_fraction(mod - moduli[i])
-            for i in range(len(roots)) if i != cand]
+    gaps = [interval_inf_fraction(mod - moduli[i]) for i in range(len(roots)) if i != cand]
     margin_lower = min(gaps) if gaps else interval_inf_fraction(mod)
     if gaps and margin_lower <= 0:
         return None
-    return DominantRootCertificate(decomp, cand, sigma, margin_lower)
+    log_mod = _field_at(96).log(mod)
+    return DominantRootCertificate(decomp, cand, sigma, margin_lower, interval_inf_fraction(mod),
+                                   (interval_inf_fraction(log_mod), interval_sup_fraction(log_mod)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from recdiff.cli import dispatch
 from recdiff.counting import count_T_S
 from recdiff.errors import InvalidBelowThreshold, InvalidParameters
 from recdiff.matveev import effective_upper_bounds
-from recdiff.recurrences import BUILTIN_SEQUENCES
+from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence
 from recdiff.spectral import analyze_sequence
 
 FIB = BUILTIN_SEQUENCES["fib"]
@@ -178,6 +178,36 @@ def test_ratio_table_deterministic():
     a = ratio_table(FIB, POW2, [10 ** 3, 10 ** 6])
     b = ratio_table(FIB, POW2, [10 ** 3, 10 ** 6])
     assert a.rows == b.rows and a.k1 == b.k1
+
+
+BIG = LinearRecurrence("big", (1, 1), (10 ** 400, 10 ** 400))   # c_upper about 1e400
+
+
+def test_the_log_of_an_envelope_constant_splits_only_past_the_float_range():
+    # below the float range the log is math.log(float(c)), as it always was;
+    # past it, log r + e log 2 with 1/2 < r < 2, which log(num) - log(den)
+    # matches only to about 5e-15 on pow2's small c_upper
+    for a in (A_FIB, A_POW2, A_POW3):
+        c = a.envelope.c_upper
+        assert asymptotics._log_float(c) == math.log(float(c))
+        assert asymptotics._log_float(c * 2 ** 2000) == \
+            pytest.approx(math.log(float(c)) + 2000 * math.log(2.0), rel=1e-15)
+    c = analyze_sequence(BIG).envelope.c_upper
+    assert asymptotics._log_float(c) == \
+        pytest.approx(math.log(c.numerator) - math.log(c.denominator), rel=1e-15)
+
+
+def test_a_grid_threshold_past_the_float_range_is_never_met():
+    # e^d of BIG's threshold overflows: no x makes its grid valid, the grid
+    # is refused, and a scan counts with an empty grid column
+    assert asymptotics._for_lower_bound_threshold(1.0, 1.0, 1000.0) == math.inf
+    with pytest.raises(InvalidBelowThreshold, match="inf"):
+        lower_bound_grid(analyze_sequence(BIG).envelope, A_POW2.envelope, 10 ** 500)
+    report = ratio_table(BIG, POW2, [10 ** 500, 10 ** 600])
+    assert [(r.T, r.S, r.grid_count) for r in report.rows] == \
+        [(797294, 795633, None), (1910259, 1908265, None)]
+    assert [(r.T, r.S) for r in report.rows] == \
+        [(c.T, c.S) for c in (count_T_S(BIG, POW2, 10 ** 500), count_T_S(BIG, POW2, 10 ** 600))]
 
 
 def test_for_lower_bound_invalid_parameters():

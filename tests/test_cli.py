@@ -198,6 +198,34 @@ def test_scan_structured(capsys):
     assert data["rows"][0]["T"] == 182
 
 
+def test_constants_past_the_float_range(tmp_path, capsys):
+    # fib's recurrence from 10^400: analyze prints its constants from their
+    # digits, scan counts with an empty grid column, count is as before and
+    # bounds refuses, naming the constant
+    path = tmp_path / "big.cfg"
+    path.write_text(serialize_sequence_config(
+        LinearRecurrence("big", (1, 1), (10 ** 400, 10 ** 400))))
+    big = str(path)
+    code, out, _ = run(capsys, "analyze", "--seq-u", big, "--no-header")
+    env = json.loads(out)["sequences"][0]["envelope"]
+    assert code == 0
+    assert (env["c_lower"], env["c_upper"], env["a_prime"], env["alpha_prime"]) == \
+        ("6.17430439933e+399", "1.00124674133e+400", "2.76663117487e+399", "1.27201964951")
+    code, out, _ = run(capsys, "scan", "--seq-u", big, "--seq-v", "pow2",
+                       "--x-grid", "1e500,1e600", "--no-header")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert code == 0 and [(r[1], r[2], r[6]) for r in rows] == \
+        [("797294", "795633", ""), ("1910259", "1908265", "")]
+    code, out, _ = run(capsys, "count", "--seq-u", big, "--seq-v", "pow2", "--x", "1e500",
+                       "--no-header")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["T"], data["S"], data["n_cut"], data["m_cut"]) == (797294, 795633, 485, 1665)
+    code, out, err = run(capsys, "bounds", "--seq-u", big, "--seq-v", "pow2", "--no-header")
+    assert code == 4 and out == ""
+    assert "envelope constant c_lower of 'big' is past the float range" in err
+
+
 def test_matveev_subcommand(capsys):
     code, out, _ = run(capsys, "matveev", "--t", "3", "--D", "2", "--B", "100",
                        "--A", "1", "--A", "1", "--A", "1", "--no-header")

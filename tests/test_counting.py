@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_gt, mpf_mul, mpf_pow_int, mpi_mul, round_floor, to_int
 
-from recdiff import counting, intervals
+from recdiff import counting, intervals, matveev
 from recdiff.asymptotics import ratio_table
 from recdiff.counting import (
     _HARD_CAP,
@@ -407,6 +407,26 @@ def test_the_growth_index_guess_keeps_the_runaway_refusal():
         outcome = _index_outcome(counting._growth_index, env, 2 ** (k - 1), field)
         assert outcome == _index_outcome(_bracketing_growth_index, env, 2 ** (k - 1), field)
         assert outcome == (k if k <= 10 ** 7 else (CutoffUnsafe, "growth index search runaway"))
+
+
+def test_warm_counts_scans_and_chain_sides_read_alpha_from_the_certificate(monkeypatch):
+    # |alpha| and log|alpha| are computed once, with the certificate: a warm
+    # count, scan or bound-chain side takes no modulus and no interval log
+    pairs = [(FIB, POW2), (TRIBONACCI, POW3), (POW2, LUCAS)]
+    grid = [10 ** 6, 10 ** 100, 10 ** 300]
+    for u, v in pairs:
+        count_T_S(u, v, 10 ** 300)
+        ratio_table(u, v, grid)
+    calls = []
+    for owner, name in ((intervals.ComplexBox, "modulus"), (intervals.IntervalField, "log")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    for u, v in pairs:
+        count_T_S(u, v, 10 ** 300)
+        ratio_table(u, v, grid)
+        matveev._side(analyze_sequence(u))
+    assert calls == []
 
 
 def test_envelope_of_another_sequence_is_refused():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from recdiff import matveev
+from recdiff.errors import InvalidParameters
 from recdiff.heights import AlgebraicNumber, log_height
 from recdiff.intervals import midpoint_float, upper_float
 from recdiff.matveev import (
@@ -242,3 +243,11 @@ def test_the_chain_divides_by_the_envelope_floor(u, v):
     ledger = {r.name: r.value for r in effective_upper_bounds(u, v).ledger}
     assert ledger["C9"] == 1.0 / float(v.envelope.a_floor)
     assert ledger["C'9"] == 1.0 / float(u.envelope.a_floor)
+
+
+def test_the_chain_refuses_an_envelope_constant_past_the_float_range():
+    # the chain's arithmetic is floats: c_lower of about 6e399 cannot enter it
+    big = analyze_sequence(LinearRecurrence("big", (1, 1), (10 ** 400, 10 ** 400)))
+    for u, v in ((big, POW2), (POW2, big)):
+        with pytest.raises(InvalidParameters, match="c_lower of 'big' is past the float range"):
+            effective_upper_bounds(u, v)

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
     fone,
@@ -45,6 +45,7 @@ from recdiff.intervals import (
 from recdiff.quadratic import QuadraticElement, quadratic_roots
 from recdiff.recurrences import BUILTIN_SEQUENCES, LinearRecurrence, minimal_recurrence
 from recdiff.spectral import _spectrum_at, analyze_sequence
+from test_integration import _recurrences
 
 FIB = BUILTIN_SEQUENCES["fib"]
 LUCAS = BUILTIN_SEQUENCES["lucas"]
@@ -138,6 +139,36 @@ def test_dominant_certificate_n2n():
     cert = analyze_sequence(N2N).certificate
     assert cert.sigma == 1
     assert midpoint_float(cert.modulus()) == 2.0
+
+
+def _assert_the_certificate_reads_alpha(cert):
+    # the exact lower end of |alpha|'s interval, which the growth index
+    # reads, and the ends of a 96-bit log around log|alpha|, which the main
+    # term, the grid and the bound chain read: both dyadic
+    modulus = cert.modulus()
+    assert cert.modulus_low == interval_inf_fraction(modulus)
+    lower, upper = cert.log_modulus
+    log256 = IntervalField(256).log(modulus)
+    assert lower <= interval_inf_fraction(log256) <= interval_sup_fraction(log256) <= upper
+    for q in (cert.modulus_low, lower, upper):
+        assert q.denominator & (q.denominator - 1) == 0
+    assert cert.log_modulus_mid == pytest.approx(math.log(midpoint_float(modulus)), rel=1e-15)
+
+
+@pytest.mark.parametrize("seq", [*BUILTIN_SEQUENCES.values(), N2N], ids=lambda s: s.name)
+def test_the_certificate_carries_the_modulus_and_its_log(seq):
+    _assert_the_certificate_reads_alpha(analyze_sequence(seq).certificate)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(seq=_recurrences())
+def test_the_certificate_carries_the_modulus_and_its_log_on_drawn_recurrences(seq):
+    try:
+        cert = analyze_sequence(seq).certificate
+    except (NoDominantRoot, RootNotLargerThanOne, PrecisionExhausted):
+        assume(False)
+    _assert_the_certificate_reads_alpha(cert)
 
 
 def test_no_dominant_root_cases():
