@@ -51,7 +51,7 @@ MUTANTS = (
     Mutant("rounded-inward", "src/recdiff/matveev.py",
            "f = math.nextafter(f, -math.inf if down else math.inf)",
            "f = math.nextafter(f, math.inf if down else -math.inf)",
-           ("tests/test_matveev.py", "tests/test_ledger_identity.py")),
+           ("tests/test_matveev.py",)),
     Mutant("ball-lost-bit", "src/recdiff/intervals.py",
            "r = -(-r >> s) + (m & ((1 << s) - 1) != 0)", "r = -(-r >> s)",
            ("tests/test_intervals.py",)),
@@ -62,6 +62,13 @@ MUTANTS = (
            "(interval_inf_fraction(log_mod), interval_sup_fraction(log_mod))",
            "(interval_inf_fraction(log_mod), interval_inf_fraction(log_mod))",
            ("tests/test_spectral.py",)),
+    Mutant("circle-never", "src/recdiff/heights.py",
+           "return j is not None and j == only_root_meeting(box.conjugate(), roots)",
+           "return False",
+           ("tests/test_heights.py",)),
+    Mutant("square-kept", "src/recdiff/quadratic.py",
+           "(root := isqrt(d)) ** 2 == d:", "(root := isqrt(d)) ** 2 == d + 1:",
+           ("tests/test_quadratic.py",)),
 )
 
 

@@ -1,5 +1,5 @@
-"""Exact algebra of integer polynomials: square-free split, factoring over Z,
-real-root isolation and cyclotomic polynomials, all in integer arithmetic.
+"""Exact algebra of integer polynomials: square-free split, factoring over Z
+and real-root isolation, all in integer arithmetic.
 
 Coefficients are highest degree first, as everywhere in recdiff; arithmetic
 modulo a prime works on lists lowest degree first.
@@ -18,14 +18,12 @@ modulo a prime works on lists lowest degree first.
   ``dup_inner_refine_real_root``, ``dup_step_refine_real_root`` and the LMQ
   bounds, ``fast=False``) step by step, float ``log`` of the bound included,
   so its intervals are those of ``Poly.intervals(eps)``.
-* ``cyclotomic(m)`` is Phi_m, by exact division of x^m - 1.
 * ``primitive``, ``strip``, ``negated`` and ``derivative`` are the helpers
   that the rest of the package shares; this module imports none of it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -407,13 +405,3 @@ def real_root_intervals(f, bits) -> list:
             lo, hi = sorted((sign * Fraction(a, c), sign * Fraction(b, d)))
             out.append((lo, hi))
     return sorted(out)
-
-
-@functools.lru_cache(maxsize=256)
-def cyclotomic(m: int) -> tuple:
-    """Phi_m: x^m - 1 divided by Phi_k for every proper divisor k of m."""
-    f = (1,) + (0,) * (m - 1) + (-1,)
-    for k in range(1, m):
-        if m % k == 0:
-            f = _divide(f, cyclotomic(k))
-    return f

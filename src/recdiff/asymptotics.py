@@ -22,7 +22,7 @@ from fractions import Fraction
 from .counting import _count, _parse_x_int, brute_force_oracle
 from .errors import InvalidBelowThreshold, InvalidParameters
 from .matveev import _mlogm_threshold
-from .spectral import DominantRootCertificate, GrowthEnvelope, analyze_sequence
+from .spectral import DominantRootCertificate, GrowthEnvelope, _log_float, analyze_sequence
 
 _VERIFY_LIMIT = 10 ** 6     # largest grid that lower_bound_grid checks
 
@@ -55,23 +55,12 @@ def _grid_axis(env: GrowthEnvelope, z: float, loglog_x: float):
     return z / la - c * loglog_x, _for_lower_bound_threshold(1.0 / la, c, d)
 
 
-def _log_float(q: Fraction) -> float:
-    """log q for q > 0: math.log(float(q)), through q = r 2^e, 1/2 < r < 2,
-    only when float(q) overflows."""
-    try:
-        return math.log(float(q))
-    except OverflowError:
-        e = q.numerator.bit_length() - q.denominator.bit_length()
-        return math.log(float(q / 2 ** e)) + e * math.log(2.0)
-
-
 def lower_bound_grid(envU: GrowthEnvelope, envV: GrowthEnvelope, x) -> LowerBoundGrid:
     """Grid of indices certified to satisfy |U_n - V_m| <= x, with exact
     verification of every pair, by the extreme terms, when the grid is small."""
     if x <= math.e:
         raise InvalidBelowThreshold("need x > e so that loglog x > 0")
-    # a Fraction's log from its parts: float(x) overflows past 1.8e308
-    z = math.log(x.numerator) - math.log(x.denominator) if isinstance(x, Fraction) else math.log(x)
+    z = _log_float(x) if isinstance(x, Fraction) else math.log(x)
     loglog_x = math.log(z)
     n_max, thr_u = _grid_axis(envU, z, loglog_x)
     m_max, thr_v = _grid_axis(envV, z, loglog_x)

@@ -4,9 +4,11 @@ height-growth probe C0 over power quotients.
 h(gamma) = (1/d) (log|a_d| + sum_i log max(1, |gamma_i|)) over the conjugates.
 Heights come back as certified intervals; compound values (alpha^n / beta^m)
 are evaluated exactly in Q or a quadratic field and rejected beyond that.
-The k-th root and the cyclotomic test are exact integer code: a minimal
-polynomial is cyclotomic when it equals Phi_m for an m with phi(m) equal to
-its degree.
+A conjugate on the unit circle adds nothing to h.  The roots +-1 are exact
+points, and a non-real root of a reciprocal polynomial is proved to lie on
+the circle when its inversion and conjugation partners coincide; this covers
+every root of unity but +-1, since an irreducible polynomial with a non-real
+root on the circle is reciprocal.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from ._roots import AlgebraicNumber, only_root_meeting
-from ._zpoly import cyclotomic, strip
 from .errors import UnsupportedDegree
 from .independence import multiplicative_independence
 from .intervals import (
@@ -36,29 +37,6 @@ def _is_reciprocal(coeffs) -> bool:
     return coeffs == rev or coeffs == tuple(-c for c in rev)
 
 
-def _totient(m: int) -> int:
-    """Euler's phi(m) by trial division (m <= 2 deg^2 here)."""
-    phi, p = m, 2
-    while p * p <= m:
-        if m % p == 0:
-            phi = phi // p * (p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    return phi // m * (m - 1) if m > 1 else phi
-
-
-def _is_cyclotomic(coeffs) -> bool:
-    """coeffs equal Phi_m for some m, as sympy's ``is_cyclotomic`` decides
-    (so -Phi_3 and x^3 + 1 are not cyclotomic); phi(m) >= sqrt(m / 2) bounds
-    the m with phi(m) = deg by 2 deg^2."""
-    coeffs = strip(coeffs)
-    d = len(coeffs) - 1
-    if d < 1 or coeffs[0] != 1 or abs(coeffs[-1]) != 1:
-        return False
-    return any(_totient(m) == d and cyclotomic(m) == coeffs for m in range(1, 2 * d * d + 1))
-
-
 def _unit_circle_exact(field, roots, idx) -> bool:
     """|root| = 1 exactly: for a reciprocal polynomial, the inversion partner
     of the root coincides with its conjugation partner."""
@@ -73,7 +51,6 @@ def log_height(gamma: AlgebraicNumber):
     """Certified interval for h(gamma) in natural-log units, at most 2^-64 wide."""
     coeffs = gamma.min_poly
     d = gamma.degree
-    cyclotomic = _is_cyclotomic(coeffs)
     reciprocal = _is_reciprocal(coeffs)
 
     def attempt(field):
@@ -87,8 +64,6 @@ def log_height(gamma: AlgebraicNumber):
                 total = total + field.log(m)
             elif certainly_le(m, field.real(1)):
                 continue            # max term is exactly 0
-            elif cyclotomic:
-                continue            # all conjugates on the unit circle
             elif reciprocal and not r.is_real and _unit_circle_exact(field, roots, idx):
                 continue
             else:

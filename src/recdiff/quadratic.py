@@ -6,9 +6,9 @@ into a).  Everything here is exact Fraction arithmetic; these elements feed
 the heights module (exact minimal polynomials of compound values) and the
 zero-detection paths in the linear-form machinery.
 
-Nothing here factors an integer past trial division, so d is square-free
-only when ``square_free_core`` can tell; one field has many d, and == and
-hash compare values, not d.
+Nothing here factors an integer: d is kept as given, and a square d
+folds to a rational.  One field has many d, and ==, hash and the field
+checks of arithmetic compare values, not d.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from math import gcd, isqrt
 
 from ._zpoly import primitive
 from .errors import UnsupportedDegree
-
-_TRIAL_BOUND = 1 << 16      # trial division by the p below it in square_free_core
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -35,32 +33,6 @@ def _integer_root(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-@functools.lru_cache(maxsize=256)
-def square_free_core(n: int):
-    """n = core * square^2, returned as (core, square): trial division by
-    each p < _TRIAL_BOUND strips p^2 and then p, and the cofactor left goes
-    to square when it is a square and to core otherwise.  core is 1 or no
-    square; it is square-free unless that cofactor is at least
-    _TRIAL_BOUND ** 2 (below, it is 1 or a prime)."""
-    if n == 0:
-        return 0, 1
-    core, square = (-1 if n < 0 else 1), 1
-    n = abs(n)
-    p = 2
-    while p * p <= n and p < _TRIAL_BOUND:
-        while n % (p * p) == 0:
-            n //= p * p
-            square *= p
-        if n % p == 0:
-            n //= p
-            core *= p
-        p += 1 if p == 2 else 2
-    root = isqrt(n)
-    if root * root == n:
-        return core, square * root
-    return core * n, square
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +49,9 @@ class QuadraticElement:
     @staticmethod
     def make(a, b=0, d=1) -> "QuadraticElement":
         a, b = Fraction(a), Fraction(b)
-        core, square = square_free_core(d) if b else (1, 1)
-        if core in (0, 1):          # sqrt(d) = core * square is rational
-            return QuadraticElement(a + b * core * square, Fraction(0), 1)
-        return QuadraticElement(a, b * square, core)
+        if b and d >= 0 and (root := isqrt(d)) ** 2 == d:      # sqrt(d) = root is rational
+            a, b = a + b * root, Fraction(0)
+        return QuadraticElement._normal(a, b, d)
 
     @staticmethod
     def _normal(a: Fraction, b: Fraction, d: int) -> "QuadraticElement":

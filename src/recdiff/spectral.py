@@ -528,9 +528,6 @@ def _certificate_at(seq, decomp, field):
     if not certainly_greater(mod, field.real(1)):
         if certainly_le(mod, field.real(1)):
             raise RootNotLargerThanOne("|dominant root| <= 1 for %r" % seq.name)
-        exact_val = roots[cand].exact
-        if exact_val is not None and exact_val.is_rational and abs(exact_val.a) <= 1:
-            raise RootNotLargerThanOne("|dominant root| <= 1 for %r" % seq.name)
         return None
 
     gaps = [interval_inf_fraction(mod - moduli[i]) for i in range(len(roots)) if i != cand]
@@ -551,8 +548,14 @@ def _dyadic_mid(x) -> Fraction:
     return (lo + hi) / 2
 
 
-def _log(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
+def _log_float(q: Fraction) -> float:
+    """log q for q > 0: math.log(float(q)), through q = r 2^e, 1/2 < r < 2,
+    only when float(q) overflows."""
+    try:
+        return math.log(float(q))
+    except OverflowError:
+        e = q.numerator.bit_length() - q.denominator.bit_length()
+        return math.log(float(q / 2 ** e)) + e * math.log(2.0)
 
 
 def _poly_abs_upper(field, coeff_boxes):
@@ -736,7 +739,7 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg
         lead_low, rho_high = interval_inf_fraction(lead), interval_sup_fraction(rho_dom)
         if lead_low <= 0 or rho_high >= 1:
             return None, 0
-        return None, math.ceil(_log(2 * a_prime / lead_low) / -_log(rho_high)) + 1
+        return None, math.ceil(_log_float(2 * a_prime / lead_low) / -_log_float(rho_high)) + 1
     if sigma > 0:
         n0 = max(n0, 1)
 

@@ -207,7 +207,7 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
 def test_analyses_and_bounds_load_no_sympy(job):
     # a fresh process each; (0, 1, 2, 1) has the characteristic polynomial
     # x^4 - x^2 - 2x - 1 = (x^2 - x - 1)(x^2 + x + 1), and the bound chain of
-    # tribonacci runs the cyclotomic test of a cubic
+    # tribonacci takes the height of a cubic
     proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_PROBE] + job,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -251,3 +251,13 @@ def test_the_chain_refuses_an_envelope_constant_past_the_float_range():
     for u, v in ((big, POW2), (POW2, big)):
         with pytest.raises(InvalidParameters, match="c_lower of 'big' is past the float range"):
             effective_upper_bounds(u, v)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SEQUENCES) + ["n2n"])
+def test_side_floats_lie_on_their_certified_side(name):
+    # the chain's floats never cross the envelope's exact constants: the
+    # lower ones round down, the upper ones up
+    analysis = N2N if name == "n2n" else analyze_sequence(BUILTIN_SEQUENCES[name])
+    side, env = matveev._side(analysis), analysis.envelope
+    assert Fraction(side.c_lower) <= env.c_lower and Fraction(side.a_floor) <= env.a_floor
+    assert Fraction(side.c_upper) >= env.c_upper and Fraction(side.a_prime) >= env.a_prime

@@ -10,40 +10,19 @@ from recdiff.heights import AlgebraicNumber
 from recdiff.independence import multiplicative_independence
 from recdiff.intervals import IntervalField, contains, midpoint_float
 from recdiff.matveev import _compositum_degree
-from recdiff.quadratic import (
-    _TRIAL_BOUND,
-    QuadraticElement,
-    quadratic_roots,
-    square_free_core,
-)
+from recdiff.quadratic import QuadraticElement, quadratic_roots
 
-
-def _prime_past_the_trial_bound():
-    from sympy import nextprime
-
-    return int(nextprime(_TRIAL_BOUND))
-
-
-def test_square_free_core():
-    assert square_free_core(40) == (10, 2)
-    assert square_free_core(-12) == (-3, 2)
-    assert square_free_core(49) == (1, 7)
-    assert square_free_core(5) == (5, 1)
-    assert square_free_core(0) == (0, 1)
-    p = _prime_past_the_trial_bound()
-    assert square_free_core(-12 * p ** 2) == (-3, 2 * p)     # a square cofactor past the bound
-    assert square_free_core(5 * p ** 3) == (5 * p ** 3, 1)   # a non-square one stays in core
+_P = 65537      # a prime: d p^2 and d p^3 carry a square factor that d lacks
 
 
 def test_large_discriminant_is_not_factored():
-    # the discriminant 10^80 + 4 = 2^2 (25 10^78 + 1) leaves a cofactor past
-    # 2^32 after trial division; one square test keeps it in d, non-square
+    # the discriminant 10^80 + 4 is kept as it is, with no search for its
+    # square factors
     quadratic_roots.cache_clear()
-    square_free_core.cache_clear()
     start = time.perf_counter()
     plus, minus = quadratic_roots(1, -10 ** 40, -1)
     assert time.perf_counter() - start < 0.1
-    assert (plus.a, plus.b, plus.d) == (10 ** 40 / Fraction(2), 1, (10 ** 80 + 4) // 4)
+    assert (plus.a, plus.b, plus.d) == (10 ** 40 / Fraction(2), Fraction(1, 2), 10 ** 80 + 4)
     assert plus + minus == QuadraticElement.from_rational(10 ** 40)
     assert plus * minus == QuadraticElement.from_rational(-1)
 
@@ -60,10 +39,11 @@ def test_golden_ratio_identities():
 
 
 def test_rational_collapse():
-    # sqrt(4) collapses to 2; sqrt(8) normalizes to 2 sqrt(2)
-    assert QuadraticElement.make(0, 1, 4) == QuadraticElement.from_rational(2)
+    # sqrt(4) collapses to 2; sqrt(8) keeps its d and equals 2 sqrt(2) by value
+    two = QuadraticElement.make(0, 1, 4)
+    assert two == QuadraticElement.from_rational(2) and (two.b, two.d) == (0, 1)
     e = QuadraticElement.make(0, 1, 8)
-    assert (e.b, e.d) == (Fraction(2), 2)
+    assert e == QuadraticElement.make(0, 2, 2) and hash(e) == hash(QuadraticElement.make(0, 2, 2))
 
 
 def test_inverse_and_division():
@@ -91,7 +71,7 @@ def test_minimal_polynomials():
 
 def test_complex_quadratic():
     plus, minus = quadratic_roots(1, 0, 4)      # X^2 + 4 = (X - 2i)(X + 2i)
-    assert plus.d == -1 and plus.b == 2
+    assert plus == QuadraticElement.make(0, 2, -1) and minus == plus.conjugate()
     assert plus.norm() == 4
     F = IntervalField(96)
     box = plus.box(F)
@@ -125,7 +105,7 @@ def test_field_axioms_random(a, b, d):
 def test_one_field_under_two_d(d):
     # a + b sqrt(d) = a + (b / p) sqrt(d p^2): both forms are one value, so
     # they compare and hash equal, and arithmetic across them is exact
-    p = _prime_past_the_trial_bound()
+    p = _P
     x = QuadraticElement(Fraction(1, 2), Fraction(3, 2), d)
     y = QuadraticElement(Fraction(1, 2), Fraction(3, 2 * p), d * p * p)
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
@@ -141,9 +121,33 @@ def test_one_field_under_two_d(d):
         x * QuadraticElement(Fraction(0), Fraction(1), -d * p * p)  # d1 d2 < 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.fractions(min_value=-5, max_value=5, max_denominator=60),
+    b=st.fractions(min_value=-5, max_value=5, max_denominator=60),
+    c=st.fractions(min_value=-5, max_value=5, max_denominator=60),
+    d=st.integers(-60, 60),
+    s=st.integers(1, 10 ** 6),
+)
+def test_a_square_factor_of_d_changes_no_value(a, b, c, d, s):
+    # make(a, b s, d) and make(a, b, d s^2) are one number: they compare and
+    # hash equal, agree in arithmetic with each other and with a third
+    # element of the field, and their boxes overlap
+    x, y = QuadraticElement.make(a, b * s, d), QuadraticElement.make(a, b, d * s * s)
+    assert x == y and hash(x) == hash(y)
+    for w in (x, y, QuadraticElement.make(c, 1, d)):
+        assert x + w == y + w == w + y and x * w == y * w == w * y
+        if not w.is_zero():
+            assert x / w == y / w
+    if not x.is_zero():
+        assert 1 / x == 1 / y
+    F = IntervalField(96)
+    assert not x.box(F).is_disjoint_from(y.box(F))
+
+
 def test_make_keeps_a_non_square_cofactor_in_d():
-    # p sqrt(5 p) = sqrt(5 p^3): the cofactor p^3 passes the trial bound and stays in d
-    p = _prime_past_the_trial_bound()
+    # p sqrt(5 p) = sqrt(5 p^3): make() keeps each d as given
+    p = _P
     x, y = QuadraticElement.make(0, p, 5 * p), QuadraticElement.make(0, 1, 5 * p ** 3)
     assert (x.d, y.d) == (5 * p, 5 * p ** 3)
     assert x == y and hash(x) == hash(y) and x * y == QuadraticElement.from_rational(5 * p ** 3)
@@ -154,7 +158,7 @@ def test_independence_and_compositum_see_one_field_under_two_d():
     # phi against phi^10001 is the same-field two-units case; comparing d
     # with == would send both to the cross-field branch, which calls them
     # independent
-    p = _prime_past_the_trial_bound()
+    p = _P
     phi, _ = quadratic_roots(1, -1, -1)
 
     def over_5p2(x):
@@ -172,14 +176,12 @@ def test_independence_and_compositum_see_one_field_under_two_d():
 
 
 def test_arithmetic_on_normal_forms_factors_nothing():
-    # d is in normal form once make() has run, so sums, products, quotients
-    # and powers build their results directly; only make() reduces outside input
+    # sums, products, quotients and powers build their results directly,
+    # each in self's d
     quadratic_roots.cache_clear()
-    square_free_core.cache_clear()
     phi, _ = quadratic_roots(1, -1, -1)
     values = [phi, QuadraticElement.make(Fraction(3, 2), -2, 7), QuadraticElement.make(0, 1, -3),
               QuadraticElement.from_rational(Fraction(-5, 3))]
-    misses = square_free_core.cache_info().misses
     for x in values:
         for y in values:
             if x.d == y.d or x.is_rational or y.is_rational:
@@ -187,22 +189,5 @@ def test_arithmetic_on_normal_forms_factors_nothing():
         x ** 5, x ** -3, x.inverse(), 1 / x
     assert (phi * (1 - phi), (phi * phi - phi) ** 7) == (QuadraticElement.from_rational(-1),
                                                          QuadraticElement.from_rational(1))
-    assert square_free_core.cache_info().misses == misses
     assert quadratic_roots(2, 6, 1) == (QuadraticElement.make(Fraction(-3, 2), Fraction(1, 2), 7),
                                         QuadraticElement.make(Fraction(-3, 2), Fraction(-1, 2), 7))
-    # one miss, the discriminant 28; make() finds 7, cached when values were built
-    assert square_free_core.cache_info().misses == misses + 1
-
-
-def test_bounds_factors_each_integer_once():
-    # the quadratic conjugates of heights.log_height's ladder share their
-    # discriminants: square_free_core misses once per integer, and evicts none
-    from recdiff import spectral
-    from recdiff.cli import dispatch
-
-    spectral._cached_analysis.cache_clear()
-    quadratic_roots.cache_clear()
-    square_free_core.cache_clear()
-    assert dispatch("bounds --seq-u fib --seq-v pow2 --no-header".split()) == 0
-    info = square_free_core.cache_info()
-    assert info.misses == info.currsize <= 44

@@ -208,8 +208,11 @@ def test_the_minimal_recurrence_is_analysed(coeffs, init, minimal, sigma):
 
 
 def test_root_not_larger_than_one():
-    with pytest.raises(RootNotLargerThanOne):
-        analyze_sequence(LinearRecurrence("const", (1,), (1,)))
+    # U_n = 1, (-1)^n and n: the roots +-1 are exact points, so their boxes
+    # decide |root| <= 1
+    for coeffs, init in (((1,), (1,)), ((-1,), (1,)), ((2, -1), (0, 1))):
+        with pytest.raises(RootNotLargerThanOne):
+            analyze_sequence(LinearRecurrence("small", coeffs, init))
 
 
 def test_envelope_certified_window():
