@@ -69,6 +69,9 @@ MUTANTS = (
     Mutant("square-kept", "src/recdiff/quadratic.py",
            "(root := isqrt(d)) ** 2 == d:", "(root := isqrt(d)) ** 2 == d + 1:",
            ("tests/test_quadratic.py",)),
+    Mutant("pair-sign", "src/recdiff/spectral.py",
+           "ball_neg(ball_mul(b, q, prec))", "ball_mul(b, q, prec)",
+           ("tests/test_spectral.py::test_a_repeated_non_real_pair_beside_the_dominant_root",)),
 )
 
 

@@ -17,7 +17,9 @@ modulo a prime works on lists lowest degree first.
   (Akritas, Strzebonski and Vigklas; ``dup_inner_isolate_real_roots``,
   ``dup_inner_refine_real_root``, ``dup_step_refine_real_root`` and the LMQ
   bounds, ``fast=False``) step by step, float ``log`` of the bound included,
-  so its intervals are those of ``Poly.intervals(eps)``.
+  so its intervals are those of ``Poly.intervals(eps)``.  Its input, an
+  irreducible polynomial of degree >= 3, has no rational root: sympy's
+  steps for an exact root are left out.
 * ``primitive``, ``strip``, ``negated`` and ``derivative`` are the helpers
   that the rest of the package shares; this module imports none of it.
 """
@@ -290,14 +292,9 @@ def _shift(f, a) -> list:
     return f
 
 
-def _reverse(f) -> list:
-    return list(strip(f[::-1]))
-
-
 def _inverted(f) -> list:
-    """(x + 1)^n f(1 / (x + 1)), divided by x when x divides it."""
-    g = _shift(_reverse(f), 1)
-    return g[:-1] if not g[-1] else g
+    """(x + 1)^n f(1 / (x + 1))."""
+    return _shift(f[::-1], 1)
 
 
 def _upper_bound_exponent(f):
@@ -320,24 +317,18 @@ def _upper_bound_exponent(f):
 
 def _lower_bound(f) -> int:
     """int of sympy's LMQ lower bound on the positive roots of f, 1 / 2^e."""
-    e = _upper_bound_exponent(_reverse(f))
+    e = _upper_bound_exponent(f[::-1])
     return 1 << -e if e is not None and e <= 0 else 0
 
 
 def _step(f, m):
     """One refinement step of the positive root in the Mobius image m."""
     a, b, c, d = m
-    if a == b and c == d:
-        return f, m
     shift = _lower_bound(f)
     if shift >= 1:
         f = _shift(f, shift)
         b, d = shift * a + b, shift * c + d
-        if not f[-1]:
-            return f, (b, b, d, d)
     f, g = _shift(f, 1), f
-    if not f[-1]:
-        return f, (a + b, a + b, c + d, c + d)
     if _sign_variations(f) == 1:
         return f, (a, a + b, c, c + d)
     return _inverted(g), (b, a + b, d, c + d)
@@ -364,19 +355,13 @@ def _positive_roots(f, bits) -> list:
         if shift >= 1:
             f = _shift(f, shift)
             b, d = shift * a + b, shift * c + d
-            if not f[-1]:
-                roots.append((b, b, d, d))
-                f = f[:-1]
             k = _sign_variations(f)
             if k <= 1:
                 roots += [_refine(f, (a, b, c, d), bits)] if k else []
                 continue
-        f1, r = _shift(f, 1), 0
-        if not f1[-1]:
-            roots.append((a + b, a + b, c + d, c + d))
-            f1, r = f1[:-1], 1
+        f1 = _shift(f, 1)
         k1, f2 = _sign_variations(f1), None
-        k2 = k - k1 - r
+        k2 = k - k1
         if k2 > 1:
             f2 = _inverted(f)
             k2 = _sign_variations(f2)
@@ -395,9 +380,11 @@ def _positive_roots(f, bits) -> list:
 
 
 def real_root_intervals(f, bits) -> list:
-    """Sorted isolating intervals (lo, hi) of the real roots of a square-free
-    f with f(0) != 0, each narrower than 2^-bits: sympy 1.14's
-    ``Poly(f).intervals(eps=2**-bits)``."""
+    """Sorted isolating intervals (lo, hi) of the real roots of an
+    irreducible f of degree >= 3 (``_roots.isolate_factor_roots`` solves
+    lower degrees exactly), each narrower than 2^-bits: sympy 1.14's
+    ``Poly(f).intervals(eps=2**-bits)``.  No Mobius image of f vanishes at
+    0 or 1, since f has no rational root."""
     f = primitive(f)
     out = []
     for sign, g in ((-1, list(negated(f))), (1, list(f))):

@@ -75,16 +75,8 @@ def log_height(gamma: AlgebraicNumber):
                   % (gamma.label or gamma.min_poly,))
 
 
-def _log_int(n: int) -> float:
-    if n <= 1:
-        return 0.0
-    return math.log(n)
-
-
 def _ratio_log_over(height_arg: int, k: int) -> float:
-    """log(height_arg)/k, via the exact k-th root when one exists."""
-    if height_arg <= 1:
-        return 0.0
+    """log(height_arg)/k, via the exact k-th root when one exists (0.0 at 1)."""
     root = _integer_root(height_arg, k)
     if root ** k == height_arg:
         return math.log(root)
@@ -104,7 +96,7 @@ def compound_height(value: QuadraticElement) -> float:
     """h of an exact rational or quadratic value, as a float."""
     if value.is_rational:
         v = value.a
-        return _log_int(max(abs(v.numerator), v.denominator))
+        return math.log(max(abs(v.numerator), v.denominator))      # >= 1
     gamma = AlgebraicNumber.from_quadratic(value)
     return midpoint_float(log_height(gamma))
 

@@ -161,7 +161,8 @@ def _dependent_from_abs_lattice(alpha: QuadraticElement, beta: QuadraticElement,
 
 def _rational_power(gamma: QuadraticElement):
     """Smallest j >= 1 with gamma^j rational, as (j, value); None when no
-    power is rational (certified: gamma/conj(gamma) is not a root of unity)."""
+    power is rational (certified: gamma/conj(gamma) is not a root of unity).
+    Else gamma^12 is its own conjugate, a rational: the loop ends by j = 12."""
     if gamma.is_rational:
         return 1, gamma.a
     ratio = gamma / gamma.conjugate()
@@ -171,13 +172,10 @@ def _rational_power(gamma: QuadraticElement):
         p = gamma ** j
         if p.is_rational:
             return j, p.a
-    return None
 
 
 def _simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator in [lo, hi] (0 < lo <= hi)."""
-    if lo > hi:
-        lo, hi = hi, lo
+    """The rational with smallest denominator in [lo, hi], 0 < lo <= hi (kept by the recursion)."""
     floor_lo = lo.numerator // lo.denominator
     ceil_lo = -((-lo.numerator) // lo.denominator)
     if Fraction(ceil_lo) <= hi:

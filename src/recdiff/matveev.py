@@ -53,19 +53,17 @@ class MatveevInput:
             raise ValueError("each A_i must be finite and >= 0.16")
 
 
+def matveev_constant(t: int, D: int) -> float:
+    """Matveev's constant C(t, D) = 3 * 30^(t+4) * (t+1)^5.5 * D^2 (1+log D)."""
+    return 3.0 * 30.0 ** (t + 4) * (t + 1) ** 5.5 * D * D * (1.0 + math.log(D))
+
+
 def matveev_lower_bound(inp: MatveevInput) -> float:
-    """-3 * 30^(t+4) * (t+1)^5.5 * D^2 (1+log D)(1+log tB) A_1...A_t."""
-    t, D = inp.t, inp.D
-    value = 3.0 * 30.0 ** (t + 4) * (t + 1) ** 5.5 * D * D
-    value *= (1.0 + math.log(D)) * (1.0 + math.log(t * inp.B))
+    """-C(t, D) (1+log tB) A_1...A_t."""
+    value = matveev_constant(inp.t, inp.D) * (1.0 + math.log(inp.t * inp.B))
     for a in inp.A:
         value *= a
     return -value
-
-
-def matveev_constant_c3d(D: int) -> float:
-    """The t = 3 Matveev constant C(3, D) = 3 * 30^7 * 4^5.5 * D^2 (1+log D)."""
-    return 3.0 * 30.0 ** 7 * 4.0 ** 5.5 * D * D * (1.0 + math.log(D))
 
 
 @dataclass(eq=False)
@@ -81,6 +79,7 @@ class LinearFormSample:
 
 
 def _exact_dominant_side(cert, idx):
+    """a(idx) alpha^idx exactly (a(X) lies in alpha's field), or None above order 2."""
     decomp = cert.decomposition
     if decomp.exact is None:
         return None
@@ -91,10 +90,7 @@ def _exact_dominant_side(cert, idx):
     for c in coeffs:
         acc = acc + c * power
         power = power * idx
-    try:
-        return acc * (decomp.spectrum.roots[i].exact ** idx)
-    except UnsupportedDegree:
-        return None
+    return acc * (decomp.spectrum.roots[i].exact ** idx)
 
 
 def lambda_value(u: SequenceAnalysis, v: SequenceAnalysis, n: int, m: int) -> LinearFormSample:
@@ -375,7 +371,7 @@ def _directional_chain(U, V, C10, A2, A3, D, ledger, primed=False):
     C7 = U.a_prime / V.a_floor
     C8 = V.a_prime / V.a_floor
     C9 = 1.0 / V.a_floor
-    C11 = matveev_constant_c3d(D) * (1.0 + (1.0 + math.log(3.0)) / math.log(2.0)) \
+    C11 = matveev_constant(3, D) * (1.0 + (1.0 + math.log(3.0)) / math.log(2.0)) \
         * C10 * A2 * A3
     C12 = C7 + C8 + C9
     C13 = max(1.0 / U.lap, 1.0 / V.lap)

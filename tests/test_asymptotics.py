@@ -148,12 +148,12 @@ def test_ratio_table_rejects_x_at_most_one_before_counting(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("grid, bands", [([10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12], 1),
-                                         ([10 ** 100, 10 ** 200, 10 ** 300], 10)],
+@pytest.mark.parametrize("grid, t_over_2_17", [([10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12], 1),
+                                               ([10 ** 100, 10 ** 200, 10 ** 300], 10)],
                          ids=("1e3-1e12", "1e100-1e300"))
-def test_ratio_table_enumerates_once_per_grid(monkeypatch, grid, bands):
+def test_ratio_table_enumerates_once_per_grid(monkeypatch, grid, t_over_2_17):
     per_x = [count_T_S(FIB, POW2, x, A_FIB.envelope, A_POW2.envelope) for x in grid]
-    assert max(1, per_x[-1].T >> 17) == bands
+    assert max(1, per_x[-1].T >> 17) == t_over_2_17
     calls = _spy(monkeypatch, counting, "_enumerate_pairs")
     rows = ratio_table(FIB, POW2, grid).rows
     assert [args[2] for args in calls] == [max(grid)]

@@ -173,6 +173,15 @@ def test_genuine_tie_and_zero_sequence_exit_invalid(tmp_path, capsys, init):
     assert code == 4
 
 
+@pytest.mark.parametrize("coeffs", [(4, -8, 8), (2, 0, -4, 4)])
+def test_a_real_root_tied_with_a_complex_pair_exits_invalid(tmp_path, capsys, coeffs):
+    cfg = tmp_path / "tied.cfg"
+    cfg.write_text(serialize_sequence_config(
+        LinearRecurrence("tied", coeffs, (0,) * (len(coeffs) - 1) + (1,))))
+    code, out, err = run(capsys, "analyze", "--seq-u", str(cfg))
+    assert code == 4 and out == "" and "(equal exact modulus)" in err
+
+
 def test_dependent_dominant_roots_exit_invalid(tmp_path, capsys):
     cfg = tmp_path / "pow4.cfg"
     cfg.write_text('{"name": "pow4", "coefficients": [4], "initial_terms": [1]}')

@@ -774,7 +774,7 @@ def test_slow_growth_takes_the_overlapping_block_path():
     assert ties == _ties_of(groups)
 
 
-def test_multi_band_count_and_collisions_match_a_plain_grouping():
+def test_a_deep_count_and_its_collisions_match_a_plain_grouping():
     # T = 637,743 here; each record's representations come from lookups on
     # its repeated value, not from a pass over the pairs
     envU, envV = analyze_sequence(FIB).envelope, analyze_sequence(POW2).envelope
@@ -886,7 +886,7 @@ def test_reused_tallies_count_as_cold_counts(seqU, seqV, xs):
     assert [(r.T, r.S) for r in counts] == _grid(seqU, seqV, xs)
 
 
-def test_grids_and_collisions_reuse_tallies_as_cold_counts():
+def test_grids_and_collisions_after_other_counts_equal_cold_ones():
     grid = [10 ** 9, 10 ** 3, 10 ** 30, 10 ** 3]
     cold_rows = ratio_table(FIB, POW2, grid).rows
     cold_scan = find_collisions(FIB, POW2, 10 ** 40)
@@ -923,7 +923,7 @@ def test_one_tally_per_pair_serves_counts_in_any_order(seqU, seqV, xs):
     assert [(r.T, r.S) for r in counts] == _grid(seqU, seqV, xs)
 
 
-def test_threads_sharing_the_tally_store_count_as_cold_counts():
+def test_threads_sharing_term_caches_count_as_cold_counts():
     # eight threads on two cores, switching every microsecond, count twelve
     # pairs that share their sequences and term caches: every count stays a
     # cold count's and no thread raises

@@ -7,7 +7,7 @@ import pytest
 from recdiff import matveev
 from recdiff.errors import InvalidParameters
 from recdiff.heights import AlgebraicNumber, log_height
-from recdiff.intervals import midpoint_float, upper_float
+from recdiff.intervals import contains_zero, midpoint_float, upper_float
 from recdiff.matveev import (
     MatveevInput,
     effective_upper_bounds,
@@ -68,6 +68,27 @@ def test_lambda_value_examples():
     ninth = lambda_value(POW2, POW3, 3, 2)
     assert ninth.status == "nonzero"
     assert midpoint_float(ninth.lambda_abs) == pytest.approx(1 / 9, abs=1e-12)
+
+
+def test_lambda_value_above_the_analysis_rung_is_undecided(monkeypatch):
+    # Lambda = 0 for two analyses of tribonacci at (10, 10), and degree 3 has
+    # no exact decision: past the analyses' 512 bits each rung recomputes
+    # both decompositions, and at the 1024-bit cap |Lambda| still holds 0
+    trib = BUILTIN_SEQUENCES["tribonacci"]
+    u, v = (analyze_sequence(LinearRecurrence(trib.name, trib.coefficients,
+                                              trib.initial_terms)) for _ in range(2))
+    assert u.spectrum.precision_bits == v.spectrum.precision_bits == 512
+    rungs, decomposition_at = [], matveev._decomposition_at
+
+    def spy(seq, field):
+        rungs.append(field.prec)
+        return decomposition_at(seq, field)
+
+    monkeypatch.setattr(matveev, "_decomposition_at", spy)
+    monkeypatch.setenv("RECDIFF_PRECISION_BITS", "1024")
+    sample = lambda_value(u, v, 10, 10)
+    assert sample.status == "undecided" and contains_zero(sample.lambda_abs)
+    assert rungs == [768, 768, 1024, 1024]
 
 
 def test_lambda_against_matveev_window():

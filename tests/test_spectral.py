@@ -189,6 +189,18 @@ def test_genuine_tie_and_zero_sequence_are_still_refused():
             analyze_sequence(LinearRecurrence("zero", coeffs, (0,) * len(coeffs)))
 
 
+@pytest.mark.parametrize("coeffs", [(4, -8, 8), (2, 0, -4, 4)],
+                         ids=("2-and-1+-i*sqrt3", "+-sqrt2-and-1+-i"))
+def test_a_real_root_tied_with_a_complex_pair_is_refused(coeffs):
+    # (x - 2)(x^2 - 2x + 4) and (x^2 - 2)(x^2 - 2x + 2): no box separates the
+    # moduli, and the exact squared moduli, a rational's square, the norm of
+    # a complex quadratic and d b^2 of a + b sqrt(d) with a = 0, are equal
+    seq = LinearRecurrence("tied", coeffs, (0,) * (len(coeffs) - 1) + (1,))
+    with pytest.raises(NoDominantRoot,
+                       match=r"two maximal-modulus roots .* \(equal exact modulus\)"):
+        analyze_sequence(seq)
+
+
 @pytest.mark.parametrize("coeffs,init,minimal,sigma", [
     ((5, -6), (1, 2), (2,), 0),                 # (x - 2)(x - 3): 2^n
     ((4, -2, -3), (0, 1, 1), (1, 1), 0),        # (x - 3)(x^2 - x - 1): Fibonacci
@@ -268,6 +280,24 @@ def test_envelope_remainder_bound():
             (decomp.spectrum.roots[dom].box ** n)
         bound = F.real(env.a_prime) * F.real(env.alpha_prime) ** n
         assert upper_float(rem.modulus()) <= lower_float(bound)
+
+
+REPEATED_PAIR = LinearRecurrence("(x-3)(x^2+1)^2", (3, -2, 6, -1, 3), (1, 0, 2, 5, -1))
+
+
+def test_a_repeated_non_real_pair_beside_the_dominant_root():
+    # the pair +-i is double, so its stream part is 2 Re(a(n) i^n) with a(X)
+    # of degree 1: the check loop pins U_n with it, and the envelope reads
+    # it past n = 200
+    analysis = analyze_sequence(REPEATED_PAIR)
+    assert [r.multiplicity for r in analysis.spectrum.roots] == [1, 2, 2]
+    decomp, env = analysis.decomposition, analysis.envelope
+    for n in range(201):
+        assert contains(decomp.reconstruct(n).re, REPEATED_PAIR.term(n))
+    assert analysis.certificate.root.exact == QuadraticElement.from_rational(3)
+    for n in range(env.n0, 1001):
+        term = abs(REPEATED_PAIR.term(n))
+        assert env.c_lower * 3 ** n <= term <= env.c_upper * n ** env.sigma * 3 ** n
 
 
 def _real_sign(q):
