@@ -3,12 +3,14 @@
 Factorisation into irreducibles is exact integer code, one path for every
 degree: Yun's square-free split and big-prime Berlekamp–Zassenhaus from
 ``_zpoly``.  Linear and quadratic factors get exact roots.  A higher-degree
-factor starts from isolating regions with exact rational corners, and an
-interval Newton step refines each one and certifies that its final box holds
-exactly one root.  The precision rung sets eps = 2^-eps_bits, eps_bits =
-max(32, min(prec // 4, 256)), and the real roots start from the intervals at
-eps of ``_zpoly.real_root_intervals``, a port of sympy 1.14's real-only VAS
-isolation that gives sympy's intervals exactly.
+factor starts from isolating regions with exact rational corners, and one
+interval Newton step, ``_newton_refine_box``, refines each one and certifies
+that its final box holds exactly one root.  The precision rung sets eps =
+2^-eps_bits, eps_bits = max(32, min(prec // 4, 256)), and the real roots
+start from the intervals at eps of ``_zpoly.real_root_intervals``, a port of
+sympy 1.14's real-only VAS isolation that gives sympy's intervals exactly,
+as boxes on the real axis, where ``ComplexBox`` makes Newton the real
+interval Newton method.
 
 The non-real roots come from ``polyroots`` in
 a private mpmath context at max(128, eps_bits) bits, with precision and
@@ -41,14 +43,9 @@ from .intervals import (
     ComplexBox,
     IntervalField,
     _field_at,
-    contains_zero,
-    intersect,
-    is_interior,
     ladder,
     midpoint_float,
-    poly_eval_real,
     poly_eval_box,
-    width_float,
 )
 from ._zpoly import derivative as _derivative
 from ._zpoly import factor_square_free, real_root_intervals, square_free, strip
@@ -180,27 +177,6 @@ def _seed_boxes(coeffs, pairs, bits, field):
     return boxes
 
 
-def _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target):
-    """Certified refinement of a real isolating interval; None if not certified."""
-    X = field.from_endpoints(field.real(lo), field.real(hi))
-    certified = False
-    for _ in range(64):
-        fp = poly_eval_real(field, dcoeffs, X)
-        if contains_zero(fp):
-            return None
-        mid = +X.mid
-        fm = poly_eval_real(field, coeffs, mid)
-        N = mid - fm / fp
-        if N.b < X.a or X.b < N.a:
-            return None
-        if is_interior(N, X):
-            certified = True
-        X = intersect(field, N, X)
-        if certified and width_float(X) <= target:
-            return X
-    return X if certified else None
-
-
 def _newton_refine_box(coeffs, dcoeffs, box, target):
     certified = False
     for _ in range(64):
@@ -224,12 +200,13 @@ def isolate_factor_roots(field: IntervalField, coeffs):
     """All roots of one irreducible integer polynomial, certified.
 
     The rung sets eps = 2^-eps_bits, eps_bits = max(32, min(field.prec // 4,
-    256)).  Each real root is refined from its eps-interval to a width of
-    at most 2^-max(32, field.prec // 2); the non-real roots above the axis
-    come from the seed boxes at max(128, eps_bits) bits, and their mirror
-    images are the roots below it.  Returns a list of AlgebraicNumber or None
-    when certification fails at this precision (caller refines).  Complex
-    roots appear as conjugate pairs.
+    256)).  One Newton, ``_newton_refine_box``, refines the real and the
+    non-real boxes: each real root from its eps-interval, a box on the real
+    axis, to a width of at most 2^-max(32, field.prec // 2); the non-real
+    roots above the axis from the seed boxes at max(128, eps_bits) bits, and
+    their mirror images are the roots below it.  Returns a list of
+    AlgebraicNumber or None when certification fails at this precision
+    (caller refines).  Complex roots appear as conjugate pairs.
     """
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
@@ -249,11 +226,10 @@ def isolate_factor_roots(field: IntervalField, coeffs):
     dcoeffs = _derivative(coeffs)
     roots = []
     for lo, hi in real_root_intervals(coeffs, eps_bits):
-        refined = _newton_refine_real(field, coeffs, dcoeffs, lo, hi, target)
-        if refined is None:
+        box = _newton_refine_box(coeffs, dcoeffs, _rect_box(field, (lo, hi, 0, 0)), target)
+        if box is None:
             return None
-        roots.append(AlgebraicNumber(min_poly, field.box_from_intervals(refined, field.real(0)),
-                                     True))
+        roots.append(AlgebraicNumber(min_poly, box, True))
     if len(roots) < deg:
         upper = _seed_boxes(coeffs, (deg - len(roots)) // 2, max(128, eps_bits), field)
         if upper is None:

@@ -8,7 +8,12 @@ takes moduli on mpmath's raw interval tuples at the field's precision, in
 the order that mpmath's operators would apply them, so every endpoint is the
 one the interval objects would give, without an object per intermediate
 step; ``IntervalField.real`` rounds integers and fractions the way mpmath's
-conversion does, without its generic dispatch.  Comparisons are
+conversion does, without its generic dispatch.  A box whose imaginary part
+is the point 0 lies on the real axis: the quotient of two such boxes is the
+interval quotient of their real parts, and one is interior to another when
+its real part is, so a box Newton on the axis is the real interval Newton
+method.  Other quotients multiply by the conjugate and divide by the
+squared modulus.  Comparisons are
 three-valued: helpers below return True only when the relation holds for
 *every* point of the operands, so a True answer is a certificate.
 
@@ -255,6 +260,12 @@ class ComplexBox:
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if self.im._mpi_ == _ZERO == other.im._mpi_:     # on the real axis: the interval quotient
+            if contains_zero(other.re):
+                raise ZeroDivisionError("divisor box contains zero")
+            f = self.field
+            return ComplexBox(f, f.ctx.make_mpf(mpi_div(self.re._mpi_, other.re._mpi_, f.prec)),
+                              self.im)
         den = other.abs_squared()
         if contains_zero(den):
             raise ZeroDivisionError("divisor box contains zero")
@@ -296,7 +307,9 @@ class ComplexBox:
         return contains_zero(self.re) and contains_zero(self.im)
 
     def is_interior_of(self, other: "ComplexBox") -> bool:
-        return is_interior(self.re, other.re) and is_interior(self.im, other.im)
+        # two boxes on the real axis: interior on the axis (real interval Newton)
+        return is_interior(self.re, other.re) and (
+            self.im._mpi_ == _ZERO == other.im._mpi_ or is_interior(self.im, other.im))
 
     def is_disjoint_from(self, other: "ComplexBox") -> bool:
         return is_disjoint(self.re, other.re) or is_disjoint(self.im, other.im)
@@ -379,13 +392,6 @@ def poly_eval_box(coeffs, z: ComplexBox) -> ComplexBox:
     acc = z.field.box(coeffs[0])
     for c in coeffs[1:]:
         acc = acc * z + c
-    return acc
-
-
-def poly_eval_real(field: IntervalField, coeffs, x):
-    acc = field.real(coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * x + field.real(c)
     return acc
 
 

@@ -13,9 +13,12 @@ of the seed-5 and seed-7 batches (their anchors are in the first set) and
 k-bonacci of order 8.  A third digest pins the seed boxes of roots on
 Re = 0, a line on which sympy's bisection splits: the boxes of
 x^4 + 3x^2 + 1 at 192 and 512 bits and the analysis of
-(x - 3)(x^4 + 3x^2 + 1).
+(x - 3)(x^4 + 3x^2 + 1).  A fourth pins the root boxes alone, at their
+certified rungs, of both batches and of k-bonacci of orders 3-16, so that a
+change which moves only coefficient boxes re-pins the batch digests and
+leaves this one.
 
-Run as a script, ``python tests/test_bit_identity.py`` prints the three
+Run as a script, ``python tests/test_bit_identity.py`` prints the four
 digests of the checkout it sits in, and after each batch digest the rung of
 each of its analyses in batch order, to compare two commits of the spectral
 layer: a re-pin then shows whether a rung moved.
@@ -65,9 +68,11 @@ BATCH_5_7 = [
     ("reducible-quartic-1", (0, 0, 3, 2), (0, 9, 9, 6)),
     ("kbonacci-8", (1,) * 8, (0,) * 7 + (1,)),
 ]
-DIGEST = "2b19964743a3bf659afa2e0c68a232bbe470c2178a9ae8c1d486cfa4d77ebebe"
-DIGEST_5_7 = "79fb362d2a9028e06710607344ae11448e1a95dc5778737c3cefa7c7c29aeac2"
+KBONACCI = [("kbonacci-%d" % k, (1,) * k, (0,) * (k - 1) + (1,)) for k in range(3, 17)]
+DIGEST = "ed8bae01499f79cc118c72447ec86a54a27316519820c19fc0fdb32552344bab"
+DIGEST_5_7 = "2e3b8059286cb44797d0b0606a7c052c5e9be7612e2cfae6ea6dc43729a5a915"
 SEED_PATH_DIGEST = "1c0c9165b8f6ead6d87569ff0615bc8156a8936c3f592a0664c40a32bf642ad4"
+ROOT_DIGEST = "b790dcf389611e4387a5ec16041df25571cec7589a3a47e12233eee46b0fb0ea"
 
 
 def raw_box(box):
@@ -102,6 +107,13 @@ def digest(done):
     return hashlib.sha256(repr([raw_analysis(a) for a in done]).encode()).hexdigest()
 
 
+def root_digest(done):
+    """SHA-256 of the rung and the raw root boxes of the analyses ``done``."""
+    return hashlib.sha256(repr([(a.spectrum.precision_bits,
+                                 [raw_box(r.box) for r in a.spectrum.roots])
+                                for a in done]).encode()).hexdigest()
+
+
 def seed_path_digest():
     """SHA-256 of the x^4 + 3x^2 + 1 boxes at 192 and 512 bits and of a fresh
     analysis of (x - 3)(x^4 + 3x^2 + 1)."""
@@ -123,6 +135,10 @@ def test_seed_5_and_7_analyses_are_bit_identical():
 
 def test_seed_path_is_bit_identical():
     assert seed_path_digest() == SEED_PATH_DIGEST
+
+
+def test_root_boxes_are_bit_identical():
+    assert root_digest(analyses(BATCH + BATCH_5_7 + KBONACCI)) == ROOT_DIGEST
 
 
 def test_every_analysis_certifies_at_its_pinned_rung():
@@ -237,4 +253,7 @@ if __name__ == "__main__":
         done = analyses(batch)
         print(name, digest(done))
         print("  rungs", " ".join(str(a.spectrum.precision_bits) for a in done))
+    done = analyses(KBONACCI)
+    print("ROOTS", root_digest(analyses(BATCH + BATCH_5_7) + done))
+    print("  k-bonacci 3-16 rungs", " ".join(str(a.spectrum.precision_bits) for a in done))
     print("SEED_PATH", seed_path_digest())

@@ -915,7 +915,7 @@ def test_tallies_serve_counts_below_a_wide_count(xs):
 @settings(max_examples=20, deadline=None)
 @given(xs=st.lists(st.integers(0, 60).flatmap(lambda k: st.integers(0, 10 ** k)),
                    min_size=2, max_size=6))
-def test_one_tally_per_pair_serves_counts_in_any_order(seqU, seqV, xs):
+def test_counts_in_any_order_equal_cold_counts(seqU, seqV, xs):
     # each count, above, below or between the x counted before it, equals a
     # cold count and the grid's pass at that x
     counts = [count_T_S(seqU, seqV, x) for x in xs]

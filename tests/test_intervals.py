@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpi_mul, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, mpi_div, mpi_mul, round_ceiling, round_floor
 
 from recdiff.intervals import (
     _ZERO,
@@ -19,6 +19,8 @@ from recdiff.intervals import (
     certainly_less,
     contains,
     contains_zero,
+    interval_inf_fraction,
+    interval_sup_fraction,
     is_disjoint,
     lower_float,
     midpoint_float,
@@ -193,6 +195,74 @@ def test_product_of_real_boxes_is_real(prec, ends):
     product = x * y
     assert product.im._mpi_ == _ZERO
     assert product.re._mpi_ == mpi_mul(x.re._mpi_, y.re._mpi_, prec)
+
+
+def endpoints(box):
+    return [f(part) for part in (box.re, box.im)
+            for f in (interval_inf_fraction, interval_sup_fraction)]
+
+
+def _on_axis(field, lo, hi):
+    return field.box_from_intervals(field.from_endpoints(field.real(lo), field.real(hi)),
+                                    field.real(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prec=st.integers(min_value=16, max_value=2048),
+    ends=st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6), min_size=4, max_size=4),
+)
+def test_quotient_of_real_boxes_is_the_interval_quotient(prec, ends):
+    # two boxes on the real axis divide to mpi_div of their real parts and
+    # to the point 0 as imaginary part
+    field = IntervalField(prec)
+    x, y = (field.box_from_intervals(field.from_endpoints(field.real(min(pair)).a,
+                                                          field.real(max(pair)).b),
+                                     field.real(0))
+            for pair in (ends[:2], ends[2:]))
+    assume(not contains_zero(y.re))
+    quotient = x / y
+    assert quotient.im._mpi_ == _ZERO
+    assert quotient.re._mpi_ == mpi_div(x.re._mpi_, y.re._mpi_, prec)
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 2), (0, 3), (-3, 0), (0, 0)])
+def test_a_real_divisor_holding_zero_raises(lo, hi):
+    # mpi_div alone would return (-inf, inf) here
+    with pytest.raises(ZeroDivisionError):
+        _on_axis(F, 1, 2) / _on_axis(F, lo, hi)
+
+
+def test_a_quotient_with_a_non_real_operand_stays_planar():
+    # (1 + i) / [2, 4] is x conj(y) / |y|^2 = [2, 4] (1 + i) / [4, 16], wider
+    # than the interval quotient 1 / [2, 4] = [1/4, 1/2] of its real part
+    y = _on_axis(F, 2, 4)
+    assert endpoints(_on_axis(F, 1, 1) / y) == [Fraction(1, 4), Fraction(1, 2), 0, 0]
+    assert endpoints(F.box(1, 1) / y) == [Fraction(1, 8), 1, Fraction(1, 8), 1]
+    rng = random.Random(7)
+    for trial in range(60):
+        x = F.box_from_intervals(_interval(F, rng), F.real(0) if trial % 4 == 0
+                                 else _interval(F, rng, trial % 3 == 0))
+        y = F.box_from_intervals(_interval(F, rng, trial % 5 == 0),
+                                 F.real(0) if trial % 2 else _interval(F, rng))
+        if x.im._mpi_ == _ZERO == y.im._mpi_ or contains_zero(y.abs_squared()):
+            continue
+        num, den = x * y.conjugate(), y.abs_squared()
+        assert ((x / y).re._mpi_, (x / y).im._mpi_) == ((num.re / den)._mpi_, (num.im / den)._mpi_)
+
+
+def test_interior_on_the_real_axis_follows_the_real_parts():
+    # the real interval Newton test: a box on the axis inside another one's
+    # real part is interior, although its point 0 is not inside the other's
+    big = _on_axis(F, 0, 1)
+    assert _on_axis(F, Fraction(1, 4), Fraction(1, 2)).is_interior_of(big)
+    assert not _on_axis(F, 0, Fraction(1, 2)).is_interior_of(big)
+    assert not _on_axis(F, Fraction(1, 2), 1).is_interior_of(big)
+    # a box off the axis keeps the planar test
+    plane = F.box_from_intervals(big.re, F.from_endpoints(F.real(0), F.real(1)))
+    assert not _on_axis(F, Fraction(1, 4), Fraction(1, 2)).is_interior_of(plane)
+    assert not F.box(Fraction(1, 2), Fraction(1, 2)).is_interior_of(big)
+    assert F.box(Fraction(1, 2), Fraction(1, 2)).is_interior_of(plane)
 
 
 def _dyadic(man, exp):

@@ -19,10 +19,15 @@ from recdiff._zpoly import real_root_intervals
 from recdiff.errors import NoDominantRoot, PrecisionExhausted, RootNotLargerThanOne
 from recdiff.intervals import (
     IntervalField,
+    contains_zero,
     interval_inf_fraction,
     interval_sup_fraction,
+    intersect,
+    is_disjoint,
+    is_interior,
     is_subset,
     poly_eval_box,
+    width_float,
 )
 from recdiff.recurrences import LinearRecurrence
 from recdiff.spectral import analyze_sequence
@@ -198,10 +203,38 @@ def endpoints(box):
             for f in (interval_inf_fraction, interval_sup_fraction)]
 
 
+def real_newton(field, coeffs, dcoeffs, lo, hi, target):
+    """Interval Newton on the real line from [lo, hi], on mpmath's interval
+    objects; None unless certified.  The library refines real roots with its
+    box Newton on the real axis; this separate copy is the reference."""
+    def horner(cs, x):
+        acc = field.real(cs[0])
+        for c in cs[1:]:
+            acc = acc * x + field.real(c)
+        return acc
+
+    x = field.from_endpoints(field.real(lo), field.real(hi))
+    certified = False
+    for _ in range(64):
+        fp = horner(dcoeffs, x)
+        if contains_zero(fp):
+            return None
+        mid = +x.mid
+        n = mid - horner(coeffs, mid) / fp
+        if is_disjoint(n, x):
+            return None
+        certified = certified or is_interior(n, x)
+        x = intersect(field, n, x)
+        if certified and width_float(x) <= target:
+            return x
+    return x if certified else None
+
+
 def all_sympy_boxes(field, coeffs, eps_bits):
-    """The boxes of the all-sympy path: sympy's fine eps-intervals and
-    eps-rectangles, each refined by Newton to 2^-max(32, prec // 2); None
-    when Newton leaves a box uncertified.  The oracle of these tests only."""
+    """The boxes of the all-sympy path: sympy's fine eps-intervals, each
+    refined by ``real_newton``, and eps-rectangles, each refined by the box
+    Newton, to 2^-max(32, prec // 2); None when Newton leaves a box
+    uncertified.  The oracle of these tests only."""
     dcoeffs = _roots._derivative(list(coeffs))
     target = 2.0 ** (-max(32, field.prec // 2))
     real_parts, complex_parts = Poly(list(coeffs), X).intervals(
@@ -209,7 +242,7 @@ def all_sympy_boxes(field, coeffs, eps_bits):
     boxes = []
     for (lo, hi), _ in real_parts:
         lo, hi = sorted((Fraction(str(lo)), Fraction(str(hi))))
-        x = _roots._newton_refine_real(field, list(coeffs), dcoeffs, lo, hi, target)
+        x = real_newton(field, list(coeffs), dcoeffs, lo, hi, target)
         boxes.append(None if x is None else field.box_from_intervals(x, field.real(0)))
     for (c1, c2), _ in complex_parts:
         res = sorted(Fraction(str(re(c))) for c in (c1, c2))
