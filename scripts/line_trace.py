@@ -10,7 +10,10 @@ of code in ``src/recdiff``.  Afterwards each module's statements that never
 ran are printed: the AST ``stmt`` nodes other than definitions, imports,
 docstrings and ``try``/``global`` headers, each by its first line.  A
 statement counts as run when a line of its own (its lines less those of the
-statements nested in it) ran.  The exit code is pytest's.
+statements nested in it) ran.  The exit code is pytest's.  Unless the
+arguments give ``--hypothesis-seed``, the run passes ``--hypothesis-seed=0``,
+so that the hypothesis tests draw the same examples on every run and the list
+repeats.
 
 The library is imported from ``src`` by the run itself, after the tracer is
 set, so module-level statements count.  Code that the tests run in a
@@ -89,10 +92,16 @@ def traced(run):
     return result, ran
 
 
+def pytest_args(args) -> list:
+    """``args`` with ``--hypothesis-seed=0`` added, unless they give a seed."""
+    seeded = any(a == "--hypothesis-seed" or a.startswith("--hypothesis-seed=") for a in args)
+    return list(args) if seeded else [*args, "--hypothesis-seed=0"]
+
+
 def main(argv=None) -> int:
     import pytest
 
-    args = sys.argv[1:] if argv is None else argv
+    args = pytest_args(sys.argv[1:] if argv is None else argv)
     sys.path.insert(0, str(ROOT / "src"))
     code, ran = traced(lambda: pytest.main(args))
     total = 0

@@ -24,7 +24,9 @@ a_i root_i^n itself, one ball product a step.  The rows are dropped with the
 rung and never kept on an analysis.  The check loop pins U_n; the envelope
 reads one table of running ball powers |alpha|^n and alpha'^n per rung for
 its window maximum, its n0 and its ratio minimum, and its exact check tests
-the envelope's inequalities, all by comparing integers.
+the envelope's inequalities, all by comparing integers.  The dominant
+root's column carries the balls of a(X)'s coefficients, whence the envelope
+reads c_upper and every bound on |a(n)|, past the window by Taylor shifts.
 """
 
 from __future__ import annotations
@@ -411,14 +413,14 @@ def _stream_row(columns, powers, n, prec):
     for c, (_, re, im, root) in enumerate(columns):
         power = powers[c]
         if im is None:
-            row.append(power if len(re) == 1 else ball_mul(_poly_at(re, n, prec), power, prec))
+            row.append(power if len(re) == 1 else ball_mul(_divided(re, n, prec)[0], power, prec))
             powers[c] = ball_mul(power, root, prec)
             continue
         (p, q), (r, s) = power, root
         if len(re) == 1:
             m, rad, e = p
         else:
-            a, b = _poly_at(re, n, prec), _poly_at(im, n, prec)
+            a, b = _divided(re, n, prec)[0], _divided(im, n, prec)[0]
             m, rad, e = ball_add(ball_mul(a, p, prec), ball_neg(ball_mul(b, q, prec)))
         row.append((m, rad, e + 1))
         powers[c] = (ball_add(ball_mul(p, r, prec), ball_neg(ball_mul(q, s, prec))),
@@ -426,13 +428,24 @@ def _stream_row(columns, powers, n, prec):
     return row
 
 
-def _poly_at(coeffs, n, prec):
-    """a(n) by Horner's rule, as ``coefficient_value`` takes it, from the
-    balls of a(X)'s coefficients, lowest degree first."""
-    acc, point = coeffs[-1], (n, 0, 0)
-    for c in coeffs[-2::-1]:
-        acc = ball_add(ball_mul(acc, point, prec), c)
-    return acc
+def _divided(coeffs, n, prec):
+    """a(X) divided by X - n on the balls of its coefficients, lowest degree
+    first, by Horner's rule at n as ``coefficient_value`` takes it: a(n),
+    then the quotient's coefficients."""
+    b, point = list(coeffs), (n, 0, 0)
+    for j in range(len(b) - 2, -1, -1):
+        b[j] = ball_add(ball_mul(b[j + 1], point, prec), b[j])
+    return b
+
+
+def _shifted(coeffs, n, prec):
+    """The balls of the coefficients of a(n + t) in t, from those of a(X),
+    lowest degree first, by synthetic division: each pass divides the last
+    quotient by X - n again.  The top coefficient is kept as it is."""
+    b = list(coeffs)
+    for i in range(len(b) - 1):
+        b[i:] = _divided(b[i:], n, prec)
+    return b
 
 
 def _le(a, ea, b, eb) -> bool:
@@ -558,14 +571,6 @@ def _log_float(q: Fraction) -> float:
         return math.log(float(q / 2 ** e)) + e * math.log(2.0)
 
 
-def _poly_abs_upper(field, coeff_boxes):
-    """Interval upper bound for sum_j |a_j|."""
-    total = field.real(0)
-    for c in coeff_boxes:
-        total = total + c.modulus()
-    return total
-
-
 def _decay_threshold(field, rho, degree) -> int | None:
     """Smallest n with (1+1/n)^degree * rho certified <= 1."""
     if degree == 0:
@@ -624,6 +629,12 @@ def _envelope_at(decomp, cert, field, products):
     return env
 
 
+def _abs_ends(ball):
+    """(inf |x|, sup |x|) over the ball x, exactly."""
+    m, r, e = ball
+    return max(abs(m) - r, 0) * Fraction(2) ** e, (abs(m) + r) * Fraction(2) ** e
+
+
 def _power_table(x, prec):
     """upto(n): the list x^0, x^1, ... as balls, extended in place to at
     least x^n, so that each product is made once per rung."""
@@ -653,26 +664,28 @@ def _dyadic(num, den, e, prec, up) -> Fraction:
 
 def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg, n0_max):
     """(envelope, 0) on the window 0..n_seg with n0 <= n0_max, or (None, n)
-    with n the window past which a' (alpha'/|alpha|)^n stays below half the
-    lead of the dominant coefficient when no n0 or no tail bound was found
-    (else 0): the certified gap alpha'/|alpha| < 1 sizes it.
+    when no n0 or no tail bound was found (else 0), with n one past where
+    a' (alpha'/|alpha|)^n falls below half the lead of a(X), as the certified
+    gap alpha'/|alpha| sizes, and past where the Taylor loop stopped unless
+    that is past _WINDOW_CAP, where no window is tried.
 
     The window's three loops read the rung's running ball powers of |alpha|
     and alpha' (``powers``, two ``_power_table``s) and compare integers: the
     maximum of sup|tail(n)| / inf alpha'^n and the minimum of
     |U_n| / sup |alpha|^n, each rounded outward once to the rung's bits, and
     the sign of inf|a(n)| inf |alpha|^n - a' sup alpha'^n at each n, whose
-    positive run to the window's end starts at n0.  The least of those
-    inf|a(n)| from n0 on and of the bound past the window is a_floor."""
-    spectrum = decomp.spectrum
-    seq = spectrum.sequence
-    prec = field.prec
+    positive run to the window's end starts at n0.  a(X) is the balls of
+    the dominant column in ``products[0]``; past the window its Taylor
+    coefficients at n_seg + 1 shift by 1 until all have the lead's sign,
+    after which |a(n)| grows.  The least inf|a(n)| from n0 on is a_floor."""
+    spectrum, prec = decomp.spectrum, field.prec
     dom, sigma = cert.root_index, cert.sigma
     mod_alpha = spectrum.roots[dom].modulus()
     others = [i for i in range(len(spectrum.roots)) if i != dom]
     ap = field.real(alpha_prime)
     alpha_pows, ap_pows = (upto(n_seg) for upto in powers)
 
+    a_prime = Fraction(1, 2 ** 64)
     if others:
         window_sup = (0, 1, 0)
         for parts, (pm, pr, pe) in zip(_binet_parts(products, others, 0, n_seg, prec), ap_pows):
@@ -689,61 +702,47 @@ def _envelope_on(decomp, cert, field, products, alpha_prime, rhos, powers, n_seg
                 s_val = s_val + c.modulus() * ((n_seg + 1) ** j)
             tail_bound = tail_bound + s_val * rhos[idx] ** (n_seg + 1)
         sup = max(_dyadic(*window_sup, prec, True), interval_sup_fraction(tail_bound))
-        a_prime = sup * (1 + Fraction(1, 1024))
-    else:
-        a_prime = Fraction(1, 2 ** 64)
-    a_prime = max(a_prime, Fraction(1, 2 ** 64))
+        a_prime = max(a_prime, sup * (1 + Fraction(1, 1024)))
 
     # upper constant: |a(n)| <= sum|a_j| n^sigma for n >= 1, so this holds for
-    # every n >= max(1, n0)
-    dom_abs_sum = _poly_abs_upper(field, decomp.coefficients[dom])
-    c_upper = (interval_sup_fraction(dom_abs_sum) + a_prime) * (1 + Fraction(1, 1024))
+    # every n >= max(1, n0); a dominant root is real, so its stream column
+    # carries the balls of a(X)'s coefficients
+    dom_coeffs = next(re for i, re, _, _ in products[0] if i == dom)
+    c_upper = (sum(_abs_ends(c)[1] for c in dom_coeffs) + a_prime) * (1 + Fraction(1, 1024))
 
     # lower constant: need inf_{n >= n0} (|a(n)| - a'(alpha'/|alpha|)^n) > 0
     rho_dom = ap / mod_alpha
     apf = field.real(a_prime)
-    dom_coeffs = decomp.coefficients[dom]
-
-    def dom_poly_abs(n):
-        return decomp.coefficient_value(dom, n).modulus()
-
     apn, apd = a_prime.as_integer_ratio()
     positive, a_infs = [], []
     for n in range(n_seg + 1):
         if n == 0 or sigma > 0:         # a(n) = a_0 at every n when sigma = 0
-            a_infs.append(interval_inf_fraction(dom_poly_abs(n)))
+            a_infs.append(_abs_ends(_divided(dom_coeffs, n, prec)[0])[0])
             ln, ld = a_infs[-1].as_integer_ratio()
         (m, r, e), (pm, pr, pe) = alpha_pows[n], ap_pows[n]
         # inf|a(n)| inf |alpha|^n > a' sup alpha'^n
         positive.append(not _le(ln * apd * (m - r), e, apn * ld * (pm + pr), pe))
 
-    # certified inf of |a(n)| for n > N: window plus the |lead|*n^sigma/2 bound
-    lead = dom_coeffs[sigma].modulus()
-    if sigma > 0:
-        rest = field.real(0)
-        for j in range(sigma):
-            rest = rest + dom_coeffs[j].modulus()
-        n2_frac = 2 * interval_sup_fraction(rest) / interval_inf_fraction(lead)
-        n2 = max(n_seg + 1, int(n2_frac) + 2)
-        inf_a_beyond = None
-        for n in range(n_seg + 1, n2 + 1):
-            v = interval_inf_fraction(dom_poly_abs(n))
-            inf_a_beyond = v if inf_a_beyond is None else min(inf_a_beyond, v)
-        growth_floor = interval_inf_fraction(lead) * Fraction(n2 + 1) ** sigma / 2
-        inf_a_beyond = growth_floor if inf_a_beyond is None else min(inf_a_beyond, growth_floor)
-    else:
-        inf_a_beyond = interval_inf_fraction(lead)
+    # inf |a(n)| for n > n_seg: once every Taylor coefficient of a(top + t)
+    # has the lead's sign, |a(n)| grows from n = top on
+    sign = 1 if dom_coeffs[sigma][0] > 0 else -1
+    top, shifted = n_seg + 1, _shifted(dom_coeffs, n_seg + 1, prec)
+    inf_a_beyond = _abs_ends(shifted[0])[0]
+    while not all(sign * m >= r for m, r, _ in shifted):
+        top, shifted = top + 1, _shifted(shifted, 1, prec)
+        inf_a_beyond = min(inf_a_beyond, _abs_ends(shifted[0])[0])
     tail_low = inf_a_beyond - interval_sup_fraction(apf * rho_dom ** (n_seg + 1))
     n0 = next((start for start in range(n0_max + 1) if all(positive[start:])), None)
     if tail_low <= 0 or n0 is None:
-        lead_low, rho_high = interval_inf_fraction(lead), interval_sup_fraction(rho_dom)
-        if lead_low <= 0 or rho_high >= 1:
+        rho_high = interval_sup_fraction(rho_dom)
+        if rho_high >= 1:
             return None, 0
-        return None, math.ceil(_log_float(2 * a_prime / lead_low) / -_log_float(rho_high)) + 1
-    if sigma > 0:
-        n0 = max(n0, 1)
+        gap = math.ceil(_log_float(2 * a_prime / _abs_ends(dom_coeffs[sigma])[0])
+                        / -_log_float(rho_high))
+        return None, (max(top, gap) if top <= _WINDOW_CAP else gap) + 1
+    n0 = max(n0, 1) if sigma > 0 else n0
 
-    terms = seq.terms(n_seg + 1)
+    terms = spectrum.sequence.terms(n_seg + 1)
     ratio_min = None
     for n in range(n0, n_seg + 1):
         m, r, e = alpha_pows[n]

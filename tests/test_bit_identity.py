@@ -69,9 +69,9 @@ BATCH_5_7 = [
     ("kbonacci-8", (1,) * 8, (0,) * 7 + (1,)),
 ]
 KBONACCI = [("kbonacci-%d" % k, (1,) * k, (0,) * (k - 1) + (1,)) for k in range(3, 17)]
-DIGEST = "ed8bae01499f79cc118c72447ec86a54a27316519820c19fc0fdb32552344bab"
-DIGEST_5_7 = "2e3b8059286cb44797d0b0606a7c052c5e9be7612e2cfae6ea6dc43729a5a915"
-SEED_PATH_DIGEST = "1c0c9165b8f6ead6d87569ff0615bc8156a8936c3f592a0664c40a32bf642ad4"
+DIGEST = "3edb785ae1d1ce372841477f3faeaf9b734fcef5c8d4e318b17ce4e33c46cbbe"
+DIGEST_5_7 = "75e9578ef3da1f743058fd80b86a903aa42446d2e6e176bbb019ceff9afc393e"
+SEED_PATH_DIGEST = "25577c58e722cd09185469c335fe5cc969081aea2f83bd7dc791147e756ed166"
 ROOT_DIGEST = "b790dcf389611e4387a5ec16041df25571cec7589a3a47e12233eee46b0fb0ea"
 
 

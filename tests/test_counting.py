@@ -902,7 +902,7 @@ def test_grids_and_collisions_after_other_counts_equal_cold_ones():
 @pytest.mark.parametrize("xs", [(10 ** 300, 3 * 10 ** 104, 10 ** 60, 10 ** 12),
                                 (10 ** 300, 10 ** 200, 11 * 10 ** 199, 12 * 10 ** 199)],
                          ids=("scattered-below", "dense-run-below"))
-def test_tallies_serve_counts_below_a_wide_count(xs):
+def test_counts_below_a_wide_count_equal_cold_counts(xs):
     # counts below a wide count keep their own cutoffs, and their (T, S) are
     # the wide pass's at their x
     cold = [_cold(FIB, POW2, x) for x in xs]

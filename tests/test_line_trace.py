@@ -18,6 +18,12 @@ def test_a_statement_owns_its_lines_but_not_those_of_its_body():
     assert line_trace.statements(source) == [(7, {7, 8}), (9, {9, 10}), (12, {12}), (14, {14})]
 
 
+def test_the_hypothesis_seed_is_fixed_unless_given():
+    assert line_trace.pytest_args(["-q", "tests"]) == ["-q", "tests", "--hypothesis-seed=0"]
+    for given in (["--hypothesis-seed=7", "-q"], ["-q", "--hypothesis-seed", "7"]):
+        assert line_trace.pytest_args(given) == given
+
+
 def test_one_short_test_module_traced():
     # the ladder's tests climb it to the cap and refuse there, and count nothing
     done = subprocess.run(

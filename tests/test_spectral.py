@@ -32,6 +32,7 @@ from recdiff.intervals import (
     IntervalField,
     ball_add,
     ball_from_mpi,
+    ball_mul,
     ball_to_mpi,
     contains,
     contains_zero,
@@ -686,9 +687,12 @@ def test_ratios_compare_exactly(x, y):
 def _envelope_loops_by_intervals(decomp, cert, field, products, alpha_prime, rhos, n_seg,
                                  n0_max):
     """``_envelope_on``'s window maximum, n0 search and ratio minimum on
-    mpmath's interval operators, each n's bound read as an exact Fraction:
-    (a_prime, n0, c_lower), with n0 None when no n0 <= n0_max is found and
-    c_lower None when either bound fails."""
+    mpmath's interval operators, with a(X) read through complex-box moduli,
+    each n's bound read as an exact Fraction: (a_prime, n0, c_lower,
+    abs_sum, a_floor), with n0 None when no n0 <= n0_max is found, c_lower
+    and a_floor None when either bound fails, abs_sum = sum sup |a_j| and
+    a_floor from a scan past the window to n2 = 2 sum_{j < sigma} |a_j| /
+    |lead| with the bound |lead| (n2 + 1)^sigma / 2 beyond it."""
     roots, prec = decomp.spectrum.roots, field.prec
     dom, sigma = cert.root_index, cert.sigma
     others = [i for i in range(len(roots)) if i != dom]
@@ -712,9 +716,10 @@ def _envelope_loops_by_intervals(decomp, cert, field, products, alpha_prime, rho
         return decomp.coefficient_value(dom, n).modulus()
 
     rho_dom, apf = ap / mod_alpha, field.real(a_prime)
-    g_lower, rho_pow = [], field.real(1)
+    g_lower, a_infs, rho_pow = [], [], field.real(1)
     for n in range(n_seg + 1):
-        g_lower.append(interval_inf_fraction(dom_abs(n) - apf * rho_pow))
+        a_infs.append(dom_abs(n))
+        g_lower.append(interval_inf_fraction(a_infs[-1] - apf * rho_pow))
         rho_pow = rho_pow * rho_dom
     n0 = next((start for start in range(n0_max + 1)
                if all(g > 0 for g in g_lower[start:])), None)
@@ -726,28 +731,33 @@ def _envelope_loops_by_intervals(decomp, cert, field, products, alpha_prime, rho
         inf_a_beyond = min([interval_inf_fraction(dom_abs(n)) for n in range(n_seg + 1, n2 + 1)]
                            + [lead * Fraction(n2 + 1) ** sigma / 2])
     tail_low = inf_a_beyond - interval_sup_fraction(apf * rho_dom ** (n_seg + 1))
+    abs_sum = sum(interval_sup_fraction(c.modulus()) for c in decomp.coefficients[dom])
     if n0 is None or tail_low <= 0:
-        return a_prime, n0, None
+        return a_prime, n0, None, abs_sum, None
     n0 = max(n0, 1) if sigma > 0 else n0
+    a_floor = min([interval_inf_fraction(v) for v in a_infs[n0:]] + [inf_a_beyond])
     ratio_min, alpha_pow = None, mod_alpha ** n0
     for term in decomp.sequence.terms(n_seg + 1)[n0:]:
         v = interval_inf_fraction(field.real(abs(term)) / alpha_pow)
         ratio_min = v if ratio_min is None else min(ratio_min, v)
         alpha_pow = alpha_pow * mod_alpha
-    return a_prime, n0, min(ratio_min, tail_low) * (1 - Fraction(1, 1024))
+    return a_prime, n0, min(ratio_min, tail_low) * (1 - Fraction(1, 1024)), abs_sum, a_floor
 
 
 def test_envelope_loops_decide_as_the_interval_operators(monkeypatch):
-    # every window of every rung that reaches the envelope, on the seed-1
-    # batch, five builtins, n 2^n, padovan and the two close-root cases,
-    # whose first window finds no n0: the loops on integer balls find the
-    # same n0, and a_prime and c_lower within a few units of the rung's
-    # last bit per window step, as the loops on interval operators
-    from test_bit_identity import BATCH
+    # every window of every rung that reaches the envelope, on BATCH,
+    # BATCH_5_7, k-bonacci 3-16, the builtins, n 2^n, padovan and the two
+    # close-root cases, whose first window finds no n0: the loops on integer
+    # balls find the same n0, and a_prime and c_lower within a few units of
+    # the rung's last bit per window step, as the loops on interval
+    # operators.  Read from the dominant column's balls, c_upper is
+    # (sum of the exact ends of a(X)'s boxes + a') (1 + 1/1024), a sum no
+    # larger than that of the complex moduli, and a_floor is no smaller
+    # than the floor the complex moduli give
+    from test_bit_identity import BATCH, BATCH_5_7, KBONACCI
 
-    seqs = [LinearRecurrence(*spec) for spec in BATCH[:9]] + [N2N]
-    seqs += [BUILTIN_SEQUENCES[name] for name in ("fib", "lucas", "pow2", "pow3", "tribonacci")]
-    seqs += [LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1)),
+    seqs = [LinearRecurrence(*spec) for spec in BATCH + BATCH_5_7 + KBONACCI]
+    seqs += [*BUILTIN_SEQUENCES.values(), N2N, LinearRecurrence("padovan", (0, 1, 1), (1, 1, 1)),
              LinearRecurrence("close", (3, -5, 4, 4), (-1, 3, 2, 2)),
              LinearRecurrence("close", (8, -18, 0, 26, 3, 9, -27), (-2, 1, 4, -2, -4, -2, -2))]
     on, windows = spectral._envelope_on, []
@@ -762,20 +772,25 @@ def test_envelope_loops_decide_as_the_interval_operators(monkeypatch):
         spectral._analyze_uncached(seq)
     certified, wider = 0, 0
     for args, (env, width) in windows:
-        a_prime, n0, c_lower = _envelope_loops_by_intervals(*args)
-        prec = args[2].prec
+        a_prime, n0, c_lower, abs_sum, a_floor = _envelope_loops_by_intervals(*args)
+        decomp, cert, prec = args[0], args[1], args[2].prec
+        name = decomp.sequence.name
         if width:
-            assert c_lower is None, (args[0].sequence.name, prec)
+            assert c_lower is None, (name, prec)
             wider += 1
         if env is None:
             continue
-        assert env.n0 == n0, (args[0].sequence.name, prec)
+        assert env.n0 == n0, (name, prec)
         # both sides round each running power of the window once a step, a
         # ball's radius by up to two units of 2^-prec, an interval's ends by
         # one: n_seg units bound the drift (12.8 is the largest seen)
         n_seg = args[6]
         for got, want in ((env.a_prime, a_prime), (env.c_lower, c_lower)):
-            assert abs(got - want) <= want * n_seg / 2 ** prec, (args[0].sequence.name, prec)
+            assert abs(got - want) <= want * n_seg / 2 ** prec, (name, prec)
+        ends = sum(max(abs(interval_inf_fraction(c.re)), abs(interval_sup_fraction(c.re)))
+                   for c in decomp.coefficients[cert.root_index])
+        assert env.c_upper == (ends + env.a_prime) * (1 + Fraction(1, 1024)), (name, prec)
+        assert ends <= abs_sum and env.a_floor >= a_floor, (name, prec)
         certified += 1
     assert certified == len(seqs) and wider >= 2
 
@@ -874,3 +889,121 @@ def test_independence_of_one_cubic_root_and_itself():
     assert multiplicative_independence(low, high).status == "unknown"
     top = AlgebraicNumber.from_min_poly(cubic, 0)
     assert multiplicative_independence(top, high).status == "dependent"
+
+
+# ---------------------------------------------------------------------------
+# the dominant coefficient a(X) on the balls of its stream column
+
+
+def _taylor(coeffs, n):
+    """The coefficients of a(n + t) in t, exactly, lowest degree first."""
+    return [sum(math.comb(i, j) * c * Fraction(n) ** (i - j) for i, c in enumerate(coeffs)
+                if i >= j) for j in range(len(coeffs))]
+
+
+def _ball_value(ball):
+    m, r, e = ball
+    return Fraction(m) * Fraction(2) ** e, Fraction(r) * Fraction(2) ** e
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=6),
+       n=st.integers(0, 10 ** 6), prec=st.sampled_from((16, 64, 256, 4096)))
+def test_shifted_balls_hold_the_taylor_coefficients(coeffs, n, prec):
+    # a(n + t) and a(n + 1 + t), the second by a further shift by 1: each
+    # ball holds the exact coefficient, and is that point when nothing was
+    # rounded; the top coefficient is the lead's ball itself
+    balls = [(c, 0, 0) for c in coeffs]
+    once = spectral._shifted(balls, n, prec)
+    twice = spectral._shifted(once, 1, prec)
+    assert once[-1] == twice[-1] == balls[-1]
+    for shifted, at in ((once, n), (twice, n + 1)):
+        for ball, exact in zip(shifted, _taylor(coeffs, at)):
+            mid, rad = _ball_value(ball)
+            assert abs(mid - exact) <= rad
+            if prec == 4096:
+                assert (mid, rad) == (exact, 0)
+
+
+def _horner(coeffs, n, prec):
+    """a(n) by Horner's rule on balls, the reference for the first entry of
+    ``_divided`` and of ``_shifted``."""
+    acc, point = coeffs[-1], (n, 0, 0)
+    for c in coeffs[-2::-1]:
+        acc = ball_add(ball_mul(acc, point, prec), c)
+    return acc
+
+
+_balls = st.tuples(st.integers(-2 ** 300, 2 ** 300), st.integers(0, 2 ** 40),
+                   st.integers(-400, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_balls, min_size=1, max_size=5), n=st.integers(0, 10 ** 4),
+       prec=st.integers(16, 1024))
+def test_the_first_shifted_ball_is_horners_value_bit_for_bit(coeffs, n, prec):
+    value = _horner(coeffs, n, prec)
+    assert spectral._divided(coeffs, n, prec)[0] == spectral._shifted(coeffs, n, prec)[0] == value
+
+
+def _linear_times_power(c, base):
+    """(n + c) base^n as a recurrence of order 2."""
+    return LinearRecurrence("(n%+d)%d^n" % (c, base), (2 * base, -base * base),
+                            (c, (c + 1) * base))
+
+
+def test_a_large_constant_coefficient_stops_the_loop_at_once(monkeypatch):
+    # a(n) = n + 10^6: every Taylor coefficient of a(65 + t) is positive, so
+    # the loop past the 64-term window shifts no further, where a scan to
+    # n2 = 2 sum|a_j| / |lead| = 2 10^6 took over a minute
+    shifted, shifts = spectral._shifted, []
+    monkeypatch.setattr(spectral, "_shifted",
+                        lambda coeffs, n, prec: shifts.append(n) or shifted(coeffs, n, prec))
+    env = spectral._analyze_uncached(_linear_times_power(10 ** 6, 2)).envelope
+    assert shifts == [65] and (env.a_floor, env.n0) == (10 ** 6 + 1, 1)
+
+
+def test_the_floor_past_the_window_steps_past_a_sign_variation():
+    # a(n) = (n - 70)^2 + 10^4: a(65 + t) = 10025 - 10 t + t^2 until the
+    # shift reaches n = 70, where the least |a(n)|, 10^4, lies
+    a = [(n - 70) ** 2 + 10 ** 4 for n in range(3)]
+    seq = LinearRecurrence("((n-70)^2+10^4)2^n", (6, -12, 8),
+                           tuple(v * 2 ** n for n, v in enumerate(a)))
+    env = analyze_sequence(seq).envelope
+    assert (env.sigma, env.a_floor) == (2, 10 ** 4)
+
+
+@pytest.mark.parametrize("seq, other", [(_linear_times_power(-100, 2), "pow3"),
+                                        (LinearRecurrence("(100-n)3^n", (6, -9), (100, 297)),
+                                         "pow2")],
+                         ids=["n-100", "100-n"])
+def test_a_zero_of_the_dominant_coefficient_past_the_window(seq, other):
+    # a(100) = 0: the loop past the 64-term window stops at n = 100 with a
+    # floor of 0, and the retry's window reaches past it, so n0 = 101 and
+    # the floor is |a(101)| = 1 (to the width of the boxes of 3^n's a(X))
+    env = analyze_sequence(seq).envelope
+    assert env.n0 == 101 and 1 - Fraction(1, 2 ** 64) < env.a_floor <= 1
+    result = count_T_S(seq, BUILTIN_SEQUENCES[other], 10 ** 40)
+    oracle = brute_force_oracle(seq, BUILTIN_SEQUENCES[other], 10 ** 40,
+                                3 * result.n_cut + 5, 3 * result.m_cut + 5)
+    assert (result.T, result.S) == (oracle.T, oracle.S)
+
+
+def test_a_sign_change_past_the_cap_leaves_the_retry_window_to_the_gap():
+    # U_n = (2n - 9001) 2^n + 10^4 F_n: |a(n)| = |2n - 9001| is least, 1,
+    # where the loop past the window stops, at n = 4501, past the 4096-term
+    # cap; phi is close enough to 2 that the 64-term window finds no tail
+    # bound, and a retry window sized from the gap alone certifies
+    fib = BUILTIN_SEQUENCES["fib"].terms(4)
+    seq = LinearRecurrence("(2n-9001)2^n+10^4F_n", (5, -7, 0, 4),
+                           tuple((2 * n - 9001) * 2 ** n + 10 ** 4 * fib[n] for n in range(4)))
+    analysis = spectral._analyze_uncached(seq)
+    env = analysis.envelope
+    assert analysis.spectrum.precision_bits == 256 and env.n0 == 1
+    assert 1 - Fraction(1, 2 ** 64) < env.a_floor <= 1
+
+
+def test_a_zero_of_the_dominant_coefficient_past_the_largest_window_is_refused():
+    # a(10^4) = 0 lies past the 4096-term cap on the window at every rung
+    with pytest.raises(PrecisionExhausted):
+        spectral._analyze_uncached(_linear_times_power(-10 ** 4, 2))
